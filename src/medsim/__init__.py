@@ -20,6 +20,6 @@ from .routing import (EvRequest, MedAttach, NoPath, PathCache, RouteAssignment,
                       objective_time, route_energy, route_feasible, route_time)
 from .sim import (CalibrationError, EvRecord, EvSpawn, LevelSampler, RunMetrics,
                   Scenario, calibrate_level, classify_anxious, default_scenario,
-                  generate_population, run)
+                  generate_population, load_network, run)
 
 __version__ = "0.1.0"

@@ -157,8 +157,20 @@ def cmd_run(args) -> int:
     return 0
 
 
+# this process's network for sweep cells; sweep overrides never touch the
+# graph, the vehicle or visit_limit, so one network serves every cell
+_sweep_network = None
+
+
+def _init_sweep(doc: dict, overrides: dict):
+    """Load the sweep's graph and path cache once for this process."""
+    global _sweep_network
+    _sweep_network = sim.load_network(sim.Scenario.from_json(doc, **overrides))
+
+
 def _sweep_cell(doc: dict, overrides: dict) -> dict:
-    metrics = sim.run(sim.Scenario.from_json(doc, **overrides), keep_assignments=False)
+    metrics = sim.run(sim.Scenario.from_json(doc, **overrides), keep_assignments=False,
+                      network=_sweep_network)
     if metrics.violations:
         raise RuntimeError(
             f"invariant violations in cell {overrides}: {metrics.violations[:3]}")
@@ -166,6 +178,7 @@ def _sweep_cell(doc: dict, overrides: dict) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    global _sweep_network
     with open(args.scenario, encoding="utf-8") as fh:
         doc = json.load(fh)
     modes = [m for m in args.modes.split(",") if m]
@@ -175,17 +188,27 @@ def cmd_sweep(args) -> int:
     if not (modes and levels and ev_counts and seeds):
         print("sweep: modes, levels, evs, and seeds must be nonempty", file=sys.stderr)
         return 2
+    if args.jobs < 1:
+        print(f"sweep: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
     cells = [dict(mode=m, level=l, ev_count=n, seed=s)
              for m in modes for l in levels for n in ev_counts for s in seeds]
+    # the first cell's overrides make a scenario that validates, whatever
+    # mode, level or count the document itself holds
+    init_args = (doc, cells[0])
     try:
         if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_sweep,
+                                     initargs=init_args) as pool:
                 rows = list(pool.map(_sweep_cell, [doc] * len(cells), cells))
         else:
+            _init_sweep(*init_args)
             rows = [_sweep_cell(doc, cell) for cell in cells]
     except Exception as exc:
         print(f"sweep: aborted, no output written: {exc}", file=sys.stderr)
         return 1
+    finally:
+        _sweep_network = None  # an in-process network lives for one sweep
     rows.sort(key=lambda r: (r["mode"], r["level"], r["ev_count"], r["seed"]))
     lines = [SWEEP_HEADER]
     for r in rows:

@@ -54,12 +54,35 @@ def _dijkstra_dist(adj, source, weight_of):
     return dist
 
 
+class CachedPath(tuple):
+    """A path's node tuple, carrying the costs of its arcs.
+
+    ``drive_s`` and ``energy_kwh`` are left folds in path order, as
+    :func:`route_time` and :func:`route_energy` add them, so they are
+    bit-identical to a per-arc walk; ``arc_energy`` holds each arc's energy
+    in path order, for replays that start from a given battery level.
+    """
+
+
+def _cached_path(nodes, attrs):
+    path = CachedPath(nodes)
+    drive = energy = 0.0
+    for attr in attrs:
+        drive += attr.drive_time_s
+        energy += attr.energy_kwh
+    path.drive_s = drive
+    path.energy_kwh = energy
+    path.arc_energy = tuple(attr.energy_kwh for attr in attrs)
+    return path
+
+
 class PathCache:
     """Memoized single-source distance maps and path reconstructions.
 
-    One instance per graph per run; routing repeatedly asks for distances
-    from the same sources (EV positions) and to the same targets (chargers,
-    destinations), so the maps are worth keeping.
+    One per graph, shared by every run of a sweep; routing repeatedly asks
+    for distances from the same sources (EV positions) and to the same
+    targets (chargers, destinations), so the maps are worth keeping. It
+    holds only graph-derived data, never ledger or population state.
     """
 
     def __init__(self, g: RoadGraph):
@@ -86,22 +109,24 @@ class PathCache:
             self._rev[key] = _dijkstra_dist(self._radj, target, _weight_fn(weight))
         return self._rev[key]
 
-    def path(self, source, target, weight: str = "time"):
-        """Minimum-cost path as a node tuple, ties broken lexicographically."""
+    def path(self, source, target, weight: str = "time") -> CachedPath:
+        """Minimum-cost path with its arc costs, ties broken lexicographically."""
         key = (source, target, weight)
-        if key not in self._paths:
-            self._paths[key] = _lex_path(self.g, source, target,
-                                         self.rev(target, weight), _weight_fn(weight))
-        return self._paths[key]
+        found = self._paths.get(key)
+        if found is None:
+            found = self._paths[key] = _lex_path(
+                self.g, source, target, self.rev(target, weight), _weight_fn(weight))
+        return found
 
 
 def _lex_path(g, source, target, rev_dist, weight_of):
     if source == target:
-        return (source,)
+        return _cached_path((source,), ())
     total = rev_dist.get(source)
     if total is None:
         raise NoPath(f"no path from {source} to {target}")
     path = [source]
+    attrs = []
     seen = {source}
     cur, remaining = source, total
     cap = len(g.nodes) + 1
@@ -116,32 +141,29 @@ def _lex_path(g, source, target, rev_dist, weight_of):
                 continue
             if abs(weight_of(attr) + r - remaining) <= tol:
                 nxt = (nbr, r)
+                attrs.append(attr)
                 break
         if nxt is None or len(path) >= cap:
             raise NoPath(f"path reconstruction from {source} to {target} failed")
         cur, remaining = nxt
         path.append(cur)
         seen.add(cur)
-    return tuple(path)
+    return _cached_path(path, attrs)
 
 
 def dijkstra(g: RoadGraph, source, target, weight: str = "time"):
     """Minimum-cost path and its cost; deterministic lexicographic tie-break.
 
-    The cost is re-summed along the returned path so that independent
-    implementations walking the same arcs get bit-identical totals.
+    The cost is summed along the returned path in path order, so that
+    independent implementations walking the same arcs get bit-identical
+    totals.
     """
     if source not in g.nodes or target not in g.nodes:
         raise NoPath("endpoint not in graph")
     if source == target:
         return [source], 0.0
-    cache = PathCache(g)
-    path = list(cache.path(source, target, weight))
-    w = _weight_fn(weight)
-    cost = 0.0
-    for i, j in zip(path, path[1:]):
-        cost += w(g.arc(i, j))
-    return path, cost
+    path = PathCache(g).path(source, target, weight)
+    return list(path), path.drive_s if weight == "time" else path.energy_kwh
 
 
 def route_time(g: RoadGraph, path) -> float:
@@ -181,6 +203,16 @@ def route_feasible(g: RoadGraph, path, energy_start_kwh: float, gains=None) -> b
         if attr is None:
             raise NoPath(f"path uses missing arc ({path[k]},{path[k + 1]})")
         eps = eps - attr.energy_kwh + gain_at.get(k, 0.0)
+        if eps < -_EPS_TOL:
+            return False
+    return True
+
+
+def _path_feasible(path: CachedPath, energy_start_kwh: float) -> bool:
+    """:func:`route_feasible` without gains, from the path's cached arc energies."""
+    eps = energy_start_kwh
+    for energy in path.arc_energy:
+        eps -= energy
         if eps < -_EPS_TOL:
             return False
     return True
@@ -269,25 +301,40 @@ def objective_time(g: RoadGraph, a: RouteAssignment) -> float:
     t = 0.0
     for i, j in a.x_arcs:
         t += g.arc(i, j).drive_time_s
-    t += sum(v.wait_s + v.charge_s for v in a.z_visits)
-    t += sum(p.wait_s for p in a.q_points)
-    return t
+    return _plus_stops(t, a)
+
+
+def _plus_stops(drive_s: float, a: RouteAssignment) -> float:
+    t = drive_s + sum(v.wait_s + v.charge_s for v in a.z_visits)
+    return t + sum(p.wait_s for p in a.q_points)
 
 
 def check_assignment(g: RoadGraph, a: RouteAssignment, tol: float = 1e-6):
-    """All invariant violations of a realized route (empty list means clean)."""
+    """All invariant violations of a realized route (empty list means clean).
+
+    Reads every arc from the graph itself, never from a path cache, so it
+    checks the router independently. One walk over the arcs serves the
+    missing-arc check, the energy replay and the objective.
+    """
     bad = []
     Q = a.capacity_kwh
     if not a.legs or a.legs[0] != a.source:
         bad.append("walk does not start at the source")
     if a.legs and a.legs[-1] != a.dest:
         bad.append("walk does not end at the destination")
-    if a.x_arcs != list(zip(a.legs, a.legs[1:])):
+    walk = list(zip(a.legs, a.legs[1:]))
+    x_is_walk = a.x_arcs == walk
+    if not x_is_walk:
         bad.append("x arcs do not match the walk")
+    x_attrs = []
+    drive_s = 0.0
     for i, j in a.x_arcs:
-        if g.arc(i, j) is None:
+        attr = g.arc(i, j)
+        if attr is None:
             bad.append(f"walk uses missing arc ({i},{j})")
             return bad
+        x_attrs.append(attr)
+        drive_s += attr.drive_time_s
     if len(a.energy_trace) != len(a.legs):
         bad.append("energy trace length does not match the walk")
         return bad
@@ -319,11 +366,13 @@ def check_assignment(g: RoadGraph, a: RouteAssignment, tol: float = 1e-6):
             bad.append("negative wait or charge time at a station")
         charge_at.setdefault(v.leg_index, []).append(v)
 
+    # the energy replay follows the legs; only a walk already reported as
+    # not matching its x arcs needs its own arc lookups
+    walk_attrs = x_attrs if x_is_walk else [g.arc(i, j) for i, j in walk]
     eps = a.energy_start_kwh
-    for k, node in enumerate(a.legs):
+    for k in range(len(a.legs)):
         if k > 0:
-            arc = g.arc(a.legs[k - 1], node)
-            eps = eps - arc.energy_kwh + gain_at.get(k - 1, 0.0)
+            eps = eps - walk_attrs[k - 1].energy_kwh + gain_at.get(k - 1, 0.0)
             eps = min(eps, Q)
         if eps < -_EPS_TOL:
             bad.append(f"battery below zero arriving at walk index {k}")
@@ -340,7 +389,7 @@ def check_assignment(g: RoadGraph, a: RouteAssignment, tol: float = 1e-6):
                 abs(a.energy_trace[v.leg_index] - Q) > tol:
             bad.append("battery not full right after a station visit")
 
-    if abs(a.total_time_s - objective_time(g, a)) > tol:
+    if abs(a.total_time_s - _plus_stops(drive_s, a)) > tol:
         bad.append("stored total time disagrees with the recomputed objective")
     return bad
 
@@ -376,6 +425,7 @@ class _Candidate:
     pass_no: int = 0
     attach_s: float = 0.0
     arcs: tuple = ()
+    arc_energy: tuple = ()
     induced: tuple = ()
     keys: tuple = ()
     eps_after: float = 0.0
@@ -402,7 +452,7 @@ def _plan_med_span(unit, start_idx, eps_at_meet, capacity, need_to_finish):
     eps = eps_at_meet
     dispensed = 0.0
     attach_s = 0.0
-    arcs, induced = [], []
+    arcs, energies, induced = [], [], []
     for n in range(1, max_segments + 1):
         seg = segs[(start_idx + n - 1) % u]
         dispensed += seg.induced_kwh
@@ -413,11 +463,12 @@ def _plan_med_span(unit, start_idx, eps_at_meet, capacity, need_to_finish):
             return None
         attach_s += seg.drive_s
         arcs.append((seg.i, seg.j))
+        energies.append(seg.energy_kwh)
         induced.append(seg.induced_kwh)
         detach_idx = (start_idx + n) % u
         detach = unit.points[detach_idx]
         if eps >= need_to_finish(detach) - _EPS_TOL:
-            return n, eps, attach_s, tuple(arcs), tuple(induced), detach
+            return n, eps, attach_s, tuple(arcs), tuple(energies), tuple(induced), detach
     return None
 
 
@@ -450,7 +501,7 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
                 except NoPath:
                     need_memo[node] = INFINITE
                 else:
-                    need_memo[node] = route_energy(g, tail)
+                    need_memo[node] = tail.energy_kwh
         return need_memo[node]
 
     for unit in getattr(infra, "scs_units", ()):
@@ -458,16 +509,16 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
         if gate is not None and not gate("scs", node):
             continue
         if node == at:
-            path, drive = (at,), 0.0
+            path = _cached_path((at,), ())
         else:
             try:
                 path = caches.path(at, node, "time")
             except NoPath:
                 continue
-            if not route_feasible(g, path, energy_kwh):
+            if not _path_feasible(path, energy_kwh):
                 continue
-            drive = route_time(g, path)
-        arrive = max(0.0, energy_kwh - route_energy(g, path))
+        drive = path.drive_s
+        arrive = max(0.0, energy_kwh - path.energy_kwh)
         if arrive >= Q - 1e-12:
             continue  # nothing to gain here
         wait = unit.wait_s(now, drive)
@@ -486,22 +537,22 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
             if gate is not None and not gate("med", point):
                 continue
             if point == at:
-                path, drive = (at,), 0.0
+                path = _cached_path((at,), ())
             else:
                 try:
                     path = caches.path(at, point, "time")
                 except NoPath:
                     continue
-                if not route_feasible(g, path, energy_kwh):
+                if not _path_feasible(path, energy_kwh):
                     continue
-                drive = route_time(g, path)
-            eps_meet = max(0.0, energy_kwh - route_energy(g, path))
+            drive = path.drive_s
+            eps_meet = max(0.0, energy_kwh - path.energy_kwh)
             if eps_meet >= need_to_finish(point) - _EPS_TOL:
                 continue  # no deficit at this point, it is not an energy stop
             span = _plan_med_span(unit, idx, eps_meet, Q, need_to_finish)
             if span is None:
                 continue
-            n_seg, eps_after, attach_s, arcs, induced, detach = span
+            n_seg, eps_after, attach_s, arcs, energies, induced, detach = span
             wait, pass_no = unit.waiting(idx, now + drive, n_seg)
             keys = unit.segment_keys(idx, pass_no, n_seg)
             score = drive + wait + attach_s
@@ -513,7 +564,7 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
             candidates.append(_Candidate(
                 "med", unit, point, path, drive, score,
                 start_idx=idx, n_segments=n_seg, pass_no=pass_no, attach_s=attach_s,
-                wait_s=wait, arcs=arcs, induced=induced, keys=keys,
+                wait_s=wait, arcs=arcs, arc_energy=energies, induced=induced, keys=keys,
                 eps_after=eps_after, dispensed_kwh=sum(induced), detach_node=detach))
 
     if not candidates:
@@ -521,9 +572,10 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
     return min(candidates, key=lambda c: c.sort_key)
 
 
-def _extend(g, legs, trace, path, eps, capacity, gains=None):
-    for k, (i, j) in enumerate(zip(path, path[1:])):
-        eps = eps - g.arc(i, j).energy_kwh + (gains[k] if gains else 0.0)
+def _extend(legs, trace, nodes, arc_energy, eps, capacity, gains=None):
+    """Append a path's nodes past its start, with the battery level at each."""
+    for k, (j, energy) in enumerate(zip(nodes[1:], arc_energy)):
+        eps = eps - energy + (gains[k] if gains else 0.0)
         eps = min(eps, capacity)
         legs.append(j)
         trace.append(eps)
@@ -555,8 +607,8 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
     at = request.source
     elapsed = 0.0
 
-    if route_feasible(g, direct, eps):
-        eps = _extend(g, legs, trace, direct, eps, Q)
+    if _path_feasible(direct, eps):
+        eps = _extend(legs, trace, direct, direct.arc_energy, eps, Q)
         return _finish(g, request, legs, trace, z_visits, q_points, now)
 
     for _ in range(config.leg_limit):
@@ -577,7 +629,7 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
         if plan is None:
             raise Stranded(f"EV {request.ev}: bookings kept being rejected")
 
-        eps = _extend(g, legs, trace, plan.path, eps, Q)
+        eps = _extend(legs, trace, plan.path, plan.path.arc_energy, eps, Q)
         elapsed += plan.drive_s
         if plan.kind == "scs":
             z_visits.append(ScsVisit(plan.point, len(legs) - 1, plan.wait_s,
@@ -591,8 +643,8 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
                                       plan.wait_s, plan.attach_s, plan.arcs,
                                       plan.induced, plan.keys, plan.eps_after - eps,
                                       plan.dispensed_kwh))
-            eps = _extend(g, legs, trace, (plan.point,) + tuple(j for _, j in plan.arcs),
-                          eps, Q, gains=plan.induced)
+            eps = _extend(legs, trace, (plan.point,) + tuple(j for _, j in plan.arcs),
+                          plan.arc_energy, eps, Q, gains=plan.induced)
             elapsed += plan.wait_s + plan.attach_s
             at = plan.detach_node
 
@@ -602,8 +654,8 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
             tail = caches.path(at, request.dest, "time")
         except NoPath:
             continue
-        if route_feasible(g, tail, eps):
-            eps = _extend(g, legs, trace, tail, eps, Q)
+        if _path_feasible(tail, eps):
+            eps = _extend(legs, trace, tail, tail.arc_energy, eps, Q)
             return _finish(g, request, legs, trace, z_visits, q_points, now)
 
     raise Stranded(f"EV {request.ev}: still infeasible after "

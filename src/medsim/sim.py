@@ -17,8 +17,8 @@ from .charging import Infrastructure, MedState, ScsState
 from .energy import InductionParams, VehicleParams
 from .comms import RadioParams
 from .road_graph import RoadGraph, load_graph
-from .routing import (EvRequest, PathCache, RouterConfig, Stranded,
-                      check_assignment, find_shortest_path, route_energy)
+from .routing import (EvRequest, NoPath, PathCache, RouterConfig, Stranded,
+                      check_assignment, find_shortest_path)
 
 INFINITE = math.inf
 
@@ -165,12 +165,11 @@ def classify_anxious(g: RoadGraph, request: EvRequest,
                      caches: PathCache | None = None) -> bool:
     """True when the battery cannot cover the unconstrained shortest route."""
     caches = caches or PathCache(g)
-    from .routing import NoPath
     try:
         path = caches.path(request.source, request.dest, "time")
     except NoPath:
         return True
-    return request.energy_kwh < route_energy(g, path)
+    return request.energy_kwh < path.energy_kwh
 
 
 class LevelSampler:
@@ -196,13 +195,12 @@ class LevelSampler:
     def _route_energy(self, s, d) -> float:
         key = (s, d)
         if key not in self._energy_memo:
-            from .routing import NoPath
             try:
                 path = self.caches.path(s, d, "time")
             except NoPath:
                 self._energy_memo[key] = INFINITE
             else:
-                self._energy_memo[key] = route_energy(self.g, path)
+                self._energy_memo[key] = path.energy_kwh
         return self._energy_memo[key]
 
     def draw(self, want_anxious: bool, attempts: int = 400):
@@ -347,6 +345,34 @@ class RunMetrics:
 # -- the run itself ---------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class Network:
+    """A loaded road graph and its path cache, with what they were built from.
+
+    Both hold only graph-derived data, so one network can serve every run
+    whose scenario has the same graph document, vehicle and visit limit;
+    ledgers, infrastructure and the population stay per run.
+    """
+
+    graph_doc: object
+    vehicle: VehicleParams
+    visit_limit: int
+    graph: RoadGraph
+    caches: PathCache
+
+    def fits(self, scenario: Scenario) -> bool:
+        return (self.visit_limit == scenario.visit_limit
+                and self.vehicle == scenario.vehicle
+                and self.graph_doc == scenario.graph)
+
+
+def load_network(scenario: Scenario) -> Network:
+    """Load the scenario's graph and start an empty path cache for it."""
+    g = load_graph(scenario.graph, vehicle=scenario.vehicle,
+                   visit_limit=scenario.visit_limit)
+    return Network(scenario.graph, scenario.vehicle, scenario.visit_limit, g, PathCache(g))
+
+
 def build_infrastructure(scenario: Scenario, g: RoadGraph) -> Infrastructure:
     infra = Infrastructure()
     for node, rate in scenario.scs:
@@ -368,16 +394,21 @@ def _first_choice(assignment) -> str:
 
 
 def run(scenario: Scenario, router_config: RouterConfig | None = None,
-        keep_assignments: bool = True) -> RunMetrics:
+        keep_assignments: bool = True, network: Network | None = None) -> RunMetrics:
     """Simulate one scenario and collect metrics.
 
     EVs are routed in arrival order against live ledgers; stranded EVs are
     recorded with the penalty travel time rather than aborting the run. In
-    mode "SCS" the mobile chargers exist but take no bookings.
+    mode "SCS" the mobile chargers exist but take no bookings. ``network``
+    shares a graph and its path cache with other runs (see
+    :func:`load_network`); without one the run loads its own.
     """
-    g = load_graph(scenario.graph, vehicle=scenario.vehicle,
-                   visit_limit=scenario.visit_limit)
-    caches = PathCache(g)
+    if network is None:
+        network = load_network(scenario)
+    elif not network.fits(scenario):
+        raise ValueError("the network was built from a different graph, vehicle "
+                         "or visit_limit than the scenario")
+    g, caches = network.graph, network.caches
     infra = build_infrastructure(scenario, g)
     population = generate_population(scenario, g, caches)
     config = router_config or RouterConfig()
@@ -417,8 +448,3 @@ def run(scenario: Scenario, router_config: RouterConfig | None = None,
         if keep_assignments:
             metrics.assignments.append(a)
     return metrics
-
-
-def run_from_doc(doc: dict, **overrides) -> RunMetrics:
-    """Parse-and-run entry point, picklable for parallel sweeps."""
-    return run(Scenario.from_json(doc, **overrides))

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from medsim import cli, sim
 from medsim.cli import SWEEP_HEADER, main
 from medsim.sim import default_scenario
 
@@ -108,6 +109,27 @@ class TestSweep:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_nonpositive_jobs_rejected(self, scenario_path, tmp_path, jobs, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["sweep", "--scenario", scenario_path, "--modes", "SCS",
+                   "--levels", "L1", "--evs", "10", "--seeds", "0",
+                   "--jobs", jobs, "--out", str(out)])
+        assert rc == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_loads_the_graph_once(self, scenario_path, tmp_path, monkeypatch):
+        loads = []
+        load_graph = sim.load_graph
+        monkeypatch.setattr(sim, "load_graph",
+                            lambda *args, **kw: loads.append(1) or load_graph(*args, **kw))
+        rc = main(["sweep", "--scenario", scenario_path, "--modes", "SCS,SCS_MED",
+                   "--levels", "L1,L3", "--evs", "10,20", "--seeds", "0,1",
+                   "--out", str(tmp_path / "sweep.csv")])
+        assert rc == 0
+        assert len(loads) == 1
+        assert cli._sweep_network is None  # released with the sweep
 
 class TestRouteAndOracle:
     def test_route_direct(self, scenario_path, tmp_path):

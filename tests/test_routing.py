@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medsim.charging import Infrastructure, MedState, ScsState
 from medsim.energy import InductionParams
@@ -8,8 +10,9 @@ from medsim.oracle import FrozenMed, FrozenScs
 from medsim.road_graph import ArcAttr, build_graph
 from medsim.routing import (EvRequest, NoPath, RouterConfig, Stranded,
                             check_assignment, dijkstra, find_best_energy_point,
-                            find_shortest_path, objective_time, route_feasible,
-                            PathCache)
+                            find_shortest_path, objective_time, route_energy,
+                            route_feasible, route_time, PathCache, _extend,
+                            _path_feasible)
 from tests.conftest import line_graph, ring_with_spurs
 
 
@@ -268,3 +271,44 @@ class TestFindShortestPath:
         a = find_shortest_path(g, req, infra, config=cfg)
         assert check_assignment(g, a) == []
         assert [v.node for v in a.z_visits] == [1]
+
+
+@st.composite
+def strongly_connected_graphs(draw):
+    """Random digraph on 3-12 nodes around a Hamiltonian cycle, so every
+    ordered pair is reachable. Integer drive times make tied routes common;
+    energies are arbitrary floats, so summation order shows in the last bit.
+    One node may be a station, whose dummy clone duplicates its arcs."""
+    n = draw(st.integers(3, 12))
+    order = draw(st.permutations(range(n)))
+    pairs = {(order[k], order[(k + 1) % n]) for k in range(n)}
+    pairs |= set(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda p: p[0] != p[1]), max_size=3 * n)))
+    arcs = {p: ArcAttr(float(draw(st.integers(1, 9))),
+                       draw(st.floats(0.0, 5.0, allow_nan=False, allow_infinity=False)),
+                       10.0)
+            for p in sorted(pairs)}
+    scs = draw(st.lists(st.integers(0, n - 1), max_size=1))
+    return build_graph(range(n), arcs, scs_list=scs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=strongly_connected_graphs(), start=st.floats(0.0, 30.0))
+def test_cached_path_costs_match_the_per_arc_walk(g, start):
+    caches = PathCache(g)
+    for s in sorted(g.nodes):
+        for t in sorted(g.nodes):
+            if s == t:
+                continue
+            path = caches.path(s, t, "time")
+            assert path.drive_s == route_time(g, path)
+            assert path.energy_kwh == route_energy(g, path)
+            assert _path_feasible(path, start) == route_feasible(g, path, start)
+            legs, trace = [s], [start]
+            end = _extend(legs, trace, path, path.arc_energy, start, 20.0)
+            eps, reference = start, []
+            for i, j in zip(path, path[1:]):
+                eps = min(eps - g.arc(i, j).energy_kwh + 0.0, 20.0)
+                reference.append(eps)
+            assert legs == list(path)
+            assert trace[1:] == reference and end == eps

@@ -1,11 +1,14 @@
+import dataclasses
+
 import pytest
 
 from medsim.oracle import OracleInstance, verify
 from medsim.road_graph import ArcAttr, build_graph, load_graph
 from medsim.routing import EvRequest, PathCache, dijkstra
-from medsim.sim import (CalibrationError, LevelSampler, RunMetrics, Scenario,
-                        calibrate_level, classify_anxious, default_scenario,
-                        generate_population, run)
+from medsim.sim import (DEFAULT_VEHICLE, LEVEL_TARGETS, MODES, CalibrationError,
+                        LevelSampler, RunMetrics, Scenario, calibrate_level,
+                        classify_anxious, default_scenario, generate_population,
+                        load_network, run)
 from tests.conftest import line_graph
 
 
@@ -198,6 +201,31 @@ class TestRunInvariants:
         for speed in (5.0, 10.0, 15.0):
             assert net_segment_energy(DEFAULT_VEHICLE, speed, 300.0, True,
                                       DEFAULT_INDUCTION) < 0
+
+
+class TestSharedNetwork:
+    def test_shared_network_matches_a_fresh_graph_per_cell(self):
+        doc = default_scenario().to_json()
+        network = load_network(Scenario.from_json(doc))
+        for mode in MODES:
+            for level in LEVEL_TARGETS:
+                for ev_count in (20, 60):
+                    for seed in (0, 1):
+                        cell = dict(mode=mode, level=level, ev_count=ev_count, seed=seed)
+                        shared = run(Scenario.from_json(doc, **cell), network=network)
+                        fresh = run(Scenario.from_json(doc, **cell))
+                        assert shared.aggregates() == fresh.aggregates(), cell
+                        assert shared.to_csv() == fresh.to_csv(), cell
+
+    @pytest.mark.parametrize("change", [
+        {"graph": {**default_scenario().graph, "scs": [23]}},
+        {"vehicle": dataclasses.replace(DEFAULT_VEHICLE, mass_kg=2000.0)},
+        {"visit_limit": 3},
+    ], ids=["graph", "vehicle", "visit_limit"])
+    def test_network_from_other_inputs_rejected(self, change):
+        network = load_network(default_scenario())
+        with pytest.raises(ValueError):
+            run(default_scenario(ev_count=5, **change), network=network)
 
 
 class TestScenarioJson:
