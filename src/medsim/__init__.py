@@ -2,14 +2,10 @@
 bus-mounted mobile chargers."""
 
 from .charging import (Booking, BookResult, Infrastructure, MedState, ScsState,
-                       book, med_meeting_point, med_waiting_time,
-                       required_attach_span, scs_charge_time, scs_waiting_time,
-                       DeficitTooLarge, NoMeetingPoint)
-from .comms import CamBeacon, RadioParams, flood_reachable, reachable, relay, \
-    transmission_range
+                       scs_charge_time, scs_waiting_time)
+from .comms import RadioParams, transmission_range
 from .energy import (InductionParams, VehicleParams, air_force, drive_power,
-                     induced_energy, net_segment_energy, rolling_force,
-                     segment_energy)
+                     induced_energy, rolling_force, segment_energy)
 from .oracle import (FrozenMed, FrozenScs, OracleError, OracleInstance,
                      OracleSolution, solve_exact, verify)
 from .road_graph import ArcAttr, GraphError, RoadGraph, build_graph, grid_doc, \

@@ -9,22 +9,10 @@ ledgers are the only mutable state here; everything else is arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .energy import InductionParams, induced_energy
 from .road_graph import RoadGraph
-from .routing import PathCache
-
-INFINITE = math.inf
-
-
-class NoMeetingPoint(Exception):
-    """No cycle point of the mobile charger is reachable from the EV."""
-
-
-class DeficitTooLarge(Exception):
-    """No attach run within the pass budget or battery covers the deficit."""
 
 
 @dataclass(frozen=True)
@@ -128,23 +116,21 @@ class CycleSegment:
 class MedState:
     """A mobile charger on a closed cycle, with per-segment per-pass bookings.
 
-    The charger leaves cycle point 0 at ``start_s`` and loops forever. It
-    tops its dissemination battery back up to capacity every time it passes
-    the cycle start, so the battery never increases between those refills.
+    The charger loops the graph's cycle, leaving cycle point 0 at ``start_s``.
+    It tops its dissemination battery back up to capacity every time it
+    passes the cycle start, so the battery never increases between those
+    refills. An EV may ride at most ``max_passes`` (the graph's
+    ``visit_limit``) passes of the cycle in one attach run.
     """
 
     def __init__(self, graph: RoadGraph, induction: InductionParams,
-                 battery_kwh: float = 200.0, cycle=None, start_s: float = 0.0,
-                 max_passes: int | None = None):
-        pts = tuple(cycle) if cycle is not None else graph.med_points
+                 battery_kwh: float = 200.0, start_s: float = 0.0):
+        pts = graph.med_points
         if len(pts) < 2:
             raise ValueError("mobile charger needs a cycle of at least two points")
         segs = []
-        for k, i in enumerate(pts):
-            j = pts[(k + 1) % len(pts)]
+        for k, (i, j) in enumerate(graph.med_cycle_segments()):
             attr = graph.arc(i, j)
-            if attr is None:
-                raise ValueError(f"cycle is not closed: missing arc ({i},{j})")
             segs.append(CycleSegment(k, i, j, attr.drive_time_s, attr.energy_kwh,
                                      induced_energy(attr.drive_time_s, induction)))
         self.points = pts
@@ -159,8 +145,7 @@ class MedState:
         self.battery_capacity_kwh = battery_kwh
         self.battery_kwh = battery_kwh
         self.start_s = start_s
-        self.max_passes = max_passes if max_passes is not None else \
-            max(1, len(graph.clones_of(pts[0])) + 1)
+        self.max_passes = graph.visit_limit
         self.segment_bookings: dict[tuple[int, int], str] = {}
         self.bookings: list[Booking] = []
         self._next_refill_s = start_s + self.cycle_time_s
@@ -249,67 +234,3 @@ class Infrastructure:
         for med in self.med_units:
             med.advance_to(now)
 
-
-def book(target, booking: Booking) -> BookResult:
-    """Route a booking to the right ledger, accept-or-reject semantics."""
-    if booking.kind == "scs":
-        return target.book(booking.ev, booking.start_s, booking.end_s)
-    return target.book_attach(booking.ev, booking.segment_keys, booking.energy_kwh,
-                              booking.start_s, booking.end_s)
-
-
-def med_meeting_point(med: MedState, ev_pos: int, g: RoadGraph,
-                      caches: PathCache | None = None):
-    """Cycle point the EV can reach soonest, with its drive time.
-
-    Drive times come from time-shortest paths on the graph (per-arc mean
-    speeds are baked into the arcs). Ties prefer the smallest node id.
-    """
-    caches = caches or PathCache(g)
-    dist = caches.fwd(ev_pos, "time")
-    best = None
-    for point in med.points:
-        d = dist.get(point, INFINITE)
-        if d == INFINITE:
-            continue
-        if best is None or (d, point) < best:
-            best = (d, point)
-    if best is None:
-        raise NoMeetingPoint(f"no cycle point reachable from {ev_pos}")
-    return best[1], best[0]
-
-
-def med_waiting_time(med: MedState, meet_node: int, ev_arrival_s: float,
-                     n_segments: int):
-    """Node-keyed convenience wrapper over :meth:`MedState.waiting`."""
-    return med.waiting(med.points.index(meet_node), ev_arrival_s, n_segments)
-
-
-def required_attach_span(deficit_kwh: float, med: MedState, start_node: int,
-                         ip: InductionParams | None = None):
-    """Detach point of the smallest run whose net gain covers the deficit.
-
-    Follows the cycle forward from ``start_node``, summing per-segment net
-    gain (induction minus traversal cost), wrapping at most the charger's
-    pass budget. Raises :class:`DeficitTooLarge` when the budget or the
-    dissemination battery cannot cover it. Returns (detach node, number of
-    segments, net gain, dispensed energy).
-    """
-    if deficit_kwh <= 0:
-        raise ValueError("deficit must be positive")
-    start_idx = med.points.index(start_node)
-    u = len(med.segments)
-    gain = 0.0
-    dispensed = 0.0
-    for n in range(1, med.max_passes * u + 1):
-        seg = med.segments[(start_idx + n - 1) % u]
-        gain += seg.induced_kwh - seg.energy_kwh
-        dispensed += seg.induced_kwh
-        if dispensed > med.battery_kwh + 1e-9:
-            raise DeficitTooLarge(
-                f"charger battery {med.battery_kwh:.3f} kWh cannot dispense enough")
-        if gain >= deficit_kwh - 1e-9:
-            return med.points[(start_idx + n) % u], n, gain, dispensed
-    raise DeficitTooLarge(
-        f"deficit {deficit_kwh:.3f} kWh not coverable within "
-        f"{med.max_passes} cycle passes")

@@ -100,8 +100,15 @@ def cmd_route(args) -> int:
     g = load_graph(scenario.graph, vehicle=scenario.vehicle,
                    visit_limit=scenario.visit_limit)
     infra = sim.build_infrastructure(scenario, g)
+    for end in (args.source, args.dest):
+        if end not in g.nodes:
+            raise GraphError(f"route endpoint {end} is not a graph node")
     capacity = args.capacity if args.capacity is not None else scenario.vehicle.capacity_kwh
-    request = EvRequest("cli", args.source, args.dest, capacity, args.energy)
+    try:
+        request = EvRequest("cli", args.source, args.dest, capacity, args.energy)
+    except ValueError as exc:
+        print(f"route: {exc}", file=sys.stderr)
+        return 2
     med_allowed = scenario.mode == "SCS_MED"
 
     def gate(kind, node):

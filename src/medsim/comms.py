@@ -1,15 +1,16 @@
-"""Beacon payloads and range-gated reachability for the charging VANET.
+"""Radio parameters and transmission range of the charging VANET.
 
 The radio model is a log-distance path-loss inversion calibrated on two
 published endpoints: a receiver sensitivity of -69 dBm hears the 18 dBm
 transmitter out to 130 m, and -85 dBm out to 300 m. Obstacle attenuation
-(SINR below threshold behind buildings) is reduced to a drop probability.
+(SINR below threshold behind buildings) is reduced to the scenario's
+``block_prob``, a per-EV drop rate applied in the simulation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 _CAL_HIGH_DBM = -69.0   # sensitivity giving 130 m
 _CAL_LOW_DBM = -85.0    # sensitivity giving 300 m
@@ -31,35 +32,6 @@ class RadioParams:
             raise ValueError("receiver sensitivity cannot exceed transmit power")
 
 
-@dataclass(frozen=True)
-class CamBeacon:
-    """Cooperative awareness payload periodically broadcast by chargers.
-
-    ``charging_capability_kwh`` is the energy the sender can spare for
-    charging without jeopardising its own needs, so it never exceeds the
-    energy it carries.
-    """
-
-    vid: str
-    node: int
-    offset_s: float
-    scheduled_trip: tuple
-    charging_capability_kwh: float
-    energy_kwh: float
-    waiting_time_s: float
-
-    def __post_init__(self):
-        if self.charging_capability_kwh > self.energy_kwh + 1e-9:
-            raise ValueError("charging capability cannot exceed carried energy")
-        if self.waiting_time_s < 0:
-            raise ValueError("waiting time must be nonnegative")
-
-
-def relay(beacon: CamBeacon) -> CamBeacon:
-    """Forward a beacon verbatim; relays never touch the payload."""
-    return replace(beacon)
-
-
 def transmission_range(rp: RadioParams) -> float:
     """Radio range in meters for the configured receiver sensitivity.
 
@@ -73,48 +45,3 @@ def transmission_range(rp: RadioParams) -> float:
             f"[{_CAL_LOW_DBM}, {_CAL_HIGH_DBM}]")
     return _CAL_NEAR_M * 10.0 ** ((_CAL_HIGH_DBM - rp.pth_dbm) / (10.0 * _GAMMA))
 
-
-def _dist(a, b) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
-def reachable(ev_xy, target_xy, rp: RadioParams, blocked: float = 0.0, rng=None) -> bool:
-    """Single-hop reachability: inside radio range and not dropped by obstacles.
-
-    With ``blocked == 0`` this is a pure deterministic distance threshold;
-    with ``blocked == 1`` nothing ever gets through. Probabilistic drops are
-    drawn from ``rng`` so runs stay reproducible.
-    """
-    if blocked >= 1.0:
-        return False
-    if _dist(ev_xy, target_xy) > transmission_range(rp):
-        return False
-    if blocked <= 0.0:
-        return True
-    if rng is None:
-        raise ValueError("a seeded rng is required when 0 < blocked < 1")
-    return rng.random() >= blocked
-
-
-def flood_reachable(ev_xy, target_xy, relay_xys, range_m: float) -> bool:
-    """True when some chain of hops of at most ``range_m`` links EV and target.
-
-    Models instantaneous perfect flooding through relays (other vehicles);
-    geometry only, no randomness.
-    """
-    if _dist(ev_xy, target_xy) <= range_m:
-        return True
-    pending = list(relay_xys)
-    frontier = [ev_xy]
-    while frontier:
-        here = frontier.pop()
-        keep = []
-        for xy in pending:
-            if _dist(here, xy) <= range_m:
-                if _dist(xy, target_xy) <= range_m:
-                    return True
-                frontier.append(xy)
-            else:
-                keep.append(xy)
-        pending = keep
-    return False

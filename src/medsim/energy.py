@@ -88,16 +88,3 @@ def induced_energy(contact_s: float, ip: InductionParams) -> float:
         raise ValueError("contact time must be nonnegative")
     return (contact_s / 3600.0) * ip.c_ind * ip.p_ind_kw
 
-
-def net_segment_energy(vp: VehicleParams, speed_mps: float, dwell_s: float,
-                       attached: bool, ip: InductionParams) -> float:
-    """Signed net energy for one segment: consumption minus inductive gain.
-
-    Negative values mean the battery gains charge while attached; with
-    urban speeds and default induction parameters the transfer rate always
-    beats the consumption rate.
-    """
-    e = segment_energy(vp, speed_mps, dwell_s)
-    if attached:
-        e -= induced_energy(dwell_s, ip)
-    return e

@@ -3,11 +3,13 @@
 The solver enumerates source-to-destination walks of the constrained
 shortest-path formulation on small instances, with charging decisions at
 station visits and contiguous attach runs along the mobile-charger cycle.
-Repeat visits are bounded the way the dummy-node expansion bounds them:
-every charger node may be charged at / attached to at most ``visit_limit``
-times, and a base arc may be traversed at most as often as its expanded
-copies allow. Waits are frozen inputs here; the formulation treats them as
-data, not as queue dynamics.
+Repeat visits are bounded by counting, with the caps the graph derives from
+``visit_limit`` (:meth:`RoadGraph.visit_cap`): every charger node may be
+charged at / attached to at most ``visit_limit`` times, and an arc (i, j)
+may be traversed at most ``visit_cap(i) * visit_cap(j)`` times. These are
+the bounds the paper's formulation gets by cloning each charger into
+``visit_limit`` copies. Waits are frozen inputs here; the formulation treats
+them as data, not as queue dynamics.
 
 Branch and bound with an admissible drive-time bound keeps the enumeration
 exact while pruning hopeless prefixes.
@@ -18,8 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .charging import CycleSegment, BookResult, scs_charge_time
-from .energy import InductionParams, induced_energy
+from .charging import BookResult, MedState, scs_charge_time
+from .energy import InductionParams
 from .road_graph import RoadGraph
 from .routing import (EvRequest, MedAttach, PathCache, RouteAssignment, ScsVisit,
                       objective_time)
@@ -54,33 +56,16 @@ class FrozenScs:
         return BookResult(True)
 
 
-class FrozenMed:
-    """Mobile charger with fixed per-point waits and no booking ledger."""
+class FrozenMed(MedState):
+    """Mobile charger with fixed per-point waits whose bookings always succeed."""
 
     def __init__(self, graph: RoadGraph, induction: InductionParams,
                  waits=None, battery_kwh: float = INFINITE):
-        pts = graph.med_points
-        if len(pts) < 2:
-            raise ValueError("graph has no mobile-charger cycle")
-        segs = []
-        for k, i in enumerate(pts):
-            j = pts[(k + 1) % len(pts)]
-            attr = graph.arc(i, j)
-            segs.append(CycleSegment(k, i, j, attr.drive_time_s, attr.energy_kwh,
-                                     induced_energy(attr.drive_time_s, induction)))
-        self.points = pts
-        self.segments = tuple(segs)
+        super().__init__(graph, induction, battery_kwh)
         self.waits = dict(waits or {})
-        self.battery_kwh = battery_kwh
-        self.max_passes = max(1, len(graph.clones_of(pts[0])) + 1)
 
     def waiting(self, start_idx, ev_arrival_s, n_segments):
         return self.waits.get(self.points[start_idx], 0.0), 0
-
-    def segment_keys(self, start_idx, pass_no, n_segments):
-        u = len(self.segments)
-        return tuple(((start_idx + k) % u, pass_no + (start_idx + k) // u)
-                     for k in range(n_segments))
 
     def book_attach(self, ev, segment_keys, energy_kwh, start_s, end_s):
         return BookResult(True)
@@ -98,9 +83,9 @@ class OracleInstance:
     default_rate_kw: float = 19.2
 
     def __post_init__(self):
-        g = self.graph
-        if g.is_dummy(self.request.source) or g.is_dummy(self.request.dest):
-            raise OracleError("request endpoints must be base nodes")
+        for end in (self.request.source, self.request.dest):
+            if end not in self.graph.nodes:
+                raise OracleError(f"request endpoint {end} is not a graph node")
         if any(w < 0 for w in list(self.scs_waits.values()) + list(self.med_waits.values())):
             raise OracleError("waits must be nonnegative")
 
@@ -128,14 +113,6 @@ class OracleSolution:
     feasible: bool
 
 
-def _base_adjacency(g: RoadGraph):
-    adj = {}
-    for n in g.base_nodes:
-        adj[n] = tuple((nbr, attr) for nbr, attr in g.neighbors(n)
-                       if not g.is_dummy(nbr))
-    return adj
-
-
 def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleSolution:
     """Global minimum-travel-time plan for one EV, or infeasibility.
 
@@ -144,22 +121,18 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
     cannot beat the incumbent, so the returned objective is exact.
     """
     g = inst.graph
-    if len(g.nodes) > NODE_BOUND:
+    size = sum(g.visit_cap(n) for n in g.nodes)
+    if size > NODE_BOUND:
         raise OracleError(
-            f"{len(g.nodes)} nodes (dummies included) exceed the oracle "
-            f"bound of {NODE_BOUND}; refusing rather than truncating")
+            f"{size} nodes (each charger counted visit_limit times) exceed the "
+            f"oracle bound of {NODE_BOUND}; refusing rather than truncating")
     req = inst.request
     Q = req.capacity_kwh
     caches = PathCache(g)
-    adj = _base_adjacency(g)
     scs_set = set(g.scs_nodes)
     med_set = set(g.med_points)
-    visit_cap = {n: 1 + len(g.clones_of(n)) for n in list(scs_set) + list(med_set)}
-    arc_cap = {}
-    for n, out in adj.items():
-        extra_n = len(g.clones_of(n))
-        for nbr, _ in out:
-            arc_cap[(n, nbr)] = (1 + extra_n) * (1 + len(g.clones_of(nbr)))
+    visit_cap = {n: g.visit_cap(n) for n in scs_set | med_set}
+    arc_cap = {(i, j): g.visit_cap(i) * g.visit_cap(j) for i, j in g.arcs}
 
     med = None
     if med_set:
@@ -236,7 +209,7 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
         if node in med_set and attaches[node] < visit_cap[node]:
             _explore_attach(node, eps, obj)
 
-        for nbr, attr in adj[node]:
+        for nbr, attr in g.neighbors(node):
             key = (node, nbr)
             if used.get(key, 0) >= arc_cap[key]:
                 continue
@@ -377,14 +350,14 @@ def verify(inst: OracleInstance, a: RouteAssignment, tol: float = 1e-6,
     for v in a.z_visits:
         if abs(a.energy_trace[v.leg_index] - Q) > tol:
             return "violated(7)"
-        expected = scs_charge_time(v.arrive_kwh, Q, inst.rate_of(g.base_of(v.node)))
+        expected = scs_charge_time(v.arrive_kwh, Q, inst.rate_of(v.node))
         if abs(v.charge_s - expected) > tol:
             return "violated(4)"
-        if check_waits and abs(v.wait_s - inst.scs_waits.get(g.base_of(v.node), 0.0)) > tol:
+        if check_waits and abs(v.wait_s - inst.scs_waits.get(v.node, 0.0)) > tol:
             return "violated(4)"
     if check_waits:
         for att in a.q_points:
-            if abs(att.wait_s - inst.med_waits.get(g.base_of(att.meet_node), 0.0)) > tol:
+            if abs(att.wait_s - inst.med_waits.get(att.meet_node, 0.0)) > tol:
                 return "violated(4)"
 
     # (8) wherever the EV stands it can still reach the destination or a charger
@@ -407,24 +380,21 @@ def verify(inst: OracleInstance, a: RouteAssignment, tol: float = 1e-6,
     for arc in a.x_arcs:
         counts[arc] = counts.get(arc, 0) + 1
     for (i, j), n in counts.items():
-        cap = (1 + len(g.clones_of(i))) * (1 + len(g.clones_of(j)))
-        if n > cap:
+        if n > g.visit_cap(i) * g.visit_cap(j):
             return "violated(9)"
     z_counts = {}
     for v in a.z_visits:
-        b = g.base_of(v.node)
-        if b not in scs_set:
+        if v.node not in scs_set:
             return "violated(10)"
-        z_counts[b] = z_counts.get(b, 0) + 1
-        if z_counts[b] > 1 + len(g.clones_of(b)):
+        z_counts[v.node] = z_counts.get(v.node, 0) + 1
+        if z_counts[v.node] > g.visit_cap(v.node):
             return "violated(10)"
     q_counts = {}
     for att in a.q_points:
-        b = g.base_of(att.meet_node)
-        if b not in med_set:
+        if att.meet_node not in med_set:
             return "violated(11)"
-        q_counts[b] = q_counts.get(b, 0) + 1
-        if q_counts[b] > 1 + len(g.clones_of(b)):
+        q_counts[att.meet_node] = q_counts.get(att.meet_node, 0) + 1
+        if q_counts[att.meet_node] > g.visit_cap(att.meet_node):
             return "violated(11)"
 
     if abs(a.total_time_s - objective_time(g, a)) > tol:

@@ -1,9 +1,10 @@
 """Directed weighted road network with charger nodes and a mobile-charger cycle.
 
-Charger locations (static stations and cycle points of the mobile charger)
-are cloned into dummy nodes at build time so path formulations that forbid
-node revisits can still express repeat visits. Dummies inherit every arc of
-their base node; a query on a dummy behaves exactly like one on the base.
+The graph holds exactly the declared nodes and arcs. Repeat visits to a
+charger (static station or cycle point of the mobile charger) are bounded by
+counting: :meth:`RoadGraph.visit_cap` allows ``visit_limit`` visits at a
+charger and one everywhere else, and the oracle, the verifier and the
+mobile charger's pass budget all read that rule.
 """
 
 from __future__ import annotations
@@ -39,21 +40,15 @@ class ArcAttr:
 class RoadGraph:
     """Immutable road network. Build through :func:`build_graph` or :func:`load_graph`."""
 
-    def __init__(self, nodes, arcs, scs_nodes, scs_dummies, med_points, med_dummies,
-                 base, positions, entries):
+    def __init__(self, nodes, arcs, scs_nodes, med_points, visit_limit, positions, entries):
         self.nodes = frozenset(nodes)
         self._arcs = dict(arcs)
         self.scs_nodes = tuple(sorted(scs_nodes))
-        self.scs_dummies = frozenset(scs_dummies)
         self.med_points = tuple(med_points)
-        self.med_dummies = frozenset(med_dummies)
-        self._base = dict(base)
+        self.visit_limit = visit_limit
         self.positions = dict(positions)
         self.entries = tuple(entries)
-        self._clones = {}
-        for dummy, b in self._base.items():
-            if dummy != b:
-                self._clones.setdefault(b, []).append(dummy)
+        self._chargers = frozenset(self.scs_nodes) | frozenset(self.med_points)
         adj = {n: [] for n in self.nodes}
         for (i, j), attr in self._arcs.items():
             adj[i].append((j, attr))
@@ -82,23 +77,13 @@ class RoadGraph:
         """Outgoing (node, ArcAttr) pairs sorted by node id."""
         return self._adj[i]
 
-    def base_of(self, node):
-        """The base node a dummy clones; a non-dummy is its own base."""
-        return self._base.get(node, node)
-
-    def clones_of(self, node):
-        return tuple(self._clones.get(node, ()))
-
-    def is_dummy(self, node) -> bool:
-        return self._base.get(node, node) != node
+    def visit_cap(self, node) -> int:
+        """How often a walk may visit ``node``: ``visit_limit`` at a charger, else 1."""
+        return self.visit_limit if node in self._chargers else 1
 
     @property
     def arcs(self):
         return self._arcs
-
-    @property
-    def base_nodes(self):
-        return tuple(sorted(n for n in self.nodes if not self.is_dummy(n)))
 
     def med_cycle_segments(self):
         """Arcs (i, j) around the mobile-charger cycle in order, wrapping to the start."""
@@ -114,12 +99,12 @@ class RoadGraph:
 
 def build_graph(nodes, arcs, scs_list=(), med_cycle=(), visit_limit: int = 2,
                 positions=None, entries=None) -> RoadGraph:
-    """Assemble an immutable :class:`RoadGraph` and expand charger dummies.
+    """Assemble an immutable :class:`RoadGraph` from the declared nodes and arcs.
 
-    ``arcs`` maps (i, j) to :class:`ArcAttr`. ``med_cycle`` is a closed walk:
-    consecutive points (including the wrap back to the first) must be arcs.
-    Each static station and each cycle point gets ``visit_limit - 1`` dummy
-    clones whose arc sets mirror the base node's.
+    ``arcs`` maps (i, j) to :class:`ArcAttr` (or its keyword dict).
+    ``med_cycle`` is a closed walk: consecutive points (including the wrap
+    back to the first) must be arcs. ``visit_limit`` bounds repeat visits to
+    each static station and cycle point (see :meth:`RoadGraph.visit_cap`).
     """
     nodes = list(nodes)
     if len(set(nodes)) != len(nodes):
@@ -152,39 +137,17 @@ def build_graph(nodes, arcs, scs_list=(), med_cycle=(), visit_limit: int = 2,
     if not (isinstance(visit_limit, int) and visit_limit >= 1):
         raise GraphError("visit_limit must be an integer >= 1")
 
-    positions = dict(positions or {})
-    base = {}
-    clones = {}
-    next_id = max(nodes, default=-1) + 1
-    for b in list(scs_list) + list(med_cycle):
-        mine = []
-        for _ in range(visit_limit - 1):
-            base[next_id] = b
-            if b in positions:
-                positions[next_id] = positions[b]
-            mine.append(next_id)
-            next_id += 1
-        clones[b] = mine
-
-    all_nodes = nodes + sorted(base)
-    expanded = {}
-    for (i, j), attr in arcs.items():
-        attr = attr if isinstance(attr, ArcAttr) else ArcAttr(**attr)
-        for i2 in [i] + clones.get(i, []):
-            for j2 in [j] + clones.get(j, []):
-                expanded[(i2, j2)] = attr
-
-    scs_dummies = [d for b in scs_list for d in clones.get(b, [])]
-    med_dummies = [d for b in med_cycle for d in clones.get(b, [])]
-    charger_bases = set(scs_list) | set(med_cycle)
+    arcs = {key: attr if isinstance(attr, ArcAttr) else ArcAttr(**attr)
+            for key, attr in arcs.items()}
     if entries is None:
-        entries = [n for n in sorted(nodes) if n not in charger_bases]
+        chargers = set(scs_list) | set(med_cycle)
+        entries = [n for n in sorted(nodes) if n not in chargers]
     else:
         entries = list(entries)
         if not set(entries) <= declared:
             raise GraphError("entry point not among declared nodes")
-    return RoadGraph(all_nodes, expanded, scs_list, scs_dummies, med_cycle,
-                     med_dummies, base, positions, entries)
+    return RoadGraph(nodes, arcs, scs_list, med_cycle, visit_limit,
+                     positions or {}, entries)
 
 
 # -- JSON schema ------------------------------------------------------------

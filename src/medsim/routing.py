@@ -360,7 +360,7 @@ def check_assignment(g: RoadGraph, a: RouteAssignment, tol: float = 1e-6):
         if not (0 <= v.leg_index < len(a.legs)) or a.legs[v.leg_index] != v.node:
             bad.append("station visit index does not match the walk")
             continue
-        if g.base_of(v.node) not in g.scs_nodes:
+        if v.node not in g.scs_nodes:
             bad.append(f"station visit at non-station node {v.node}")
         if v.wait_s < 0 or v.charge_s < 0:
             bad.append("negative wait or charge time at a station")

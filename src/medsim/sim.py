@@ -59,7 +59,6 @@ class Scenario:
     induction: InductionParams = DEFAULT_INDUCTION
     radio: RadioParams = RadioParams()
     block_prob: float = 0.05
-    beacon_period_s: float = 1.0
     scs: list = field(default_factory=list)      # (node, rate_kw) pairs
     meds: list = field(default_factory=list)     # MedSpec per mobile charger
     visit_limit: int = 2
@@ -87,8 +86,7 @@ class Scenario:
             "vehicle": vars(self.vehicle).copy(),
             "induction": vars(self.induction).copy(),
             "radio": {"ptx_dbm": self.radio.ptx_dbm, "f_ghz": self.radio.f_ghz,
-                      "pth_dbm": self.radio.pth_dbm, "block_prob": self.block_prob,
-                      "beacon_period_s": self.beacon_period_s},
+                      "pth_dbm": self.radio.pth_dbm, "block_prob": self.block_prob},
             "infra": {
                 "scs": [{"node": n, "rate_kw": r} for n, r in self.scs],
                 "med": [{"battery_kwh": m.battery_kwh, "p_ind_kw": m.p_ind_kw,
@@ -109,7 +107,7 @@ class Scenario:
                 doc["graph"] = json.load(fh)
         radio_doc = dict(doc.get("radio", {}))
         block = radio_doc.pop("block_prob", 0.05)
-        beacon = radio_doc.pop("beacon_period_s", 1.0)
+        radio_doc.pop("beacon_period_s", None)  # older documents carry it; nothing reads it
         infra = doc.get("infra", {})
         kwargs = {
             "graph": doc["graph"],
@@ -124,7 +122,6 @@ class Scenario:
                          else DEFAULT_INDUCTION,
             "radio": RadioParams(**radio_doc) if radio_doc else RadioParams(),
             "block_prob": float(block),
-            "beacon_period_s": float(beacon),
             "scs": [(s["node"], float(s.get("rate_kw", 19.2)))
                     for s in infra.get("scs", ())],
             "meds": [MedSpec(float(m.get("battery_kwh", 200.0)),
@@ -187,7 +184,7 @@ class LevelSampler:
         self.rng = rng
         self.caches = caches or PathCache(g)
         self.entries = list(entries) if entries is not None else list(g.entries)
-        self.dests = list(g.base_nodes)
+        self.dests = sorted(g.nodes)  # sorted, so a seed always draws the same trips
         if not self.entries or len(self.dests) < 2:
             raise CalibrationError("graph too small to spawn trips")
         self._energy_memo = {}

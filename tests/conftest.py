@@ -47,7 +47,8 @@ def med_ring():
 
 
 def random_oracle_instance(seed: int) -> OracleInstance:
-    """Small random instance within the oracle's node bound (dummies included).
+    """Small random instance within the oracle's node bound, which counts
+    each charger ``visit_limit`` times.
 
     Mix of line graphs with one station, 3x4 grids with one or two stations,
     and ring-with-spurs topologies with a mobile charger (optionally plus a

@@ -1,13 +1,7 @@
-import math
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from medsim.charging import (Booking, DeficitTooLarge, MedState, NoMeetingPoint,
-                             ScsState, book, med_meeting_point, med_waiting_time,
-                             required_attach_span, scs_charge_time,
-                             scs_waiting_time)
+from medsim.charging import MedState, ScsState, scs_charge_time, scs_waiting_time
 from medsim.energy import InductionParams
 from medsim.road_graph import ArcAttr, build_graph
 
@@ -77,54 +71,12 @@ class TestScsBooking:
                 assert e1 <= s2 + 1e-9
 
 
-class TestMeetingPoint:
-    def test_ev_standing_on_point(self):
-        g = ring_graph([100, 100, 100, 100])
-        med = MedState(g, InductionParams(0.75, 40.0))
-        assert med_meeting_point(med, 2, g) == (2, 0.0)
-
-    def test_equidistant_tie_prefers_smaller_id(self):
-        arcs = {
-            (0, 2): ArcAttr(600.0, 0.1, 100.0),
-            (0, 5): ArcAttr(600.0, 0.1, 100.0),
-            (2, 5): ArcAttr(50.0, 0.1, 100.0),
-            (5, 2): ArcAttr(50.0, 0.1, 100.0),
-        }
-        g = build_graph([0, 2, 5], arcs, med_cycle=[2, 5], visit_limit=1)
-        med = MedState(g, InductionParams(0.75, 40.0))
-        assert med_meeting_point(med, 0, g) == (2, 600.0)
-
-    def test_matches_brute_force_over_cycle(self):
-        rng = random.Random(5)
-        times = [rng.uniform(50, 400) for _ in range(4)]
-        arcs = {}
-        for k, dt in enumerate(times):
-            arcs[(k, (k + 1) % 4)] = ArcAttr(dt, 0.1, 1000.0)
-        arcs[(4, 3)] = ArcAttr(80.0, 0.1, 800.0)  # EV spur near point 3
-        g = build_graph(range(5), arcs, med_cycle=[0, 1, 2, 3], visit_limit=1)
-        med = MedState(g, InductionParams(0.75, 40.0))
-        from medsim.routing import PathCache
-        dist = PathCache(g).fwd(4, "time")
-        expect = min(med.points, key=lambda p: (dist.get(p, math.inf), p))
-        point, drive = med_meeting_point(med, 4, g)
-        assert point == expect == 3
-        assert drive == pytest.approx(80.0)
-
-    def test_unreachable_cycle(self):
-        arcs = {(0, 1): ArcAttr(10, 0.1, 10), (1, 0): ArcAttr(10, 0.1, 10),
-                (2, 3): ArcAttr(10, 0.1, 10), (3, 2): ArcAttr(10, 0.1, 10)}
-        g = build_graph(range(4), arcs, med_cycle=[2, 3], visit_limit=1)
-        med = MedState(g, InductionParams(0.75, 40.0))
-        with pytest.raises(NoMeetingPoint):
-            med_meeting_point(med, 0, g)
-
-
 class TestMedWaiting:
     def test_charger_still_on_its_way(self):
         # charger needs 400 s to reach the point, EV only 250: wait 150
         g = ring_graph([400, 200, 150, 150])
         med = MedState(g, InductionParams(0.75, 40.0))
-        wait, cycle_pass = med_waiting_time(med, 1, 250.0, 1)
+        wait, cycle_pass = med.waiting(med.points.index(1), 250.0, 1)
         assert wait == pytest.approx(150.0)
         assert cycle_pass == 0
 
@@ -132,7 +84,7 @@ class TestMedWaiting:
         # cum to the point is 200, EV arrives at 250: 200 + 900 - 250
         g = ring_graph([200, 300, 200, 200])
         med = MedState(g, InductionParams(0.75, 40.0))
-        wait, cycle_pass = med_waiting_time(med, 1, 250.0, 1)
+        wait, cycle_pass = med.waiting(med.points.index(1), 250.0, 1)
         assert wait == pytest.approx(850.0)
         assert cycle_pass == 1
 
@@ -140,7 +92,7 @@ class TestMedWaiting:
         g = ring_graph([400, 200, 150, 150])
         med = MedState(g, InductionParams(0.75, 40.0))
         med.segment_bookings[(1, 0)] = "someone"
-        wait, cycle_pass = med_waiting_time(med, 1, 250.0, 1)
+        wait, cycle_pass = med.waiting(med.points.index(1), 250.0, 1)
         assert wait == pytest.approx(150.0 + 900.0)
         assert cycle_pass == 1
 
@@ -168,38 +120,6 @@ class TestMedWaiting:
         assert med.position(0.0) == (0, 0.0)
         assert med.position(150.0) == (1, 50.0)
         assert med.position(1000.0 + 350.0) == (2, pytest.approx(50.0))
-
-
-class TestRequiredAttachSpan:
-    def med(self, battery=200.0):
-        # 600 s segments at 40 kW and 0.75 coupling: 5.0 kWh in, 0.23625 kWh
-        # spent per segment (net 4.76375)
-        g = ring_graph([600, 600, 600, 600], energy=0.23625)
-        return MedState(g, InductionParams(0.75, 40.0), battery_kwh=battery)
-
-    def test_small_deficit_one_segment(self):
-        detach, n, gain, dispensed = required_attach_span(1.0, self.med(), 1)
-        assert (detach, n) == (2, 1)
-        assert gain == pytest.approx(4.76375)
-        assert dispensed == pytest.approx(5.0)
-
-    def test_nine_kwh_needs_two_segments(self):
-        detach, n, gain, dispensed = required_attach_span(9.0, self.med(), 1)
-        assert (detach, n) == (3, 2)
-        assert gain == pytest.approx(2 * 4.76375)
-
-    def test_zero_deficit_rejected(self):
-        with pytest.raises(ValueError):
-            required_attach_span(0.0, self.med(), 1)
-
-    def test_battery_limit(self):
-        with pytest.raises(DeficitTooLarge):
-            required_attach_span(9.0, self.med(battery=6.0), 1)
-
-    def test_deficit_beyond_pass_budget(self):
-        # two passes of four segments gain at most 8 * 4.76375
-        with pytest.raises(DeficitTooLarge):
-            required_attach_span(50.0, self.med(), 0)
 
 
 class TestMedBooking:
@@ -237,18 +157,3 @@ class TestMedBooking:
         med.book_attach("b", ((1, 0),), 80.0, 0.0, 100.0)  # rejected, 80 > 20
         assert med.battery_kwh >= 0.0
 
-
-class TestBookDispatch:
-    def test_scs_booking_routed(self):
-        s = ScsState(3, 19.2)
-        b = Booking("a", "scs", 3, 10.0, 20.0)
-        assert book(s, b).accepted
-        assert not book(s, b).accepted
-
-    def test_med_booking_routed(self):
-        g = ring_graph([100, 100, 100, 100])
-        med = MedState(g, InductionParams(0.75, 40.0))
-        b = Booking("a", "med", 0, 0.0, 100.0, end_node=1,
-                    segment_keys=((0, 0),), energy_kwh=2.0)
-        assert book(med, b).accepted
-        assert not book(med, b).accepted

@@ -1,5 +1,5 @@
+import hashlib
 import json
-import os
 
 import pytest
 
@@ -131,6 +131,37 @@ class TestSweep:
         assert len(loads) == 1
         assert cli._sweep_network is None  # released with the sweep
 
+
+class TestPinnedOutputs:
+    """Byte-identity of the default sweep and run, pinned by sha256.
+
+    A refactor must keep both digests. The fix of the station round-off
+    rejections (ROADMAP item 3) will change both; that change has to say
+    which outputs moved and why.
+    """
+
+    def digest(self, args, tmp_path):
+        scenario = tmp_path / "default.json"
+        scenario.write_text(json.dumps(default_scenario().to_json()))
+        out = tmp_path / "out.csv"
+        assert main([args[0], "--scenario", str(scenario), *args[1:], str(out)]) == 0
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+    def test_default_sweep(self, tmp_path):
+        assert self.digest(["sweep", "--out"], tmp_path) == \
+            "13515cd963821d188c3a7c97a79598902f88adb5a511989f56bbe4f204d2b556"
+
+    def test_default_run_l3_100_evs(self, tmp_path):
+        args = ["run", "--level", "L3", "--evs", "100", "--seed", "0", "--out-csv"]
+        assert self.digest(args, tmp_path) == \
+            "32645a81a232a9a178b543716d601bbd3f9f4ccbab67704e34daaa0b4ad105b9"
+
+
+def _line_arcs(n):
+    return [{"i": i, "j": j, "length_m": 1000, "speed_mps": 10, "energy_kwh": 1.0}
+            for k in range(n - 1) for i, j in ((k, k + 1), (k + 1, k))]
+
+
 class TestRouteAndOracle:
     def test_route_direct(self, scenario_path, tmp_path):
         out = tmp_path / "route.json"
@@ -151,13 +182,7 @@ class TestRouteAndOracle:
 
     def test_oracle_subcommand(self, tmp_path):
         instance = {
-            "graph": {
-                "nodes": [0, 1, 2, 3, 4, 5],
-                "arcs": [{"i": i, "j": j, "length_m": 1000, "speed_mps": 10,
-                          "energy_kwh": 1.0}
-                         for k in range(5) for i, j in ((k, k + 1), (k + 1, k))],
-                "scs": [3],
-            },
+            "graph": {"nodes": [0, 1, 2, 3, 4, 5], "arcs": _line_arcs(6), "scs": [3]},
             "request": {"ev": "t", "source": 0, "dest": 5,
                         "capacity_kwh": 10.0, "energy_kwh": 4.0},
             "scs": [{"node": 3, "rate_kw": 19.2, "wait_s": 60.0}],
@@ -170,3 +195,40 @@ class TestRouteAndOracle:
         assert sol["feasible"]
         assert sol["objective_s"] == pytest.approx(2247.5)
         assert sol["assignment"]["z_visits"][0]["node"] == 3
+
+
+class TestInvalidRequests:
+    """A request the graph or the battery cannot hold exits 2 with one line."""
+
+    @pytest.fixture
+    def three_nodes(self, tmp_path):
+        p = tmp_path / "three.json"
+        p.write_text(json.dumps({"graph": {"nodes": [0, 1, 2], "arcs": _line_arcs(3)}}))
+        return str(p)
+
+    @pytest.mark.parametrize("source,dest,energy,message", [
+        ("0", "7", "5", "endpoint 7 is not a graph node"),
+        ("9", "2", "5", "endpoint 9 is not a graph node"),
+        ("0", "0", "5", "route: source and destination must differ"),
+        ("0", "2", "500", "route: initial energy must lie in [0, capacity]"),
+    ], ids=["unknown-dest", "unknown-source", "same-endpoints", "energy-over-capacity"])
+    def test_route(self, three_nodes, tmp_path, capsys, source, dest, energy, message):
+        out = tmp_path / "route.json"
+        rc = main(["route", "--scenario", three_nodes, "--source", source,
+                   "--dest", dest, "--energy", energy, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_oracle_unknown_dest(self, tmp_path, capsys):
+        instance = {
+            "graph": {"nodes": [0, 1, 2], "arcs": _line_arcs(3)},
+            "request": {"source": 0, "dest": 7, "capacity_kwh": 10.0, "energy_kwh": 4.0},
+        }
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(instance))
+        rc = main(["oracle", "--instance", str(inst_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "endpoint 7 is not a graph node" in err and err.count("\n") == 1

@@ -1,10 +1,7 @@
-import random
-
 import pytest
 from hypothesis import given, strategies as st
 
-from medsim.comms import (CamBeacon, RadioParams, flood_reachable, reachable,
-                          relay, transmission_range)
+from medsim.comms import RadioParams, transmission_range
 
 
 class TestTransmissionRange:
@@ -28,54 +25,3 @@ class TestTransmissionRange:
         with pytest.raises(ValueError):
             transmission_range(RadioParams(pth_dbm=-90.0))
 
-
-class TestReachable:
-    def test_colocated_unblocked(self):
-        assert reachable((0, 0), (0, 0), RadioParams(), blocked=0.0)
-
-    def test_beyond_max_range_never(self):
-        rng = random.Random(0)
-        assert not reachable((0, 0), (301.0, 0), RadioParams(pth_dbm=-85.0),
-                             blocked=0.0, rng=rng)
-
-    def test_fully_blocked_never(self):
-        assert not reachable((0, 0), (0, 0), RadioParams(), blocked=1.0)
-
-    def test_deterministic_threshold_without_blocking(self):
-        rp = RadioParams(pth_dbm=-69.0)
-        assert reachable((0, 0), (129.9, 0), rp)
-        assert not reachable((0, 0), (130.1, 0), rp)
-
-    def test_probabilistic_drop_is_seeded(self):
-        rp = RadioParams()
-        a = [reachable((0, 0), (10, 0), rp, 0.5, random.Random(7)) for _ in range(5)]
-        b = [reachable((0, 0), (10, 0), rp, 0.5, random.Random(7)) for _ in range(5)]
-        assert a == b
-
-
-class TestFlood:
-    def test_relay_chain_bridges_gap(self):
-        assert flood_reachable((0, 0), (250, 0), [(90, 0), (170, 0)], 100.0)
-
-    def test_broken_chain(self):
-        assert not flood_reachable((0, 0), (250, 0), [(90, 0)], 100.0)
-
-
-class TestBeacon:
-    def beacon(self, **kw):
-        base = dict(vid="med0", node=44, offset_s=12.0, scheduled_trip=(44, 45, 55, 54),
-                    charging_capability_kwh=150.0, energy_kwh=200.0, waiting_time_s=60.0)
-        base.update(kw)
-        return CamBeacon(**base)
-
-    def test_relay_forwards_verbatim(self):
-        b = self.beacon()
-        assert relay(b) == b
-
-    def test_capability_cannot_exceed_energy(self):
-        with pytest.raises(ValueError):
-            self.beacon(charging_capability_kwh=300.0)
-
-    def test_negative_wait_rejected(self):
-        with pytest.raises(ValueError):
-            self.beacon(waiting_time_s=-1.0)

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from medsim.energy import (InductionParams, VehicleParams, air_force, drive_power,
-                           induced_energy, net_segment_energy, rolling_force,
-                           segment_energy)
+                           induced_energy, rolling_force, segment_energy)
 
 
 def vp(**kw):
@@ -111,27 +110,13 @@ class TestInducedEnergy:
 
 
 class TestNetSegmentEnergy:
-    def test_detached_equals_consumption(self):
-        ip = InductionParams(0.75, 40.0)
-        assert net_segment_energy(vp(), 10.0, 600.0, False, ip) == \
-            segment_energy(vp(), 10.0, 600.0)
-
-    def test_attached_net_gain(self):
-        ip = InductionParams(0.75, 40.0)
-        net = net_segment_energy(vp(), 10.0, 600.0, True, ip)
-        assert net == pytest.approx(0.23625 - 5.0)
-        assert net < 0
-
-    def test_zero_coefficient_identity(self):
-        ip = InductionParams(0.0, 40.0)
-        assert net_segment_energy(vp(), 10.0, 600.0, True, ip) == \
-            segment_energy(vp(), 10.0, 600.0)
+    """Consumption minus inductive gain over one attached segment."""
 
     @given(u=st.floats(1.0, 15.0), t=st.floats(30.0, 1200.0),
            c=st.floats(0.7, 0.8), p=st.floats(20.0, 50.0))
     def test_attached_always_gains_at_urban_speeds(self, u, t, c, p):
         # the transfer rate beats the consumption rate across the default bands
-        assert net_segment_energy(vp(), u, t, True, InductionParams(c, p)) < 0
+        assert segment_energy(vp(), u, t) < induced_energy(t, InductionParams(c, p))
 
     def test_ten_minute_band_brackets_published_claim(self):
         lo = induced_energy(600.0, InductionParams(1.0, 20.0))

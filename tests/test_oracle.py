@@ -65,6 +65,20 @@ class TestSolveExact:
         with pytest.raises(OracleError):
             solve_exact(inst)
 
+    def test_node_bound_counts_each_charger_visit_limit_times(self):
+        # 12 nodes with two stations count as 14 at visit_limit 2, 16 at 3
+        arcs = {(k, k + 1): ArcAttr(10.0, 0.1, 10.0) for k in range(11)}
+        req = EvRequest("t", 0, 11, 5.0, 5.0)
+        fits = build_graph(range(12), arcs, scs_list=[3, 7], visit_limit=2)
+        assert solve_exact(OracleInstance(fits, req)).feasible
+        over = build_graph(range(12), arcs, scs_list=[3, 7], visit_limit=3)
+        with pytest.raises(OracleError):
+            solve_exact(OracleInstance(over, req))
+
+    def test_endpoint_outside_the_graph_rejected(self):
+        with pytest.raises(OracleError):
+            OracleInstance(line_graph(), EvRequest("t", 0, 9, 10.0, 4.0))
+
     def test_deterministic_explored_count(self):
         a = solve_exact(line_instance())
         b = solve_exact(line_instance())

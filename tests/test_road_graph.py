@@ -18,24 +18,19 @@ def triangle(visit_limit=1, scs=()):
 
 
 class TestBuildGraph:
-    def test_no_chargers_no_dummies(self):
-        g = triangle(visit_limit=1)
-        assert len(g.nodes) == 3
-        assert not g.scs_dummies and not g.med_dummies
+    def test_no_chargers_every_cap_is_one(self):
+        g = triangle(visit_limit=3)
+        assert g.nodes == {0, 1, 2}
+        assert [g.visit_cap(n) for n in range(3)] == [1, 1, 1]
 
     def test_visit_limit_one_with_station(self):
         g = triangle(visit_limit=1, scs=[1])
-        assert not g.scs_dummies
+        assert [g.visit_cap(n) for n in range(3)] == [1, 1, 1]
 
-    def test_station_dummies_clone_arcs(self):
+    def test_visit_limit_caps_only_the_station(self):
         g = triangle(visit_limit=3, scs=[1])
-        assert len(g.scs_dummies) == 2
-        for d in g.scs_dummies:
-            assert g.base_of(d) == 1
-            assert g.is_dummy(d)
-            # same in and out arcs as the base
-            assert g.drive_time(d, 2) == g.drive_time(1, 2)
-            assert g.energy_cost(0, d) == g.energy_cost(0, 1)
+        assert g.nodes == {0, 1, 2} and len(g.arcs) == 3
+        assert [g.visit_cap(n) for n in range(3)] == [1, 3, 1]
 
     def test_med_cycle_time_is_sum_of_arcs(self):
         arcs = {}
@@ -86,9 +81,10 @@ class TestQueries:
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000))
-def test_dummy_clone_property_random_graphs(seed):
-    # every dummy mirrors the full arc set of its base, in both directions
+@given(st.integers(0, 10_000), st.integers(1, 4))
+def test_build_keeps_the_declared_graph_random_graphs(seed, visit_limit):
+    # the graph holds the declared nodes and arcs, whatever visit_limit is;
+    # only the visit caps read it, and only at chargers
     import random
     rng = random.Random(seed)
     n = rng.randint(3, 8)
@@ -96,16 +92,18 @@ def test_dummy_clone_property_random_graphs(seed):
     for _ in range(rng.randint(n, 3 * n)):
         i, j = rng.sample(range(n), 2)
         arcs[(i, j)] = ArcAttr(rng.uniform(1, 100), rng.uniform(0, 2), rng.uniform(1, 500))
-    station = rng.randrange(n)
-    g = build_graph(range(n), arcs, scs_list=[station], visit_limit=rng.randint(2, 4))
-    for d in g.scs_dummies:
-        b = g.base_of(d)
-        for other in range(n):
-            if other == b:
-                continue
-            assert g.drive_time(d, other) == g.drive_time(b, other)
-            assert g.drive_time(other, d) == g.drive_time(other, b)
-            assert g.energy_cost(d, other) == g.energy_cost(b, other)
+    station, a, b = rng.sample(range(n), 3)
+    for arc in ((a, b), (b, a)):  # a two-point cycle is closed both ways
+        arcs.setdefault(arc, ArcAttr(rng.uniform(1, 100), rng.uniform(0, 2), 100.0))
+    cycle = [a, b]
+    g = build_graph(range(n), arcs, scs_list=[station], med_cycle=cycle,
+                    visit_limit=visit_limit)
+    assert g.nodes == set(range(n))
+    assert g.arcs == arcs
+    for k in range(n):
+        assert [nbr for nbr, _ in g.neighbors(k)] == sorted(j for i, j in arcs if i == k)
+        expect = visit_limit if k == station or k in cycle else 1
+        assert g.visit_cap(k) == expect
 
 
 class TestGrid:
@@ -117,7 +115,7 @@ class TestGrid:
     def test_default_grid_round_trips(self):
         doc = grid_doc(10, 10, scs=[22], med_cycle=[44, 45, 55, 54])
         g = load_graph(doc, vehicle=TEST_VEHICLE)
-        assert len(g.base_nodes) == 100
+        assert len(g.nodes) == 100 and len(g.arcs) == 360
         assert g.med_points == (44, 45, 55, 54)
         # boundary entries, charger nodes excluded
         assert 0 in g.entries and 99 in g.entries

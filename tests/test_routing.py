@@ -273,12 +273,47 @@ class TestFindShortestPath:
         assert [v.node for v in a.z_visits] == [1]
 
 
+class TestMedPassBudget:
+    """An attach run may ride ``visit_limit`` passes of the cycle, and no more
+    than the charger's battery can dispense."""
+
+    def route(self, visit_limit=2, battery_kwh=200.0):
+        # 0.75 kWh in vs 0.5 kWh out per segment: the trip needs five segments
+        g = ring_with_spurs(visit_limit=visit_limit)
+        med = MedState(g, InductionParams(0.75, 18.0), battery_kwh=battery_kwh)
+        a = find_shortest_path(g, EvRequest("e", 4, 5, 10.0, 0.9),
+                               Infrastructure(med_units=[med]))
+        return g, a
+
+    @pytest.mark.parametrize("visit_limit", [1, 2, 3])
+    def test_pass_budget_is_the_visit_limit(self, visit_limit):
+        g = ring_with_spurs(visit_limit=visit_limit)
+        assert MedState(g, InductionParams(0.75, 18.0)).max_passes == visit_limit
+        assert FrozenMed(g, InductionParams(0.75, 18.0)).max_passes == visit_limit
+
+    def test_two_passes_cover_five_segments(self):
+        g, a = self.route()
+        att = a.q_points[0]
+        assert len(att.segments) == 5
+        assert att.dispensed_kwh == pytest.approx(3.75)
+        assert check_assignment(g, a) == []
+
+    def test_one_pass_strands(self):
+        with pytest.raises(Stranded):
+            self.route(visit_limit=1)
+
+    def test_charger_battery_caps_the_run(self):
+        # five segments would dispense 3.75 kWh, more than the 3 kWh on board
+        with pytest.raises(Stranded):
+            self.route(battery_kwh=3.0)
+
+
 @st.composite
 def strongly_connected_graphs(draw):
     """Random digraph on 3-12 nodes around a Hamiltonian cycle, so every
     ordered pair is reachable. Integer drive times make tied routes common;
     energies are arbitrary floats, so summation order shows in the last bit.
-    One node may be a station, whose dummy clone duplicates its arcs."""
+    One node may be a station."""
     n = draw(st.integers(3, 12))
     order = draw(st.permutations(range(n)))
     pairs = {(order[k], order[(k + 1) % n]) for k in range(n)}

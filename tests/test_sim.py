@@ -153,9 +153,9 @@ class TestRun:
             inst = OracleInstance(
                 g, EvRequest(row.ev, row.source, row.dest,
                              sc.vehicle.capacity_kwh, row.energy_kwh),
-                scs_waits={g.base_of(v.node): v.wait_s for v in a.z_visits},
+                scs_waits={v.node: v.wait_s for v in a.z_visits},
                 scs_rates=dict(sc.scs),
-                med_waits={g.base_of(p.meet_node): p.wait_s for p in a.q_points},
+                med_waits={p.meet_node: p.wait_s for p in a.q_points},
                 induction=sc.induction)
             assert verify(inst, a, check_waits=False) == "ok", row.ev
             checked += 1
@@ -196,11 +196,11 @@ class TestRunInvariants:
         assert shares[0] <= shares[1] <= shares[2], shares
 
     def test_default_parameters_always_gain_while_attached(self):
-        from medsim.energy import net_segment_energy
+        from medsim.energy import induced_energy, segment_energy
         from medsim.sim import DEFAULT_INDUCTION, DEFAULT_VEHICLE
         for speed in (5.0, 10.0, 15.0):
-            assert net_segment_energy(DEFAULT_VEHICLE, speed, 300.0, True,
-                                      DEFAULT_INDUCTION) < 0
+            assert segment_energy(DEFAULT_VEHICLE, speed, 300.0) < \
+                induced_energy(300.0, DEFAULT_INDUCTION)
 
 
 class TestSharedNetwork:
@@ -237,6 +237,14 @@ class TestScenarioJson:
         assert again.vehicle == sc.vehicle
         assert again.scs == sc.scs
         assert run(again).to_csv() == run(sc).to_csv()
+
+    def test_legacy_beacon_period_is_ignored(self):
+        # scenario files written before the field was dropped still load and run
+        doc = default_scenario(ev_count=10, seed=4).to_json()
+        assert "beacon_period_s" not in doc["radio"]
+        legacy = {**doc, "radio": {**doc["radio"], "beacon_period_s": 1.0}}
+        assert run(Scenario.from_json(legacy)).to_csv() == \
+            run(Scenario.from_json(doc)).to_csv()
 
     def test_overrides(self):
         doc = default_scenario().to_json()
