@@ -1,9 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from medsim.charging import MedState, ScsState, scs_charge_time, scs_waiting_time
+from medsim.charging import (Infrastructure, MedState, ScsState, scs_charge_time,
+                             scs_waiting_time)
 from medsim.energy import InductionParams
 from medsim.road_graph import ArcAttr, build_graph
+from medsim.routing import (EvRequest, PathCache, Stranded, _plan_med_span,
+                            find_best_energy_point)
 
 
 def ring_graph(times, energy=0.1):
@@ -120,6 +123,54 @@ class TestMedWaiting:
         assert med.position(0.0) == (0, 0.0)
         assert med.position(150.0) == (1, 50.0)
         assert med.position(1000.0 + 350.0) == (2, pytest.approx(50.0))
+
+
+class TestRequiredAttachSpan:
+    """The router's attach-span planner, fed a fixed energy deficit: the EV
+    meets the charger empty and must end the run holding ``deficit`` kWh."""
+
+    def med(self, battery=200.0):
+        # 600 s segments at 40 kW and 0.75 coupling: 5.0 kWh in, 0.23625 kWh
+        # spent per segment (net 4.76375)
+        g = ring_graph([600, 600, 600, 600], energy=0.23625)
+        return MedState(g, InductionParams(0.75, 40.0), battery_kwh=battery)
+
+    def span(self, deficit, med, start_idx):
+        return _plan_med_span(med, start_idx, 0.0, 100.0, lambda node: deficit)
+
+    def test_small_deficit_one_segment(self):
+        n, eps, attach_s, arcs, _, induced, detach = self.span(1.0, self.med(), 1)
+        assert (detach, n) == (2, 1)
+        assert arcs == ((1, 2),)
+        assert attach_s == pytest.approx(600.0)
+        assert eps == pytest.approx(4.76375)
+        assert sum(induced) == pytest.approx(5.0)
+
+    def test_nine_kwh_needs_two_segments(self):
+        n, eps, _, arcs, _, _, detach = self.span(9.0, self.med(), 1)
+        assert (detach, n) == (3, 2)
+        assert arcs == ((1, 2), (2, 3))
+        assert eps == pytest.approx(2 * 4.76375)
+
+    def test_zero_deficit_rejected(self):
+        # an EV that can already finish from every cycle point is offered no
+        # attach run, so there is no energy point to pick
+        g = ring_graph([600, 600, 600, 600], energy=0.23625)
+        med = MedState(g, InductionParams(0.75, 40.0))
+        req = EvRequest("e", 0, 2, 50.0, 50.0)
+        with pytest.raises(Stranded):
+            find_best_energy_point(g, PathCache(g), req, 0, 50.0, 0.0,
+                                   Infrastructure(med_units=[med]))
+
+    def test_battery_limit(self):
+        # the second segment would take the dispensed total to 10 kWh > 6 kWh
+        assert self.span(9.0, self.med(battery=6.0), 1) is None
+
+    def test_deficit_beyond_pass_budget(self):
+        # two passes of four segments gain at most 8 * 4.76375
+        med = self.med()
+        assert med.max_passes == 2
+        assert self.span(50.0, med, 0) is None
 
 
 class TestMedBooking:
