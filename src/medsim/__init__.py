@@ -2,7 +2,7 @@
 bus-mounted mobile chargers."""
 
 from .charging import (Booking, BookResult, Infrastructure, MedState, ScsState,
-                       scs_charge_time, scs_waiting_time)
+                       scs_charge_time)
 from .comms import RadioParams, transmission_range
 from .energy import (InductionParams, VehicleParams, air_force, drive_power,
                      induced_energy, rolling_force, segment_energy)
@@ -11,7 +11,7 @@ from .oracle import (FrozenMed, FrozenScs, OracleError, OracleInstance,
 from .road_graph import ArcAttr, GraphError, RoadGraph, build_graph, grid_doc, \
     load_graph
 from .routing import (EvRequest, MedAttach, NoPath, PathCache, RouteAssignment,
-                      RouterConfig, ScsVisit, Stranded, check_assignment,
+                      ScsVisit, Stranded, check_assignment,
                       dijkstra, find_best_energy_point, find_shortest_path,
                       objective_time, route_energy, route_feasible, route_time)
 from .sim import (CalibrationError, EvRecord, EvSpawn, LevelSampler, RunMetrics,

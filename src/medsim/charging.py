@@ -34,7 +34,6 @@ class Booking:
 @dataclass(frozen=True)
 class BookResult:
     accepted: bool
-    retry_at_s: float | None = None
 
 
 def scs_charge_time(energy_kwh: float, capacity_kwh: float, rate_kw: float) -> float:
@@ -46,20 +45,14 @@ def scs_charge_time(energy_kwh: float, capacity_kwh: float, rate_kw: float) -> f
     return max(0.0, capacity_kwh - energy_kwh) / rate_kw * 3600.0
 
 
-def scs_waiting_time(queue_end_s: float, drive_s: float) -> float:
-    """Wait at the station: remaining queue minus the drive there, floored at zero.
-
-    Both arguments are durations from now. The raw difference goes negative
-    when the queue drains before the EV arrives, which physically just means
-    no wait.
-    """
-    if queue_end_s < 0 or drive_s < 0:
-        raise ValueError("durations must be nonnegative")
-    return max(0.0, queue_end_s - drive_s)
-
-
 class ScsState:
-    """A static charging station with its booking ledger."""
+    """A static charging station with its booking ledger.
+
+    The station owns its slot rule: an EV arriving at ``arrival`` starts
+    charging at ``max(arrival, booked_until)``. The wait the router prices
+    and the slot the ledger grants both come from that one expression, so a
+    priced slot is always granted and bookings never overlap.
+    """
 
     def __init__(self, node: int, rate_kw: float):
         if rate_kw <= 0:
@@ -72,35 +65,22 @@ class ScsState:
     def booked_until(self) -> float:
         return self.bookings[-1].end_s if self.bookings else 0.0
 
+    def _slot_start(self, arrival_s: float) -> float:
+        return max(arrival_s, self.booked_until)
+
     def wait_s(self, now: float, drive_s: float) -> float:
-        return scs_waiting_time(max(0.0, self.booked_until - now), drive_s)
+        """Queue wait of an EV that sets off at ``now`` and drives ``drive_s``."""
+        arrival = now + drive_s
+        return self._slot_start(arrival) - arrival
 
     def charge_s(self, energy_kwh: float, capacity_kwh: float) -> float:
         return scs_charge_time(energy_kwh, capacity_kwh, self.rate_kw)
 
-    def book(self, ev: str, start_s: float, end_s: float) -> BookResult:
-        """Accept iff the slot does not overlap any accepted booking.
-
-        A rejection reports the earliest start at which a slot of the same
-        length would fit, so callers can replan.
-        """
-        length = end_s - start_s
-        if length <= 0:
-            raise ValueError("booking must have positive length")
-        for b in self.bookings:
-            if start_s < b.end_s and b.start_s < end_s:
-                return BookResult(False, self._earliest_fit(start_s, length))
-        self.bookings.append(Booking(ev, "scs", self.node, start_s, end_s))
-        self.bookings.sort(key=lambda b: b.start_s)
+    def book(self, ev: str, arrival_s: float, charge_s: float) -> BookResult:
+        """Queue an EV arriving at ``arrival_s`` for ``charge_s`` seconds."""
+        start = self._slot_start(arrival_s)
+        self.bookings.append(Booking(ev, "scs", self.node, start, start + charge_s))
         return BookResult(True)
-
-    def _earliest_fit(self, not_before: float, length: float) -> float:
-        t = not_before
-        for b in self.bookings:
-            if b.start_s - t >= length:
-                return t
-            t = max(t, b.end_s)
-        return t
 
 
 @dataclass(frozen=True)
@@ -152,15 +132,6 @@ class MedState:
 
     # -- geometry of the loop -------------------------------------------------
 
-    def position(self, now: float):
-        """Current (point index, seconds past that point) along the cycle."""
-        offset = max(0.0, now - self.start_s) % self.cycle_time_s
-        idx = 0
-        for k, start in enumerate(self.cum_starts):
-            if start <= offset:
-                idx = k
-        return idx, offset - self.cum_starts[idx]
-
     def arrival_at(self, point_idx: int, now: float) -> float:
         """Next absolute time the charger reaches a cycle point, from ``now``."""
         elapsed = max(0.0, now - self.start_s)
@@ -202,10 +173,9 @@ class MedState:
         dissemination battery still holds the energy to hand out; the ledger
         and battery update together.
         """
-        if any(k in self.segment_bookings for k in segment_keys):
-            return BookResult(False, start_s + self.cycle_time_s)
-        if energy_kwh > self.battery_kwh + 1e-9:
-            return BookResult(False, self._next_refill_s)
+        if any(k in self.segment_bookings for k in segment_keys) \
+                or energy_kwh > self.battery_kwh + 1e-9:
+            return BookResult(False)
         for k in segment_keys:
             self.segment_bookings[k] = ev
         self.battery_kwh -= energy_kwh

@@ -19,6 +19,10 @@ from .routing import EvRequest, RouteAssignment, Stranded, find_shortest_path
 SWEEP_HEADER = "mode,level,ev_count,seed,mean_travel_s,mean_wait_s,med_share,stranded"
 
 
+class InputError(Exception):
+    """A scenario or instance file that cannot be used as given."""
+
+
 def _atomic_write(path: str, text: str):
     """Write the whole artifact or nothing."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -79,9 +83,16 @@ def cmd_gen_grid(args) -> int:
     return 0
 
 
+def _read_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path} is not valid JSON: {exc}") from None
+
+
 def _load_scenario(args, **extra) -> sim.Scenario:
-    with open(args.scenario, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(args.scenario)
     overrides = dict(extra)
     if getattr(args, "mode", None):
         overrides["mode"] = args.mode
@@ -92,7 +103,10 @@ def _load_scenario(args, **extra) -> sim.Scenario:
         overrides["seed"] = seed
     if getattr(args, "evs", None) is not None:
         overrides["ev_count"] = args.evs
-    return sim.Scenario.from_json(doc, **overrides)
+    try:
+        return sim.Scenario.from_json(doc, **overrides)
+    except ValueError as exc:  # a value Scenario or a parameter block rejects
+        raise InputError(f"scenario: {exc}") from None
 
 
 def cmd_route(args) -> int:
@@ -128,9 +142,7 @@ def cmd_route(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    with open(args.instance, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    inst = oracle_mod.instance_from_json(doc)
+    inst = oracle_mod.instance_from_json(_read_json(args.instance))
     sol = oracle_mod.solve_exact(inst)
     out = {
         "feasible": sol.feasible,
@@ -186,8 +198,7 @@ def _sweep_cell(doc: dict, overrides: dict) -> dict:
 
 def cmd_sweep(args) -> int:
     global _sweep_network
-    with open(args.scenario, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(args.scenario)
     modes = [m for m in args.modes.split(",") if m]
     levels = [l for l in args.levels.split(",") if l]
     ev_counts = _ints(args.evs)
@@ -283,10 +294,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, sim.CalibrationError, oracle_mod.OracleError) as exc:
-        print(f"medsim: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (GraphError, sim.CalibrationError, oracle_mod.OracleError, InputError,
+            FileNotFoundError) as exc:
         print(f"medsim: {exc}", file=sys.stderr)
         return 2
 

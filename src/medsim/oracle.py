@@ -52,7 +52,7 @@ class FrozenScs:
     def charge_s(self, energy_kwh, capacity_kwh):
         return scs_charge_time(energy_kwh, capacity_kwh, self.rate_kw)
 
-    def book(self, ev, start_s, end_s):
+    def book(self, ev, arrival_s, charge_s):
         return BookResult(True)
 
 
@@ -413,8 +413,11 @@ def instance_from_json(doc) -> OracleInstance:
     vehicle = VehicleParams(**doc["vehicle"]) if "vehicle" in doc else None
     g = load_graph(doc["graph"], vehicle=vehicle, visit_limit=doc.get("visit_limit", 2))
     r = doc["request"]
-    request = EvRequest(str(r.get("ev", "ev0")), r["source"], r["dest"],
-                        float(r["capacity_kwh"]), float(r["energy_kwh"]))
+    try:
+        request = EvRequest(str(r.get("ev", "ev0")), r["source"], r["dest"],
+                            float(r["capacity_kwh"]), float(r["energy_kwh"]))
+    except ValueError as exc:
+        raise OracleError(f"request: {exc}") from None
     scs_waits, scs_rates = {}, {}
     for s in doc.get("scs", ()):
         scs_waits[s["node"]] = float(s.get("wait_s", 0.0))

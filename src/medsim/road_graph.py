@@ -10,12 +10,9 @@ mobile charger's pass budget all read that rule.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from .energy import VehicleParams, segment_energy
-
-INFINITE = math.inf
 
 
 class GraphError(ValueError):
@@ -40,13 +37,12 @@ class ArcAttr:
 class RoadGraph:
     """Immutable road network. Build through :func:`build_graph` or :func:`load_graph`."""
 
-    def __init__(self, nodes, arcs, scs_nodes, med_points, visit_limit, positions, entries):
+    def __init__(self, nodes, arcs, scs_nodes, med_points, visit_limit, entries):
         self.nodes = frozenset(nodes)
         self._arcs = dict(arcs)
         self.scs_nodes = tuple(sorted(scs_nodes))
         self.med_points = tuple(med_points)
         self.visit_limit = visit_limit
-        self.positions = dict(positions)
         self.entries = tuple(entries)
         self._chargers = frozenset(self.scs_nodes) | frozenset(self.med_points)
         adj = {n: [] for n in self.nodes}
@@ -58,20 +54,6 @@ class RoadGraph:
 
     def arc(self, i, j):
         return self._arcs.get((i, j))
-
-    def drive_time(self, i, j) -> float:
-        """Drive time of arc (i, j) in seconds, infinite when the arc is absent."""
-        if i == j:
-            raise GraphError("self arcs are excluded from the network")
-        attr = self._arcs.get((i, j))
-        return attr.drive_time_s if attr is not None else INFINITE
-
-    def energy_cost(self, i, j) -> float:
-        """Traversal energy of arc (i, j) in kWh, infinite when the arc is absent."""
-        if i == j:
-            raise GraphError("self arcs are excluded from the network")
-        attr = self._arcs.get((i, j))
-        return attr.energy_kwh if attr is not None else INFINITE
 
     def neighbors(self, i):
         """Outgoing (node, ArcAttr) pairs sorted by node id."""
@@ -90,15 +72,9 @@ class RoadGraph:
         pts = self.med_points
         return [(pts[k], pts[(k + 1) % len(pts)]) for k in range(len(pts))]
 
-    def med_cycle_time(self) -> float:
-        return sum(self._arcs[(i, j)].drive_time_s for i, j in self.med_cycle_segments())
-
-    def position(self, node):
-        return self.positions.get(node, (0.0, 0.0))
-
 
 def build_graph(nodes, arcs, scs_list=(), med_cycle=(), visit_limit: int = 2,
-                positions=None, entries=None) -> RoadGraph:
+                entries=None) -> RoadGraph:
     """Assemble an immutable :class:`RoadGraph` from the declared nodes and arcs.
 
     ``arcs`` maps (i, j) to :class:`ArcAttr` (or its keyword dict).
@@ -146,8 +122,7 @@ def build_graph(nodes, arcs, scs_list=(), med_cycle=(), visit_limit: int = 2,
         entries = list(entries)
         if not set(entries) <= declared:
             raise GraphError("entry point not among declared nodes")
-    return RoadGraph(nodes, arcs, scs_list, med_cycle, visit_limit,
-                     positions or {}, entries)
+    return RoadGraph(nodes, arcs, scs_list, med_cycle, visit_limit, entries)
 
 
 # -- JSON schema ------------------------------------------------------------
@@ -170,14 +145,8 @@ def load_graph(doc, vehicle: VehicleParams | None = None, visit_limit: int = 2) 
     if isinstance(doc, (str, bytes)):
         with open(doc, encoding="utf-8") as fh:
             doc = json.load(fh)
-    nodes, positions = [], {}
-    for entry in doc["nodes"]:
-        if isinstance(entry, dict):
-            nodes.append(entry["id"])
-            if "x" in entry or "y" in entry:
-                positions[entry["id"]] = (float(entry.get("x", 0.0)), float(entry.get("y", 0.0)))
-        else:
-            nodes.append(entry)
+    # a node is an id or {"id": ..., "x": ..., "y": ...}; x/y are not read
+    nodes = [entry["id"] if isinstance(entry, dict) else entry for entry in doc["nodes"]]
     arcs = {}
     for a in doc["arcs"]:
         i, j = a["i"], a["j"]
@@ -194,8 +163,7 @@ def load_graph(doc, vehicle: VehicleParams | None = None, visit_limit: int = 2) 
             raise GraphError(f"arc ({i},{j}) lacks energy_kwh and no vehicle was given")
         arcs[(i, j)] = ArcAttr(dt, energy, length)
     return build_graph(nodes, arcs, doc.get("scs", ()), doc.get("med_cycle", ()),
-                       visit_limit=visit_limit, positions=positions,
-                       entries=doc.get("entries"))
+                       visit_limit=visit_limit, entries=doc.get("entries"))
 
 
 def grid_doc(rows: int, cols: int, arc_len_m: float = 2500.0, speed_mps: float = 15.0,

@@ -17,6 +17,7 @@ from .road_graph import RoadGraph
 
 INFINITE = math.inf
 _EPS_TOL = 1e-9
+LEG_LIMIT = 4  # charging stops one route may insert
 
 
 class NoPath(Exception):
@@ -398,16 +399,6 @@ def check_assignment(g: RoadGraph, a: RouteAssignment, tol: float = 1e-6):
 
 
 @dataclass
-class RouterConfig:
-    leg_limit: int = 4
-    trip_scoring: bool = True
-    rebook_attempts: int = 6
-
-
-DEFAULT_CONFIG = RouterConfig()
-
-
-@dataclass
 class _Candidate:
     kind: str
     unit: object
@@ -474,18 +465,18 @@ def _plan_med_span(unit, start_idx, eps_at_meet, capacity, need_to_finish):
 
 def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
                            at, energy_kwh: float, now: float, infra,
-                           gate=None, config: RouterConfig = DEFAULT_CONFIG) -> _Candidate:
+                           gate=None) -> _Candidate:
     """Pick the reachable energy point minimizing the EV's time outlay.
 
     Every station and cycle point the comms gate lets through is scored:
     drive there (on the time-shortest path, which must be energy-feasible),
     plus queue wait and charge time for stations, plus meeting wait and
     attached drive for mobile chargers, plus the drive-time estimate from
-    the exit point to the destination when trip scoring is on. Ties prefer
-    stations, then smaller node ids.
+    the exit point to the destination. Ties prefer stations, then smaller
+    node ids.
     """
     Q = request.capacity_kwh
-    rev_time = caches.rev(request.dest, "time") if config.trip_scoring else {}
+    rev_time = caches.rev(request.dest, "time")
     candidates = []
 
     need_memo = {}
@@ -523,12 +514,10 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
             continue  # nothing to gain here
         wait = unit.wait_s(now, drive)
         ct = unit.charge_s(arrive, Q)
-        score = drive + wait + ct
-        if config.trip_scoring:
-            finish = rev_time.get(node, INFINITE)
-            if finish == INFINITE:
-                continue
-            score += finish
+        finish = rev_time.get(node, INFINITE)
+        if finish == INFINITE:
+            continue
+        score = drive + wait + ct + finish
         candidates.append(_Candidate("scs", unit, node, path, drive, score,
                                      wait_s=wait, charge_s=ct, arrive_kwh=arrive))
 
@@ -555,12 +544,10 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
             n_seg, eps_after, attach_s, arcs, energies, induced, detach = span
             wait, pass_no = unit.waiting(idx, now + drive, n_seg)
             keys = unit.segment_keys(idx, pass_no, n_seg)
-            score = drive + wait + attach_s
-            if config.trip_scoring:
-                finish = rev_time.get(detach, INFINITE)
-                if finish == INFINITE:
-                    continue
-                score += finish
+            finish = rev_time.get(detach, INFINITE)
+            if finish == INFINITE:
+                continue
+            score = drive + wait + attach_s + finish
             candidates.append(_Candidate(
                 "med", unit, point, path, drive, score,
                 start_idx=idx, n_segments=n_seg, pass_no=pass_no, attach_s=attach_s,
@@ -583,15 +570,16 @@ def _extend(legs, trace, nodes, arc_energy, eps, capacity, gains=None):
 
 
 def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0,
-                       gate=None, config: RouterConfig = DEFAULT_CONFIG,
-                       caches: PathCache | None = None) -> RouteAssignment:
+                       gate=None, caches: PathCache | None = None) -> RouteAssignment:
     """Feasible route for one EV, charging along the way only when needed.
 
     A feasible direct path is returned untouched. Otherwise charging stops
-    are inserted one at a time via :func:`find_best_energy_point`; each stop
-    is booked against the live ledgers, and a rejected booking triggers a
-    full re-selection. Raises :class:`Stranded` when no plan exists within
-    the leg limit.
+    are inserted one at a time via :func:`find_best_energy_point`, and each
+    stop is booked against the live ledgers. Raises :class:`Stranded` when
+    no plan exists within :data:`LEG_LIMIT` stops. A ledger that rejects the
+    slot the router priced raises ``RuntimeError``: in a sequential run
+    nothing changes between pricing and booking, so a rejection means the
+    scorer and the ledger disagree.
     """
     caches = caches or PathCache(g)
     Q = request.capacity_kwh
@@ -611,23 +599,19 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
         eps = _extend(legs, trace, direct, direct.arc_energy, eps, Q)
         return _finish(g, request, legs, trace, z_visits, q_points, now)
 
-    for _ in range(config.leg_limit):
-        plan = None
-        for _attempt in range(config.rebook_attempts):
-            cand = find_best_energy_point(g, caches, request, at, eps,
-                                          now + elapsed, infra, gate, config)
-            if cand.kind == "scs":
-                start = now + elapsed + cand.drive_s + cand.wait_s
-                booked = cand.unit.book(request.ev, start, start + cand.charge_s)
-            else:
-                start = now + elapsed + cand.drive_s + cand.wait_s
-                booked = cand.unit.book_attach(request.ev, cand.keys, cand.dispensed_kwh,
-                                               start, start + cand.attach_s)
-            if booked.accepted:
-                plan = cand
-                break
-        if plan is None:
-            raise Stranded(f"EV {request.ev}: bookings kept being rejected")
+    for _ in range(LEG_LIMIT):
+        plan = find_best_energy_point(g, caches, request, at, eps, now + elapsed,
+                                      infra, gate)
+        arrival = now + elapsed + plan.drive_s
+        if plan.kind == "scs":
+            booked = plan.unit.book(request.ev, arrival, plan.charge_s)
+        else:
+            start = arrival + plan.wait_s
+            booked = plan.unit.book_attach(request.ev, plan.keys, plan.dispensed_kwh,
+                                           start, start + plan.attach_s)
+        if not booked.accepted:
+            raise RuntimeError(f"EV {request.ev}: the {plan.kind} ledger at node "
+                               f"{plan.point} rejected the slot the router priced")
 
         eps = _extend(legs, trace, plan.path, plan.path.arc_energy, eps, Q)
         elapsed += plan.drive_s
@@ -659,7 +643,7 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
             return _finish(g, request, legs, trace, z_visits, q_points, now)
 
     raise Stranded(f"EV {request.ev}: still infeasible after "
-                   f"{config.leg_limit} charging stops")
+                   f"{LEG_LIMIT} charging stops")
 
 
 def _finish(g, request, legs, trace, z_visits, q_points, now):

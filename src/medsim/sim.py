@@ -17,8 +17,8 @@ from .charging import Infrastructure, MedState, ScsState
 from .energy import InductionParams, VehicleParams
 from .comms import RadioParams
 from .road_graph import RoadGraph, load_graph
-from .routing import (EvRequest, NoPath, PathCache, RouterConfig, Stranded,
-                      check_assignment, find_shortest_path)
+from .routing import (EvRequest, NoPath, PathCache, Stranded, check_assignment,
+                      find_shortest_path)
 
 INFINITE = math.inf
 
@@ -390,8 +390,8 @@ def _first_choice(assignment) -> str:
     return min(stops)[1]
 
 
-def run(scenario: Scenario, router_config: RouterConfig | None = None,
-        keep_assignments: bool = True, network: Network | None = None) -> RunMetrics:
+def run(scenario: Scenario, keep_assignments: bool = True,
+        network: Network | None = None) -> RunMetrics:
     """Simulate one scenario and collect metrics.
 
     EVs are routed in arrival order against live ledgers; stranded EVs are
@@ -408,7 +408,6 @@ def run(scenario: Scenario, router_config: RouterConfig | None = None,
     g, caches = network.graph, network.caches
     infra = build_infrastructure(scenario, g)
     population = generate_population(scenario, g, caches)
-    config = router_config or RouterConfig()
     metrics = RunMetrics(scenario.mode, scenario.level, scenario.ev_count,
                          scenario.seed, infrastructure=infra)
     med_allowed = scenario.mode == "SCS_MED"
@@ -427,7 +426,7 @@ def run(scenario: Scenario, router_config: RouterConfig | None = None,
 
         try:
             a = find_shortest_path(g, request, infra, now=spawn.t_arrival_s,
-                                   gate=gate, config=config, caches=caches)
+                                   gate=gate, caches=caches)
         except Stranded:
             metrics.rows.append(EvRecord(
                 spawn.ev, spawn.t_arrival_s, spawn.source, spawn.dest,

@@ -135,9 +135,10 @@ class TestSweep:
 class TestPinnedOutputs:
     """Byte-identity of the default sweep and run, pinned by sha256.
 
-    A refactor must keep both digests. The fix of the station round-off
-    rejections (ROADMAP item 3) will change both; that change has to say
-    which outputs moved and why.
+    A refactor must keep both digests; a change that moves one has to say
+    which outputs moved and why. The station slot rule (a priced slot is
+    always granted) moved only the sweep digest: 108 of its 300 rows, each
+    with fewer stranded EVs.
     """
 
     def digest(self, args, tmp_path):
@@ -149,7 +150,7 @@ class TestPinnedOutputs:
 
     def test_default_sweep(self, tmp_path):
         assert self.digest(["sweep", "--out"], tmp_path) == \
-            "13515cd963821d188c3a7c97a79598902f88adb5a511989f56bbe4f204d2b556"
+            "002f9d1f35b86b05926b28a4b378ff6bce0bc06ffbe578b41605571743af57f1"
 
     def test_default_run_l3_100_evs(self, tmp_path):
         args = ["run", "--level", "L3", "--evs", "100", "--seed", "0", "--out-csv"]
@@ -221,14 +222,54 @@ class TestInvalidRequests:
         assert message in err and err.count("\n") == 1
         assert not out.exists()
 
-    def test_oracle_unknown_dest(self, tmp_path, capsys):
+    def oracle(self, tmp_path, capsys, dest):
         instance = {
             "graph": {"nodes": [0, 1, 2], "arcs": _line_arcs(3)},
-            "request": {"source": 0, "dest": 7, "capacity_kwh": 10.0, "energy_kwh": 4.0},
+            "request": {"source": 0, "dest": dest, "capacity_kwh": 10.0, "energy_kwh": 4.0},
         }
         inst_path = tmp_path / "inst.json"
         inst_path.write_text(json.dumps(instance))
         rc = main(["oracle", "--instance", str(inst_path)])
         err = capsys.readouterr().err
+        assert rc == 2 and err.count("\n") == 1
+        return err
+
+    def test_oracle_unknown_dest(self, tmp_path, capsys):
+        assert "endpoint 7 is not a graph node" in self.oracle(tmp_path, capsys, 7)
+
+    def test_oracle_same_endpoints(self, tmp_path, capsys):
+        err = self.oracle(tmp_path, capsys, 0)
+        assert "request: source and destination must differ" in err
+
+
+class TestInvalidFiles:
+    """A scenario or instance file that cannot be used exits 2 with one line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run"],
+        ["route", "--source", "0", "--dest", "9", "--energy", "5"],
+    ], ids=["run", "route"])
+    def test_rejected_scenario_value(self, tmp_path, capsys, argv):
+        doc = default_scenario(ev_count=12).to_json()
+        doc["ev_count"] = 500
+        p = tmp_path / "scenario.json"
+        p.write_text(json.dumps(doc))
+        rc = main([argv[0], "--scenario", str(p), *argv[1:]])
+        err = capsys.readouterr().err
         assert rc == 2
-        assert "endpoint 7 is not a graph node" in err and err.count("\n") == 1
+        assert "scenario: ev_count must lie in [0, 100]" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario"],
+        ["route", "--source", "0", "--dest", "9", "--energy", "5", "--scenario"],
+        ["sweep", "--out", "sweep.csv", "--scenario"],
+        ["oracle", "--instance"],
+    ], ids=["run", "route", "sweep", "oracle"])
+    def test_not_json(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "broken.json").write_text('{"graph": ')
+        rc = main([*argv, "broken.json"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "broken.json is not valid JSON" in err and err.count("\n") == 1
+        assert not (tmp_path / "sweep.csv").exists()

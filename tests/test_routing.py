@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medsim.charging import Infrastructure, MedState, ScsState
+from medsim.charging import BookResult, Infrastructure, MedState, ScsState
 from medsim.energy import InductionParams
 from medsim.oracle import FrozenMed, FrozenScs
 from medsim.road_graph import ArcAttr, build_graph
-from medsim.routing import (EvRequest, NoPath, RouterConfig, Stranded,
+from medsim.routing import (EvRequest, NoPath, Stranded,
                             check_assignment, dijkstra, find_best_energy_point,
                             find_shortest_path, objective_time, route_energy,
                             route_feasible, route_time, PathCache, _extend,
@@ -243,34 +243,21 @@ class TestFindShortestPath:
         with pytest.raises(Stranded):
             find_shortest_path(g, req, infra)
 
-    def test_rejected_booking_triggers_reselection(self):
+    def test_rejected_booking_raises_not_stranded(self):
+        # the ledger refusing a slot the router priced is a fault, not a
+        # stranded EV, and the router does not retry it
         calls = []
 
-        class FlakyScs(FrozenScs):
-            def book(self, ev, start_s, end_s):
+        class RefusingScs(FrozenScs):
+            def book(self, ev, arrival_s, charge_s):
                 calls.append(ev)
-                from medsim.charging import BookResult
-                if len(calls) == 1:
-                    return BookResult(False, end_s)
-                return BookResult(True)
+                return BookResult(False)
 
-        g = line_graph()
-        infra = Infrastructure(scs_units=[FlakyScs(3, 19.2, 0.0)])
-        req = EvRequest("e", 0, 5, 10.0, 4.0)
-        a = find_shortest_path(g, req, infra)
-        assert len(calls) == 2
-        assert check_assignment(g, a) == []
-
-    def test_literal_stop_scoring_mode(self):
-        g = scs_vs_med_instance()
-        infra = Infrastructure(
-            scs_units=[ScsState(1, 19.2)],
-            med_units=[MedState(g, InductionParams(0.75, 40.0))])
-        req = EvRequest("e", 0, 4, 3.0, 1.2)
-        cfg = RouterConfig(trip_scoring=False)
-        a = find_shortest_path(g, req, infra, config=cfg)
-        assert check_assignment(g, a) == []
-        assert [v.node for v in a.z_visits] == [1]
+        infra = Infrastructure(scs_units=[RefusingScs(3, 19.2, 0.0)])
+        with pytest.raises(RuntimeError, match="rejected the slot") as caught:
+            find_shortest_path(line_graph(), EvRequest("e", 0, 5, 10.0, 4.0), infra)
+        assert not isinstance(caught.value, Stranded)
+        assert calls == ["e"]
 
 
 class TestMedPassBudget:

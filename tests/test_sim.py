@@ -175,6 +175,17 @@ class TestRunInvariants:
             assert len(keys) == len(set(keys))  # one EV per segment per pass
             assert med.battery_kwh >= -1e-9
 
+    def test_queued_station_slot_is_granted(self):
+        # ev006 queues at the station behind ev004; its slot once started
+        # round-off before ev004's end, the ledger refused it, and the EV was
+        # reported stranded
+        m = run(default_scenario(ev_count=100, level="L2", seed=0, mode="SCS"))
+        row = next(r for r in m.rows if r.ev == "ev006")
+        assert not row.stranded and row.choice == "scs" and row.wait_s > 0
+        bookings = m.infrastructure.scs_units[0].bookings
+        k = [b.ev for b in bookings].index("ev006")
+        assert bookings[k].start_s == bookings[k - 1].end_s
+
     def test_mean_travel_nondecreasing_in_anxiety_within_mode(self):
         seeds = range(4)
         for mode in ("SCS", "SCS_MED"):
