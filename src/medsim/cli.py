@@ -103,9 +103,14 @@ def _load_scenario(args, **extra) -> sim.Scenario:
         overrides["seed"] = seed
     if getattr(args, "evs", None) is not None:
         overrides["ev_count"] = args.evs
+    return _scenario(doc, **overrides)
+
+
+def _scenario(doc: dict, **overrides) -> sim.Scenario:
     try:
         return sim.Scenario.from_json(doc, **overrides)
-    except ValueError as exc:  # a value Scenario or a parameter block rejects
+    # a value Scenario or a parameter block rejects, or a key a block does not take
+    except (ValueError, TypeError) as exc:
         raise InputError(f"scenario: {exc}") from None
 
 
@@ -199,6 +204,8 @@ def _sweep_cell(doc: dict, overrides: dict) -> dict:
 def cmd_sweep(args) -> int:
     global _sweep_network
     doc = _read_json(args.scenario)
+    if "graph_path" in doc and "graph" not in doc:  # read once, not once per cell
+        doc = {**doc, "graph": _read_json(doc["graph_path"])}
     modes = [m for m in args.modes.split(",") if m]
     levels = [l for l in args.levels.split(",") if l]
     ev_counts = _ints(args.evs)
@@ -211,6 +218,8 @@ def cmd_sweep(args) -> int:
         return 2
     cells = [dict(mode=m, level=l, ev_count=n, seed=s)
              for m in modes for l in levels for n in ev_counts for s in seeds]
+    for cell in cells:  # bad input exits 2 here, before any cell runs
+        _scenario(doc, **cell)
     # the first cell's overrides make a scenario that validates, whatever
     # mode, level or count the document itself holds
     init_args = (doc, cells[0])

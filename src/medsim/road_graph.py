@@ -34,8 +34,17 @@ class ArcAttr:
             raise GraphError(f"arc length must be positive, got {self.length_m}")
 
 
+# the ArcAttr field each routing weight reads
+_COST_FIELDS = {"time": "drive_time_s", "energy": "energy_kwh"}
+
+
 class RoadGraph:
-    """Immutable road network. Build through :func:`build_graph` or :func:`load_graph`."""
+    """Immutable road network. Build through :func:`build_graph` or :func:`load_graph`.
+
+    Besides the arcs it keeps one cost table per (weight, direction), built
+    on first use by :meth:`cost_table`. Every path cache on the graph reads
+    the same tables, so a graph shared across runs builds each at most once.
+    """
 
     def __init__(self, nodes, arcs, scs_nodes, med_points, visit_limit, entries):
         self.nodes = frozenset(nodes)
@@ -49,6 +58,7 @@ class RoadGraph:
         for (i, j), attr in self._arcs.items():
             adj[i].append((j, attr))
         self._adj = {n: tuple(sorted(out, key=lambda e: e[0])) for n, out in adj.items()}
+        self._tables = {}
 
     # -- queries ------------------------------------------------------------
 
@@ -58,6 +68,28 @@ class RoadGraph:
     def neighbors(self, i):
         """Outgoing (node, ArcAttr) pairs sorted by node id."""
         return self._adj[i]
+
+    def cost_table(self, weight: str, reverse: bool = False):
+        """Arc costs by node, for shortest-path search under ``weight``.
+
+        Maps each node to a tuple of ``(nbr, cost, ArcAttr)`` sorted by
+        ``nbr``: the node's successors, or its predecessors when ``reverse``.
+        The cost is the arc's drive time for ``"time"`` and its energy for
+        ``"energy"``. Built once per (weight, direction) and then shared.
+        """
+        key = (weight, reverse)
+        table = self._tables.get(key)
+        if table is None:
+            field_name = _COST_FIELDS.get(weight)
+            if field_name is None:
+                raise GraphError(f"unknown weight {weight!r}")
+            rows = {n: [] for n in self.nodes}
+            for (i, j), attr in self._arcs.items():
+                tail, head = (j, i) if reverse else (i, j)
+                rows[tail].append((head, getattr(attr, field_name), attr))
+            # a node has one arc per neighbour, so sorting compares ids only
+            table = self._tables[key] = {n: tuple(sorted(row)) for n, row in rows.items()}
+        return table
 
     def visit_cap(self, node) -> int:
         """How often a walk may visit ``node``: ``visit_limit`` at a charger, else 1."""

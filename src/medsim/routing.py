@@ -28,27 +28,16 @@ class Stranded(Exception):
     """The EV cannot complete its trip with any reachable energy point."""
 
 
-def _weight_fn(weight: str):
-    if weight == "time":
-        return lambda attr: attr.drive_time_s
-    if weight == "energy":
-        return lambda attr: attr.energy_kwh
-    raise ValueError(f"unknown weight {weight!r}")
-
-
-def _dijkstra_dist(adj, source, weight_of):
+def _dijkstra_dist(adj, source):
+    """Distances from ``source`` over a cost table (see ``RoadGraph.cost_table``)."""
     dist = {source: 0.0}
     heap = [(0.0, source)]
-    done = set()
     while heap:
         d, node = heappop(heap)
-        if node in done:
-            continue
-        done.add(node)
-        for nbr, attr in adj[node]:
-            if nbr in done:
-                continue
-            nd = d + weight_of(attr)
+        if d > dist[node]:
+            continue  # stale entry: node was settled at a smaller distance
+        for nbr, cost, _ in adj[node]:
+            nd = d + cost
             if nd < dist.get(nbr, INFINITE):
                 dist[nbr] = nd
                 heappush(heap, (nd, nbr))
@@ -83,15 +72,13 @@ class PathCache:
     One per graph, shared by every run of a sweep; routing repeatedly asks
     for distances from the same sources (EV positions) and to the same
     targets (chargers, destinations), so the maps are worth keeping. It
-    holds only graph-derived data, never ledger or population state.
+    holds only graph-derived data, never ledger or population state. The
+    searches read the graph's cost tables, which every cache on that graph
+    shares.
     """
 
     def __init__(self, g: RoadGraph):
         self.g = g
-        radj = {n: [] for n in g.nodes}
-        for (i, j), attr in g.arcs.items():
-            radj[j].append((i, attr))
-        self._radj = {n: tuple(sorted(out, key=lambda e: e[0])) for n, out in radj.items()}
         self._fwd = {}
         self._rev = {}
         self._paths = {}
@@ -100,14 +87,14 @@ class PathCache:
         """Distances from ``source`` to every reachable node."""
         key = (source, weight)
         if key not in self._fwd:
-            self._fwd[key] = _dijkstra_dist(self.g._adj, source, _weight_fn(weight))
+            self._fwd[key] = _dijkstra_dist(self.g.cost_table(weight), source)
         return self._fwd[key]
 
     def rev(self, target, weight: str = "time"):
         """Distances from every node to ``target`` (Dijkstra on reversed arcs)."""
         key = (target, weight)
         if key not in self._rev:
-            self._rev[key] = _dijkstra_dist(self._radj, target, _weight_fn(weight))
+            self._rev[key] = _dijkstra_dist(self.g.cost_table(weight, reverse=True), target)
         return self._rev[key]
 
     def path(self, source, target, weight: str = "time") -> CachedPath:
@@ -116,40 +103,50 @@ class PathCache:
         found = self._paths.get(key)
         if found is None:
             found = self._paths[key] = _lex_path(
-                self.g, source, target, self.rev(target, weight), _weight_fn(weight))
+                self.g.cost_table(weight), source, target, self.rev(target, weight))
         return found
 
 
-def _lex_path(g, source, target, rev_dist, weight_of):
+def _lex_path(adj, source, target, rev_dist):
+    """A minimum-cost path from ``source`` to ``target`` over the cost table ``adj``.
+
+    Follows tight arcs (arc cost plus the head's distance to ``target``
+    equals the tail's) depth first, smallest neighbour id first, so without
+    a dead end the path is the greedy smallest-id walk. Zero-cost arcs can
+    lead that walk to a node whose tight arcs all return to visited nodes;
+    the search then backs up and tries the next tight arc.
+    """
     if source == target:
         return _cached_path((source,), ())
     total = rev_dist.get(source)
     if total is None:
         raise NoPath(f"no path from {source} to {target}")
+    tol = 1e-9 * (1.0 + abs(total))
     path = [source]
     attrs = []
-    seen = {source}
-    cur, remaining = source, total
-    cap = len(g.nodes) + 1
-    while cur != target:
-        tol = 1e-9 * (1.0 + abs(total))
-        nxt = None
-        for nbr, attr in g.neighbors(cur):
-            if nbr in seen and nbr != target:
+    visited = {source}
+    pending = [iter(adj[source])]  # per path node: its arcs not yet tried
+    while pending:
+        remaining = rev_dist[path[-1]]
+        for nbr, cost, attr in pending[-1]:
+            if nbr in visited:
                 continue
             r = rev_dist.get(nbr)
-            if r is None:
-                continue
-            if abs(weight_of(attr) + r - remaining) <= tol:
-                nxt = (nbr, r)
-                attrs.append(attr)
+            if r is not None and abs(cost + r - remaining) <= tol:
                 break
-        if nxt is None or len(path) >= cap:
-            raise NoPath(f"path reconstruction from {source} to {target} failed")
-        cur, remaining = nxt
-        path.append(cur)
-        seen.add(cur)
-    return _cached_path(path, attrs)
+        else:  # dead end: back up one node
+            pending.pop()
+            path.pop()
+            if attrs:
+                attrs.pop()
+            continue
+        path.append(nbr)
+        attrs.append(attr)
+        if nbr == target:
+            return _cached_path(path, attrs)
+        visited.add(nbr)
+        pending.append(iter(adj[nbr]))
+    raise NoPath(f"path reconstruction from {source} to {target} failed")
 
 
 def dijkstra(g: RoadGraph, source, target, weight: str = "time"):

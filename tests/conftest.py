@@ -1,13 +1,21 @@
 """Shared fixtures: hand-built graphs and seeded random instance generators."""
 
+import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from medsim.energy import InductionParams, VehicleParams
 from medsim.oracle import OracleInstance
 from medsim.road_graph import ArcAttr, build_graph, grid_doc, load_graph
 from medsim.routing import EvRequest
+
+# CI runs replay the same examples every time, so a property test cannot
+# flake there; local runs keep drawing fresh ones
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 TEST_VEHICLE = VehicleParams(mass_kg=1500.0, mu=0.01, drag_c=0.35, area_m2=2.0,
                              air_density=1.2, efficiency=0.75, capacity_kwh=50.0)

@@ -131,6 +131,24 @@ class TestSweep:
         assert len(loads) == 1
         assert cli._sweep_network is None  # released with the sweep
 
+    def test_graph_path_is_read_once(self, tmp_path, monkeypatch):
+        doc = default_scenario(ev_count=12, seed=1).to_json()
+        (tmp_path / "grid.json").write_text(json.dumps(doc["graph"]))
+        (tmp_path / "inline.json").write_text(json.dumps(doc))
+        del doc["graph"]
+        doc["graph_path"] = str(tmp_path / "grid.json")
+        (tmp_path / "by_path.json").write_text(json.dumps(doc))
+        args = ["--modes", "SCS,SCS_MED", "--levels", "L1", "--evs", "10,20", "--seeds", "0"]
+        assert main(["sweep", "--scenario", str(tmp_path / "inline.json"), *args,
+                     "--out", str(tmp_path / "inline.csv")]) == 0
+        reads = []
+        load = json.load
+        monkeypatch.setattr(json, "load", lambda fh: reads.append(fh.name) or load(fh))
+        assert main(["sweep", "--scenario", str(tmp_path / "by_path.json"), *args,
+                     "--out", str(tmp_path / "by_path.csv")]) == 0
+        assert reads == [str(tmp_path / "by_path.json"), str(tmp_path / "grid.json")]
+        assert (tmp_path / "by_path.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
+
 
 class TestPinnedOutputs:
     """Byte-identity of the default sweep and run, pinned by sha256.
@@ -272,4 +290,32 @@ class TestInvalidFiles:
         err = capsys.readouterr().err
         assert rc == 2
         assert "broken.json is not valid JSON" in err and err.count("\n") == 1
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run"],
+        ["route", "--source", "0", "--dest", "9", "--energy", "5"],
+        ["sweep", "--out", "sweep.csv"],
+    ], ids=["run", "route", "sweep"])
+    def test_unknown_key_in_parameter_block(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        doc = default_scenario(ev_count=12).to_json()
+        doc["vehicle"]["mass"] = 1.0
+        (tmp_path / "scenario.json").write_text(json.dumps(doc))
+        rc = main([argv[0], "--scenario", "scenario.json", *argv[1:]])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "scenario:" in err and "'mass'" in err and err.count("\n") == 1
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_sweep_rejected_scenario_value(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        doc = default_scenario(ev_count=12).to_json()
+        doc["vehicle"]["capacity_kwh"] = 5.0
+        (tmp_path / "scenario.json").write_text(json.dumps(doc))
+        rc = main(["sweep", "--scenario", "scenario.json", "--out", "sweep.csv"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "scenario: battery capacity must cover the initial-energy band" in err
+        assert err.count("\n") == 1
         assert not (tmp_path / "sweep.csv").exists()

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medsim.charging import BookResult, Infrastructure, MedState, ScsState
+from medsim import routing
 from medsim.energy import InductionParams
 from medsim.oracle import FrozenMed, FrozenScs
 from medsim.road_graph import ArcAttr, build_graph
@@ -59,6 +60,16 @@ class TestDijkstra:
         path, cost = dijkstra(g, 0, 2, weight="energy")
         assert path == [0, 2]
         assert cost == 1.0
+
+    def test_zero_energy_detour_backs_up(self):
+        # 0->1 is tight (0 + 2 == 2) but 1 only leads back to 0; the walk
+        # must back up and take 0->2->3 instead of giving up
+        arcs = {
+            (0, 1): ArcAttr(1.0, 0.0, 10.0), (1, 0): ArcAttr(1.0, 0.0, 10.0),
+            (0, 2): ArcAttr(1.0, 1.0, 10.0), (2, 3): ArcAttr(1.0, 1.0, 10.0),
+        }
+        g = build_graph(range(4), arcs)
+        assert dijkstra(g, 0, 3, weight="energy") == ([0, 2, 3], 2.0)
 
 
 def test_dijkstra_matches_exhaustive_enumeration():
@@ -334,3 +345,97 @@ def test_cached_path_costs_match_the_per_arc_walk(g, start):
                 reference.append(eps)
             assert legs == list(path)
             assert trace[1:] == reference and end == eps
+
+
+@st.composite
+def random_digraphs(draw):
+    """Random digraph on 3-12 nodes, not necessarily connected. Integer drive
+    times make tied routes common; about a third of the arcs cost no energy,
+    so zero-cost cycles and dead-end tight walks occur."""
+    n = draw(st.integers(3, 12))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda p: p[0] != p[1]), max_size=3 * n))
+    energy = st.one_of(st.just(0.0), st.just(1.0),
+                       st.floats(0.0, 5.0, allow_nan=False, allow_infinity=False))
+    arcs = {p: ArcAttr(float(draw(st.integers(1, 9))), draw(energy), 10.0)
+            for p in sorted(pairs)}
+    return build_graph(range(n), arcs)
+
+
+def _cost(attr, weight):
+    return attr.drive_time_s if weight == "time" else attr.energy_kwh
+
+
+def bellman_ford(g, source, weight, reverse=False):
+    """Reference distances from ``source`` (to it, when ``reverse``)."""
+    dist = {source: 0.0}
+    for _ in range(len(g.nodes)):
+        for (i, j), attr in g.arcs.items():
+            tail, head = (j, i) if reverse else (i, j)
+            if tail in dist and dist[tail] + _cost(attr, weight) < dist.get(head, math.inf):
+                dist[head] = dist[tail] + _cost(attr, weight)
+    return dist
+
+
+class TestCostTablesAndKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(g=random_digraphs())
+    def test_each_table_lists_every_arc_once_in_id_order(self, g):
+        for weight in ("time", "energy"):
+            for reverse in (False, True):
+                table = g.cost_table(weight, reverse)
+                assert set(table) == g.nodes
+                listed = []
+                for node, out in table.items():
+                    assert [nbr for nbr, _, _ in out] == sorted(nbr for nbr, _, _ in out)
+                    for nbr, cost, attr in out:
+                        arc = (nbr, node) if reverse else (node, nbr)
+                        assert g.arc(*arc) is attr and cost == _cost(attr, weight)
+                        listed.append(arc)
+                assert sorted(listed) == sorted(g.arcs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=random_digraphs())
+    def test_distance_maps_match_bellman_ford(self, g):
+        caches = PathCache(g)
+        for weight in ("time", "energy"):
+            for node in sorted(g.nodes):
+                for got, want in ((caches.fwd(node, weight), bellman_ford(g, node, weight)),
+                                  (caches.rev(node, weight),
+                                   bellman_ford(g, node, weight, reverse=True))):
+                    assert set(got) == set(want)
+                    for k, d in want.items():
+                        assert got[k] == pytest.approx(d, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=random_digraphs())
+    def test_every_path_is_simple_and_costs_the_distance(self, g):
+        for weight in ("time", "energy"):
+            for s in sorted(g.nodes):
+                ref = bellman_ford(g, s, weight)
+                for t in sorted(g.nodes):
+                    if t not in ref:
+                        with pytest.raises(NoPath):
+                            dijkstra(g, s, t, weight)
+                        continue
+                    path, cost = dijkstra(g, s, t, weight)
+                    assert path[0] == s and path[-1] == t
+                    assert len(set(path)) == len(path)
+                    assert all(g.arc(i, j) is not None for i, j in zip(path, path[1:]))
+                    assert cost == pytest.approx(ref[t], abs=1e-9)
+
+    def test_path_caches_on_one_graph_share_its_tables(self, monkeypatch):
+        seen = []
+        kernel = routing._dijkstra_dist
+
+        def recording(adj, source):
+            seen.append(adj)
+            return kernel(adj, source)
+        monkeypatch.setattr(routing, "_dijkstra_dist", recording)
+        g = line_graph()
+        first, second = PathCache(g), PathCache(g)
+        for caches in (first, second):
+            caches.fwd(0, "energy")
+            caches.rev(5, "energy")
+        assert seen[0] is seen[2] is g.cost_table("energy")
+        assert seen[1] is seen[3] is g.cost_table("energy", reverse=True)
