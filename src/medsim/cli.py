@@ -223,13 +223,15 @@ def cmd_sweep(args) -> int:
     # the first cell's overrides make a scenario that validates, whatever
     # mode, level or count the document itself holds
     init_args = (doc, cells[0])
+    # loaded here, outside the catch-all below, so a bad graph exits 2 too;
+    # in-process cells run on this network, worker processes load their own
+    _init_sweep(*init_args)
     try:
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_sweep,
                                      initargs=init_args) as pool:
                 rows = list(pool.map(_sweep_cell, [doc] * len(cells), cells))
         else:
-            _init_sweep(*init_args)
             rows = [_sweep_cell(doc, cell) for cell in cells]
     except Exception as exc:
         print(f"sweep: aborted, no output written: {exc}", file=sys.stderr)

@@ -73,6 +73,13 @@ class FrozenMed(MedState):
 
 @dataclass
 class OracleInstance:
+    """One EV's routing problem against frozen chargers.
+
+    ``caches`` is the instance's one path cache: :func:`solve_exact`,
+    :func:`verify` and anything else that asks about this instance share its
+    distance maps instead of computing them again.
+    """
+
     graph: RoadGraph
     request: EvRequest
     scs_waits: dict = field(default_factory=dict)
@@ -81,6 +88,7 @@ class OracleInstance:
     induction: InductionParams | None = None
     med_battery_kwh: float = INFINITE
     default_rate_kw: float = 19.2
+    caches: PathCache = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for end in (self.request.source, self.request.dest):
@@ -88,6 +96,7 @@ class OracleInstance:
                 raise OracleError(f"request endpoint {end} is not a graph node")
         if any(w < 0 for w in list(self.scs_waits.values()) + list(self.med_waits.values())):
             raise OracleError("waits must be nonnegative")
+        self.caches = PathCache(self.graph)
 
     def rate_of(self, node) -> float:
         return self.scs_rates.get(node, self.default_rate_kw)
@@ -128,7 +137,8 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
             f"oracle bound of {NODE_BOUND}; refusing rather than truncating")
     req = inst.request
     Q = req.capacity_kwh
-    caches = PathCache(g)
+    caches = inst.caches
+    index = g.index
     scs_set = set(g.scs_nodes)
     med_set = set(g.med_points)
     visit_cap = {n: g.visit_cap(n) for n in scs_set | med_set}
@@ -167,16 +177,17 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
         # the battery covers it, else via the nearest charger that is both
         # energy-reachable and still has visit budget (every completion must
         # touch one first); infinite means the branch is dead
-        if eps + _TOL >= min_e_dest.get(node, INFINITE):
-            return lb_time.get(node, INFINITE)
+        k = index[node]
+        if eps + _TOL >= min_e_dest[k]:
+            return lb_time[k]
         bound = INFINITE
         for c in chargers:
             left = charges[c] if budgets[c] == "scs" else attaches[c]
             if left >= visit_cap[c]:
                 continue
-            if eps + _TOL < min_e_charger[c].get(node, INFINITE):
+            if eps + _TOL < min_e_charger[c][k]:
                 continue
-            t = min_t_charger[c].get(node, INFINITE) + lb_time.get(c, INFINITE)
+            t = min_t_charger[c][k] + lb_time[index[c]]
             if t < bound:
                 bound = t
         return bound
@@ -361,15 +372,15 @@ def verify(inst: OracleInstance, a: RouteAssignment, tol: float = 1e-6,
                 return "violated(4)"
 
     # (8) wherever the EV stands it can still reach the destination or a charger
-    caches = PathCache(g)
-    min_e_dest = caches.rev(a.dest, "energy")
+    min_e_dest = inst.caches.rev(a.dest, "energy")
     chargers = sorted(set(g.scs_nodes) | set(g.med_points))
-    min_e_charger = {c: caches.rev(c, "energy") for c in chargers}
+    min_e_charger = [inst.caches.rev(c, "energy") for c in chargers]
     for k, node in enumerate(a.legs):
         eps_here = recomputed[k]
-        if eps_here + _TOL >= min_e_dest.get(node, INFINITE):
+        pos = g.index[node]
+        if eps_here + _TOL >= min_e_dest[pos]:
             continue
-        if any(eps_here + _TOL >= min_e_charger[c].get(node, INFINITE) for c in chargers):
+        if any(eps_here + _TOL >= dist[pos] for dist in min_e_charger):
             continue
         return "violated(8)"
 
@@ -408,11 +419,15 @@ def verify(inst: OracleInstance, a: RouteAssignment, tol: float = 1e-6,
 def instance_from_json(doc) -> OracleInstance:
     """Build an instance from the CLI's JSON schema."""
     from .energy import VehicleParams
-    from .road_graph import load_graph
+    from .road_graph import load_graph, require_keys
 
+    require_keys(doc, ("graph", "request"), "instance", OracleError)
+    r = doc["request"]
+    require_keys(r, ("source", "dest", "capacity_kwh", "energy_kwh"), "request", OracleError)
+    for k, s in enumerate(doc.get("scs", ())):
+        require_keys(s, ("node",), f"scs entry #{k}", OracleError)
     vehicle = VehicleParams(**doc["vehicle"]) if "vehicle" in doc else None
     g = load_graph(doc["graph"], vehicle=vehicle, visit_limit=doc.get("visit_limit", 2))
-    r = doc["request"]
     try:
         request = EvRequest(str(r.get("ev", "ev0")), r["source"], r["dest"],
                             float(r["capacity_kwh"]), float(r["energy_kwh"]))

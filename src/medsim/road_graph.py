@@ -41,9 +41,13 @@ _COST_FIELDS = {"time": "drive_time_s", "energy": "energy_kwh"}
 class RoadGraph:
     """Immutable road network. Build through :func:`build_graph` or :func:`load_graph`.
 
-    Besides the arcs it keeps one cost table per (weight, direction), built
-    on first use by :meth:`cost_table`. Every path cache on the graph reads
-    the same tables, so a graph shared across runs builds each at most once.
+    The nodes have one dense numbering: ``order`` holds the node ids sorted,
+    and ``index[node]`` is a node's position in it. Position order is id
+    order, so a tie broken by the smaller position is broken by the smaller
+    id. Shortest-path search works on positions: besides the arcs the graph
+    keeps one cost table per (weight, direction), built on first use by
+    :meth:`cost_table`. Every path cache on the graph reads the same tables,
+    so a graph shared across runs builds each at most once.
     """
 
     def __init__(self, nodes, arcs, scs_nodes, med_points, visit_limit, entries):
@@ -58,6 +62,8 @@ class RoadGraph:
         for (i, j), attr in self._arcs.items():
             adj[i].append((j, attr))
         self._adj = {n: tuple(sorted(out, key=lambda e: e[0])) for n, out in adj.items()}
+        self.order = tuple(sorted(self.nodes))
+        self.index = {n: k for k, n in enumerate(self.order)}
         self._tables = {}
 
     # -- queries ------------------------------------------------------------
@@ -70,12 +76,14 @@ class RoadGraph:
         return self._adj[i]
 
     def cost_table(self, weight: str, reverse: bool = False):
-        """Arc costs by node, for shortest-path search under ``weight``.
+        """Arc costs by node position, for shortest-path search under ``weight``.
 
-        Maps each node to a tuple of ``(nbr, cost, ArcAttr)`` sorted by
-        ``nbr``: the node's successors, or its predecessors when ``reverse``.
-        The cost is the arc's drive time for ``"time"`` and its energy for
-        ``"energy"``. Built once per (weight, direction) and then shared.
+        A tuple indexed by position (see ``index``). Row ``k`` holds
+        ``(nbr_pos, cost, ArcAttr)`` for the arcs out of node ``order[k]``,
+        or into it when ``reverse``, sorted by ``nbr_pos`` and so by
+        neighbour id. The cost is the arc's drive time for ``"time"`` and
+        its energy for ``"energy"``. Built once per (weight, direction) and
+        then shared.
         """
         key = (weight, reverse)
         table = self._tables.get(key)
@@ -83,12 +91,13 @@ class RoadGraph:
             field_name = _COST_FIELDS.get(weight)
             if field_name is None:
                 raise GraphError(f"unknown weight {weight!r}")
-            rows = {n: [] for n in self.nodes}
+            index = self.index
+            rows = [[] for _ in self.order]
             for (i, j), attr in self._arcs.items():
                 tail, head = (j, i) if reverse else (i, j)
-                rows[tail].append((head, getattr(attr, field_name), attr))
-            # a node has one arc per neighbour, so sorting compares ids only
-            table = self._tables[key] = {n: tuple(sorted(row)) for n, row in rows.items()}
+                rows[index[tail]].append((index[head], getattr(attr, field_name), attr))
+            # a node has one arc per neighbour, so sorting compares positions only
+            table = self._tables[key] = tuple(tuple(sorted(row)) for row in rows)
         return table
 
     def visit_cap(self, node) -> int:
@@ -172,27 +181,43 @@ def build_graph(nodes, arcs, scs_list=(), med_cycle=(), visit_limit: int = 2,
 # from the vehicle parameters at load time, so routing sees plain numbers.
 
 
+def require_keys(doc, keys, what: str, error=GraphError):
+    """Raise ``error`` naming the first of ``keys`` missing from the document ``doc``."""
+    for key in keys:
+        if key not in doc:
+            raise error(f"{what} lacks required key {key!r}")
+
+
 def load_graph(doc, vehicle: VehicleParams | None = None, visit_limit: int = 2) -> RoadGraph:
     """Build a graph from a parsed JSON document (or a path to one)."""
     if isinstance(doc, (str, bytes)):
         with open(doc, encoding="utf-8") as fh:
             doc = json.load(fh)
+    require_keys(doc, ("nodes", "arcs"), "graph")
     # a node is an id or {"id": ..., "x": ..., "y": ...}; x/y are not read
-    nodes = [entry["id"] if isinstance(entry, dict) else entry for entry in doc["nodes"]]
+    nodes = []
+    for k, entry in enumerate(doc["nodes"]):
+        if isinstance(entry, dict):
+            require_keys(entry, ("id",), f"node #{k}")
+            entry = entry["id"]
+        nodes.append(entry)
     arcs = {}
-    for a in doc["arcs"]:
+    for k, a in enumerate(doc["arcs"]):
+        require_keys(a, ("i", "j", "length_m", "speed_mps"), f"arc #{k}")
         i, j = a["i"], a["j"]
-        length = float(a["length_m"])
-        speed = float(a["speed_mps"])
+        try:
+            length = float(a["length_m"])
+            speed = float(a["speed_mps"])
+            energy = float(a["energy_kwh"]) if "energy_kwh" in a else None
+        except (TypeError, ValueError):
+            raise GraphError(f"arc ({i},{j}) has a non-numeric length, speed or energy") from None
         if speed <= 0:
             raise GraphError(f"arc ({i},{j}) has nonpositive speed")
         dt = length / speed
-        if "energy_kwh" in a:
-            energy = float(a["energy_kwh"])
-        elif vehicle is not None:
+        if energy is None:
+            if vehicle is None:
+                raise GraphError(f"arc ({i},{j}) lacks energy_kwh and no vehicle was given")
             energy = segment_energy(vehicle, speed, dt)
-        else:
-            raise GraphError(f"arc ({i},{j}) lacks energy_kwh and no vehicle was given")
         arcs[(i, j)] = ArcAttr(dt, energy, length)
     return build_graph(nodes, arcs, doc.get("scs", ()), doc.get("med_cycle", ()),
                        visit_limit=visit_limit, entries=doc.get("entries"))

@@ -29,8 +29,12 @@ class Stranded(Exception):
 
 
 def _dijkstra_dist(adj, source):
-    """Distances from ``source`` over a cost table (see ``RoadGraph.cost_table``)."""
-    dist = {source: 0.0}
+    """Distances from position ``source`` over a cost table (see ``RoadGraph.cost_table``).
+
+    A list indexed by position, :data:`INFINITE` where a node is unreachable.
+    """
+    dist = [INFINITE] * len(adj)
+    dist[source] = 0.0
     heap = [(0.0, source)]
     while heap:
         d, node = heappop(heap)
@@ -38,7 +42,7 @@ def _dijkstra_dist(adj, source):
             continue  # stale entry: node was settled at a smaller distance
         for nbr, cost, _ in adj[node]:
             nd = d + cost
-            if nd < dist.get(nbr, INFINITE):
+            if nd < dist[nbr]:
                 dist[nbr] = nd
                 heappush(heap, (nd, nbr))
     return dist
@@ -74,7 +78,8 @@ class PathCache:
     targets (chargers, destinations), so the maps are worth keeping. It
     holds only graph-derived data, never ledger or population state. The
     searches read the graph's cost tables, which every cache on that graph
-    shares.
+    shares. Queries take node ids; a distance map is a list indexed by node
+    position (``g.index``), with :data:`INFINITE` where no path exists.
     """
 
     def __init__(self, g: RoadGraph):
@@ -84,17 +89,18 @@ class PathCache:
         self._paths = {}
 
     def fwd(self, source, weight: str = "time"):
-        """Distances from ``source`` to every reachable node."""
+        """Distances from ``source`` to every node, by position."""
         key = (source, weight)
         if key not in self._fwd:
-            self._fwd[key] = _dijkstra_dist(self.g.cost_table(weight), source)
+            self._fwd[key] = _dijkstra_dist(self.g.cost_table(weight), self.g.index[source])
         return self._fwd[key]
 
     def rev(self, target, weight: str = "time"):
-        """Distances from every node to ``target`` (Dijkstra on reversed arcs)."""
+        """Distances from every node to ``target`` by position (Dijkstra on reversed arcs)."""
         key = (target, weight)
         if key not in self._rev:
-            self._rev[key] = _dijkstra_dist(self.g.cost_table(weight, reverse=True), target)
+            self._rev[key] = _dijkstra_dist(self.g.cost_table(weight, reverse=True),
+                                            self.g.index[target])
         return self._rev[key]
 
     def path(self, source, target, weight: str = "time") -> CachedPath:
@@ -102,25 +108,28 @@ class PathCache:
         key = (source, target, weight)
         found = self._paths.get(key)
         if found is None:
+            g = self.g
             found = self._paths[key] = _lex_path(
-                self.g.cost_table(weight), source, target, self.rev(target, weight))
+                g.cost_table(weight), g.order, g.index[source], g.index[target],
+                self.rev(target, weight))
         return found
 
 
-def _lex_path(adj, source, target, rev_dist):
-    """A minimum-cost path from ``source`` to ``target`` over the cost table ``adj``.
+def _lex_path(adj, order, source, target, rev_dist):
+    """A minimum-cost path between positions ``source`` and ``target`` over the cost table ``adj``.
 
     Follows tight arcs (arc cost plus the head's distance to ``target``
-    equals the tail's) depth first, smallest neighbour id first, so without
-    a dead end the path is the greedy smallest-id walk. Zero-cost arcs can
-    lead that walk to a node whose tight arcs all return to visited nodes;
-    the search then backs up and tries the next tight arc.
+    equals the tail's) depth first, smallest neighbour position first, so
+    without a dead end the path is the greedy smallest-id walk. Zero-cost
+    arcs can lead that walk to a node whose tight arcs all return to visited
+    nodes; the search then backs up and tries the next tight arc. The path
+    comes back as node ids, mapped through ``order``.
     """
     if source == target:
-        return _cached_path((source,), ())
-    total = rev_dist.get(source)
-    if total is None:
-        raise NoPath(f"no path from {source} to {target}")
+        return _cached_path((order[source],), ())
+    total = rev_dist[source]
+    if total == INFINITE:
+        raise NoPath(f"no path from {order[source]} to {order[target]}")
     tol = 1e-9 * (1.0 + abs(total))
     path = [source]
     attrs = []
@@ -129,10 +138,8 @@ def _lex_path(adj, source, target, rev_dist):
     while pending:
         remaining = rev_dist[path[-1]]
         for nbr, cost, attr in pending[-1]:
-            if nbr in visited:
-                continue
-            r = rev_dist.get(nbr)
-            if r is not None and abs(cost + r - remaining) <= tol:
+            # an unreachable head has an infinite distance and is never tight
+            if nbr not in visited and abs(cost + rev_dist[nbr] - remaining) <= tol:
                 break
         else:  # dead end: back up one node
             pending.pop()
@@ -143,10 +150,10 @@ def _lex_path(adj, source, target, rev_dist):
         path.append(nbr)
         attrs.append(attr)
         if nbr == target:
-            return _cached_path(path, attrs)
+            return _cached_path([order[k] for k in path], attrs)
         visited.add(nbr)
         pending.append(iter(adj[nbr]))
-    raise NoPath(f"path reconstruction from {source} to {target} failed")
+    raise NoPath(f"path reconstruction from {order[source]} to {order[target]} failed")
 
 
 def dijkstra(g: RoadGraph, source, target, weight: str = "time"):
@@ -474,6 +481,7 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
     """
     Q = request.capacity_kwh
     rev_time = caches.rev(request.dest, "time")
+    index = g.index
     candidates = []
 
     need_memo = {}
@@ -511,7 +519,7 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
             continue  # nothing to gain here
         wait = unit.wait_s(now, drive)
         ct = unit.charge_s(arrive, Q)
-        finish = rev_time.get(node, INFINITE)
+        finish = rev_time[index[node]]
         if finish == INFINITE:
             continue
         score = drive + wait + ct + finish
@@ -541,7 +549,7 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
             n_seg, eps_after, attach_s, arcs, energies, induced, detach = span
             wait, pass_no = unit.waiting(idx, now + drive, n_seg)
             keys = unit.segment_keys(idx, pass_no, n_seg)
-            finish = rev_time.get(detach, INFINITE)
+            finish = rev_time[index[detach]]
             if finish == INFINITE:
                 continue
             score = drive + wait + attach_s + finish

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .charging import Infrastructure, MedState, ScsState
 from .energy import InductionParams, VehicleParams
 from .comms import RadioParams
-from .road_graph import RoadGraph, load_graph
+from .road_graph import RoadGraph, load_graph, require_keys
 from .routing import (EvRequest, NoPath, PathCache, Stranded, check_assignment,
                       find_shortest_path)
 
@@ -105,10 +105,13 @@ class Scenario:
             import json
             with open(doc["graph_path"], encoding="utf-8") as fh:
                 doc["graph"] = json.load(fh)
+        require_keys(doc, ("graph",), "scenario", ValueError)
+        infra = doc.get("infra", {})
+        for k, s in enumerate(infra.get("scs", ())):
+            require_keys(s, ("node",), f"infra scs entry #{k}", ValueError)
         radio_doc = dict(doc.get("radio", {}))
         block = radio_doc.pop("block_prob", 0.05)
         radio_doc.pop("beacon_period_s", None)  # older documents carry it; nothing reads it
-        infra = doc.get("infra", {})
         kwargs = {
             "graph": doc["graph"],
             "mode": doc.get("mode", "SCS_MED"),

@@ -44,6 +44,20 @@ def ring_with_spurs(ring_dt=200.0, ring_energy=0.5, spur_dt=100.0, spur_energy=0
     return build_graph(range(6), arcs, med_cycle=[0, 1, 2, 3], visit_limit=visit_limit)
 
 
+def sparse_id(k):
+    """An order-preserving relabelling whose ids are never node positions."""
+    return 1000 + 7 * k
+
+
+def relabelled(g):
+    """``g`` on the nodes ``sparse_id(k)``, with every arc and charger moved along."""
+    return build_graph([sparse_id(n) for n in g.order],
+                       {(sparse_id(i), sparse_id(j)): attr for (i, j), attr in g.arcs.items()},
+                       scs_list=[sparse_id(n) for n in g.scs_nodes],
+                       med_cycle=[sparse_id(n) for n in g.med_points],
+                       visit_limit=g.visit_limit, entries=[sparse_id(n) for n in g.entries])
+
+
 @pytest.fixture
 def six_line():
     return line_graph()

@@ -319,3 +319,54 @@ class TestInvalidFiles:
         assert "scenario: battery capacity must cover the initial-energy band" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run"],
+        ["route", "--source", "0", "--dest", "9", "--energy", "5"],
+        ["sweep", "--out", "sweep.csv"],
+    ], ids=["run", "route", "sweep"])
+    @pytest.mark.parametrize("cut,message", [
+        (lambda doc: (doc.clear(), doc.update(mode="SCS")),
+         "scenario lacks required key 'graph'"),
+        (lambda doc: doc["graph"].pop("arcs"), "graph lacks required key 'arcs'"),
+        (lambda doc: doc["graph"]["arcs"][3].pop("length_m"),
+         "arc #3 lacks required key 'length_m'"),
+        (lambda doc: doc["graph"]["arcs"][0].update(speed_mps="fast"),
+         "arc (0,1) has a non-numeric length, speed or energy"),
+    ], ids=["graph", "arcs", "length_m", "non-numeric"])
+    def test_missing_key_or_non_numeric_arc(self, tmp_path, capsys, monkeypatch, argv, cut,
+                                            message):
+        monkeypatch.chdir(tmp_path)
+        doc = default_scenario(ev_count=12).to_json()
+        cut(doc)
+        (tmp_path / "scenario.json").write_text(json.dumps(doc))
+        rc = main([argv[0], "--scenario", "scenario.json", *argv[1:]])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("cut,message", [
+        (lambda doc: doc.pop("request"), "instance lacks required key 'request'"),
+        (lambda doc: doc["request"].pop("source"), "request lacks required key 'source'"),
+        (lambda doc: doc["request"].pop("dest"), "request lacks required key 'dest'"),
+        (lambda doc: doc["request"].pop("capacity_kwh"),
+         "request lacks required key 'capacity_kwh'"),
+        (lambda doc: doc["request"].pop("energy_kwh"),
+         "request lacks required key 'energy_kwh'"),
+        (lambda doc: doc["graph"].pop("arcs"), "graph lacks required key 'arcs'"),
+        (lambda doc: doc["graph"]["arcs"][1].pop("length_m"),
+         "arc #1 lacks required key 'length_m'"),
+    ], ids=["request", "source", "dest", "capacity_kwh", "energy_kwh", "arcs", "length_m"])
+    def test_oracle_missing_required_key(self, tmp_path, capsys, cut, message):
+        instance = {
+            "graph": {"nodes": [0, 1, 2], "arcs": _line_arcs(3)},
+            "request": {"source": 0, "dest": 2, "capacity_kwh": 10.0, "energy_kwh": 4.0},
+        }
+        cut(instance)
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(instance))
+        rc = main(["oracle", "--instance", str(inst_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err and err.count("\n") == 1

@@ -3,12 +3,14 @@ import math
 
 import pytest
 
+from medsim import routing
 from medsim.energy import InductionParams
 from medsim.oracle import (NODE_BOUND, OracleError, OracleInstance, solve_exact,
                            verify)
 from medsim.road_graph import ArcAttr, build_graph
 from medsim.routing import EvRequest, Stranded, find_shortest_path, objective_time
-from tests.conftest import line_graph, random_oracle_instance, ring_with_spurs
+from tests.conftest import (line_graph, random_oracle_instance, relabelled, ring_with_spurs,
+                            sparse_id)
 
 
 def line_instance(energy=4.0, wait=60.0):
@@ -134,6 +136,33 @@ class TestVerify:
         bad.legs = bad.legs[:-1]
         assert verify(inst, bad) == "violated(2)"
 
+    def test_verify_computes_no_map_after_solve_exact(self, monkeypatch):
+        # the instance owns one path cache, so verify reads the maps that
+        # solve_exact built, for the oracle's plan and the router's alike
+        runs = []
+        kernel = routing._dijkstra_dist
+
+        def counting(adj, source):
+            runs.append(source)
+            return kernel(adj, source)
+        monkeypatch.setattr(routing, "_dijkstra_dist", counting)
+        checked = 0
+        for seed in range(30):
+            inst = random_oracle_instance(seed)
+            sol = solve_exact(inst)
+            plans = [sol.best] if sol.feasible else []
+            try:
+                plans.append(find_shortest_path(inst.graph, inst.request,
+                                                inst.frozen_infrastructure()))
+            except Stranded:
+                pass
+            for a in plans:
+                before = len(runs)
+                assert verify(inst, a) == "ok", f"seed {seed}"
+                assert len(runs) == before, f"seed {seed}"
+                checked += 1
+        assert checked > 0
+
 
 class TestAgainstRouter:
     def test_router_never_beats_oracle_on_random_instances(self):
@@ -160,3 +189,32 @@ class TestAgainstRouter:
             sol = solve_exact(inst)
             if sol.feasible:
                 assert verify(inst, sol.best) == "ok", f"seed {seed}"
+
+    def test_sparse_ids_solve_route_and_verify_like_their_dense_twin(self):
+        # node ids that are never positions change no search, bound or check
+        for seed in range(40):
+            inst = random_oracle_instance(seed)
+            r = inst.request
+            twin = OracleInstance(
+                relabelled(inst.graph),
+                EvRequest(r.ev, sparse_id(r.source), sparse_id(r.dest),
+                          r.capacity_kwh, r.energy_kwh),
+                {sparse_id(n): w for n, w in inst.scs_waits.items()},
+                {sparse_id(n): rate for n, rate in inst.scs_rates.items()},
+                {sparse_id(n): w for n, w in inst.med_waits.items()},
+                inst.induction, inst.med_battery_kwh)
+            want, got = solve_exact(inst), solve_exact(twin)
+            assert (got.objective_s, got.explored) == (want.objective_s, want.explored)
+            if want.feasible:
+                assert got.best.legs == [sparse_id(n) for n in want.best.legs]
+                assert verify(twin, got.best) == "ok"
+            try:
+                a = find_shortest_path(inst.graph, r, inst.frozen_infrastructure())
+            except Stranded:
+                with pytest.raises(Stranded):
+                    find_shortest_path(twin.graph, twin.request, twin.frozen_infrastructure())
+                continue
+            b = find_shortest_path(twin.graph, twin.request, twin.frozen_infrastructure())
+            assert b.legs == [sparse_id(n) for n in a.legs]
+            assert b.total_time_s == a.total_time_s
+            assert verify(twin, b) == "ok", f"seed {seed}"

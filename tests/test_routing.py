@@ -14,7 +14,7 @@ from medsim.routing import (EvRequest, NoPath, Stranded,
                             find_shortest_path, objective_time, route_energy,
                             route_feasible, route_time, PathCache, _extend,
                             _path_feasible)
-from tests.conftest import line_graph, ring_with_spurs
+from tests.conftest import line_graph, relabelled, ring_with_spurs, sparse_id
 
 
 class TestDijkstra:
@@ -381,14 +381,18 @@ class TestCostTablesAndKernel:
     @settings(max_examples=60, deadline=None)
     @given(g=random_digraphs())
     def test_each_table_lists_every_arc_once_in_id_order(self, g):
+        assert g.order == tuple(sorted(g.nodes))
+        assert all(g.index[node] == k for k, node in enumerate(g.order))
         for weight in ("time", "energy"):
             for reverse in (False, True):
                 table = g.cost_table(weight, reverse)
-                assert set(table) == g.nodes
+                assert len(table) == len(g.order)
                 listed = []
-                for node, out in table.items():
-                    assert [nbr for nbr, _, _ in out] == sorted(nbr for nbr, _, _ in out)
-                    for nbr, cost, attr in out:
+                for pos, out in enumerate(table):
+                    node = g.order[pos]
+                    nbrs = [g.order[nbr_pos] for nbr_pos, _, _ in out]
+                    assert nbrs == sorted(nbrs)
+                    for nbr, (_, cost, attr) in zip(nbrs, out):
                         arc = (nbr, node) if reverse else (node, nbr)
                         assert g.arc(*arc) is attr and cost == _cost(attr, weight)
                         listed.append(arc)
@@ -399,13 +403,16 @@ class TestCostTablesAndKernel:
     def test_distance_maps_match_bellman_ford(self, g):
         caches = PathCache(g)
         for weight in ("time", "energy"):
-            for node in sorted(g.nodes):
+            for node in g.order:
                 for got, want in ((caches.fwd(node, weight), bellman_ford(g, node, weight)),
                                   (caches.rev(node, weight),
                                    bellman_ford(g, node, weight, reverse=True))):
-                    assert set(got) == set(want)
-                    for k, d in want.items():
-                        assert got[k] == pytest.approx(d, abs=1e-9)
+                    assert len(got) == len(g.order)
+                    for pos, other in enumerate(g.order):
+                        if other in want:
+                            assert got[pos] == pytest.approx(want[other], abs=1e-9)
+                        else:
+                            assert got[pos] == math.inf
 
     @settings(max_examples=60, deadline=None)
     @given(g=random_digraphs())
@@ -429,13 +436,36 @@ class TestCostTablesAndKernel:
         kernel = routing._dijkstra_dist
 
         def recording(adj, source):
-            seen.append(adj)
+            seen.append((adj, source))
             return kernel(adj, source)
         monkeypatch.setattr(routing, "_dijkstra_dist", recording)
-        g = line_graph()
+        g = relabelled(line_graph())
         first, second = PathCache(g), PathCache(g)
         for caches in (first, second):
-            caches.fwd(0, "energy")
-            caches.rev(5, "energy")
-        assert seen[0] is seen[2] is g.cost_table("energy")
-        assert seen[1] is seen[3] is g.cost_table("energy", reverse=True)
+            caches.fwd(g.order[0], "energy")
+            caches.rev(g.order[5], "energy")
+        assert seen[0][0] is seen[2][0] is g.cost_table("energy")
+        assert seen[1][0] is seen[3][0] is g.cost_table("energy", reverse=True)
+        assert [source for _, source in seen] == [0, 5, 0, 5]
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=random_digraphs())
+def test_sparse_ids_route_like_their_dense_twin(g):
+    # positions are 0..n-1 on both graphs, ids only on the dense one; a
+    # position read as an id (or the reverse) shows up as a mismatch here
+    twin = relabelled(g)
+    dense, sparse = PathCache(g), PathCache(twin)
+    for weight in ("time", "energy"):
+        for n in g.order:
+            assert sparse.fwd(sparse_id(n), weight) == dense.fwd(n, weight)
+            assert sparse.rev(sparse_id(n), weight) == dense.rev(n, weight)
+            for t in g.order:
+                try:
+                    path, cost = dijkstra(g, n, t, weight)
+                except NoPath:
+                    with pytest.raises(NoPath):
+                        dijkstra(twin, sparse_id(n), sparse_id(t), weight)
+                    continue
+                assert dijkstra(twin, sparse_id(n), sparse_id(t), weight) == \
+                    ([sparse_id(k) for k in path], cost)

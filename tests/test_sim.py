@@ -9,7 +9,7 @@ from medsim.sim import (DEFAULT_VEHICLE, LEVEL_TARGETS, MODES, CalibrationError,
                         LevelSampler, RunMetrics, Scenario, calibrate_level,
                         classify_anxious, default_scenario, generate_population,
                         load_network, run)
-from tests.conftest import line_graph
+from tests.conftest import line_graph, sparse_id
 
 
 class TestClassifyAnxious:
@@ -256,6 +256,28 @@ class TestScenarioJson:
         legacy = {**doc, "radio": {**doc["radio"], "beacon_period_s": 1.0}}
         assert run(Scenario.from_json(legacy)).to_csv() == \
             run(Scenario.from_json(doc)).to_csv()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_sparse_node_ids_run_like_the_default_grid(self, mode):
+        # order-preserving ids that are never positions: the run must not
+        # notice, once source and dest are mapped back
+        doc = default_scenario(mode=mode, level="L3", ev_count=100).to_json()
+        graph = doc["graph"]
+        relabelled = {**doc, "graph": {
+            "nodes": [{**node, "id": sparse_id(node["id"])} for node in graph["nodes"]],
+            "arcs": [{**a, "i": sparse_id(a["i"]), "j": sparse_id(a["j"])} for a in graph["arcs"]],
+            "scs": [sparse_id(n) for n in graph["scs"]],
+            "med_cycle": [sparse_id(n) for n in graph["med_cycle"]],
+            "entries": [sparse_id(n) for n in graph["entries"]],
+        }, "infra": {**doc["infra"], "scs": [{**st, "node": sparse_id(st["node"])}
+                                             for st in doc["infra"]["scs"]]}}
+        dense = {sparse_id(n): n for n in range(100)}
+        lines = run(Scenario.from_json(relabelled)).to_csv().splitlines()
+        for k in range(1, len(lines)):
+            cols = lines[k].split(",")
+            cols[2], cols[3] = str(dense[int(cols[2])]), str(dense[int(cols[3])])
+            lines[k] = ",".join(cols)
+        assert "\n".join(lines) + "\n" == run(Scenario.from_json(doc)).to_csv()
 
     def test_overrides(self):
         doc = default_scenario().to_json()
