@@ -94,8 +94,16 @@ class OracleInstance:
         for end in (self.request.source, self.request.dest):
             if end not in self.graph.nodes:
                 raise OracleError(f"request endpoint {end} is not a graph node")
-        if any(w < 0 for w in list(self.scs_waits.values()) + list(self.med_waits.values())):
+        if not all(w >= 0 for w in list(self.scs_waits.values()) + list(self.med_waits.values())):
             raise OracleError("waits must be nonnegative")
+        for node in (*self.scs_waits, *self.scs_rates):
+            if node not in self.graph.scs_nodes:
+                raise OracleError(f"scs node {node} is not a station of the graph")
+        for node in self.med_waits:
+            if node not in self.graph.med_points:
+                raise OracleError(f"med wait_s point {node} is not a cycle point of the graph")
+        if not all(rate > 0 for rate in (*self.scs_rates.values(), self.default_rate_kw)):
+            raise OracleError("charge rates must be positive")
         self.caches = PathCache(self.graph)
 
     def rate_of(self, node) -> float:
@@ -128,6 +136,13 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
     Depth-first enumeration over walks with per-visit charging and attach
     decisions; an admissible remaining-drive-time bound prunes branches that
     cannot beat the incumbent, so the returned objective is exact.
+
+    Everything a search node reads about its graph node is precomputed once
+    into a row: the bound's inputs, the outgoing arcs with their caps, and
+    the charger there. The search records station visits and attach runs as
+    plain tuples, and the returned plan's :class:`ScsVisit` and
+    :class:`MedAttach` records, with their segments, induced energies and
+    booking keys, are built once at the end.
     """
     g = inst.graph
     size = sum(g.visit_cap(n) for n in g.nodes)
@@ -137,156 +152,164 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
             f"oracle bound of {NODE_BOUND}; refusing rather than truncating")
     req = inst.request
     Q = req.capacity_kwh
+    dest = req.dest
     caches = inst.caches
     index = g.index
     scs_set = set(g.scs_nodes)
     med_set = set(g.med_points)
-    visit_cap = {n: g.visit_cap(n) for n in scs_set | med_set}
-    arc_cap = {(i, j): g.visit_cap(i) * g.visit_cap(j) for i, j in g.arcs}
 
-    med = None
+    # visits left per charger; a node is never both a station and a cycle point
+    left = {c: g.visit_cap(c) for c in scs_set | med_set}
+    arc_ids = {key: k for k, key in enumerate(g.arcs)}
+    used = [0] * len(arc_ids)
+
+    def arc_row(i, j):
+        return arc_ids[(i, j)], g.visit_cap(i) * g.visit_cap(j)
+
     if med_set:
         if inst.induction is None:
             raise OracleError("instance has a mobile charger but no induction parameters")
         med = FrozenMed(g, inst.induction, inst.med_waits, inst.med_battery_kwh)
+        u = len(med.segments)
         med_idx = {p: k for k, p in enumerate(med.points)}
+        max_segs = med.max_passes * u
+        # the cycle's segments laid out long enough that a run of max_segs
+        # starting at any point is one slice
+        run_rows = [(*arc_row(s.i, s.j), s.energy_kwh, s.induced_kwh, s.drive_s, s.j)
+                    for s in med.segments] * (med.max_passes + 1)
 
-    lb_time = caches.rev(req.dest, "time")
-    min_e_dest = caches.rev(req.dest, "energy")
-    chargers = sorted(scs_set | med_set)
-    min_e_charger = {c: caches.rev(c, "energy") for c in chargers}
-    min_t_charger = {c: caches.rev(c, "time") for c in chargers}
-    budgets = {c: ("scs" if c in scs_set else "med") for c in chargers}
+    lb_time = caches.rev(dest, "time")
+    min_e_dest = caches.rev(dest, "energy")
+    charger_maps = [(c, caches.rev(c, "time"), lb_time[index[c]], caches.rev(c, "energy"))
+                    for c in sorted(left)]
+    rows = {}
+    for n in g.nodes:
+        k = index[n]
+        # (time to the destination via charger c, energy to reach c, c),
+        # fastest first: the first charger with visits left and within the
+        # battery's reach gives the bound's minimum
+        via = tuple(sorted((t_to_c[k] + t_on, e_to_c[k], c)
+                           for c, t_to_c, t_on, e_to_c in charger_maps
+                           if t_to_c[k] + t_on < INFINITE))
+        out = tuple((nbr, *arc_row(n, nbr), attr.energy_kwh, attr.drive_time_s)
+                    for nbr, attr in g.neighbors(n))
+        station = (inst.scs_waits.get(n, 0.0), inst.rate_of(n)) if n in scs_set else None
+        meet = (med_idx[n], inst.med_waits.get(n, 0.0)) if n in med_set else None
+        rows[n] = (min_e_dest[k], lb_time[k], via, out, station, meet)
 
-    best = {"obj": INFINITE, "snap": None}
-    explored = [0]
-    used = {}
-    charges = dict.fromkeys(scs_set, 0)
-    attaches = dict.fromkeys(med_set, 0)
+    best_obj = INFINITE
+    best_plan = None
+    explored = 0
     walk = [req.source]
     trace = [req.energy_kwh]
     zs, qs = [], []
 
-    def snapshot():
-        return (list(walk), list(trace),
-                [ScsVisit(*v) for v in zs],
-                [MedAttach(*a) for a in qs])
-
-    def lower_bound(node, eps):
+    def explore(node, eps, obj, may_charge):
+        nonlocal best_obj, best_plan, explored
+        explored += 1
+        if explored > search_budget:
+            raise OracleError("search budget exceeded; instance too loose for the oracle")
+        if node == dest:
+            if obj < best_obj - 1e-12:
+                best_obj = obj
+                best_plan = (walk[:], trace[:], zs[:], qs[:])
+            return
+        e_dest, t_dest, via, out, station, meet = rows[node]
         # admissible remaining drive time: straight to the destination when
         # the battery covers it, else via the nearest charger that is both
         # energy-reachable and still has visit budget (every completion must
         # touch one first); infinite means the branch is dead
-        k = index[node]
-        if eps + _TOL >= min_e_dest[k]:
-            return lb_time[k]
-        bound = INFINITE
-        for c in chargers:
-            left = charges[c] if budgets[c] == "scs" else attaches[c]
-            if left >= visit_cap[c]:
-                continue
-            if eps + _TOL < min_e_charger[c][k]:
-                continue
-            t = min_t_charger[c][k] + lb_time[index[c]]
-            if t < bound:
-                bound = t
-        return bound
-
-    def explore(node, eps, obj, may_charge):
-        explored[0] += 1
-        if explored[0] > search_budget:
-            raise OracleError("search budget exceeded; instance too loose for the oracle")
-        if node == req.dest:
-            if obj < best["obj"] - 1e-12:
-                best["obj"] = obj
-                best["snap"] = snapshot()
-            return
-        if obj + lower_bound(node, eps) >= best["obj"] - 1e-12:
+        if eps + _TOL >= e_dest:
+            bound = t_dest
+        else:
+            bound = INFINITE
+            for t, e_to_c, c in via:
+                if left[c] and eps + _TOL >= e_to_c:
+                    bound = t
+                    break
+        if obj + bound >= best_obj - 1e-12:
             return
 
-        if may_charge and node in scs_set and charges[node] < visit_cap[node] \
-                and eps < Q - 1e-12:
-            wait = inst.scs_waits.get(node, 0.0)
-            ct = scs_charge_time(eps, Q, inst.rate_of(node))
-            charges[node] += 1
+        if may_charge and station and left[node] and eps < Q - 1e-12:
+            wait, rate = station
+            ct = scs_charge_time(eps, Q, rate)
+            left[node] -= 1
             zs.append((node, len(walk) - 1, wait, ct, eps))
             old = trace[-1]
             trace[-1] = Q
             explore(node, Q, obj + wait + ct, False)
             trace[-1] = old
             zs.pop()
-            charges[node] -= 1
+            left[node] += 1
 
-        if node in med_set and attaches[node] < visit_cap[node]:
-            _explore_attach(node, eps, obj)
+        if meet and left[node]:
+            _explore_attach(node, eps, obj, *meet)
 
-        for nbr, attr in g.neighbors(node):
-            key = (node, nbr)
-            if used.get(key, 0) >= arc_cap[key]:
+        for nbr, arc, cap, energy, drive in out:
+            if used[arc] >= cap:
                 continue
-            if eps - attr.energy_kwh < -_TOL:
+            nxt = eps - energy
+            if nxt < -_TOL:
                 continue
-            used[key] = used.get(key, 0) + 1
+            used[arc] += 1
             walk.append(nbr)
-            trace.append(eps - attr.energy_kwh)
-            explore(nbr, eps - attr.energy_kwh, obj + attr.drive_time_s, True)
+            trace.append(nxt)
+            explore(nbr, nxt, obj + drive, True)
             trace.pop()
             walk.pop()
-            used[key] = used.get(key, 1) - 1
+            used[arc] -= 1
 
-    def _explore_attach(node, eps, obj):
-        start_idx = med_idx[node]
-        u = len(med.segments)
-        wait = inst.med_waits.get(node, 0.0)
-        attaches[node] += 1
+    def _explore_attach(node, eps, obj, start_idx, wait):
+        left[node] -= 1
         meet_leg = len(walk) - 1
-        occupied = []
-        arcs, induced = [], []
         cur, dispensed, drive = eps, 0.0, 0.0
-        for n_seg in range(1, med.max_passes * u + 1):
-            seg = med.segments[(start_idx + n_seg - 1) % u]
-            key = (seg.i, seg.j)
-            if used.get(key, 0) >= arc_cap[key]:
+        taken = []
+        for arc, cap, energy, induced, seg_drive, detach in \
+                run_rows[start_idx:start_idx + max_segs]:
+            if used[arc] >= cap:
                 break
-            dispensed += seg.induced_kwh
+            dispensed += induced
             if dispensed > inst.med_battery_kwh + _TOL:
                 break
-            cur = min(Q, cur - seg.energy_kwh + seg.induced_kwh)
+            cur = min(Q, cur - energy + induced)
             if cur < -_TOL:
                 break
-            drive += seg.drive_s
-            used[key] = used.get(key, 0) + 1
-            occupied.append(key)
-            walk.append(seg.j)
+            drive += seg_drive
+            used[arc] += 1
+            taken.append(arc)
+            walk.append(detach)
             trace.append(cur)
-            arcs.append(key)
-            induced.append(seg.induced_kwh)
-            detach = med.points[(start_idx + n_seg) % u]
-            keys = med.segment_keys(start_idx, 0, n_seg)
-            qs.append((node, detach, meet_leg, wait, drive, tuple(arcs),
-                       tuple(induced), keys, cur - eps, dispensed))
+            qs.append((node, meet_leg, wait, drive, start_idx, len(taken), cur - eps,
+                       dispensed))
             explore(detach, cur, obj + wait + drive, True)
             qs.pop()
-        for key in occupied:
-            used[key] -= 1
+        for arc in taken:
+            used[arc] -= 1
             walk.pop()
             trace.pop()
-        attaches[node] -= 1
+        left[node] += 1
 
     if req.energy_kwh >= -_TOL:
         explore(req.source, req.energy_kwh, 0.0, True)
 
-    if best["snap"] is None:
-        return OracleSolution(None, INFINITE, explored[0], False)
-    legs, tr, z_list, q_list = best["snap"]
+    if best_plan is None:
+        return OracleSolution(None, INFINITE, explored, False)
+    legs, tr, z_list, q_list = best_plan
+    q_points = []
+    for node, meet_leg, wait, drive, start_idx, n_seg, gain, dispensed in q_list:
+        segs = [med.segments[(start_idx + k) % u] for k in range(n_seg)]
+        q_points.append(MedAttach(
+            node, med.points[(start_idx + n_seg) % u], meet_leg, wait, drive,
+            tuple((s.i, s.j) for s in segs), tuple(s.induced_kwh for s in segs),
+            med.segment_keys(start_idx, 0, n_seg), gain, dispensed))
     assignment = RouteAssignment(
-        ev=req.ev, source=req.source, dest=req.dest, capacity_kwh=Q,
+        ev=req.ev, source=req.source, dest=dest, capacity_kwh=Q,
         energy_start_kwh=req.energy_kwh, legs=legs,
         x_arcs=list(zip(legs, legs[1:])),
-        y_arcs=[arc for a in q_list for arc in a.segments],
-        z_visits=z_list, q_points=q_list, energy_trace=tr,
-        total_time_s=best["obj"])
-    return OracleSolution(assignment, best["obj"], explored[0], True)
+        y_arcs=[arc for a in q_points for arc in a.segments],
+        z_visits=[ScsVisit(*v) for v in z_list], q_points=q_points, energy_trace=tr,
+        total_time_s=best_obj)
+    return OracleSolution(assignment, best_obj, explored, True)
 
 
 # -- constraint-by-constraint verification ------------------------------------
@@ -426,21 +449,34 @@ def instance_from_json(doc) -> OracleInstance:
     require_keys(r, ("source", "dest", "capacity_kwh", "energy_kwh"), "request", OracleError)
     for k, s in enumerate(doc.get("scs", ())):
         require_keys(s, ("node",), f"scs entry #{k}", OracleError)
-    vehicle = VehicleParams(**doc["vehicle"]) if "vehicle" in doc else None
+    try:
+        vehicle = VehicleParams(**doc["vehicle"]) if "vehicle" in doc else None
+    except (TypeError, ValueError) as exc:
+        raise OracleError(f"vehicle: {exc}") from None
     g = load_graph(doc["graph"], vehicle=vehicle, visit_limit=doc.get("visit_limit", 2))
     try:
         request = EvRequest(str(r.get("ev", "ev0")), r["source"], r["dest"],
                             float(r["capacity_kwh"]), float(r["energy_kwh"]))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise OracleError(f"request: {exc}") from None
     scs_waits, scs_rates = {}, {}
-    for s in doc.get("scs", ()):
-        scs_waits[s["node"]] = float(s.get("wait_s", 0.0))
-        scs_rates[s["node"]] = float(s.get("rate_kw", 19.2))
+    for k, s in enumerate(doc.get("scs", ())):
+        try:
+            wait, rate = float(s.get("wait_s", 0.0)), float(s.get("rate_kw", 19.2))
+        except (TypeError, ValueError):
+            raise OracleError(f"scs entry #{k} has a non-numeric wait_s or rate_kw") from None
+        scs_waits[s["node"]], scs_rates[s["node"]] = wait, rate
     med = doc.get("med", {})
-    med_waits = {int(k): float(v) for k, v in med.get("wait_s", {}).items()}
-    induction = None
+    try:
+        med_waits = {int(k): float(v) for k, v in med.get("wait_s", {}).items()}
+    except (TypeError, ValueError):
+        raise OracleError("med wait_s must map integer cycle points to numbers") from None
     if "c_ind" in med:
-        induction = InductionParams(float(med["c_ind"]), float(med["p_ind_kw"]))
-    return OracleInstance(g, request, scs_waits, scs_rates, med_waits, induction,
-                          float(med.get("battery_kwh", INFINITE)))
+        require_keys(med, ("p_ind_kw",), "med", OracleError)
+    try:
+        induction = (InductionParams(float(med["c_ind"]), float(med["p_ind_kw"]))
+                     if "c_ind" in med else None)
+        battery_kwh = float(med.get("battery_kwh", INFINITE))
+    except (TypeError, ValueError) as exc:
+        raise OracleError(f"med: {exc}") from None
+    return OracleInstance(g, request, scs_waits, scs_rates, med_waits, induction, battery_kwh)

@@ -291,10 +291,6 @@ class RouteAssignment:
     def wait_total_s(self) -> float:
         return sum(v.wait_s for v in self.z_visits) + sum(a.wait_s for a in self.q_points)
 
-    @property
-    def charge_total_s(self) -> float:
-        return sum(v.charge_s for v in self.z_visits)
-
 
 def objective_time(g: RoadGraph, a: RouteAssignment) -> float:
     """Travel time recomputed from the decision variables alone.

@@ -370,3 +370,47 @@ class TestInvalidFiles:
         err = capsys.readouterr().err
         assert rc == 2
         assert message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["scs"][0].update(rate_kw=0.0), "charge rates must be positive"),
+        (lambda doc: doc["scs"][0].update(rate_kw=-19.2), "charge rates must be positive"),
+        (lambda doc: doc["scs"][0].update(rate_kw="fast"),
+         "scs entry #0 has a non-numeric wait_s or rate_kw"),
+        (lambda doc: doc["scs"][0].update(wait_s="long"),
+         "scs entry #0 has a non-numeric wait_s or rate_kw"),
+        (lambda doc: doc["scs"][0].update(wait_s=-1.0), "waits must be nonnegative"),
+        (lambda doc: doc["scs"][0].update(wait_s=float("nan")), "waits must be nonnegative"),
+        (lambda doc: doc["scs"][0].update(node=2), "scs node 2 is not a station of the graph"),
+        (lambda doc: doc.update(med={"wait_s": {"a": 10.0}}),
+         "med wait_s must map integer cycle points to numbers"),
+        (lambda doc: doc.update(med={"wait_s": {"1": "soon"}}),
+         "med wait_s must map integer cycle points to numbers"),
+        (lambda doc: doc.update(med={"wait_s": {"1": 10.0}}),
+         "med wait_s point 1 is not a cycle point of the graph"),
+        (lambda doc: doc.update(med={"c_ind": "high", "p_ind_kw": 40.0}),
+         "med: could not convert string to float: 'high'"),
+        (lambda doc: doc.update(med={"c_ind": 0.75}), "med lacks required key 'p_ind_kw'"),
+        (lambda doc: doc.update(med={"c_ind": 1.5, "p_ind_kw": 40.0}),
+         "med: c_ind must be in [0, 1]"),
+        (lambda doc: doc.update(med={"battery_kwh": "big"}),
+         "med: could not convert string to float: 'big'"),
+        (lambda doc: doc.update(vehicle={"mass": 1.0}), "vehicle:"),
+        (lambda doc: doc["request"].update(capacity_kwh=None), "request:"),
+    ], ids=["rate-zero", "rate-negative", "rate-non-numeric", "wait-non-numeric",
+            "wait-negative", "wait-nan", "not-a-station", "med-key-non-integer",
+            "med-wait-non-numeric", "med-not-a-cycle-point", "c-ind-non-numeric",
+            "p-ind-missing", "c-ind-out-of-range", "battery-non-numeric", "vehicle-unknown-key",
+            "capacity-null"])
+    def test_oracle_rejected_value(self, tmp_path, capsys, edit, message):
+        instance = {
+            "graph": {"nodes": [0, 1, 2, 3], "arcs": _line_arcs(4), "scs": [1]},
+            "request": {"source": 0, "dest": 3, "capacity_kwh": 10.0, "energy_kwh": 1.5},
+            "scs": [{"node": 1, "rate_kw": 19.2, "wait_s": 60.0}],
+        }
+        edit(instance)
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(instance))
+        rc = main(["oracle", "--instance", str(inst_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err and err.count("\n") == 1

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 
 import pytest
@@ -86,6 +87,14 @@ class TestSolveExact:
         b = solve_exact(line_instance())
         assert a.explored == b.explored
         assert a.objective_s == b.objective_s
+
+    def test_search_budget_counts_every_explored_state(self):
+        inst = line_instance(energy=4.0)
+        sol = solve_exact(inst)
+        assert sol.explored > 1
+        assert solve_exact(inst, search_budget=sol.explored).explored == sol.explored
+        with pytest.raises(OracleError, match="search budget exceeded"):
+            solve_exact(inst, search_budget=sol.explored - 1)
 
     def test_objective_matches_recomputed_formula(self):
         sol = solve_exact(line_instance())
@@ -218,3 +227,35 @@ class TestAgainstRouter:
             assert b.legs == [sparse_id(n) for n in a.legs]
             assert b.total_time_s == a.total_time_s
             assert verify(twin, b) == "ok", f"seed {seed}"
+
+
+class TestPinnedSolverOutputs:
+    """The exact search's plans and state counts, pinned bit for bit.
+
+    The digest covers every field of the returned plan, with floats by
+    ``repr``, over instances that include station visits and attach runs.
+    A change to the search that keeps its walk order, pruning and bounds
+    leaves it unchanged.
+    """
+
+    DIGEST = "f87c064a1d0b81f584f86b413eb8de01a16222341912850eebaa8db5fa74e48a"
+
+    def test_random_instances_digest(self):
+        h = hashlib.sha256()
+        for seed in range(300):
+            sol = solve_exact(random_oracle_instance(seed))
+            parts = [seed, sol.feasible, repr(sol.objective_s), sol.explored]
+            if sol.feasible:
+                a = sol.best
+                parts += [
+                    a.legs,
+                    [(v.node, v.leg_index, repr(v.wait_s), repr(v.charge_s), repr(v.arrive_kwh))
+                     for v in a.z_visits],
+                    [(q.meet_node, q.detach_node, q.leg_index, repr(q.wait_s), repr(q.attach_s),
+                      q.segments, [repr(e) for e in q.induced_per_segment], q.booking_keys,
+                      repr(q.gain_kwh), repr(q.dispensed_kwh)) for q in a.q_points],
+                    [repr(e) for e in a.energy_trace],
+                    a.y_arcs,
+                ]
+            h.update(repr(parts).encode())
+        assert h.hexdigest() == self.DIGEST
