@@ -15,7 +15,6 @@ from .routing import (EvRequest, MedAttach, NoPath, PathCache, RouteAssignment,
                       dijkstra, find_best_energy_point, find_shortest_path,
                       objective_time, route_energy, route_feasible, route_time)
 from .sim import (CalibrationError, EvRecord, EvSpawn, LevelSampler, RunMetrics,
-                  Scenario, calibrate_level, classify_anxious, default_scenario,
-                  generate_population, load_network, run)
+                  Scenario, default_scenario, generate_population, load_network, run)
 
 __version__ = "0.1.0"

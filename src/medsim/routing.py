@@ -310,89 +310,102 @@ def _plus_stops(drive_s: float, a: RouteAssignment) -> float:
     return t + sum(p.wait_s for p in a.q_points)
 
 
-def check_assignment(g: RoadGraph, a: RouteAssignment, tol: float = 1e-6):
-    """All invariant violations of a realized route (empty list means clean).
+def _plan_findings(g: RoadGraph, a: RouteAssignment, tol: float):
+    """The plan checks that need only the graph: the one walk and energy replay.
 
-    Reads every arc from the graph itself, never from a path cache, so it
-    checks the router independently. One walk over the arcs serves the
-    missing-arc check, the energy replay and the objective.
+    Returns ``(findings, levels)``. ``findings`` lists ``(constraint id,
+    message)`` pairs in check order: (2) the walk, (3) the attach spans and
+    (10) the station visits, each with a negative wait there as (4), then
+    the trace length (4), the energy replay (4)-(7) and the stored total
+    time (4). ``levels`` holds the replayed battery level at each node of
+    the walk, after any station charge there. Every arc is read from the
+    graph itself, never from a path cache, so the router is checked
+    independently; one lookup per arc serves the walk, the replay and the
+    drive-time fold, the same left fold as :func:`objective_time`.
     """
-    bad = []
+    found = []
     Q = a.capacity_kwh
-    if not a.legs or a.legs[0] != a.source:
-        bad.append("walk does not start at the source")
-    if a.legs and a.legs[-1] != a.dest:
-        bad.append("walk does not end at the destination")
-    walk = list(zip(a.legs, a.legs[1:]))
-    x_is_walk = a.x_arcs == walk
-    if not x_is_walk:
-        bad.append("x arcs do not match the walk")
-    x_attrs = []
+    legs = a.legs
+    if not legs or legs[0] != a.source:
+        found.append((2, "walk does not start at the source"))
+    if legs and legs[-1] != a.dest:
+        found.append((2, "walk does not end at the destination"))
+    walk = list(zip(legs, legs[1:]))
+    if a.x_arcs != walk:
+        found.append((2, "x arcs do not match the walk"))
+    attrs = []
     drive_s = 0.0
-    for i, j in a.x_arcs:
+    for i, j in walk:
         attr = g.arc(i, j)
         if attr is None:
-            bad.append(f"walk uses missing arc ({i},{j})")
-            return bad
-        x_attrs.append(attr)
+            found.append((2, f"walk uses missing arc ({i},{j})"))
+            return found, []
+        attrs.append(attr)
         drive_s += attr.drive_time_s
-    if len(a.energy_trace) != len(a.legs):
-        bad.append("energy trace length does not match the walk")
-        return bad
 
+    if [arc for att in a.q_points for arc in att.segments] != list(a.y_arcs):
+        found.append((3, "y arcs do not equal the concatenated attach spans"))
+    cycle = set(g.med_cycle_segments()) if a.q_points else ()
     gain_at = {}
     for att in a.q_points:
-        if list(att.segments) != a.x_arcs[att.leg_index:att.leg_index + len(att.segments)]:
-            bad.append("attach span does not match the walk slice")
-        if att.meet_node != a.legs[att.leg_index]:
-            bad.append("attach start node mismatch")
-        if att.detach_node != a.legs[att.leg_index + len(att.segments)]:
-            bad.append("detach node mismatch")
+        k, n = att.leg_index, len(att.segments)
+        if not 0 <= k < len(legs) - n or list(att.segments) != walk[k:k + n]:
+            found.append((3, "attach span does not match the walk slice"))
+        else:
+            if att.meet_node != legs[k]:
+                found.append((3, "attach start node mismatch"))
+            if att.detach_node != legs[k + n]:
+                found.append((3, "detach node mismatch"))
+        if any(arc not in cycle for arc in att.segments):
+            found.append((3, "attach segment is not a cycle arc"))
         if att.wait_s < 0:
-            bad.append("negative attach wait")
+            found.append((4, "negative attach wait"))
         for off, induced in enumerate(att.induced_per_segment):
-            gain_at[att.leg_index + off] = induced
-    flat_y = [arc for att in a.q_points for arc in att.segments]
-    if flat_y != list(a.y_arcs):
-        bad.append("y arcs do not equal the concatenated attach spans")
+            gain_at[k + off] = induced
 
     charge_at = {}
     for v in a.z_visits:
-        if not (0 <= v.leg_index < len(a.legs)) or a.legs[v.leg_index] != v.node:
-            bad.append("station visit index does not match the walk")
+        if not (0 <= v.leg_index < len(legs)) or legs[v.leg_index] != v.node:
+            found.append((10, "station visit index does not match the walk"))
             continue
         if v.node not in g.scs_nodes:
-            bad.append(f"station visit at non-station node {v.node}")
+            found.append((10, f"station visit at non-station node {v.node}"))
         if v.wait_s < 0 or v.charge_s < 0:
-            bad.append("negative wait or charge time at a station")
+            found.append((4, "negative wait or charge time at a station"))
         charge_at.setdefault(v.leg_index, []).append(v)
 
-    # the energy replay follows the legs; only a walk already reported as
-    # not matching its x arcs needs its own arc lookups
-    walk_attrs = x_attrs if x_is_walk else [g.arc(i, j) for i, j in walk]
+    trace = a.energy_trace
+    if len(trace) != len(legs):
+        found.append((4, "energy trace length does not match the walk"))
+        return found, []
     eps = a.energy_start_kwh
-    for k in range(len(a.legs)):
-        if k > 0:
-            eps = eps - walk_attrs[k - 1].energy_kwh + gain_at.get(k - 1, 0.0)
-            eps = min(eps, Q)
+    levels = []
+    for k, recorded in enumerate(trace):
+        if k:
+            eps = min(Q, eps - attrs[k - 1].energy_kwh + gain_at.get(k - 1, 0.0))
         if eps < -_EPS_TOL:
-            bad.append(f"battery below zero arriving at walk index {k}")
+            found.append((5, f"battery below zero arriving at walk index {k}"))
         for v in charge_at.get(k, ()):
             if abs(v.arrive_kwh - eps) > tol:
-                bad.append("recorded arrival energy at station disagrees with the trace")
+                found.append((4, "recorded arrival energy at station disagrees with the trace"))
             eps = Q
         if eps > Q + _EPS_TOL:
-            bad.append(f"battery above capacity at walk index {k}")
-        if abs(a.energy_trace[k] - eps) > tol:
-            bad.append(f"energy trace diverges at walk index {k}")
+            found.append((6, f"battery above capacity at walk index {k}"))
+        if abs(recorded - eps) > tol:
+            found.append((4, f"energy trace diverges at walk index {k}"))
+        levels.append(eps)
     for v in a.z_visits:
-        if 0 <= v.leg_index < len(a.energy_trace) and \
-                abs(a.energy_trace[v.leg_index] - Q) > tol:
-            bad.append("battery not full right after a station visit")
+        if 0 <= v.leg_index < len(trace) and abs(trace[v.leg_index] - Q) > tol:
+            found.append((7, "battery not full right after a station visit"))
 
     if abs(a.total_time_s - _plus_stops(drive_s, a)) > tol:
-        bad.append("stored total time disagrees with the recomputed objective")
-    return bad
+        found.append((4, "stored total time disagrees with the recomputed objective"))
+    return found, levels
+
+
+def check_assignment(g: RoadGraph, a: RouteAssignment, tol: float = 1e-6):
+    """All invariant violations of a realized route (empty list means clean)."""
+    return [message for _, message in _plan_findings(g, a, tol)[0]]
 
 
 # -- best-energy-point selection ----------------------------------------------

@@ -161,17 +161,6 @@ class EvSpawn:
     excluded: bool
 
 
-def classify_anxious(g: RoadGraph, request: EvRequest,
-                     caches: PathCache | None = None) -> bool:
-    """True when the battery cannot cover the unconstrained shortest route."""
-    caches = caches or PathCache(g)
-    try:
-        path = caches.path(request.source, request.dest, "time")
-    except NoPath:
-        return True
-    return request.energy_kwh < path.energy_kwh
-
-
 class LevelSampler:
     """Draws (source, dest, energy) triples hitting an anxiety-level target.
 
@@ -192,7 +181,12 @@ class LevelSampler:
             raise CalibrationError("graph too small to spawn trips")
         self._energy_memo = {}
 
-    def _route_energy(self, s, d) -> float:
+    def route_energy(self, s, d) -> float:
+        """Energy of the time-shortest route from ``s`` to ``d``, memoized.
+
+        This is the one definition of an anxious trip: its battery holds
+        less than this. :meth:`draw` conditions every energy level on it.
+        """
         key = (s, d)
         if key not in self._energy_memo:
             try:
@@ -209,7 +203,7 @@ class LevelSampler:
             d = self.rng.choice(self.dests)
             if d == s:
                 continue
-            need = self._route_energy(s, d)
+            need = self.route_energy(s, d)
             if want_anxious:
                 if not ENERGY_MIN_KWH < need:
                     continue
@@ -232,15 +226,6 @@ class LevelSampler:
         return [(*self.draw(f), f) for f in flags]
 
 
-def calibrate_level(g: RoadGraph, level: str, seed: int | None = None,
-                    rng: random.Random | None = None, entries=None,
-                    caches: PathCache | None = None) -> LevelSampler:
-    """Sampler whose realized anxious fraction lands on the level target."""
-    if rng is None:
-        rng = random.Random(seed)
-    return LevelSampler(g, level, rng, entries, caches)
-
-
 def generate_population(scenario: Scenario, g: RoadGraph,
                         caches: PathCache | None = None):
     """Deterministic spawn list; independent of the charging mode.
@@ -251,8 +236,7 @@ def generate_population(scenario: Scenario, g: RoadGraph,
     rng = random.Random(scenario.seed)
     n = scenario.ev_count
     arrivals = sorted(rng.uniform(0.0, scenario.horizon_s) for _ in range(n))
-    sampler = calibrate_level(g, scenario.level, rng=rng, entries=scenario.entries,
-                              caches=caches)
+    sampler = LevelSampler(g, scenario.level, rng, scenario.entries, caches)
     draws = sampler.sample(n)
     excluded = [rng.random() < scenario.block_prob for _ in range(n)]
     width = max(3, len(str(max(n - 1, 0))))
@@ -313,11 +297,6 @@ class RunMetrics:
 
     def stranded_count(self) -> int:
         return sum(1 for r in self.rows if r.stranded)
-
-    def waiting_series(self):
-        """(arrival, wait, charger kind) per charging EV, in arrival order."""
-        return [(r.t_arrival_s, r.wait_s, r.choice)
-                for r in self.rows if r.choice != "none"]
 
     def aggregates(self) -> dict:
         c = self.counts()

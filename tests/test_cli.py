@@ -1,10 +1,12 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from medsim import cli, sim
 from medsim.cli import SWEEP_HEADER, main
+from medsim.oracle import instance_from_json, solve_exact, verify
 from medsim.sim import default_scenario
 
 
@@ -216,6 +218,21 @@ class TestRouteAndOracle:
         assert sol["assignment"]["z_visits"][0]["node"] == 3
 
 
+    def test_readme_oracle_example_solves_and_verifies(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("## Oracle instances"):]
+        block = section.split("```json\n", 1)[1].split("\n```", 1)[0]
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(block)
+        out = tmp_path / "sol.json"
+        assert main(["oracle", "--instance", str(inst_path), "--out", str(out)]) == 0
+        sol = json.loads(out.read_text())
+        assert sol["feasible"]
+        assert sol["objective_s"] == pytest.approx(2247.5)
+        inst = instance_from_json(json.loads(block))
+        assert verify(inst, solve_exact(inst).best) == "ok"
+
+
 class TestInvalidRequests:
     """A request the graph or the battery cannot hold exits 2 with one line."""
 
@@ -396,11 +413,19 @@ class TestInvalidFiles:
          "med: could not convert string to float: 'big'"),
         (lambda doc: doc.update(vehicle={"mass": 1.0}), "vehicle:"),
         (lambda doc: doc["request"].update(capacity_kwh=None), "request:"),
+        (lambda doc: doc.update(scs=[1]), "scs a list of objects"),
+        (lambda doc: doc.update(med=[]), "med must be objects"),
+        (lambda doc: doc.update(scs={"node": 1}), "scs a list of objects"),
+        (lambda doc: doc["scs"][0].update(node=[1]),
+         "scs entry #0 has a node that is not a node id"),
+        (lambda doc: doc.update(med={"wait_s": [10.0]}),
+         "med wait_s must map integer cycle points to numbers"),
     ], ids=["rate-zero", "rate-negative", "rate-non-numeric", "wait-non-numeric",
             "wait-negative", "wait-nan", "not-a-station", "med-key-non-integer",
             "med-wait-non-numeric", "med-not-a-cycle-point", "c-ind-non-numeric",
             "p-ind-missing", "c-ind-out-of-range", "battery-non-numeric", "vehicle-unknown-key",
-            "capacity-null"])
+            "capacity-null", "scs-not-objects", "med-not-an-object", "scs-an-object",
+            "scs-node-a-list", "med-wait-not-a-map"])
     def test_oracle_rejected_value(self, tmp_path, capsys, edit, message):
         instance = {
             "graph": {"nodes": [0, 1, 2, 3], "arcs": _line_arcs(4), "scs": [1]},

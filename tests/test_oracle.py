@@ -9,7 +9,8 @@ from medsim.energy import InductionParams
 from medsim.oracle import (NODE_BOUND, OracleError, OracleInstance, solve_exact,
                            verify)
 from medsim.road_graph import ArcAttr, build_graph
-from medsim.routing import EvRequest, Stranded, find_shortest_path, objective_time
+from medsim.routing import (EvRequest, Stranded, check_assignment, find_shortest_path,
+                            objective_time)
 from tests.conftest import (line_graph, random_oracle_instance, relabelled, ring_with_spurs,
                             sparse_id)
 
@@ -18,6 +19,50 @@ def line_instance(energy=4.0, wait=60.0):
     g = line_graph()  # arcs 100 s / 1 kWh, station at 3
     req = EvRequest("t", 0, 5, 10.0, energy)
     return OracleInstance(g, req, scs_waits={3: wait}, scs_rates={3: 19.2})
+
+
+def ring_instance():
+    g = ring_with_spurs()  # its plan attaches at 0 for (0, 1), then at 1 for (1, 2)
+    req = EvRequest("t", 4, 5, 10.0, 2.0)
+    return OracleInstance(g, req, med_waits={p: 0.0 for p in range(4)},
+                          induction=InductionParams(0.75, 40.0))
+
+
+def _dip_below_zero(a):
+    a.energy_start_kwh = 2.0  # recomputed trace dips below zero at node 3
+    a.energy_trace = [2.0 - k for k in range(4)] + a.energy_trace[4:]
+    a.energy_trace[3] = -1.0
+
+
+def _attach_off_the_walk(a):
+    a.y_arcs = [(3, 0)]  # never traversed
+    a.q_points[0].segments = ((3, 0),)
+
+
+def _short_after_station(a):
+    # the battery leaves the station short; the later trace stays consistent
+    for k in range(a.z_visits[0].leg_index, len(a.energy_trace)):
+        a.energy_trace[k] -= 0.5
+
+
+def _attach_on_the_spur(a):
+    # the first run starts one arc early, on the source spur (4, 0): on the
+    # walk, with the same gains, so only the arc's kind is wrong
+    att = a.q_points[0]
+    att.leg_index, att.meet_node = 0, 4
+    att.segments = ((4, 0),) + att.segments
+    att.induced_per_segment = (0.0,) + att.induced_per_segment
+    a.y_arcs = [arc for q in a.q_points for arc in q.segments]
+
+
+def _negative_station_wait(a):
+    a.z_visits[0].wait_s -= 120.0  # 60 s becomes -60 s, and the total follows
+    a.total_time_s -= 120.0
+
+
+def _negative_attach_wait(a):
+    a.q_points[0].wait_s = -30.0
+    a.total_time_s -= 30.0
 
 
 class TestSolveExact:
@@ -108,42 +153,39 @@ class TestVerify:
         inst = line_instance()
         assert verify(inst, solve_exact(inst).best) == "ok"
 
-    def test_negative_dip_names_constraint_five(self):
-        inst = line_instance(energy=4.0)
-        a = solve_exact(inst).best
-        bad = copy.deepcopy(a)
-        bad.energy_start_kwh = 2.0  # recomputed trace dips below zero at node 3
-        bad.energy_trace = [2.0 - k for k in range(4)] + bad.energy_trace[4:]
-        bad.energy_trace[3] = -1.0
-        assert verify(inst, bad) == "violated(5)"
-
-    def test_attach_off_the_walk_names_constraint_three(self):
-        g = ring_with_spurs()
-        req = EvRequest("t", 4, 5, 10.0, 2.0)
-        inst = OracleInstance(g, req, med_waits={p: 0.0 for p in range(4)},
-                              induction=InductionParams(0.75, 40.0))
-        a = solve_exact(inst).best
-        bad = copy.deepcopy(a)
-        bad.y_arcs = [(3, 0)]  # never traversed
-        bad.q_points[0].segments = ((3, 0),)
-        assert verify(inst, bad) == "violated(3)"
-
-    def test_not_full_after_station_names_constraint_seven(self):
-        inst = line_instance(energy=4.0)
-        a = solve_exact(inst).best
-        bad = copy.deepcopy(a)
-        idx = bad.z_visits[0].leg_index
-        # pretend the battery left the station short; keep later trace consistent
-        for k in range(idx, len(bad.energy_trace)):
-            bad.energy_trace[k] -= 0.5
-        assert verify(inst, bad) in ("violated(4)", "violated(7)")
-
-    def test_flow_break_names_constraint_two(self):
-        inst = line_instance(energy=6.0)
-        a = solve_exact(inst).best
-        bad = copy.deepcopy(a)
-        bad.legs = bad.legs[:-1]
-        assert verify(inst, bad) == "violated(2)"
+    @pytest.mark.parametrize("build,corrupt,want", [
+        pytest.param(line_instance, _dip_below_zero, "violated(5)", id="negative-dip"),
+        pytest.param(ring_instance, _attach_off_the_walk, "violated(3)", id="attach-off-walk"),
+        pytest.param(line_instance, _short_after_station, "violated(4)",
+                     id="short-after-station"),
+        pytest.param(lambda: line_instance(energy=6.0), lambda a: a.legs.pop(), "violated(2)",
+                     id="flow-break"),
+        pytest.param(ring_instance, lambda a: setattr(a.q_points[0], "meet_node", 2),
+                     "violated(3)", id="meet-node-off-walk"),
+        pytest.param(ring_instance, lambda a: setattr(a.q_points[0], "detach_node", 3),
+                     "violated(3)", id="detach-node-off-walk"),
+        pytest.param(ring_instance, _attach_on_the_spur, "violated(3)", id="attach-not-cycle-arc"),
+        pytest.param(ring_instance, lambda a: setattr(a.q_points[1], "leg_index", 9),
+                     "violated(3)", id="attach-index-past-walk"),
+        pytest.param(line_instance, lambda a: a.legs.__setitem__(2, 4), "violated(2)",
+                     id="walk-over-missing-arc"),
+        pytest.param(line_instance, lambda a: setattr(a.z_visits[0], "leg_index", 2),
+                     "violated(10)", id="visit-off-walk"),
+        pytest.param(line_instance, _negative_station_wait, "violated(4)",
+                     id="negative-station-wait"),
+        pytest.param(ring_instance, _negative_attach_wait, "violated(4)",
+                     id="negative-attach-wait"),
+        pytest.param(line_instance, lambda a: a.energy_trace.pop(), "violated(4)",
+                     id="trace-too-short"),
+    ])
+    def test_corrupted_plan(self, build, corrupt, want):
+        # both checkers run the one plan walk: verify names the first broken
+        # constraint, and the router's self-check reports the same fault
+        inst = build()
+        bad = copy.deepcopy(solve_exact(inst).best)
+        corrupt(bad)
+        assert verify(inst, bad, check_waits=False) == want
+        assert check_assignment(inst.graph, bad)
 
     def test_verify_computes_no_map_after_solve_exact(self, monkeypatch):
         # the instance owns one path cache, so verify reads the maps that

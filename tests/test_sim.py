@@ -1,40 +1,41 @@
 import dataclasses
+import random
 
 import pytest
 
 from medsim.oracle import OracleInstance, verify
 from medsim.road_graph import ArcAttr, build_graph, load_graph
-from medsim.routing import EvRequest, PathCache, dijkstra
+from medsim.routing import EvRequest, dijkstra
 from medsim.sim import (DEFAULT_VEHICLE, LEVEL_TARGETS, MODES, CalibrationError,
-                        LevelSampler, RunMetrics, Scenario, calibrate_level,
-                        classify_anxious, default_scenario, generate_population,
-                        load_network, run)
+                        LevelSampler, RunMetrics, Scenario, default_scenario,
+                        generate_population, load_network, run)
 from tests.conftest import line_graph, sparse_id
+
+
+def anxious(g, s, d, energy_kwh):
+    """The sampler's one rule: the battery holds less than the route needs."""
+    return energy_kwh < LevelSampler(g, "L1", random.Random(0)).route_energy(s, d)
 
 
 class TestClassifyAnxious:
     def test_full_battery_short_route(self):
-        g = line_graph()
-        assert not classify_anxious(g, EvRequest("e", 0, 2, 50.0, 50.0))
+        assert not anxious(line_graph(), 0, 2, 50.0)
 
     def test_low_battery_long_route(self):
-        g = line_graph()  # 1 kWh per arc
-        assert classify_anxious(g, EvRequest("e", 0, 3, 50.0, 1.0))
+        assert anxious(line_graph(), 0, 3, 1.0)  # 1 kWh per arc
 
     def test_boundary_is_not_anxious(self):
-        g = line_graph()
-        assert not classify_anxious(g, EvRequest("e", 0, 3, 50.0, 3.0))
+        assert not anxious(line_graph(), 0, 3, 3.0)
 
 
 class TestCalibrateLevel:
     def measured_fraction(self, level, n=60, seed=11):
         sc = default_scenario()
         g = load_graph(sc.graph, vehicle=sc.vehicle)
-        sampler = calibrate_level(g, level, seed=seed)
-        caches = PathCache(g)
+        sampler = LevelSampler(g, level, random.Random(seed))
         hits = 0
         for s, d, eps, _flag in sampler.sample(n):
-            hits += classify_anxious(g, EvRequest("x", s, d, 50.0, eps), caches)
+            hits += eps < sampler.route_energy(s, d)
         return hits / n
 
     def test_level_one_lands_near_twenty_percent(self):
@@ -46,13 +47,12 @@ class TestCalibrateLevel:
     def test_degenerate_graph_fails_calibration(self):
         arcs = {(0, 1): ArcAttr(1.0, 1e-6, 1.0), (1, 0): ArcAttr(1.0, 1e-6, 1.0)}
         g = build_graph([0, 1], arcs)
-        sampler = calibrate_level(g, "L3", seed=0)
+        sampler = LevelSampler(g, "L3", random.Random(0))
         with pytest.raises(CalibrationError):
             sampler.sample(10)  # no trip can need more than 1 kWh
 
     def test_single_node_graph_cannot_spawn(self):
         g = build_graph([7], {})
-        import random
         with pytest.raises(CalibrationError):
             LevelSampler(g, "L1", random.Random(0))
 
@@ -127,12 +127,13 @@ class TestRun:
         assert a.to_csv() == b.to_csv()
 
     def test_waiting_series_covers_charging_evs(self):
+        # the rows carry the waiting series: in arrival order, and only an
+        # EV that charges can wait
         m = run(default_scenario(ev_count=60, seed=3, level="L3"))
-        series = m.waiting_series()
-        assert len(series) == sum(1 for r in m.rows if r.choice != "none")
-        assert all(w >= 0 for _, w, _ in series)
-        times = [t for t, _, _ in series]
+        times = [r.t_arrival_s for r in m.rows]
         assert times == sorted(times)
+        assert all(r.wait_s >= 0 if r.choice != "none" else r.wait_s == 0 for r in m.rows)
+        assert any(r.wait_s > 0 for r in m.rows)
 
     def test_aggregates_recomputable_from_rows(self):
         m = run(default_scenario(ev_count=30, seed=5, level="L2"))
