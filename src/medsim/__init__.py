@@ -11,9 +11,8 @@ from .oracle import (FrozenMed, FrozenScs, OracleError, OracleInstance,
 from .road_graph import ArcAttr, GraphError, RoadGraph, build_graph, grid_doc, \
     load_graph
 from .routing import (EvRequest, MedAttach, NoPath, PathCache, RouteAssignment,
-                      ScsVisit, Stranded, check_assignment,
-                      dijkstra, find_best_energy_point, find_shortest_path,
-                      objective_time, route_energy, route_feasible, route_time)
+                      ScsVisit, Stranded, check_assignment, find_best_energy_point,
+                      find_shortest_path)
 from .sim import (CalibrationError, EvRecord, EvSpawn, LevelSampler, RunMetrics,
                   Scenario, default_scenario, generate_population, load_network, run)
 

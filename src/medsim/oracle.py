@@ -167,9 +167,7 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
         return arc_ids[(i, j)], g.visit_cap(i) * g.visit_cap(j)
 
     if med_set:
-        if inst.induction is None:
-            raise OracleError("instance has a mobile charger but no induction parameters")
-        med = FrozenMed(g, inst.induction, inst.med_waits, inst.med_battery_kwh)
+        med = inst.frozen_infrastructure().med_units[0]
         u = len(med.segments)
         med_idx = {p: k for k, p in enumerate(med.points)}
         max_segs = med.max_passes * u

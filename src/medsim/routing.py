@@ -10,7 +10,7 @@ remaining leg stays infeasible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .road_graph import RoadGraph
@@ -49,12 +49,11 @@ def _dijkstra_dist(adj, source):
 
 
 class CachedPath(tuple):
-    """A path's node tuple, carrying the costs of its arcs.
+    """A path's node tuple, carrying its arcs.
 
-    ``drive_s`` and ``energy_kwh`` are left folds in path order, as
-    :func:`route_time` and :func:`route_energy` add them, so they are
-    bit-identical to a per-arc walk; ``arc_energy`` holds each arc's energy
-    in path order, for replays that start from a given battery level.
+    ``attrs`` lists the path's arcs (``ArcAttr``) in path order.
+    ``drive_s`` and ``energy_kwh`` are left folds over them in path order,
+    so they are bit-identical to a per-arc walk over the graph.
     """
 
 
@@ -66,7 +65,7 @@ def _cached_path(nodes, attrs):
         energy += attr.energy_kwh
     path.drive_s = drive
     path.energy_kwh = energy
-    path.arc_energy = tuple(attr.energy_kwh for attr in attrs)
+    path.attrs = attrs
     return path
 
 
@@ -104,19 +103,23 @@ class PathCache:
         return self._rev[key]
 
     def path(self, source, target, weight: str = "time") -> CachedPath:
-        """Minimum-cost path with its arc costs, ties broken lexicographically."""
+        """Minimum-cost path with its arc costs, ties broken lexicographically.
+
+        From a node to itself it is the one-node path with no arcs.
+        """
         key = (source, target, weight)
         found = self._paths.get(key)
         if found is None:
             g = self.g
-            found = self._paths[key] = _lex_path(
-                g.cost_table(weight), g.order, g.index[source], g.index[target],
-                self.rev(target, weight))
+            found = self._paths[key] = (
+                _cached_path((source,), ()) if source == target else
+                _lex_path(g.cost_table(weight), g.order, g.index[source], g.index[target],
+                          self.rev(target, weight)))
         return found
 
 
 def _lex_path(adj, order, source, target, rev_dist):
-    """A minimum-cost path between positions ``source`` and ``target`` over the cost table ``adj``.
+    """A minimum-cost path between positions ``source`` != ``target`` over the cost table ``adj``.
 
     Follows tight arcs (arc cost plus the head's distance to ``target``
     equals the tail's) depth first, smallest neighbour position first, so
@@ -125,8 +128,6 @@ def _lex_path(adj, order, source, target, rev_dist):
     nodes; the search then backs up and tries the next tight arc. The path
     comes back as node ids, mapped through ``order``.
     """
-    if source == target:
-        return _cached_path((order[source],), ())
     total = rev_dist[source]
     if total == INFINITE:
         raise NoPath(f"no path from {order[source]} to {order[target]}")
@@ -156,68 +157,11 @@ def _lex_path(adj, order, source, target, rev_dist):
     raise NoPath(f"path reconstruction from {order[source]} to {order[target]} failed")
 
 
-def dijkstra(g: RoadGraph, source, target, weight: str = "time"):
-    """Minimum-cost path and its cost; deterministic lexicographic tie-break.
-
-    The cost is summed along the returned path in path order, so that
-    independent implementations walking the same arcs get bit-identical
-    totals.
-    """
-    if source not in g.nodes or target not in g.nodes:
-        raise NoPath("endpoint not in graph")
-    if source == target:
-        return [source], 0.0
-    path = PathCache(g).path(source, target, weight)
-    return list(path), path.drive_s if weight == "time" else path.energy_kwh
-
-
-def route_time(g: RoadGraph, path) -> float:
-    t = 0.0
-    for i, j in zip(path, path[1:]):
-        t += g.arc(i, j).drive_time_s
-    return t
-
-
-def route_energy(g: RoadGraph, path) -> float:
-    e = 0.0
-    for i, j in zip(path, path[1:]):
-        e += g.arc(i, j).energy_kwh
-    return e
-
-
-def route_feasible(g: RoadGraph, path, energy_start_kwh: float, gains=None) -> bool:
-    """Energy feasibility of a path with the battery it starts on.
-
-    ``gains`` credits inductive income: a mapping of arc index to kWh, or a
-    single number credited only after the final arc (the conservative
-    placement when the timing of the gain is unknown). Besides the overall
-    balance, the running level must stay nonnegative at every intermediate
-    node; a credit arriving after the battery has already run dry cannot
-    rescue the route.
-    """
-    n_arcs = len(path) - 1
-    if isinstance(gains, dict):
-        gain_at = gains
-    elif gains:
-        gain_at = {n_arcs - 1: float(gains)}
-    else:
-        gain_at = {}
-    eps = energy_start_kwh
-    for k in range(n_arcs):
-        attr = g.arc(path[k], path[k + 1])
-        if attr is None:
-            raise NoPath(f"path uses missing arc ({path[k]},{path[k + 1]})")
-        eps = eps - attr.energy_kwh + gain_at.get(k, 0.0)
-        if eps < -_EPS_TOL:
-            return False
-    return True
-
-
 def _path_feasible(path: CachedPath, energy_start_kwh: float) -> bool:
-    """:func:`route_feasible` without gains, from the path's cached arc energies."""
+    """Whether the battery covers the path arc by arc without running below zero."""
     eps = energy_start_kwh
-    for energy in path.arc_energy:
-        eps -= energy
+    for attr in path.attrs:
+        eps -= attr.energy_kwh
         if eps < -_EPS_TOL:
             return False
     return True
@@ -292,19 +236,6 @@ class RouteAssignment:
         return sum(v.wait_s for v in self.z_visits) + sum(a.wait_s for a in self.q_points)
 
 
-def objective_time(g: RoadGraph, a: RouteAssignment) -> float:
-    """Travel time recomputed from the decision variables alone.
-
-    Drive time over traversed arcs, charge plus wait at station visits, and
-    wait at attach points; attached driving is already drive time and is not
-    counted twice.
-    """
-    t = 0.0
-    for i, j in a.x_arcs:
-        t += g.arc(i, j).drive_time_s
-    return _plus_stops(t, a)
-
-
 def _plus_stops(drive_s: float, a: RouteAssignment) -> float:
     t = drive_s + sum(v.wait_s + v.charge_s for v in a.z_visits)
     return t + sum(p.wait_s for p in a.q_points)
@@ -321,7 +252,9 @@ def _plan_findings(g: RoadGraph, a: RouteAssignment, tol: float):
     the walk, after any station charge there. Every arc is read from the
     graph itself, never from a path cache, so the router is checked
     independently; one lookup per arc serves the walk, the replay and the
-    drive-time fold, the same left fold as :func:`objective_time`.
+    drive-time fold, the same left fold the router makes while it composes
+    the walk. A recorded level that disagrees with the replay reads (7) at
+    a station visit, where the battery must be full, and (4) elsewhere.
     """
     found = []
     Q = a.capacity_kwh
@@ -392,11 +325,9 @@ def _plan_findings(g: RoadGraph, a: RouteAssignment, tol: float):
         if eps > Q + _EPS_TOL:
             found.append((6, f"battery above capacity at walk index {k}"))
         if abs(recorded - eps) > tol:
-            found.append((4, f"energy trace diverges at walk index {k}"))
+            found.append((7, "battery not full right after a station visit") if k in charge_at
+                         else (4, f"energy trace diverges at walk index {k}"))
         levels.append(eps)
-    for v in a.z_visits:
-        if 0 <= v.leg_index < len(trace) and abs(trace[v.leg_index] - Q) > tol:
-            found.append((7, "battery not full right after a station visit"))
 
     if abs(a.total_time_s - _plus_stops(drive_s, a)) > tol:
         found.append((4, "stored total time disagrees with the recomputed objective"))
@@ -413,32 +344,27 @@ def check_assignment(g: RoadGraph, a: RouteAssignment, tol: float = 1e-6):
 
 @dataclass
 class _Candidate:
+    """A scored energy point: the path there and the stop's plan.
+
+    A station stop charges for ``charge_s``; a mobile-charger stop rides
+    ``segments`` from cycle index ``start_idx`` on cycle pass ``pass_no``,
+    leaving the battery at ``eps_after``. What else the route needs (booking
+    keys, arcs, induced energy, detach node) is derived from those when the
+    candidate is chosen.
+    """
+
     kind: str
     unit: object
     point: int
-    path: tuple
-    drive_s: float
+    path: CachedPath
     score: float
-    # scs fields
-    wait_s: float = 0.0
+    wait_s: float
     charge_s: float = 0.0
-    arrive_kwh: float = 0.0
-    # med fields
+    segments: tuple = ()
     start_idx: int = 0
-    n_segments: int = 0
     pass_no: int = 0
     attach_s: float = 0.0
-    arcs: tuple = ()
-    arc_energy: tuple = ()
-    induced: tuple = ()
-    keys: tuple = ()
     eps_after: float = 0.0
-    dispensed_kwh: float = 0.0
-    detach_node: int = 0
-
-    @property
-    def sort_key(self):
-        return (self.score, 0 if self.kind == "scs" else 1, self.point)
 
 
 def _plan_med_span(unit, start_idx, eps_at_meet, capacity, need_to_finish):
@@ -446,19 +372,20 @@ def _plan_med_span(unit, start_idx, eps_at_meet, capacity, need_to_finish):
 
     Walks cycle segments forward from the meeting point, tracking the capped
     battery level and the gross energy the charger dispenses; stops at the
-    first detach point whose remaining trip the battery now covers
-    (``need_to_finish`` maps a node to that requirement). Returns None when
-    no run within the pass budget or battery works.
+    first detach point (the head of the last segment ridden) whose remaining
+    trip the battery now covers (``need_to_finish`` maps a node to that
+    requirement). Returns ``(segments, eps_after, attach_s)``: the ridden
+    ``CycleSegment``s, the battery level after them and the attached drive
+    time; None when no run within the pass budget or battery works.
     """
     segs = unit.segments
     u = len(segs)
-    max_segments = unit.max_passes * u
     eps = eps_at_meet
     dispensed = 0.0
     attach_s = 0.0
-    arcs, energies, induced = [], [], []
-    for n in range(1, max_segments + 1):
-        seg = segs[(start_idx + n - 1) % u]
+    ridden = []
+    for n in range(unit.max_passes * u):
+        seg = segs[(start_idx + n) % u]
         dispensed += seg.induced_kwh
         if dispensed > unit.battery_kwh + _EPS_TOL:
             return None
@@ -466,13 +393,9 @@ def _plan_med_span(unit, start_idx, eps_at_meet, capacity, need_to_finish):
         if eps < -_EPS_TOL:
             return None
         attach_s += seg.drive_s
-        arcs.append((seg.i, seg.j))
-        energies.append(seg.energy_kwh)
-        induced.append(seg.induced_kwh)
-        detach_idx = (start_idx + n) % u
-        detach = unit.points[detach_idx]
-        if eps >= need_to_finish(detach) - _EPS_TOL:
-            return n, eps, attach_s, tuple(arcs), tuple(energies), tuple(induced), detach
+        ridden.append(seg)
+        if eps >= need_to_finish(seg.j) - _EPS_TOL:
+            return tuple(ridden), eps, attach_s
     return None
 
 
@@ -498,89 +421,81 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
     def need_to_finish(node):
         # energy along the time-shortest tail the EV would actually drive
         if node not in need_memo:
-            if node == request.dest:
-                need_memo[node] = 0.0
-            else:
-                try:
-                    tail = caches.path(node, request.dest, "time")
-                except NoPath:
-                    need_memo[node] = INFINITE
-                else:
-                    need_memo[node] = tail.energy_kwh
+            try:
+                need_memo[node] = caches.path(node, request.dest, "time").energy_kwh
+            except NoPath:
+                need_memo[node] = INFINITE
         return need_memo[node]
 
-    for unit in getattr(infra, "scs_units", ()):
-        node = unit.node
-        if gate is not None and not gate("scs", node):
+    # stations first, then each charger's cycle points; a station has no
+    # cycle index
+    points = [("scs", unit, None, unit.node) for unit in getattr(infra, "scs_units", ())]
+    points += [("med", unit, idx, point) for unit in getattr(infra, "med_units", ())
+               for idx, point in enumerate(unit.points)]
+    for kind, unit, idx, node in points:
+        # the reach step both kinds share: gate, path, feasibility, arrival level
+        if gate is not None and not gate(kind, node):
             continue
-        if node == at:
-            path = _cached_path((at,), ())
-        else:
-            try:
-                path = caches.path(at, node, "time")
-            except NoPath:
-                continue
-            if not _path_feasible(path, energy_kwh):
-                continue
+        try:
+            path = caches.path(at, node, "time")
+        except NoPath:
+            continue
+        if not _path_feasible(path, energy_kwh):
+            continue
         drive = path.drive_s
         arrive = max(0.0, energy_kwh - path.energy_kwh)
-        if arrive >= Q - 1e-12:
-            continue  # nothing to gain here
-        wait = unit.wait_s(now, drive)
-        ct = unit.charge_s(arrive, Q)
-        finish = rev_time[index[node]]
-        if finish == INFINITE:
-            continue
-        score = drive + wait + ct + finish
-        candidates.append(_Candidate("scs", unit, node, path, drive, score,
-                                     wait_s=wait, charge_s=ct, arrive_kwh=arrive))
-
-    for unit in getattr(infra, "med_units", ()):
-        for idx, point in enumerate(unit.points):
-            if gate is not None and not gate("med", point):
-                continue
-            if point == at:
-                path = _cached_path((at,), ())
-            else:
-                try:
-                    path = caches.path(at, point, "time")
-                except NoPath:
-                    continue
-                if not _path_feasible(path, energy_kwh):
-                    continue
-            drive = path.drive_s
-            eps_meet = max(0.0, energy_kwh - path.energy_kwh)
-            if eps_meet >= need_to_finish(point) - _EPS_TOL:
-                continue  # no deficit at this point, it is not an energy stop
-            span = _plan_med_span(unit, idx, eps_meet, Q, need_to_finish)
-            if span is None:
-                continue
-            n_seg, eps_after, attach_s, arcs, energies, induced, detach = span
-            wait, pass_no = unit.waiting(idx, now + drive, n_seg)
-            keys = unit.segment_keys(idx, pass_no, n_seg)
-            finish = rev_time[index[detach]]
+        if kind == "scs":
+            if arrive >= Q - 1e-12:
+                continue  # nothing to gain here
+            finish = rev_time[index[node]]
             if finish == INFINITE:
                 continue
-            score = drive + wait + attach_s + finish
-            candidates.append(_Candidate(
-                "med", unit, point, path, drive, score,
-                start_idx=idx, n_segments=n_seg, pass_no=pass_no, attach_s=attach_s,
-                wait_s=wait, arcs=arcs, arc_energy=energies, induced=induced, keys=keys,
-                eps_after=eps_after, dispensed_kwh=sum(induced), detach_node=detach))
+            wait = unit.wait_s(now, drive)
+            charge = unit.charge_s(arrive, Q)
+            candidates.append(_Candidate(kind, unit, node, path, drive + wait + charge + finish,
+                                         wait, charge_s=charge))
+            continue
+        if arrive >= need_to_finish(node) - _EPS_TOL:
+            continue  # no deficit at this point, it is not an energy stop
+        span = _plan_med_span(unit, idx, arrive, Q, need_to_finish)
+        if span is None:
+            continue
+        segments, eps_after, attach_s = span
+        finish = rev_time[index[segments[-1].j]]
+        if finish == INFINITE:
+            continue
+        wait, pass_no = unit.waiting(idx, now + drive, len(segments))
+        candidates.append(_Candidate(kind, unit, node, path, drive + wait + attach_s + finish,
+                                     wait, segments=segments, start_idx=idx, pass_no=pass_no,
+                                     attach_s=attach_s, eps_after=eps_after))
 
     if not candidates:
         raise Stranded(f"EV {request.ev}: no feasible energy point from node {at}")
-    return min(candidates, key=lambda c: c.sort_key)
+    return min(candidates, key=lambda c: (c.score, c.kind != "scs", c.point))
 
 
-def _extend(legs, trace, nodes, arc_energy, eps, capacity, gains=None):
-    """Append a path's nodes past its start, with the battery level at each."""
-    for k, (j, energy) in enumerate(zip(nodes[1:], arc_energy)):
-        eps = eps - energy + (gains[k] if gains else 0.0)
-        eps = min(eps, capacity)
-        legs.append(j)
+def _drive(legs, trace, path, eps, drive_s, capacity):
+    """Append a path's nodes past its start, with the battery level at each.
+
+    Returns the level at the path's end and ``drive_s`` plus the path's arc
+    drive times, added one arc at a time in walk order.
+    """
+    for node, attr in zip(path[1:], path.attrs):
+        eps = min(eps - attr.energy_kwh, capacity)
+        drive_s += attr.drive_time_s
+        legs.append(node)
         trace.append(eps)
-    return eps
+    return eps, drive_s
+
+
+def _ride(legs, trace, segments, eps, drive_s, capacity):
+    """:func:`_drive` along an attach run, crediting each segment's induced energy."""
+    for seg in segments:
+        eps = min(eps - seg.energy_kwh + seg.induced_kwh, capacity)
+        drive_s += seg.drive_s
+        legs.append(seg.j)
+        trace.append(eps)
+    return eps, drive_s
 
 
 def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0,
@@ -588,17 +503,22 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
     """Feasible route for one EV, charging along the way only when needed.
 
     A feasible direct path is returned untouched. Otherwise charging stops
-    are inserted one at a time via :func:`find_best_energy_point`, and each
-    stop is booked against the live ledgers. Raises :class:`Stranded` when
+    are inserted one at a time via :func:`find_best_energy_point`, each
+    booked against the live ledgers, until the path on from the last stop is
+    feasible. Raises :class:`Stranded` when
     no plan exists within :data:`LEG_LIMIT` stops. A ledger that rejects the
     slot the router priced raises ``RuntimeError``: in a sequential run
     nothing changes between pricing and booking, so a rejection means the
     scorer and the ledger disagree.
+
+    The walk is composed in one pass: each node is appended with the
+    battery level there, and the drive time is folded arc by arc in walk
+    order, the left fold a per-arc walk of the finished route makes.
     """
     caches = caches or PathCache(g)
     Q = request.capacity_kwh
     try:
-        direct = caches.path(request.source, request.dest, "time")
+        tail = caches.path(request.source, request.dest, "time")
     except NoPath:
         raise Stranded(f"EV {request.ev}: destination not reachable in the graph")
 
@@ -606,67 +526,54 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
     trace = [request.energy_kwh]
     z_visits, q_points = [], []
     eps = request.energy_kwh
-    at = request.source
+    drive_s = 0.0
     elapsed = 0.0
-
-    if _path_feasible(direct, eps):
-        eps = _extend(legs, trace, direct, direct.arc_energy, eps, Q)
-        return _finish(g, request, legs, trace, z_visits, q_points, now)
-
-    for _ in range(LEG_LIMIT):
-        plan = find_best_energy_point(g, caches, request, at, eps, now + elapsed,
+    stops = 0
+    # tail: the time-shortest path on to the destination, None if there is none
+    while tail is None or not _path_feasible(tail, eps):
+        if stops == LEG_LIMIT:
+            raise Stranded(f"EV {request.ev}: still infeasible after "
+                           f"{LEG_LIMIT} charging stops")
+        stops += 1
+        plan = find_best_energy_point(g, caches, request, legs[-1], eps, now + elapsed,
                                       infra, gate)
-        arrival = now + elapsed + plan.drive_s
+        arrival = now + elapsed + plan.path.drive_s
+        eps, drive_s = _drive(legs, trace, plan.path, eps, drive_s, Q)
+        elapsed += plan.path.drive_s
         if plan.kind == "scs":
             booked = plan.unit.book(request.ev, arrival, plan.charge_s)
-        else:
-            start = arrival + plan.wait_s
-            booked = plan.unit.book_attach(request.ev, plan.keys, plan.dispensed_kwh,
-                                           start, start + plan.attach_s)
-        if not booked.accepted:
-            raise RuntimeError(f"EV {request.ev}: the {plan.kind} ledger at node "
-                               f"{plan.point} rejected the slot the router priced")
-
-        eps = _extend(legs, trace, plan.path, plan.path.arc_energy, eps, Q)
-        elapsed += plan.drive_s
-        if plan.kind == "scs":
             z_visits.append(ScsVisit(plan.point, len(legs) - 1, plan.wait_s,
                                      plan.charge_s, eps))
             eps = Q
             trace[-1] = Q
             elapsed += plan.wait_s + plan.charge_s
-            at = plan.point
         else:
-            q_points.append(MedAttach(plan.point, plan.detach_node, len(legs) - 1,
-                                      plan.wait_s, plan.attach_s, plan.arcs,
-                                      plan.induced, plan.keys, plan.eps_after - eps,
-                                      plan.dispensed_kwh))
-            eps = _extend(legs, trace, (plan.point,) + tuple(j for _, j in plan.arcs),
-                          plan.arc_energy, eps, Q, gains=plan.induced)
+            segments = plan.segments
+            keys = plan.unit.segment_keys(plan.start_idx, plan.pass_no, len(segments))
+            induced = tuple(seg.induced_kwh for seg in segments)
+            dispensed = sum(induced)
+            start = arrival + plan.wait_s
+            booked = plan.unit.book_attach(request.ev, keys, dispensed,
+                                           start, start + plan.attach_s)
+            q_points.append(MedAttach(plan.point, segments[-1].j, len(legs) - 1, plan.wait_s,
+                                      plan.attach_s, tuple((seg.i, seg.j) for seg in segments),
+                                      induced, keys, plan.eps_after - eps, dispensed))
+            eps, drive_s = _ride(legs, trace, segments, eps, drive_s, Q)
             elapsed += plan.wait_s + plan.attach_s
-            at = plan.detach_node
-
-        if at == request.dest:
-            return _finish(g, request, legs, trace, z_visits, q_points, now)
+        if not booked.accepted:
+            raise RuntimeError(f"EV {request.ev}: the {plan.kind} ledger at node "
+                               f"{plan.point} rejected the slot the router priced")
         try:
-            tail = caches.path(at, request.dest, "time")
+            tail = caches.path(legs[-1], request.dest, "time")
         except NoPath:
-            continue
-        if _path_feasible(tail, eps):
-            eps = _extend(legs, trace, tail, tail.arc_energy, eps, Q)
-            return _finish(g, request, legs, trace, z_visits, q_points, now)
+            tail = None
 
-    raise Stranded(f"EV {request.ev}: still infeasible after "
-                   f"{LEG_LIMIT} charging stops")
-
-
-def _finish(g, request, legs, trace, z_visits, q_points, now):
-    x_arcs = list(zip(legs, legs[1:]))
-    y_arcs = [arc for att in q_points for arc in att.segments]
+    _, drive_s = _drive(legs, trace, tail, eps, drive_s, Q)
     a = RouteAssignment(
         ev=request.ev, source=request.source, dest=request.dest,
-        capacity_kwh=request.capacity_kwh, energy_start_kwh=request.energy_kwh,
-        legs=legs, x_arcs=x_arcs, y_arcs=y_arcs, z_visits=z_visits,
+        capacity_kwh=Q, energy_start_kwh=request.energy_kwh,
+        legs=legs, x_arcs=list(zip(legs, legs[1:])),
+        y_arcs=[arc for att in q_points for arc in att.segments], z_visits=z_visits,
         q_points=q_points, energy_trace=trace, total_time_s=0.0, depart_s=now)
-    a.total_time_s = objective_time(g, a)
+    a.total_time_s = _plus_stops(drive_s, a)
     return a

@@ -9,7 +9,7 @@ from hypothesis import settings
 from medsim.energy import InductionParams, VehicleParams
 from medsim.oracle import OracleInstance
 from medsim.road_graph import ArcAttr, build_graph, grid_doc, load_graph
-from medsim.routing import EvRequest
+from medsim.routing import _EPS_TOL, EvRequest, NoPath, PathCache
 
 # CI runs replay the same examples every time, so a property test cannot
 # flake there; local runs keep drawing fresh ones
@@ -20,6 +20,69 @@ if os.environ.get("CI"):
 TEST_VEHICLE = VehicleParams(mass_kg=1500.0, mu=0.01, drag_c=0.35, area_m2=2.0,
                              air_density=1.2, efficiency=0.75, capacity_kwh=50.0)
 TEST_INDUCTION = InductionParams(c_ind=0.75, p_ind_kw=40.0)
+
+
+# -- reference helpers; the walks read each arc from the graph, not a cache --
+
+
+def dijkstra(g, source, target, weight: str = "time"):
+    """Minimum-cost path and its cost from a fresh path cache; lexicographic tie-break.
+
+    The cost is summed along the returned path in path order, so that
+    independent implementations walking the same arcs get bit-identical
+    totals.
+    """
+    if source not in g.nodes or target not in g.nodes:
+        raise NoPath("endpoint not in graph")
+    if source == target:
+        return [source], 0.0
+    path = PathCache(g).path(source, target, weight)
+    return list(path), path.drive_s if weight == "time" else path.energy_kwh
+
+
+def route_time(g, path) -> float:
+    t = 0.0
+    for i, j in zip(path, path[1:]):
+        t += g.arc(i, j).drive_time_s
+    return t
+
+
+def route_energy(g, path) -> float:
+    e = 0.0
+    for i, j in zip(path, path[1:]):
+        e += g.arc(i, j).energy_kwh
+    return e
+
+
+def route_feasible(g, path, energy_start_kwh: float) -> bool:
+    """Energy feasibility of a path with the battery it starts on.
+
+    The running level must stay nonnegative at every intermediate node, not
+    only at the end.
+    """
+    eps = energy_start_kwh
+    for i, j in zip(path, path[1:]):
+        attr = g.arc(i, j)
+        if attr is None:
+            raise NoPath(f"path uses missing arc ({i},{j})")
+        eps -= attr.energy_kwh
+        if eps < -_EPS_TOL:
+            return False
+    return True
+
+
+def objective_time(g, a) -> float:
+    """Travel time recomputed from the decision variables alone.
+
+    Drive time over traversed arcs, charge plus wait at station visits, and
+    wait at attach points; attached driving is already drive time and is not
+    counted twice.
+    """
+    t = 0.0
+    for i, j in a.x_arcs:
+        t += g.arc(i, j).drive_time_s
+    t += sum(v.wait_s + v.charge_s for v in a.z_visits)
+    return t + sum(p.wait_s for p in a.q_points)
 
 
 def line_graph(n=6, dt=100.0, energy=1.0, scs=(3,), visit_limit=2):
@@ -124,7 +187,6 @@ def random_oracle_instance(seed: int) -> OracleInstance:
     capacity = rng.uniform(6.0, 14.0)
     # scale the starting energy around the direct route's need for a mix of
     # feasible and infeasible directs
-    from medsim.routing import PathCache, route_energy, NoPath
     caches = PathCache(g)
     try:
         direct_need = route_energy(g, caches.path(source, dest, "time"))

@@ -15,9 +15,9 @@ from medsim.comms import RadioParams, transmission_range
 from medsim.energy import InductionParams, induced_energy, rolling_force, air_force
 from medsim.oracle import solve_exact, verify
 from medsim.road_graph import grid_doc, load_graph
-from medsim.routing import PathCache, Stranded, find_shortest_path, route_feasible
+from medsim.routing import PathCache, Stranded, find_shortest_path
 from medsim.sim import DEFAULT_VEHICLE, MedSpec, Scenario, default_scenario, run
-from tests.conftest import random_oracle_instance
+from tests.conftest import random_oracle_instance, route_feasible
 
 
 @contextmanager

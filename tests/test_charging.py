@@ -163,17 +163,17 @@ class TestRequiredAttachSpan:
         return _plan_med_span(med, start_idx, 0.0, 100.0, lambda node: deficit)
 
     def test_small_deficit_one_segment(self):
-        n, eps, attach_s, arcs, _, induced, detach = self.span(1.0, self.med(), 1)
-        assert (detach, n) == (2, 1)
-        assert arcs == ((1, 2),)
+        segments, eps, attach_s = self.span(1.0, self.med(), 1)
+        assert (segments[-1].j, len(segments)) == (2, 1)
+        assert [(s.i, s.j) for s in segments] == [(1, 2)]
         assert attach_s == pytest.approx(600.0)
         assert eps == pytest.approx(4.76375)
-        assert sum(induced) == pytest.approx(5.0)
+        assert sum(s.induced_kwh for s in segments) == pytest.approx(5.0)
 
     def test_nine_kwh_needs_two_segments(self):
-        n, eps, _, arcs, _, _, detach = self.span(9.0, self.med(), 1)
-        assert (detach, n) == (3, 2)
-        assert arcs == ((1, 2), (2, 3))
+        segments, eps, _ = self.span(9.0, self.med(), 1)
+        assert (segments[-1].j, len(segments)) == (3, 2)
+        assert [(s.i, s.j) for s in segments] == [(1, 2), (2, 3)]
         assert eps == pytest.approx(2 * 4.76375)
 
     def test_zero_deficit_rejected(self):

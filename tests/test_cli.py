@@ -178,6 +178,33 @@ class TestPinnedOutputs:
             "32645a81a232a9a178b543716d601bbd3f9f4ccbab67704e34daaa0b4ad105b9"
 
 
+class TestPinnedRouterPlans:
+    """The router's plans in the 30 default runs, pinned bit for bit.
+
+    Both modes, L1-L3, 100 EVs, seeds 0-4, on one shared network. The digest
+    covers every routed EV's whole plan as ``assignment_to_dict`` writes it,
+    with floats by ``repr``: walk, trace, stops, gains, booking keys and
+    total time. The CSV pins round to six decimals and never see those.
+    """
+
+    DIGEST = "65ac86f426263cec2cf6b6f942b8418b2556365eb84880e43b8b1ffde6a9577f"
+
+    def test_default_runs_digest(self):
+        h = hashlib.sha256()
+        network = None
+        for mode in sim.MODES:
+            for level in ("L1", "L2", "L3"):
+                for seed in range(5):
+                    scenario = default_scenario(mode=mode, level=level, ev_count=100,
+                                                seed=seed)
+                    network = network or sim.load_network(scenario)
+                    for a in sim.run(scenario, network=network).assignments:
+                        if a is not None:
+                            h.update(json.dumps(cli.assignment_to_dict(a),
+                                                sort_keys=True).encode())
+        assert h.hexdigest() == self.DIGEST
+
+
 def _line_arcs(n):
     return [{"i": i, "j": j, "length_m": 1000, "speed_mps": 10, "energy_kwh": 1.0}
             for k in range(n - 1) for i, j in ((k, k + 1), (k + 1, k))]

@@ -9,10 +9,9 @@ from medsim.energy import InductionParams
 from medsim.oracle import (NODE_BOUND, OracleError, OracleInstance, solve_exact,
                            verify)
 from medsim.road_graph import ArcAttr, build_graph
-from medsim.routing import (EvRequest, Stranded, check_assignment, find_shortest_path,
-                            objective_time)
-from tests.conftest import (line_graph, random_oracle_instance, relabelled, ring_with_spurs,
-                            sparse_id)
+from medsim.routing import EvRequest, Stranded, check_assignment, find_shortest_path
+from tests.conftest import (line_graph, objective_time, random_oracle_instance, relabelled,
+                            ring_with_spurs, sparse_id)
 
 
 def line_instance(energy=4.0, wait=60.0):
@@ -156,7 +155,7 @@ class TestVerify:
     @pytest.mark.parametrize("build,corrupt,want", [
         pytest.param(line_instance, _dip_below_zero, "violated(5)", id="negative-dip"),
         pytest.param(ring_instance, _attach_off_the_walk, "violated(3)", id="attach-off-walk"),
-        pytest.param(line_instance, _short_after_station, "violated(4)",
+        pytest.param(line_instance, _short_after_station, "violated(7)",
                      id="short-after-station"),
         pytest.param(lambda: line_instance(energy=6.0), lambda a: a.legs.pop(), "violated(2)",
                      id="flow-break"),

@@ -5,11 +5,11 @@ import pytest
 
 from medsim.oracle import OracleInstance, verify
 from medsim.road_graph import ArcAttr, build_graph, load_graph
-from medsim.routing import EvRequest, dijkstra
+from medsim.routing import EvRequest
 from medsim.sim import (DEFAULT_VEHICLE, LEVEL_TARGETS, MODES, CalibrationError,
                         LevelSampler, RunMetrics, Scenario, default_scenario,
                         generate_population, load_network, run)
-from tests.conftest import line_graph, sparse_id
+from tests.conftest import dijkstra, line_graph, sparse_id
 
 
 def anxious(g, s, d, energy_kwh):
