@@ -19,7 +19,7 @@ class GraphError(ValueError):
     """Raised for inconsistent graph descriptions or illegal queries."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArcAttr:
     drive_time_s: float
     energy_kwh: float

@@ -10,6 +10,7 @@ remaining leg stays infeasible.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -31,7 +32,9 @@ class Stranded(Exception):
 def _dijkstra_dist(adj, source):
     """Distances from position ``source`` over a cost table (see ``RoadGraph.cost_table``).
 
-    A list indexed by position, :data:`INFINITE` where a node is unreachable.
+    An ``array('d')`` indexed by position, :data:`INFINITE` where a node is
+    unreachable. The search runs on a list; the array it returns holds each
+    retained map in 8 bytes per node.
     """
     dist = [INFINITE] * len(adj)
     dist[source] = 0.0
@@ -45,7 +48,7 @@ def _dijkstra_dist(adj, source):
             if nd < dist[nbr]:
                 dist[nbr] = nd
                 heappush(heap, (nd, nbr))
-    return dist
+    return array("d", dist)
 
 
 class CachedPath(tuple):
@@ -72,13 +75,14 @@ def _cached_path(nodes, attrs):
 class PathCache:
     """Memoized single-source distance maps and path reconstructions.
 
-    One per graph, shared by every run of a sweep; routing repeatedly asks
-    for distances from the same sources (EV positions) and to the same
-    targets (chargers, destinations), so the maps are worth keeping. It
-    holds only graph-derived data, never ledger or population state. The
-    searches read the graph's cost tables, which every cache on that graph
-    shares. Queries take node ids; a distance map is a list indexed by node
-    position (``g.index``), with :data:`INFINITE` where no path exists.
+    One per network, shared by every run on it (see ``sim.run``); routing
+    repeatedly asks for distances from the same sources (EV positions) and
+    to the same targets (chargers, destinations), so the maps are worth
+    keeping. It holds only graph-derived data, never ledger or population
+    state. The searches read the graph's cost tables, which every cache on
+    that graph shares. Queries take node ids; a distance map is an
+    ``array('d')`` indexed by node position (``g.index``), with
+    :data:`INFINITE` where no path exists.
     """
 
     def __init__(self, g: RoadGraph):

@@ -352,6 +352,23 @@ def load_network(scenario: Scenario) -> Network:
     return Network(scenario.graph, scenario.vehicle, scenario.visit_limit, g, PathCache(g))
 
 
+# the network of the last run given none, reused while the graph stays equal
+_last_network: Network | None = None
+
+
+def _same_graph(a: RoadGraph, b: RoadGraph) -> bool:
+    """Whether two loaded graphs are equal by value.
+
+    Equal means the same nodes, the same arcs with equal ``ArcAttr``
+    values, and the same stations, cycle, visit limit and entries. Node ids
+    must also match in type: ``1 == 1.0``, but a run prints the ids it draws.
+    """
+    def ids(g):
+        parts = (g.order, g.entries, g.scs_nodes, g.med_points)
+        return parts, [type(n) for part in parts for n in part]
+    return a.visit_limit == b.visit_limit and a.arcs == b.arcs and ids(a) == ids(b)
+
+
 def build_infrastructure(scenario: Scenario, g: RoadGraph) -> Infrastructure:
     infra = Infrastructure()
     for node, rate in scenario.scs:
@@ -378,12 +395,23 @@ def run(scenario: Scenario, keep_assignments: bool = True,
 
     EVs are routed in arrival order against live ledgers; stranded EVs are
     recorded with the penalty travel time rather than aborting the run. In
-    mode "SCS" the mobile chargers exist but take no bookings. ``network``
-    shares a graph and its path cache with other runs (see
-    :func:`load_network`); without one the run loads its own.
+    mode "SCS" the mobile chargers exist but take no bookings.
+
+    Without ``network`` the run loads the scenario's graph. When that graph
+    equals the graph of the last run given no network, the run reuses that
+    run's network, path cache included, so consecutive runs on an equal
+    graph share their distance maps on their own; otherwise the new network
+    becomes the one remembered. A ``network`` from :func:`load_network`
+    shares a graph and its path cache as well and also skips the per-run
+    graph load.
     """
+    global _last_network
     if network is None:
         network = load_network(scenario)
+        if _last_network is not None and _same_graph(_last_network.graph, network.graph):
+            network = _last_network
+        else:
+            _last_network = network
     elif not network.fits(scenario):
         raise ValueError("the network was built from a different graph, vehicle "
                          "or visit_limit than the scenario")

@@ -14,7 +14,7 @@ from medsim.cli import main as cli_main
 from medsim.comms import RadioParams, transmission_range
 from medsim.energy import InductionParams, induced_energy, rolling_force, air_force
 from medsim.oracle import solve_exact, verify
-from medsim.road_graph import grid_doc, load_graph
+from medsim.road_graph import grid_doc
 from medsim.routing import PathCache, Stranded, find_shortest_path
 from medsim.sim import DEFAULT_VEHICLE, MedSpec, Scenario, default_scenario, run
 from tests.conftest import random_oracle_instance, route_feasible

@@ -6,8 +6,7 @@ import pytest
 
 from medsim import routing
 from medsim.energy import InductionParams
-from medsim.oracle import (NODE_BOUND, OracleError, OracleInstance, solve_exact,
-                           verify)
+from medsim.oracle import OracleError, OracleInstance, solve_exact, verify
 from medsim.road_graph import ArcAttr, build_graph
 from medsim.routing import EvRequest, Stranded, check_assignment, find_shortest_path
 from tests.conftest import (line_graph, objective_time, random_oracle_instance, relabelled,

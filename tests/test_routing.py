@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -405,6 +406,7 @@ class TestCostTablesAndKernel:
                 for got, want in ((caches.fwd(node, weight), bellman_ford(g, node, weight)),
                                   (caches.rev(node, weight),
                                    bellman_ford(g, node, weight, reverse=True))):
+                    assert isinstance(got, array) and got.typecode == "d"
                     assert len(got) == len(g.order)
                     for pos, other in enumerate(g.order):
                         if other in want:

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
+from medsim import routing, sim
 from medsim.oracle import OracleInstance, verify
-from medsim.road_graph import ArcAttr, build_graph, load_graph
+from medsim.road_graph import ArcAttr, build_graph, grid_doc, load_graph
 from medsim.routing import EvRequest
 from medsim.sim import (DEFAULT_VEHICLE, LEVEL_TARGETS, MODES, CalibrationError,
-                        LevelSampler, RunMetrics, Scenario, default_scenario,
+                        LevelSampler, Scenario, default_scenario,
                         generate_population, load_network, run)
 from tests.conftest import dijkstra, line_graph, sparse_id
 
@@ -224,8 +225,9 @@ class TestSharedNetwork:
                 for ev_count in (20, 60):
                     for seed in (0, 1):
                         cell = dict(mode=mode, level=level, ev_count=ev_count, seed=seed)
-                        shared = run(Scenario.from_json(doc, **cell), network=network)
-                        fresh = run(Scenario.from_json(doc, **cell))
+                        sc = Scenario.from_json(doc, **cell)
+                        shared = run(sc, network=network)
+                        fresh = run(sc, network=load_network(sc))
                         assert shared.aggregates() == fresh.aggregates(), cell
                         assert shared.to_csv() == fresh.to_csv(), cell
 
@@ -238,6 +240,78 @@ class TestSharedNetwork:
         network = load_network(default_scenario())
         with pytest.raises(ValueError):
             run(default_scenario(ev_count=5, **change), network=network)
+
+
+class TestRememberedNetwork:
+    """A run given no network reuses the last such run's network on an equal graph."""
+
+    @pytest.fixture(autouse=True)
+    def forget(self, monkeypatch):
+        monkeypatch.setattr(sim, "_last_network", None)
+
+    @pytest.mark.parametrize("level", sorted(LEVEL_TARGETS))
+    def test_paired_modes_build_no_map_twice(self, monkeypatch, level):
+        built = []  # (cost table, source position) per distance map
+        kernel = routing._dijkstra_dist
+
+        def recording(adj, source):
+            built.append((adj, source))
+            return kernel(adj, source)
+        sampled = []  # maps built while sampling the population, per run
+        population = sim.generate_population
+
+        def sampling(*args, **kw):
+            start = len(built)
+            spawns = population(*args, **kw)
+            sampled.append(len(built) - start)
+            return spawns
+        monkeypatch.setattr(routing, "_dijkstra_dist", recording)
+        monkeypatch.setattr(sim, "generate_population", sampling)
+        scs, med = (default_scenario(mode=mode, level=level, ev_count=100, seed=5)
+                    for mode in MODES)
+        first = run(scs)
+        mark = len(built)
+        second = run(med)
+        g = sim._last_network.graph
+        dests = {g.index[r.dest] for r in second.rows}
+        to_dest = g.cost_table("time", reverse=True)
+        assert sampled[0] > 0 and sampled[1] == 0
+        assert any(adj is to_dest and pos in dests for adj, pos in built[:mark])
+        assert not [pos for adj, pos in built[mark:] if adj is to_dest and pos in dests]
+        for sc, metrics in ((scs, first), (med, second)):
+            assert metrics.to_csv() == run(sc, network=load_network(sc)).to_csv()
+
+    def test_graph_edited_in_place_gets_a_fresh_network(self):
+        doc = default_scenario(level="L3", ev_count=100, seed=2).to_json()
+        before = run(Scenario.from_json(doc))
+        remembered = sim._last_network
+        arc = next(a for a in doc["graph"]["arcs"] if (a["i"], a["j"]) == (12, 22))
+        arc["speed_mps"] = 5.0
+        sc = Scenario.from_json(doc)
+        after = run(sc)
+        assert sim._last_network is not remembered
+        assert after.to_csv() == run(sc, network=load_network(sc)).to_csv()
+        assert after.to_csv() != before.to_csv()
+
+    @pytest.mark.parametrize("other_graph", [
+        lambda g: grid_doc(10, 10, arc_len_m=2400.0, scs=g["scs"], med_cycle=g["med_cycle"]),
+        # equal ids of another type: 1 == 1.0, but the CSV prints 1.0
+        lambda g: {
+            "nodes": [{**node, "id": float(node["id"])} for node in g["nodes"]],
+            "arcs": [{**a, "i": float(a["i"]), "j": float(a["j"])} for a in g["arcs"]],
+            **{key: [float(n) for n in g[key]] for key in ("scs", "med_cycle", "entries")},
+        },
+    ], ids=["arc-length", "float-ids"])
+    def test_a_run_on_another_graph_replaces_the_network(self, other_graph):
+        first = default_scenario(level="L2", ev_count=40, seed=1)
+        run(first)
+        remembered = sim._last_network
+        other = default_scenario(level="L2", ev_count=40, seed=1, graph=other_graph(first.graph))
+        assert run(other).to_csv() == run(other, network=load_network(other)).to_csv()
+        assert sim._last_network is not remembered
+        assert sim._last_network.graph_doc is other.graph
+        run(first)
+        assert sim._last_network.graph_doc is first.graph
 
 
 class TestScenarioJson:
