@@ -75,7 +75,8 @@ def _cached_path(nodes, attrs):
 class PathCache:
     """Memoized single-source distance maps and path reconstructions.
 
-    One per network, shared by every run on it (see ``sim.run``); routing
+    One per network, shared by every run on it: the runs on an equal graph
+    document, vehicle and visit limit (see ``sim.run``); routing
     repeatedly asks for distances from the same sources (EV positions) and
     to the same targets (chargers, destinations), so the maps are worth
     keeping. It holds only graph-derived data, never ledger or population

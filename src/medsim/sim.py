@@ -9,9 +9,11 @@ order, so a run is fully deterministic for a given seed.
 
 from __future__ import annotations
 
+import json
 import math
+import pickle
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .charging import Infrastructure, MedState, ScsState
 from .energy import InductionParams, VehicleParams
@@ -48,7 +50,7 @@ class MedSpec:
 class Scenario:
     """Everything one simulation run depends on, JSON round-trippable."""
 
-    graph: dict
+    graph: dict  # or a path to one, read on construction
     mode: str = "SCS_MED"
     ev_count: int = 50
     level: str = "L1"
@@ -77,6 +79,9 @@ class Scenario:
             raise ValueError("block_prob must be a probability")
         if self.stranded_penalty_s is None:
             self.stranded_penalty_s = 10.0 * self.horizon_s
+        if isinstance(self.graph, (str, bytes)):  # a path: keep the document it names
+            with open(self.graph, encoding="utf-8") as fh:
+                self.graph = json.load(fh)
 
     def to_json(self) -> dict:
         doc = {
@@ -102,9 +107,7 @@ class Scenario:
     def from_json(cls, doc: dict, **overrides) -> "Scenario":
         doc = dict(doc)
         if "graph_path" in doc and "graph" not in doc:
-            import json
-            with open(doc["graph_path"], encoding="utf-8") as fh:
-                doc["graph"] = json.load(fh)
+            doc["graph"] = doc["graph_path"]  # read by __post_init__
         require_keys(doc, ("graph",), "scenario", ValueError)
         infra = doc.get("infra", {})
         for k, s in enumerate(infra.get("scs", ())):
@@ -338,6 +341,7 @@ class Network:
     visit_limit: int
     graph: RoadGraph
     caches: PathCache
+    key: tuple | None = None  # what :func:`run` remembers the network by
 
     def fits(self, scenario: Scenario) -> bool:
         return (self.visit_limit == scenario.visit_limit
@@ -352,21 +356,9 @@ def load_network(scenario: Scenario) -> Network:
     return Network(scenario.graph, scenario.vehicle, scenario.visit_limit, g, PathCache(g))
 
 
-# the network of the last run given none, reused while the graph stays equal
+# the network of the last run given none; a pickle in its key is a copy, so
+# a graph document edited in place since that run no longer matches it
 _last_network: Network | None = None
-
-
-def _same_graph(a: RoadGraph, b: RoadGraph) -> bool:
-    """Whether two loaded graphs are equal by value.
-
-    Equal means the same nodes, the same arcs with equal ``ArcAttr``
-    values, and the same stations, cycle, visit limit and entries. Node ids
-    must also match in type: ``1 == 1.0``, but a run prints the ids it draws.
-    """
-    def ids(g):
-        parts = (g.order, g.entries, g.scs_nodes, g.med_points)
-        return parts, [type(n) for part in parts for n in part]
-    return a.visit_limit == b.visit_limit and a.arcs == b.arcs and ids(a) == ids(b)
 
 
 def build_infrastructure(scenario: Scenario, g: RoadGraph) -> Infrastructure:
@@ -397,21 +389,21 @@ def run(scenario: Scenario, keep_assignments: bool = True,
     recorded with the penalty travel time rather than aborting the run. In
     mode "SCS" the mobile chargers exist but take no bookings.
 
-    Without ``network`` the run loads the scenario's graph. When that graph
-    equals the graph of the last run given no network, the run reuses that
-    run's network, path cache included, so consecutive runs on an equal
-    graph share their distance maps on their own; otherwise the new network
-    becomes the one remembered. A ``network`` from :func:`load_network`
-    shares a graph and its path cache as well and also skips the per-run
-    graph load.
+    Without ``network`` the run decides reuse before it loads anything: when
+    its graph document (compared by its pickle, so equal in type as well:
+    ``1.0`` is not ``1``), vehicle and visit limit equal those of the last
+    run given no network, it reuses that run's network, path cache included,
+    so consecutive runs on an equal graph share their distance maps on their
+    own. Otherwise it loads a new network, which becomes the one remembered.
+    The decision pickles the graph document once per run; a ``network`` from
+    :func:`load_network` skips even that, which is what a sweep passes.
     """
     global _last_network
     if network is None:
-        network = load_network(scenario)
-        if _last_network is not None and _same_graph(_last_network.graph, network.graph):
-            network = _last_network
-        else:
-            _last_network = network
+        key = (pickle.dumps(scenario.graph), scenario.vehicle, scenario.visit_limit)
+        if _last_network is None or _last_network.key != key:
+            _last_network = replace(load_network(scenario), key=key)
+        network = _last_network
     elif not network.fits(scenario):
         raise ValueError("the network was built from a different graph, vehicle "
                          "or visit_limit than the scenario")

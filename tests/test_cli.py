@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -161,6 +164,8 @@ class TestPinnedOutputs:
     with fewer stranded EVs.
     """
 
+    RUN_DIGEST = "32645a81a232a9a178b543716d601bbd3f9f4ccbab67704e34daaa0b4ad105b9"
+
     def digest(self, args, tmp_path):
         scenario = tmp_path / "default.json"
         scenario.write_text(json.dumps(default_scenario().to_json()))
@@ -174,8 +179,24 @@ class TestPinnedOutputs:
 
     def test_default_run_l3_100_evs(self, tmp_path):
         args = ["run", "--level", "L3", "--evs", "100", "--seed", "0", "--out-csv"]
-        assert self.digest(args, tmp_path) == \
-            "32645a81a232a9a178b543716d601bbd3f9f4ccbab67704e34daaa0b4ad105b9"
+        assert self.digest(args, tmp_path) == self.RUN_DIGEST
+
+    def test_default_run_fresh_interpreter_and_warm_network(self, tmp_path, monkeypatch):
+        scenario = tmp_path / "default.json"
+        scenario.write_text(json.dumps(default_scenario().to_json()))
+        args = ["run", "--scenario", str(scenario), "--level", "L3", "--evs", "100"]
+        fresh, warm = tmp_path / "fresh.csv", tmp_path / "warm.csv"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        subprocess.run([sys.executable, "-m", "medsim", *args, "--seed", "0",
+                        "--out-csv", str(fresh)],
+                       env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert hashlib.sha256(fresh.read_bytes()).hexdigest() == self.RUN_DIGEST
+        monkeypatch.setattr(sim, "_last_network", None)
+        assert main([*args, "--seed", "3", "--out-csv", str(tmp_path / "seed3.csv")]) == 0
+        warmed = sim._last_network
+        assert main([*args, "--seed", "0", "--out-csv", str(warm)]) == 0
+        assert sim._last_network is warmed
+        assert warm.read_bytes() == fresh.read_bytes()
 
 
 class TestPinnedRouterPlans:

@@ -1,5 +1,9 @@
 import dataclasses
+import gc
+import json
+import os
 import random
+import weakref
 
 import pytest
 
@@ -312,6 +316,58 @@ class TestRememberedNetwork:
         assert sim._last_network.graph_doc is other.graph
         run(first)
         assert sim._last_network.graph_doc is first.graph
+
+    @pytest.mark.parametrize("change", [
+        {"vehicle": dataclasses.replace(DEFAULT_VEHICLE, mass_kg=2000.0)},
+        {"visit_limit": 3},
+    ], ids=["vehicle", "visit_limit"])
+    def test_another_vehicle_or_visit_limit_replaces_the_network(self, change):
+        # arc energies and station visit caps come from these, not the document
+        first = default_scenario(level="L3", ev_count=100, seed=4)
+        run(first)
+        remembered = sim._last_network
+        other = default_scenario(level="L3", ev_count=100, seed=4, graph=first.graph, **change)
+        assert run(other).to_csv() == run(other, network=load_network(other)).to_csv()
+        assert sim._last_network is not remembered
+
+    def test_equal_documents_load_once(self, monkeypatch):
+        loads = []
+        load_graph = sim.load_graph
+        monkeypatch.setattr(sim, "load_graph",
+                            lambda *args, **kw: loads.append(1) or load_graph(*args, **kw))
+        doc = default_scenario(ev_count=20).to_json()
+        for seed in range(5):
+            run(Scenario.from_json(doc, seed=seed))
+        assert len(loads) == 1
+        run(Scenario.from_json(json.loads(json.dumps(doc))))
+        assert len(loads) == 1
+        nodes = doc["graph"]["nodes"]
+        nodes[99] = {**nodes[99], "id": 99.0}
+        run(Scenario.from_json(doc))
+        assert len(loads) == 2
+
+    @pytest.mark.parametrize("as_path", [str, os.fsencode], ids=["str", "bytes"])
+    def test_graph_file_edited_between_runs_gets_a_fresh_network(self, tmp_path, as_path):
+        graph = default_scenario().graph
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(graph))
+        before = run(default_scenario(level="L3", ev_count=100, seed=2, graph=as_path(path)))
+        arc = next(a for a in graph["arcs"] if (a["i"], a["j"]) == (12, 22))
+        arc["speed_mps"] = 5.0
+        path.write_text(json.dumps(graph))
+        sc = default_scenario(level="L3", ev_count=100, seed=2, graph=as_path(path))
+        assert sc.graph == graph
+        after = run(sc)
+        assert after.to_csv() == run(sc, network=load_network(sc)).to_csv()
+        assert after.to_csv() != before.to_csv()
+
+    def test_only_the_last_network_stays_alive(self):
+        run(default_scenario(ev_count=10))
+        remembered = weakref.ref(sim._last_network)
+        other = grid_doc(4, 4, arc_len_m=2500.0, scs=[5], med_cycle=[9, 10])
+        run(default_scenario(ev_count=10, graph=other, scs=[(5, 19.2)]))
+        gc.collect()
+        assert remembered() is None
 
 
 class TestScenarioJson:
