@@ -9,7 +9,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 
 from . import oracle as oracle_mod
 from . import sim
@@ -228,6 +227,8 @@ def cmd_sweep(args) -> int:
     _init_sweep(*init_args)
     try:
         if args.jobs > 1:
+            # imported here: only a parallel sweep needs the pool's modules
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_sweep,
                                      initargs=init_args) as pool:
                 rows = list(pool.map(_sweep_cell, [doc] * len(cells), cells))

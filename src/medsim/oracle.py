@@ -12,7 +12,12 @@ the bounds the paper's formulation gets by cloning each charger into
 them as data, not as queue dynamics.
 
 Branch and bound with an admissible drive-time bound keeps the enumeration
-exact while pruning hopeless prefixes.
+exact while pruning hopeless prefixes. The search is best-first at each
+node: it tries the outgoing arcs in order of drive time plus the head's
+shortest drive time to the destination, so a good incumbent comes early
+and pruning starts soon. The order changes how many states are explored,
+never the objective; explored counts from versions that tried arcs by
+neighbour id are not comparable.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .charging import BookResult, MedState, scs_charge_time
-from .energy import InductionParams
-from .road_graph import RoadGraph
+from .charging import BookResult, Infrastructure, MedState, scs_charge_time
+from .energy import InductionParams, VehicleParams
+from .road_graph import RoadGraph, load_graph, require_keys
 from .routing import (EvRequest, MedAttach, PathCache, RouteAssignment, ScsVisit,
                       _plan_findings)
 
@@ -110,7 +115,6 @@ class OracleInstance:
         return self.scs_rates.get(node, self.default_rate_kw)
 
     def frozen_infrastructure(self):
-        from .charging import Infrastructure
         scs = [FrozenScs(n, self.rate_of(n), self.scs_waits.get(n, 0.0))
                for n in self.graph.scs_nodes]
         meds = []
@@ -135,14 +139,18 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
 
     Depth-first enumeration over walks with per-visit charging and attach
     decisions; an admissible remaining-drive-time bound prunes branches that
-    cannot beat the incumbent, so the returned objective is exact.
+    cannot beat the incumbent, so the returned objective is exact. At each
+    node the search charges first, then attaches, then drives, trying the
+    arcs best-first: by drive time plus the head's time to the destination,
+    ties by neighbour order. Among optima of equal objective, the first one
+    found in that order is returned.
 
     Everything a search node reads about its graph node is precomputed once
-    into a row: the bound's inputs, the outgoing arcs with their caps, and
-    the charger there. The search records station visits and attach runs as
-    plain tuples, and the returned plan's :class:`ScsVisit` and
-    :class:`MedAttach` records, with their segments, induced energies and
-    booking keys, are built once at the end.
+    into a row: the bound's inputs, the outgoing arcs in search order with
+    their caps, and the charger there. The search records station visits and
+    attach runs as plain tuples, and the returned plan's :class:`ScsVisit`
+    and :class:`MedAttach` records, with their segments, induced energies
+    and booking keys, are built once at the end.
     """
     g = inst.graph
     size = sum(g.visit_cap(n) for n in g.nodes)
@@ -158,13 +166,14 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
     scs_set = set(g.scs_nodes)
     med_set = set(g.med_points)
 
+    cap = {n: g.visit_cap(n) for n in g.nodes}
     # visits left per charger; a node is never both a station and a cycle point
-    left = {c: g.visit_cap(c) for c in scs_set | med_set}
+    left = {c: cap[c] for c in scs_set | med_set}
     arc_ids = {key: k for k, key in enumerate(g.arcs)}
     used = [0] * len(arc_ids)
 
     def arc_row(i, j):
-        return arc_ids[(i, j)], g.visit_cap(i) * g.visit_cap(j)
+        return arc_ids[(i, j)], cap[i] * cap[j]
 
     if med_set:
         med = inst.frozen_infrastructure().med_units[0]
@@ -189,8 +198,12 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
         via = tuple(sorted((t_to_c[k] + t_on, e_to_c[k], c)
                            for c, t_to_c, t_on, e_to_c in charger_maps
                            if t_to_c[k] + t_on < INFINITE))
-        out = tuple((nbr, *arc_row(n, nbr), attr.energy_kwh, attr.drive_time_s)
-                    for nbr, attr in g.neighbors(n))
+        # best-first: arcs by drive time plus the head's time to the
+        # destination, so a good incumbent is found early; the sort is
+        # stable, so ties keep neighbour order
+        out = tuple(sorted(((nbr, *arc_row(n, nbr), attr.energy_kwh, attr.drive_time_s)
+                            for nbr, attr in g.neighbors(n)),
+                           key=lambda arc: arc[4] + lb_time[index[arc[0]]]))
         station = (inst.scs_waits.get(n, 0.0), inst.rate_of(n)) if n in scs_set else None
         meet = (med_idx[n], inst.med_waits.get(n, 0.0)) if n in med_set else None
         rows[n] = (min_e_dest[k], lb_time[k], via, out, station, meet)
@@ -384,9 +397,6 @@ def verify(inst: OracleInstance, a: RouteAssignment, tol: float = 1e-6,
 
 def instance_from_json(doc) -> OracleInstance:
     """Build an instance from the CLI's JSON schema."""
-    from .energy import VehicleParams
-    from .road_graph import load_graph, require_keys
-
     require_keys(doc, ("graph", "request"), "instance", OracleError)
     r, scs, med = doc["request"], doc.get("scs", []), doc.get("med", {})
     if not (isinstance(r, dict) and isinstance(med, dict) and isinstance(scs, list)

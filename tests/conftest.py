@@ -112,13 +112,25 @@ def sparse_id(k):
     return 1000 + 7 * k
 
 
-def relabelled(g):
-    """``g`` on the nodes ``sparse_id(k)``, with every arc and charger moved along."""
-    return build_graph([sparse_id(n) for n in g.order],
-                       {(sparse_id(i), sparse_id(j)): attr for (i, j), attr in g.arcs.items()},
-                       scs_list=[sparse_id(n) for n in g.scs_nodes],
-                       med_cycle=[sparse_id(n) for n in g.med_points],
-                       visit_limit=g.visit_limit, entries=[sparse_id(n) for n in g.entries])
+def relabelled(g, new_id=sparse_id):
+    """``g`` on the nodes ``new_id(k)``, with every arc and charger moved along."""
+    return build_graph([new_id(n) for n in g.order],
+                       {(new_id(i), new_id(j)): attr for (i, j), attr in g.arcs.items()},
+                       scs_list=[new_id(n) for n in g.scs_nodes],
+                       med_cycle=[new_id(n) for n in g.med_points],
+                       visit_limit=g.visit_limit, entries=[new_id(n) for n in g.entries])
+
+
+def relabelled_instance(inst, new_id=sparse_id):
+    """``inst`` on :func:`relabelled` nodes, with its request and waits moved along."""
+    r = inst.request
+    return OracleInstance(
+        relabelled(inst.graph, new_id),
+        EvRequest(r.ev, new_id(r.source), new_id(r.dest), r.capacity_kwh, r.energy_kwh),
+        {new_id(n): w for n, w in inst.scs_waits.items()},
+        {new_id(n): rate for n, rate in inst.scs_rates.items()},
+        {new_id(n): w for n, w in inst.med_waits.items()},
+        inst.induction, inst.med_battery_kwh, inst.default_rate_kw)
 
 
 @pytest.fixture

@@ -108,6 +108,15 @@ class TestSweep:
         assert main(args + ["--out", str(parallel), "--jobs", "2"]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_importing_the_cli_loads_no_process_pool(self):
+        # only a sweep with --jobs > 1 imports the pool, inside that branch
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = ("import sys, medsim.cli; print(sorted(m for m in sys.modules "
+                 "if m.startswith(('concurrent', 'multiprocessing'))))")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        assert out.strip() == "[]"
+
     def test_empty_spec_rejected(self, scenario_path, tmp_path):
         rc = main(["sweep", "--scenario", scenario_path, "--modes", "",
                    "--levels", "L1", "--evs", "10", "--seeds", "0",

@@ -9,8 +9,8 @@ from medsim.energy import InductionParams
 from medsim.oracle import OracleError, OracleInstance, solve_exact, verify
 from medsim.road_graph import ArcAttr, build_graph
 from medsim.routing import EvRequest, Stranded, check_assignment, find_shortest_path
-from tests.conftest import (line_graph, objective_time, random_oracle_instance, relabelled,
-                            ring_with_spurs, sparse_id)
+from tests.conftest import (line_graph, objective_time, random_oracle_instance,
+                            relabelled_instance, ring_with_spurs, sparse_id)
 
 
 def line_instance(energy=4.0, wait=60.0):
@@ -244,14 +244,7 @@ class TestAgainstRouter:
         for seed in range(40):
             inst = random_oracle_instance(seed)
             r = inst.request
-            twin = OracleInstance(
-                relabelled(inst.graph),
-                EvRequest(r.ev, sparse_id(r.source), sparse_id(r.dest),
-                          r.capacity_kwh, r.energy_kwh),
-                {sparse_id(n): w for n, w in inst.scs_waits.items()},
-                {sparse_id(n): rate for n, rate in inst.scs_rates.items()},
-                {sparse_id(n): w for n, w in inst.med_waits.items()},
-                inst.induction, inst.med_battery_kwh)
+            twin = relabelled_instance(inst)
             want, got = solve_exact(inst), solve_exact(twin)
             assert (got.objective_s, got.explored) == (want.objective_s, want.explored)
             if want.feasible:
@@ -268,17 +261,45 @@ class TestAgainstRouter:
             assert b.total_time_s == a.total_time_s
             assert verify(twin, b) == "ok", f"seed {seed}"
 
+    def test_reversed_ids_solve_to_the_same_optimum(self):
+        # reversing the ids flips every tie between arcs of equal bound, so
+        # the twin may search in another order and return another optimal
+        # plan, but never another objective
+        for seed in range(300):
+            inst = random_oracle_instance(seed)
+            top = max(inst.graph.nodes)
+            twin = relabelled_instance(inst, lambda n: top - n)
+            want, got = solve_exact(inst), solve_exact(twin)
+            assert got.feasible == want.feasible, f"seed {seed}"
+            if want.feasible:
+                assert got.objective_s == pytest.approx(want.objective_s, rel=1e-12), \
+                    f"seed {seed}"
+                assert verify(inst, want.best) == "ok", f"seed {seed}"
+                assert verify(twin, got.best) == "ok", f"seed {seed}"
+
 
 class TestPinnedSolverOutputs:
-    """The exact search's plans and state counts, pinned bit for bit.
+    """The exact search's objectives, plans and state counts, pinned bit for bit.
 
-    The digest covers every field of the returned plan, with floats by
-    ``repr``, over instances that include station visits and attach runs.
-    A change to the search that keeps its walk order, pruning and bounds
-    leaves it unchanged.
+    ``OBJECTIVE_DIGEST`` covers each instance's feasibility and objective,
+    floats by ``repr``: no change to the search that keeps it exact moves it.
+    ``DIGEST`` covers every field of the returned plan and the explored
+    count too, over instances that include station visits and attach runs.
+    A change to the search that keeps its walk order (the decision order at
+    a node and the order its arcs are tried in), pruning and bounds leaves
+    it unchanged; another walk order moves the counts and, among optima of
+    equal objective, may return another plan.
     """
 
-    DIGEST = "f87c064a1d0b81f584f86b413eb8de01a16222341912850eebaa8db5fa74e48a"
+    OBJECTIVE_DIGEST = "2304eba11284019140548bd7e3558d8d7c64903af99133dc36bd10698e24ebba"
+    DIGEST = "4395ed3a2c9595dbfb9b783fd65cbc5e38cacc43888198b65b23e22cce9d856f"
+
+    def test_random_instances_objective_digest(self):
+        h = hashlib.sha256()
+        for seed in range(300):
+            sol = solve_exact(random_oracle_instance(seed))
+            h.update(repr([seed, sol.feasible, repr(sol.objective_s)]).encode())
+        assert h.hexdigest() == self.OBJECTIVE_DIGEST
 
     def test_random_instances_digest(self):
         h = hashlib.sha256()
