@@ -154,12 +154,23 @@ class MedState:
         The smallest nonnegative wait such that the charger reaches the point
         no earlier than the EV does and none of the span's segments is booked
         for that pass; whole cycles are added as needed, with no upper bound.
+
+        The span's (segment index, pass offset) pairs are worked out once per
+        call; each try adds one ``cycle_time_s`` to the arrival, takes the
+        pass from :meth:`pass_number` and tests the segments of that pass,
+        so a try checks the keys :meth:`segment_keys` would build without
+        building them.
         """
+        u = len(self.segments)
+        span = [((start_idx + k) % u, (start_idx + k) // u) for k in range(n_segments)]
+        booked = self.segment_bookings
         arrival = self.arrival_at(start_idx, ev_arrival_s)
         while True:
             pass_no = self.pass_number(start_idx, arrival)
-            keys = self.segment_keys(start_idx, pass_no, n_segments)
-            if not any(k in self.segment_bookings for k in keys):
+            for seg, offset in span:
+                if (seg, pass_no + offset) in booked:
+                    break
+            else:
                 return arrival - ev_arrival_s, pass_no
             arrival += self.cycle_time_s
 

@@ -6,6 +6,7 @@ seconds unless a name says otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 GRAVITY_MPS2 = 9.8
@@ -29,6 +30,9 @@ class VehicleParams:
     capacity_kwh: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         for name in ("mass_kg", "drag_c", "area_m2", "air_density",
                      "efficiency", "capacity_kwh"):
             if getattr(self, name) <= 0:
@@ -51,8 +55,8 @@ class InductionParams:
     def __post_init__(self):
         if not 0.0 <= self.c_ind <= 1.0:
             raise ValueError("c_ind must be in [0, 1]")
-        if self.p_ind_kw <= 0:
-            raise ValueError("p_ind_kw must be strictly positive")
+        if not 0 < self.p_ind_kw < math.inf:
+            raise ValueError("p_ind_kw must be strictly positive and finite")
 
 
 def rolling_force(vp: VehicleParams) -> float:

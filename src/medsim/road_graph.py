@@ -10,6 +10,7 @@ mobile charger's pass budget all read that rule.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .energy import VehicleParams, segment_energy
@@ -26,12 +27,14 @@ class ArcAttr:
     length_m: float
 
     def __post_init__(self):
-        if not self.drive_time_s > 0:
-            raise GraphError(f"arc drive time must be positive, got {self.drive_time_s}")
-        if self.energy_kwh < 0:
-            raise GraphError(f"arc energy must be nonnegative, got {self.energy_kwh}")
-        if not self.length_m > 0:
-            raise GraphError(f"arc length must be positive, got {self.length_m}")
+        # chained comparisons, so NaN and infinities fail them too
+        if not 0 < self.drive_time_s < math.inf:
+            raise GraphError(f"arc drive time must be positive and finite, "
+                             f"got {self.drive_time_s}")
+        if not 0 <= self.energy_kwh < math.inf:
+            raise GraphError(f"arc energy must be nonnegative and finite, got {self.energy_kwh}")
+        if not 0 < self.length_m < math.inf:
+            raise GraphError(f"arc length must be positive and finite, got {self.length_m}")
 
 
 # the ArcAttr field each routing weight reads

@@ -163,13 +163,19 @@ def _lex_path(adj, order, source, target, rev_dist):
 
 
 def _path_feasible(path: CachedPath, energy_start_kwh: float) -> bool:
-    """Whether the battery covers the path arc by arc without running below zero."""
+    """Whether the battery covers the path arc by arc without running below zero.
+
+    The level is folded over the whole path and compared once, at the end.
+    That is the same answer as a comparison after every arc: arc energies
+    are finite and nonnegative (``ArcAttr`` rejects anything else), and
+    subtracting a nonnegative float never raises a float, so the level
+    never rises along a drive and its lowest point is its last. A path with
+    no arcs checks no level, so it is feasible from any start.
+    """
     eps = energy_start_kwh
     for attr in path.attrs:
         eps -= attr.energy_kwh
-        if eps < -_EPS_TOL:
-            return False
-    return True
+    return not eps < -_EPS_TOL or not path.attrs
 
 
 # -- requests and realized routes --------------------------------------------
@@ -242,8 +248,18 @@ class RouteAssignment:
 
 
 def _plus_stops(drive_s: float, a: RouteAssignment) -> float:
-    t = drive_s + sum(v.wait_s + v.charge_s for v in a.z_visits)
-    return t + sum(p.wait_s for p in a.q_points)
+    """``drive_s`` plus the station and attach stops, each kind summed left to right.
+
+    Plain loops, so the sums are the same left fold on every Python version
+    (``sum`` of floats compensates its rounding from Python 3.12 on).
+    """
+    stations = 0
+    for v in a.z_visits:
+        stations += v.wait_s + v.charge_s
+    attaches = 0
+    for p in a.q_points:
+        attaches += p.wait_s
+    return drive_s + stations + attaches
 
 
 def _plan_findings(g: RoadGraph, a: RouteAssignment, tol: float):
@@ -272,14 +288,12 @@ def _plan_findings(g: RoadGraph, a: RouteAssignment, tol: float):
     if a.x_arcs != walk:
         found.append((2, "x arcs do not match the walk"))
     attrs = []
-    drive_s = 0.0
     for i, j in walk:
         attr = g.arc(i, j)
         if attr is None:
             found.append((2, f"walk uses missing arc ({i},{j})"))
             return found, []
         attrs.append(attr)
-        drive_s += attr.drive_time_s
 
     if [arc for att in a.q_points for arc in att.segments] != list(a.y_arcs):
         found.append((3, "y arcs do not equal the concatenated attach spans"))
@@ -317,16 +331,22 @@ def _plan_findings(g: RoadGraph, a: RouteAssignment, tol: float):
         found.append((4, "energy trace length does not match the walk"))
         return found, []
     eps = a.energy_start_kwh
+    drive_s = 0.0
     levels = []
     for k, recorded in enumerate(trace):
         if k:
-            eps = min(Q, eps - attrs[k - 1].energy_kwh + gain_at.get(k - 1, 0.0))
+            attr = attrs[k - 1]
+            drive_s += attr.drive_time_s
+            level = eps - attr.energy_kwh + (gain_at.get(k - 1, 0.0) if gain_at else 0.0)
+            eps = level if level < Q else Q
         if eps < -_EPS_TOL:
             found.append((5, f"battery below zero arriving at walk index {k}"))
-        for v in charge_at.get(k, ()):
-            if abs(v.arrive_kwh - eps) > tol:
-                found.append((4, "recorded arrival energy at station disagrees with the trace"))
-            eps = Q
+        if charge_at:
+            for v in charge_at.get(k, ()):
+                if abs(v.arrive_kwh - eps) > tol:
+                    found.append((4, "recorded arrival energy at station disagrees "
+                                     "with the trace"))
+                eps = Q
         if eps > Q + _EPS_TOL:
             found.append((6, f"battery above capacity at walk index {k}"))
         if abs(recorded - eps) > tol:
@@ -394,7 +414,8 @@ def _plan_med_span(unit, start_idx, eps_at_meet, capacity, need_to_finish):
         dispensed += seg.induced_kwh
         if dispensed > unit.battery_kwh + _EPS_TOL:
             return None
-        eps = min(capacity, eps - seg.energy_kwh + seg.induced_kwh)
+        level = eps - seg.energy_kwh + seg.induced_kwh
+        eps = level if level < capacity else capacity
         if eps < -_EPS_TOL:
             return None
         attach_s += seg.drive_s
@@ -413,13 +434,18 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
     drive there (on the time-shortest path, which must be energy-feasible),
     plus queue wait and charge time for stations, plus meeting wait and
     attached drive for mobile chargers, plus the drive-time estimate from
-    the exit point to the destination. Ties prefer stations, then smaller
-    node ids.
+    the exit point to the destination.
+
+    The winner has the smallest ``(score, kind != "scs", point)``: ties
+    prefer stations, then smaller node ids, and of points equal in all three
+    the first scored wins. Each point is compared as soon as it is scored,
+    with a strict ``<`` as ``min`` compares, and only the winner is built
+    into a :class:`_Candidate`.
     """
     Q = request.capacity_kwh
     rev_time = caches.rev(request.dest, "time")
     index = g.index
-    candidates = []
+    best_key = best = None
 
     need_memo = {}
 
@@ -457,8 +483,9 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
                 continue
             wait = unit.wait_s(now, drive)
             charge = unit.charge_s(arrive, Q)
-            candidates.append(_Candidate(kind, unit, node, path, drive + wait + charge + finish,
-                                         wait, charge_s=charge))
+            key = (drive + wait + charge + finish, False, node)
+            if best_key is None or key < best_key:
+                best_key, best = key, (unit, path, wait, charge)
             continue
         if arrive >= need_to_finish(node) - _EPS_TOL:
             continue  # no deficit at this point, it is not an energy stop
@@ -470,13 +497,20 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
         if finish == INFINITE:
             continue
         wait, pass_no = unit.waiting(idx, now + drive, len(segments))
-        candidates.append(_Candidate(kind, unit, node, path, drive + wait + attach_s + finish,
-                                     wait, segments=segments, start_idx=idx, pass_no=pass_no,
-                                     attach_s=attach_s, eps_after=eps_after))
+        key = (drive + wait + attach_s + finish, True, node)
+        if best_key is None or key < best_key:
+            best_key, best = key, (unit, path, wait, (segments, idx, pass_no, attach_s,
+                                                      eps_after))
 
-    if not candidates:
+    if best_key is None:
         raise Stranded(f"EV {request.ev}: no feasible energy point from node {at}")
-    return min(candidates, key=lambda c: (c.score, c.kind != "scs", c.point))
+    score, is_med, point = best_key
+    unit, path, wait, plan = best
+    if not is_med:
+        return _Candidate("scs", unit, point, path, score, wait, charge_s=plan)
+    segments, idx, pass_no, attach_s, eps_after = plan
+    return _Candidate("med", unit, point, path, score, wait, segments=segments,
+                      start_idx=idx, pass_no=pass_no, attach_s=attach_s, eps_after=eps_after)
 
 
 def _drive(legs, trace, path, eps, drive_s, capacity):
@@ -486,7 +520,8 @@ def _drive(legs, trace, path, eps, drive_s, capacity):
     drive times, added one arc at a time in walk order.
     """
     for node, attr in zip(path[1:], path.attrs):
-        eps = min(eps - attr.energy_kwh, capacity)
+        level = eps - attr.energy_kwh
+        eps = capacity if capacity < level else level
         drive_s += attr.drive_time_s
         legs.append(node)
         trace.append(eps)
@@ -496,7 +531,8 @@ def _drive(legs, trace, path, eps, drive_s, capacity):
 def _ride(legs, trace, segments, eps, drive_s, capacity):
     """:func:`_drive` along an attach run, crediting each segment's induced energy."""
     for seg in segments:
-        eps = min(eps - seg.energy_kwh + seg.induced_kwh, capacity)
+        level = eps - seg.energy_kwh + seg.induced_kwh
+        eps = capacity if capacity < level else level
         drive_s += seg.drive_s
         legs.append(seg.j)
         trace.append(eps)

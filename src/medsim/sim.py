@@ -179,7 +179,7 @@ class LevelSampler:
         self.rng = rng
         self.caches = caches or PathCache(g)
         self.entries = list(entries) if entries is not None else list(g.entries)
-        self.dests = sorted(g.nodes)  # sorted, so a seed always draws the same trips
+        self.dests = g.order  # sorted, so a seed always draws the same trips
         if not self.entries or len(self.dests) < 2:
             raise CalibrationError("graph too small to spawn trips")
         self._energy_memo = {}
@@ -381,6 +381,16 @@ def _first_choice(assignment) -> str:
     return min(stops)[1]
 
 
+def _refuse_all(kind, node) -> bool:
+    """Charger gate of an EV the comms drop excluded: it may use no charger."""
+    return False
+
+
+def _refuse_med(kind, node) -> bool:
+    """Charger gate of SCS mode: the mobile chargers take no bookings."""
+    return kind != "med"
+
+
 def run(scenario: Scenario, keep_assignments: bool = True,
         network: Network | None = None) -> RunMetrics:
     """Simulate one scenario and collect metrics.
@@ -388,6 +398,10 @@ def run(scenario: Scenario, keep_assignments: bool = True,
     EVs are routed in arrival order against live ledgers; stranded EVs are
     recorded with the penalty travel time rather than aborting the run. In
     mode "SCS" the mobile chargers exist but take no bookings.
+
+    Eligibility is decided once per EV, by which charger gate its routing
+    gets: :func:`_refuse_all` for an EV the comms drop excluded, else
+    :func:`_refuse_med` in mode "SCS", else no gate at all.
 
     Without ``network`` the run decides reuse before it loads anything: when
     its graph document (compared by its pickle, so equal in type as well:
@@ -412,23 +426,18 @@ def run(scenario: Scenario, keep_assignments: bool = True,
     population = generate_population(scenario, g, caches)
     metrics = RunMetrics(scenario.mode, scenario.level, scenario.ev_count,
                          scenario.seed, infrastructure=infra)
-    med_allowed = scenario.mode == "SCS_MED"
+    # what an EV not excluded by the comms drop may use: everything, or no
+    # mobile charger in SCS mode
+    open_gate = None if scenario.mode == "SCS_MED" else _refuse_med
 
     for spawn in population:
         infra.advance_to(spawn.t_arrival_s)
         request = EvRequest(spawn.ev, spawn.source, spawn.dest,
                             scenario.vehicle.capacity_kwh, spawn.energy_kwh)
-
-        def gate(kind, node, _spawn=spawn):
-            if _spawn.excluded:
-                return False
-            if kind == "med" and not med_allowed:
-                return False
-            return True
-
         try:
             a = find_shortest_path(g, request, infra, now=spawn.t_arrival_s,
-                                   gate=gate, caches=caches)
+                                   gate=_refuse_all if spawn.excluded else open_gate,
+                                   caches=caches)
         except Stranded:
             metrics.rows.append(EvRecord(
                 spawn.ev, spawn.t_arrival_s, spawn.source, spawn.dest,

@@ -9,7 +9,8 @@ from hypothesis import settings
 from medsim.energy import InductionParams, VehicleParams
 from medsim.oracle import OracleInstance
 from medsim.road_graph import ArcAttr, build_graph, grid_doc, load_graph
-from medsim.routing import _EPS_TOL, EvRequest, NoPath, PathCache
+from medsim.routing import (_EPS_TOL, INFINITE, EvRequest, NoPath, PathCache, Stranded,
+                            _Candidate)
 
 # CI runs replay the same examples every time, so a property test cannot
 # flake there; local runs keep drawing fresh ones
@@ -83,6 +84,103 @@ def objective_time(g, a) -> float:
         t += g.arc(i, j).drive_time_s
     t += sum(v.wait_s + v.charge_s for v in a.z_visits)
     return t + sum(p.wait_s for p in a.q_points)
+
+
+# -- reference copies of the router's scoring, for differential tests -------
+#
+# Each keeps the plain form the router once had: every try of the cycle-pass
+# search builds its segment keys, clamps call min(), and every scored point
+# becomes a candidate before a min. Feasibility is checked after every arc,
+# by route_feasible above.
+
+
+def ref_waiting(unit, start_idx, ev_arrival_s, n_segments):
+    """``MedState.waiting``, building each try's keys with ``segment_keys``."""
+    arrival = unit.arrival_at(start_idx, ev_arrival_s)
+    while True:
+        pass_no = unit.pass_number(start_idx, arrival)
+        keys = unit.segment_keys(start_idx, pass_no, n_segments)
+        if not any(k in unit.segment_bookings for k in keys):
+            return arrival - ev_arrival_s, pass_no
+        arrival += unit.cycle_time_s
+
+
+def ref_plan_med_span(unit, start_idx, eps_at_meet, capacity, need_to_finish):
+    """``routing._plan_med_span`` with its clamp through ``min``."""
+    segs = unit.segments
+    u = len(segs)
+    eps = eps_at_meet
+    dispensed = 0.0
+    attach_s = 0.0
+    ridden = []
+    for n in range(unit.max_passes * u):
+        seg = segs[(start_idx + n) % u]
+        dispensed += seg.induced_kwh
+        if dispensed > unit.battery_kwh + _EPS_TOL:
+            return None
+        eps = min(capacity, eps - seg.energy_kwh + seg.induced_kwh)
+        if eps < -_EPS_TOL:
+            return None
+        attach_s += seg.drive_s
+        ridden.append(seg)
+        if eps >= need_to_finish(seg.j) - _EPS_TOL:
+            return tuple(ridden), eps, attach_s
+    return None
+
+
+def ref_best_energy_point(g, caches, request, at, energy_kwh, now, infra, gate=None):
+    """``routing.find_best_energy_point``: every scored point a candidate, then ``min``."""
+    Q = request.capacity_kwh
+    rev_time = caches.rev(request.dest, "time")
+    candidates = []
+
+    def need_to_finish(node):
+        try:
+            return caches.path(node, request.dest, "time").energy_kwh
+        except NoPath:
+            return INFINITE
+
+    points = [("scs", unit, None, unit.node) for unit in infra.scs_units]
+    points += [("med", unit, idx, point) for unit in infra.med_units
+               for idx, point in enumerate(unit.points)]
+    for kind, unit, idx, node in points:
+        if gate is not None and not gate(kind, node):
+            continue
+        try:
+            path = caches.path(at, node, "time")
+        except NoPath:
+            continue
+        if not route_feasible(g, path, energy_kwh):
+            continue
+        drive = path.drive_s
+        arrive = max(0.0, energy_kwh - path.energy_kwh)
+        if kind == "scs":
+            if arrive >= Q - 1e-12:
+                continue
+            finish = rev_time[g.index[node]]
+            if finish == INFINITE:
+                continue
+            wait = unit.wait_s(now, drive)
+            charge = unit.charge_s(arrive, Q)
+            candidates.append(_Candidate(kind, unit, node, path, drive + wait + charge + finish,
+                                         wait, charge_s=charge))
+            continue
+        if arrive >= need_to_finish(node) - _EPS_TOL:
+            continue
+        span = ref_plan_med_span(unit, idx, arrive, Q, need_to_finish)
+        if span is None:
+            continue
+        segments, eps_after, attach_s = span
+        finish = rev_time[g.index[segments[-1].j]]
+        if finish == INFINITE:
+            continue
+        wait, pass_no = ref_waiting(unit, idx, now + drive, len(segments))
+        candidates.append(_Candidate(kind, unit, node, path, drive + wait + attach_s + finish,
+                                     wait, segments=segments, start_idx=idx, pass_no=pass_no,
+                                     attach_s=attach_s, eps_after=eps_after))
+    if not candidates:
+        raise Stranded(f"EV {request.ev}: no feasible energy point from node {at}")
+    return min(candidates, key=lambda c: (c.score, c.kind != "scs", c.point))
 
 
 def line_graph(n=6, dt=100.0, energy=1.0, scs=(3,), visit_limit=2):

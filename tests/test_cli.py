@@ -351,6 +351,20 @@ class TestInvalidFiles:
         assert rc == 2
         assert "scenario: ev_count must lie in [0, 100]" in err and err.count("\n") == 1
 
+    def test_nan_arc_energy(self, tmp_path, capsys):
+        # Python's json reads NaN; such an arc once loaded and gave a 1 kWh
+        # EV a 5 kWh route with no stop and a NaN energy trace
+        doc = default_scenario(ev_count=12).to_json()
+        doc["graph"]["arcs"][0]["energy_kwh"] = float("nan")
+        p = tmp_path / "scenario.json"
+        p.write_text(json.dumps(doc))
+        assert "NaN" in p.read_text()
+        rc = main(["run", "--scenario", str(p)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "arc energy must be nonnegative and finite, got nan" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ["run", "--scenario"],
         ["route", "--source", "0", "--dest", "9", "--energy", "5", "--scenario"],

@@ -143,3 +143,19 @@ class TestValidation:
             InductionParams(1.2, 40.0)
         with pytest.raises(ValueError):
             InductionParams(0.75, 0.0)
+
+    @pytest.mark.parametrize("field", ["mass_kg", "mu", "drag_c", "area_m2", "air_density",
+                                       "efficiency", "capacity_kwh"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_vehicle_rejects_non_finite_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            vp(**{field: value})
+
+    @pytest.mark.parametrize("c_ind,p_ind_kw", [
+        (float("nan"), 40.0), (0.75, float("nan")), (0.75, float("inf")),
+        (float("inf"), 40.0), (0.75, float("-inf")),
+    ], ids=["c-nan", "p-nan", "p-inf", "c-inf", "p-minus-inf"])
+    def test_induction_rejects_non_finite_values(self, c_ind, p_ind_kw):
+        with pytest.raises(ValueError):
+            InductionParams(c_ind, p_ind_kw)

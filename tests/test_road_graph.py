@@ -137,3 +137,30 @@ class TestGrid:
             a["energy_kwh"] = 0.123
         g = load_graph(doc)
         assert g.arc(0, 1).energy_kwh == 0.123
+
+
+class TestArcValidation:
+    """``ArcAttr`` takes only finite numbers, positive but for a zero energy."""
+
+    @pytest.mark.parametrize("drive,energy,length", [
+        (float("nan"), 0.5, 100.0), (float("inf"), 0.5, 100.0), (0.0, 0.5, 100.0),
+        (10.0, float("nan"), 100.0), (10.0, float("inf"), 100.0), (10.0, -0.1, 100.0),
+        (10.0, 0.5, float("nan")), (10.0, 0.5, float("inf")), (10.0, 0.5, 0.0),
+    ], ids=["drive-nan", "drive-inf", "drive-zero", "energy-nan", "energy-inf",
+            "energy-negative", "length-nan", "length-inf", "length-zero"])
+    def test_rejected(self, drive, energy, length):
+        with pytest.raises(GraphError):
+            ArcAttr(drive, energy, length)
+
+    def test_zero_energy_accepted(self):
+        assert ArcAttr(10.0, 0.0, 100.0).energy_kwh == 0.0
+
+    @pytest.mark.parametrize("edit", [
+        {"energy_kwh": float("nan")}, {"energy_kwh": float("inf")},
+        {"length_m": float("inf")}, {"speed_mps": float("nan")},
+    ], ids=["energy-nan", "energy-inf", "length-inf", "speed-nan"])
+    def test_load_graph_rejects_non_finite_arcs(self, edit):
+        doc = grid_doc(2, 2)
+        doc["arcs"][0].update(edit)
+        with pytest.raises(GraphError):
+            load_graph(doc, vehicle=TEST_VEHICLE)

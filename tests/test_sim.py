@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import os
 import random
@@ -15,6 +16,7 @@ from medsim.sim import (DEFAULT_VEHICLE, LEVEL_TARGETS, MODES, CalibrationError,
                         LevelSampler, Scenario, default_scenario,
                         generate_population, load_network, run)
 from tests.conftest import dijkstra, line_graph, sparse_id
+from tests.test_acceptance import random_scenario
 
 
 def anxious(g, s, d, energy_kwh):
@@ -422,3 +424,21 @@ class TestScenarioJson:
             default_scenario(ev_count=101)
         with pytest.raises(ValueError):
             default_scenario(level="L9")
+
+
+class TestPinnedRandomScenarios:
+    """Byte-identity beyond the default grid: criterion 1's random scenarios.
+
+    Seeds 0-59 of the acceptance suite's generator (2x2 to 10x10 grids,
+    either mode, every level, with and without a station or a charger
+    cycle), each run's CSV hashed in seed order. A refactor must keep the
+    digest; a change that moves it has to say which outputs moved and why.
+    """
+
+    DIGEST = "b8dfcf229a817954d297d9771675bb9e6069aecd048ad3a2c879a31b55570594"
+
+    def test_criterion_one_sample_digest(self):
+        h = hashlib.sha256()
+        for seed in range(60):
+            h.update(run(random_scenario(seed), keep_assignments=False).to_csv().encode())
+        assert h.hexdigest() == self.DIGEST
