@@ -300,8 +300,14 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
             trace.pop()
         left[node] += 1
 
-    if req.energy_kwh >= -_TOL:
-        explore(req.source, req.energy_kwh, 0.0, True)
+    try:
+        if req.energy_kwh >= -_TOL:
+            explore(req.source, req.energy_kwh, 0.0, True)
+    finally:
+        # the closures reach themselves and each other through their cells;
+        # emptying the cells breaks that cycle, so reference counting frees
+        # the rows, maps and instance as soon as the solve returns or raises
+        explore = _explore_attach = None
 
     if best_plan is None:
         return OracleSolution(None, INFINITE, explored, False)

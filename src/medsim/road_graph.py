@@ -86,7 +86,9 @@ class RoadGraph:
         or into it when ``reverse``, sorted by ``nbr_pos`` and so by
         neighbour id. The cost is the arc's drive time for ``"time"`` and
         its energy for ``"energy"``. Built once per (weight, direction) and
-        then shared.
+        then shared. No row is sorted: a forward row maps the node's
+        adjacency, which is in id order and so in position order, and the
+        reverse rows fill in order as the tails are walked in position order.
         """
         key = (weight, reverse)
         table = self._tables.get(key)
@@ -94,13 +96,18 @@ class RoadGraph:
             field_name = _COST_FIELDS.get(weight)
             if field_name is None:
                 raise GraphError(f"unknown weight {weight!r}")
-            index = self.index
-            rows = [[] for _ in self.order]
-            for (i, j), attr in self._arcs.items():
-                tail, head = (j, i) if reverse else (i, j)
-                rows[index[tail]].append((index[head], getattr(attr, field_name), attr))
-            # a node has one arc per neighbour, so sorting compares positions only
-            table = self._tables[key] = tuple(tuple(sorted(row)) for row in rows)
+            index, adj = self.index, self._adj
+            if reverse:
+                rows = [[] for _ in self.order]
+                for k, tail in enumerate(self.order):
+                    for head, attr in adj[tail]:
+                        rows[index[head]].append((k, getattr(attr, field_name), attr))
+                table = tuple(map(tuple, rows))
+            else:
+                table = tuple(tuple((index[head], getattr(attr, field_name), attr)
+                                    for head, attr in adj[tail])
+                              for tail in self.order)
+            self._tables[key] = table
         return table
 
     def visit_cap(self, node) -> int:
@@ -191,6 +198,28 @@ def require_keys(doc, keys, what: str, error=GraphError):
             raise error(f"{what} lacks required key {key!r}")
 
 
+# the energy of an arc spec without "energy_kwh", kept apart from a null one
+_NO_ENERGY = object()
+
+
+def _arc_attr(i, j, length, speed, energy, vehicle) -> ArcAttr:
+    """The arc (i, j) from its raw JSON values; ``vehicle`` prices a missing energy."""
+    try:
+        length = float(length)
+        speed = float(speed)
+        energy = None if energy is _NO_ENERGY else float(energy)
+    except (TypeError, ValueError):
+        raise GraphError(f"arc ({i},{j}) has a non-numeric length, speed or energy") from None
+    if speed <= 0:
+        raise GraphError(f"arc ({i},{j}) has nonpositive speed")
+    dt = length / speed
+    if energy is None:
+        if vehicle is None:
+            raise GraphError(f"arc ({i},{j}) lacks energy_kwh and no vehicle was given")
+        energy = segment_energy(vehicle, speed, dt)
+    return ArcAttr(dt, energy, length)
+
+
 def load_graph(doc, vehicle: VehicleParams | None = None, visit_limit: int = 2) -> RoadGraph:
     """Build a graph from a parsed JSON document (or a path to one)."""
     if isinstance(doc, (str, bytes)):
@@ -205,23 +234,21 @@ def load_graph(doc, vehicle: VehicleParams | None = None, visit_limit: int = 2) 
             entry = entry["id"]
         nodes.append(entry)
     arcs = {}
+    # each distinct raw (length_m, speed_mps, energy_kwh) is converted,
+    # checked and priced once, and its frozen ArcAttr shared; a spec that
+    # fails raises before it is stored, so every bad arc names itself
+    built = {}
     for k, a in enumerate(doc["arcs"]):
         require_keys(a, ("i", "j", "length_m", "speed_mps"), f"arc #{k}")
         i, j = a["i"], a["j"]
+        spec = (a["length_m"], a["speed_mps"], a.get("energy_kwh", _NO_ENERGY))
         try:
-            length = float(a["length_m"])
-            speed = float(a["speed_mps"])
-            energy = float(a["energy_kwh"]) if "energy_kwh" in a else None
-        except (TypeError, ValueError):
-            raise GraphError(f"arc ({i},{j}) has a non-numeric length, speed or energy") from None
-        if speed <= 0:
-            raise GraphError(f"arc ({i},{j}) has nonpositive speed")
-        dt = length / speed
-        if energy is None:
-            if vehicle is None:
-                raise GraphError(f"arc ({i},{j}) lacks energy_kwh and no vehicle was given")
-            energy = segment_energy(vehicle, speed, dt)
-        arcs[(i, j)] = ArcAttr(dt, energy, length)
+            attr = built.get(spec)
+        except TypeError:  # an unhashable value: converted as given, never shared
+            attr = _arc_attr(i, j, *spec, vehicle)
+        if attr is None:
+            attr = built[spec] = _arc_attr(i, j, *spec, vehicle)
+        arcs[(i, j)] = attr
     return build_graph(nodes, arcs, doc.get("scs", ()), doc.get("med_cycle", ()),
                        visit_limit=visit_limit, entries=doc.get("entries"))
 

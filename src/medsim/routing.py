@@ -128,15 +128,17 @@ def _lex_path(adj, order, source, target, rev_dist):
 
     Follows tight arcs (arc cost plus the head's distance to ``target``
     equals the tail's) depth first, smallest neighbour position first, so
-    without a dead end the path is the greedy smallest-id walk. Zero-cost
+    without a dead end the path is the greedy smallest-id walk. Tightness
+    is exact float equality, so no step adds slack: the path costs the
+    distance, but for the rounding of summing its arcs in the other order.
+    A reachable node always has a tight arc: the search set its distance
+    to ``d + cost`` over one arc, and float addition commutes. Zero-cost
     arcs can lead that walk to a node whose tight arcs all return to visited
     nodes; the search then backs up and tries the next tight arc. The path
     comes back as node ids, mapped through ``order``.
     """
-    total = rev_dist[source]
-    if total == INFINITE:
+    if rev_dist[source] == INFINITE:
         raise NoPath(f"no path from {order[source]} to {order[target]}")
-    tol = 1e-9 * (1.0 + abs(total))
     path = [source]
     attrs = []
     visited = {source}
@@ -145,7 +147,7 @@ def _lex_path(adj, order, source, target, rev_dist):
         remaining = rev_dist[path[-1]]
         for nbr, cost, attr in pending[-1]:
             # an unreachable head has an infinite distance and is never tight
-            if nbr not in visited and abs(cost + rev_dist[nbr] - remaining) <= tol:
+            if nbr not in visited and cost + rev_dist[nbr] == remaining:
                 break
         else:  # dead end: back up one node
             pending.pop()

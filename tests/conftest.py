@@ -1,5 +1,6 @@
 """Shared fixtures: hand-built graphs and seeded random instance generators."""
 
+import gc
 import os
 import random
 
@@ -12,11 +13,18 @@ from medsim.road_graph import ArcAttr, build_graph, grid_doc, load_graph
 from medsim.routing import (_EPS_TOL, INFINITE, EvRequest, NoPath, PathCache, Stranded,
                             _Candidate)
 
-# CI runs replay the same examples every time, so a property test cannot
-# flake there; local runs keep drawing fresh ones
 settings.register_profile("ci", derandomize=True)
-if os.environ.get("CI"):
-    settings.load_profile("ci")
+settings.register_profile("fresh", derandomize=False)
+
+
+def pytest_configure(config):
+    # CI runs replay the same examples every time, so a property test cannot
+    # flake there; local runs keep drawing fresh ones. ``pytest
+    # --hypothesis-profile fresh`` draws fresh ones under CI too, so a
+    # property that fails only on rare draws can still show up there.
+    if os.environ.get("CI") and not config.getoption("hypothesis_profile", None):
+        settings.load_profile("ci")
+
 
 TEST_VEHICLE = VehicleParams(mass_kg=1500.0, mu=0.01, drag_c=0.35, area_m2=2.0,
                              air_density=1.2, efficiency=0.75, capacity_kwh=50.0)
@@ -229,6 +237,16 @@ def relabelled_instance(inst, new_id=sparse_id):
         {new_id(n): rate for n, rate in inst.scs_rates.items()},
         {new_id(n): w for n, w in inst.med_waits.items()},
         inst.induction, inst.med_battery_kwh, inst.default_rate_kw)
+
+
+@pytest.fixture
+def gc_off():
+    """Python's cyclic garbage collector off, so only reference counting frees."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
 
 
 @pytest.fixture

@@ -365,6 +365,24 @@ class TestInvalidFiles:
         assert "arc energy must be nonnegative and finite, got nan" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("edit,message", [
+        ({"energy_kwh": None}, "arc ({i},{j}) has a non-numeric length, speed or energy"),
+        ({"energy_kwh": float("nan")}, "arc energy must be nonnegative and finite, got nan"),
+        ({"speed_mps": 0}, "arc ({i},{j}) has nonpositive speed"),
+    ], ids=["null-energy", "nan-energy", "zero-speed"])
+    def test_bad_repeat_of_a_shared_arc_spec(self, tmp_path, capsys, edit, message):
+        # the default grid's arcs share one spec, built once; a later arc
+        # that breaks it in one value still fails with its own message
+        doc = default_scenario(ev_count=12).to_json()
+        arc = doc["graph"]["arcs"][5]
+        arc.update(edit)
+        p = tmp_path / "scenario.json"
+        p.write_text(json.dumps(doc))
+        rc = main(["run", "--scenario", str(p)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message.format(**arc) in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ["run", "--scenario"],
         ["route", "--source", "0", "--dest", "9", "--energy", "5", "--scenario"],

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import math
+import weakref
 
 import pytest
 
@@ -144,6 +145,25 @@ class TestSolveExact:
         inst = line_instance()
         assert sol.objective_s == pytest.approx(
             objective_time(inst.graph, sol.best), abs=1e-9)
+
+
+@pytest.mark.parametrize("build,budget,feasible", [
+    pytest.param(ring_instance, 2_000_000, True, id="feasible"),
+    pytest.param(lambda: line_instance(energy=0.0), 2_000_000, False, id="infeasible"),
+    pytest.param(line_instance, 3, None, id="budget-overrun"),
+])
+def test_a_solve_leaves_nothing_for_the_cyclic_collector(build, budget, feasible, gc_off):
+    # only reference counting frees the solve: a cycle through the search
+    # would keep the instance's graph alive
+    inst = build()
+    graph = weakref.ref(inst.graph)
+    try:
+        outcome = solve_exact(inst, search_budget=budget).feasible
+    except OracleError:
+        outcome = None
+    assert outcome == feasible
+    del inst
+    assert graph() is None
 
 
 class TestVerify:

@@ -138,6 +138,28 @@ class TestGrid:
         g = load_graph(doc)
         assert g.arc(0, 1).energy_kwh == 0.123
 
+    def test_repeated_arc_specs_load_like_arcs_built_one_by_one(self):
+        # one spec as ints, floats and numeric strings, with and without an
+        # energy; arcs with equal raw values share one ArcAttr
+        specs = [
+            {"length_m": 2500, "speed_mps": 15},
+            {"length_m": 2500.0, "speed_mps": 15.0},
+            {"length_m": "2500", "speed_mps": "15"},
+            {"length_m": 2500, "speed_mps": 15, "energy_kwh": 0.4},
+            {"length_m": "2500.0", "speed_mps": 15, "energy_kwh": "0.4"},
+            {"length_m": 1200, "speed_mps": 12.5, "energy_kwh": 0},
+        ]
+        doc = grid_doc(3, 3)
+        for k, a in enumerate(doc["arcs"]):
+            del a["length_m"], a["speed_mps"]
+            a.update(specs[k % len(specs)])
+        alone = {(a["i"], a["j"]): load_graph({"nodes": [a["i"], a["j"]], "arcs": [a]},
+                                               vehicle=TEST_VEHICLE).arc(a["i"], a["j"])
+                 for a in doc["arcs"]}
+        g = load_graph(doc, vehicle=TEST_VEHICLE)
+        assert g.arcs == alone
+        assert len({id(attr) for attr in g.arcs.values()}) == 5
+
 
 class TestArcValidation:
     """``ArcAttr`` takes only finite numbers, positive but for a zero energy."""

@@ -72,6 +72,16 @@ class TestDijkstra:
         g = build_graph(range(4), arcs)
         assert dijkstra(g, 0, 3, weight="energy") == ([0, 2, 3], 2.0)
 
+    def test_only_exactly_tight_arcs_are_followed(self):
+        # 0->1->2 costs 1.000000001 kWh, a hair over the direct 1.0; a tie
+        # tolerance once took the smaller-id detour and returned the dearer path
+        arcs = {
+            (0, 1): ArcAttr(1.0, 0.5, 10.0), (1, 2): ArcAttr(1.0, 0.500000001, 10.0),
+            (0, 2): ArcAttr(1.0, 1.0, 10.0),
+        }
+        path = PathCache(build_graph(range(3), arcs)).path(0, 2, "energy")
+        assert list(path) == [0, 2] and path.energy_kwh == 1.0
+
 
 def test_dijkstra_matches_exhaustive_enumeration():
     # brute force: enumerate every simple path on small random digraphs and
@@ -378,6 +388,22 @@ def bellman_ford(g, source, weight, reverse=False):
 
 class TestCostTablesAndKernel:
     @settings(max_examples=60, deadline=None)
+    @given(g=random_digraphs(), data=st.data())
+    def test_tables_equal_a_sorted_reference(self, g, data):
+        # sparse ids in a drawn order and arcs inserted in a drawn order, so
+        # a row comes out sorted only if the table builds it sorted
+        ids = data.draw(st.permutations([sparse_id(k) for k in g.order]))
+        arcs = data.draw(st.permutations(sorted(g.arcs)))
+        g = build_graph(ids, {(ids[i], ids[j]): g.arc(i, j) for i, j in arcs})
+        for weight in ("time", "energy"):
+            for reverse in (False, True):
+                rows = [[] for _ in g.order]
+                for (i, j), attr in g.arcs.items():
+                    tail, head = (j, i) if reverse else (i, j)
+                    rows[g.index[tail]].append((g.index[head], _cost(attr, weight), attr))
+                assert g.cost_table(weight, reverse) == tuple(tuple(sorted(r)) for r in rows)
+
+    @settings(max_examples=60, deadline=None)
     @given(g=random_digraphs())
     def test_each_table_lists_every_arc_once_in_id_order(self, g):
         assert g.order == tuple(sorted(g.nodes))
@@ -417,6 +443,7 @@ class TestCostTablesAndKernel:
     @settings(max_examples=60, deadline=None)
     @given(g=random_digraphs())
     def test_every_path_is_simple_and_costs_the_distance(self, g):
+        caches = PathCache(g)
         for weight in ("time", "energy"):
             for s in sorted(g.nodes):
                 ref = bellman_ford(g, s, weight)
@@ -430,6 +457,10 @@ class TestCostTablesAndKernel:
                     assert len(set(path)) == len(path)
                     assert all(g.arc(i, j) is not None for i, j in zip(path, path[1:]))
                     assert cost == pytest.approx(ref[t], abs=1e-9)
+                    # the path folds its arcs from the source and the distance
+                    # map from the target, so only rounding may part them
+                    dist = caches.rev(t, weight)[g.index[s]]
+                    assert abs(cost - dist) <= len(path) * math.ulp(dist)
 
     def test_path_caches_on_one_graph_share_its_tables(self, monkeypatch):
         seen = []

@@ -128,6 +128,16 @@ class TestRun:
         m = run(default_scenario(ev_count=50, seed=6, level="L3", mode="SCS"))
         assert all(r.choice != "med" for r in m.rows)
 
+    def test_default_runs_leave_nothing_for_the_cyclic_collector(self, gc_off):
+        # both modes, L1-L3, 100 EVs, seeds 0-4: reference counting alone
+        # frees each run
+        gc.collect()
+        for mode in MODES:
+            for level in ("L1", "L2", "L3"):
+                for seed in range(5):
+                    run(default_scenario(mode=mode, level=level, ev_count=100, seed=seed))
+        assert gc.collect() == 0
+
     def test_determinism_byte_identical_csv(self):
         a = run(default_scenario(ev_count=35, seed=12, level="L2"))
         b = run(default_scenario(ev_count=35, seed=12, level="L2"))
