@@ -9,6 +9,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 from . import oracle as oracle_mod
 from . import sim
@@ -35,15 +36,21 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _ints(text: str):
-    return [int(x) for x in text.split(",") if x != ""]
+def _ints(text: str, option: str):
+    try:
+        return [int(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        raise InputError(f"{option} must be comma separated integers, got {text!r}") from None
 
 
 def _default_seed(value):
-    if value is not None:
-        return value
     env = os.environ.get("MEDSIM_SEED")
-    return int(env) if env else None
+    if value is not None or not env:
+        return value
+    try:
+        return int(env)
+    except ValueError:
+        raise InputError(f"MEDSIM_SEED must be an integer, got {env!r}") from None
 
 
 def assignment_to_dict(a: RouteAssignment) -> dict:
@@ -72,8 +79,8 @@ def assignment_to_dict(a: RouteAssignment) -> dict:
 def cmd_gen_grid(args) -> int:
     try:
         doc = grid_doc(args.rows, args.cols, args.arc_len, args.speed,
-                       scs=_ints(args.scs) if args.scs else (),
-                       med_cycle=_ints(args.med_cycle) if args.med_cycle else ())
+                       scs=_ints(args.scs, "--scs"),
+                       med_cycle=_ints(args.med_cycle, "--med-cycle"))
         load_graph(doc, vehicle=sim.DEFAULT_VEHICLE)  # full validation round trip
     except (GraphError, ValueError) as exc:
         print(f"gen-grid: {exc}", file=sys.stderr)
@@ -105,8 +112,10 @@ def _load_scenario(args, **extra) -> sim.Scenario:
     return _scenario(doc, **overrides)
 
 
-def _scenario(doc: dict, **overrides) -> sim.Scenario:
+def _scenario(doc: dict | sim.Scenario, **overrides) -> sim.Scenario:
     try:
+        if isinstance(doc, sim.Scenario):
+            return replace(doc, **overrides)
         return sim.Scenario.from_json(doc, **overrides)
     # a value Scenario or a parameter block rejects, or a key a block does not take
     except (ValueError, TypeError) as exc:
@@ -115,8 +124,8 @@ def _scenario(doc: dict, **overrides) -> sim.Scenario:
 
 def cmd_route(args) -> int:
     scenario = _load_scenario(args)
-    g = load_graph(scenario.graph, vehicle=scenario.vehicle,
-                   visit_limit=scenario.visit_limit)
+    network = sim.load_network(scenario)
+    g = network.graph
     infra = sim.build_infrastructure(scenario, g)
     for end in (args.source, args.dest):
         if end not in g.nodes:
@@ -127,13 +136,10 @@ def cmd_route(args) -> int:
     except ValueError as exc:
         print(f"route: {exc}", file=sys.stderr)
         return 2
-    med_allowed = scenario.mode == "SCS_MED"
-
-    def gate(kind, node):
-        return med_allowed or kind != "med"
-
+    gate = None if scenario.mode == "SCS_MED" else sim._refuse_med
     try:
-        a = find_shortest_path(g, request, infra, now=args.now, gate=gate)
+        a = find_shortest_path(g, request, infra, now=args.now, gate=gate,
+                               caches=network.caches)
         out = {"stranded": False, "assignment": assignment_to_dict(a)}
     except Stranded as exc:
         out = {"stranded": True, "reason": str(exc)}
@@ -180,20 +186,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-# this process's network for sweep cells; sweep overrides never touch the
-# graph, the vehicle or visit_limit, so one network serves every cell
-_sweep_network = None
-
-
-def _init_sweep(doc: dict, overrides: dict):
-    """Load the sweep's graph and path cache once for this process."""
-    global _sweep_network
-    _sweep_network = sim.load_network(sim.Scenario.from_json(doc, **overrides))
-
-
-def _sweep_cell(doc: dict, overrides: dict) -> dict:
-    metrics = sim.run(sim.Scenario.from_json(doc, **overrides), keep_assignments=False,
-                      network=_sweep_network)
+def _sweep_cell(first: sim.Scenario, overrides: dict) -> dict:
+    metrics = sim.run(replace(first, **overrides), keep_assignments=False)
     if metrics.violations:
         raise RuntimeError(
             f"invariant violations in cell {overrides}: {metrics.violations[:3]}")
@@ -201,14 +195,11 @@ def _sweep_cell(doc: dict, overrides: dict) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    global _sweep_network
     doc = _read_json(args.scenario)
-    if "graph_path" in doc and "graph" not in doc:  # read once, not once per cell
-        doc = {**doc, "graph": _read_json(doc["graph_path"])}
     modes = [m for m in args.modes.split(",") if m]
     levels = [l for l in args.levels.split(",") if l]
-    ev_counts = _ints(args.evs)
-    seeds = _ints(args.seeds)
+    ev_counts = _ints(args.evs, "--evs")
+    seeds = _ints(args.seeds, "--seeds")
     if not (modes and levels and ev_counts and seeds):
         print("sweep: modes, levels, evs, and seeds must be nonempty", file=sys.stderr)
         return 2
@@ -217,28 +208,25 @@ def cmd_sweep(args) -> int:
         return 2
     cells = [dict(mode=m, level=l, ev_count=n, seed=s)
              for m in modes for l in levels for n in ev_counts for s in seeds]
+    # the first cell's overrides make a scenario that validates, whatever mode,
+    # level or count the document holds; cells copy it, reading no file again
+    first = _scenario(doc, **cells[0])
     for cell in cells:  # bad input exits 2 here, before any cell runs
-        _scenario(doc, **cell)
-    # the first cell's overrides make a scenario that validates, whatever
-    # mode, level or count the document itself holds
-    init_args = (doc, cells[0])
+        _scenario(first, **cell)
     # loaded here, outside the catch-all below, so a bad graph exits 2 too;
-    # in-process cells run on this network, worker processes load their own
-    _init_sweep(*init_args)
+    # in-process cells find this network remembered
+    sim.network_for(first)
     try:
         if args.jobs > 1:
             # imported here: only a parallel sweep needs the pool's modules
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_sweep,
-                                     initargs=init_args) as pool:
-                rows = list(pool.map(_sweep_cell, [doc] * len(cells), cells))
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                rows = list(pool.map(_sweep_cell, [first] * len(cells), cells))
         else:
-            rows = [_sweep_cell(doc, cell) for cell in cells]
+            rows = [_sweep_cell(first, cell) for cell in cells]
     except Exception as exc:
         print(f"sweep: aborted, no output written: {exc}", file=sys.stderr)
         return 1
-    finally:
-        _sweep_network = None  # an in-process network lives for one sweep
     rows.sort(key=lambda r: (r["mode"], r["level"], r["ev_count"], r["seed"]))
     lines = [SWEEP_HEADER]
     for r in rows:

@@ -13,7 +13,7 @@ import json
 import math
 import pickle
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .charging import Infrastructure, MedState, ScsState
 from .energy import InductionParams, VehicleParams
@@ -46,11 +46,25 @@ class MedSpec:
     start_s: float = 0.0
 
 
+@dataclass(frozen=True)
+class GraphDoc:
+    """A graph document frozen as its pickle: equal bytes, equal value and types."""
+
+    pickled: bytes
+
+    def thaw(self):
+        return pickle.loads(self.pickled)
+
+
 @dataclass
 class Scenario:
-    """Everything one simulation run depends on, JSON round-trippable."""
+    """Everything one simulation run depends on, JSON round-trippable.
 
-    graph: dict  # or a path to one, read on construction
+    ``graph``, a document or a path to one, is frozen on construction into a
+    :class:`GraphDoc`, which no edit to the caller's document reaches.
+    """
+
+    graph: GraphDoc
     mode: str = "SCS_MED"
     ev_count: int = 50
     level: str = "L1"
@@ -82,10 +96,12 @@ class Scenario:
         if isinstance(self.graph, (str, bytes)):  # a path: keep the document it names
             with open(self.graph, encoding="utf-8") as fh:
                 self.graph = json.load(fh)
+        if not isinstance(self.graph, GraphDoc):
+            self.graph = GraphDoc(pickle.dumps(self.graph))
 
     def to_json(self) -> dict:
         doc = {
-            "graph": self.graph, "mode": self.mode, "ev_count": self.ev_count,
+            "graph": self.graph.thaw(), "mode": self.mode, "ev_count": self.ev_count,
             "level": self.level, "seed": self.seed, "horizon_s": self.horizon_s,
             "stranded_penalty_s": self.stranded_penalty_s,
             "vehicle": vars(self.vehicle).copy(),
@@ -329,36 +345,45 @@ class RunMetrics:
 
 @dataclass(frozen=True, eq=False)
 class Network:
-    """A loaded road graph and its path cache, with what they were built from.
+    """A loaded road graph and its path cache, keyed on what they were built from.
 
     Both hold only graph-derived data, so one network can serve every run
-    whose scenario has the same graph document, vehicle and visit limit;
-    ledgers, infrastructure and the population stay per run.
+    whose scenario has an equal ``key``: the frozen graph document, the
+    vehicle and the visit limit. Ledgers, infrastructure and the population
+    stay per run.
     """
 
-    graph_doc: object
-    vehicle: VehicleParams
-    visit_limit: int
     graph: RoadGraph
     caches: PathCache
-    key: tuple | None = None  # what :func:`run` remembers the network by
+    key: tuple
 
-    def fits(self, scenario: Scenario) -> bool:
-        return (self.visit_limit == scenario.visit_limit
-                and self.vehicle == scenario.vehicle
-                and self.graph_doc == scenario.graph)
+
+def _network_key(scenario: Scenario) -> tuple:
+    return scenario.graph, scenario.vehicle, scenario.visit_limit
 
 
 def load_network(scenario: Scenario) -> Network:
     """Load the scenario's graph and start an empty path cache for it."""
-    g = load_graph(scenario.graph, vehicle=scenario.vehicle,
+    g = load_graph(scenario.graph.thaw(), vehicle=scenario.vehicle,
                    visit_limit=scenario.visit_limit)
-    return Network(scenario.graph, scenario.vehicle, scenario.visit_limit, g, PathCache(g))
+    return Network(g, PathCache(g), _network_key(scenario))
 
 
-# the network of the last run given none; a pickle in its key is a copy, so
-# a graph document edited in place since that run no longer matches it
+# the network :func:`network_for` returned last; its key holds a frozen
+# document, so no edit to a caller's document can make a later run match it
 _last_network: Network | None = None
+
+
+def network_for(scenario: Scenario) -> Network:
+    """The remembered network if its key equals the scenario's, else a new one.
+
+    A pickled copy of a scenario, as a sweep worker receives it, still
+    matches. A miss loads a network, which becomes the one remembered.
+    """
+    global _last_network
+    if _last_network is None or _last_network.key != _network_key(scenario):
+        _last_network = load_network(scenario)
+    return _last_network
 
 
 def build_infrastructure(scenario: Scenario, g: RoadGraph) -> Infrastructure:
@@ -391,8 +416,7 @@ def _refuse_med(kind, node) -> bool:
     return kind != "med"
 
 
-def run(scenario: Scenario, keep_assignments: bool = True,
-        network: Network | None = None) -> RunMetrics:
+def run(scenario: Scenario, keep_assignments: bool = True) -> RunMetrics:
     """Simulate one scenario and collect metrics.
 
     EVs are routed in arrival order against live ledgers; stranded EVs are
@@ -403,24 +427,10 @@ def run(scenario: Scenario, keep_assignments: bool = True,
     gets: :func:`_refuse_all` for an EV the comms drop excluded, else
     :func:`_refuse_med` in mode "SCS", else no gate at all.
 
-    Without ``network`` the run decides reuse before it loads anything: when
-    its graph document (compared by its pickle, so equal in type as well:
-    ``1.0`` is not ``1``), vehicle and visit limit equal those of the last
-    run given no network, it reuses that run's network, path cache included,
-    so consecutive runs on an equal graph share their distance maps on their
-    own. Otherwise it loads a new network, which becomes the one remembered.
-    The decision pickles the graph document once per run; a ``network`` from
-    :func:`load_network` skips even that, which is what a sweep passes.
+    The graph and its path cache come from :func:`network_for`, so a run
+    on an equal graph, vehicle and visit limit reuses the last run's.
     """
-    global _last_network
-    if network is None:
-        key = (pickle.dumps(scenario.graph), scenario.vehicle, scenario.visit_limit)
-        if _last_network is None or _last_network.key != key:
-            _last_network = replace(load_network(scenario), key=key)
-        network = _last_network
-    elif not network.fits(scenario):
-        raise ValueError("the network was built from a different graph, vehicle "
-                         "or visit_limit than the scenario")
+    network = network_for(scenario)
     g, caches = network.graph, network.caches
     infra = build_infrastructure(scenario, g)
     population = generate_population(scenario, g, caches)

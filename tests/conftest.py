@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import settings
 
+from medsim import sim
 from medsim.energy import InductionParams, VehicleParams
 from medsim.oracle import OracleInstance
 from medsim.road_graph import ArcAttr, build_graph, grid_doc, load_graph
@@ -61,6 +62,12 @@ def route_energy(g, path) -> float:
     for i, j in zip(path, path[1:]):
         e += g.arc(i, j).energy_kwh
     return e
+
+
+def fresh_run(scenario, **kw):
+    """``sim.run`` on a network loaded for it alone: the remembered one is forgotten first."""
+    sim._last_network = None
+    return sim.run(scenario, **kw)
 
 
 def route_feasible(g, path, energy_start_kwh: float) -> bool:

@@ -65,6 +65,12 @@ class TestRun:
         main(["run", "--scenario", scenario_path, "--out-csv", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_env_seed_not_an_integer(self, scenario_path, capsys, monkeypatch):
+        monkeypatch.setenv("MEDSIM_SEED", "abc")
+        assert main(["run", "--scenario", scenario_path]) == 2
+        err = capsys.readouterr().err
+        assert "MEDSIM_SEED must be an integer, got 'abc'" in err and err.count("\n") == 1
+
     def test_env_seed_default(self, scenario_path, tmp_path, monkeypatch):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         monkeypatch.setenv("MEDSIM_SEED", "77")
@@ -117,6 +123,16 @@ class TestSweep:
                              env={**os.environ, "PYTHONPATH": src}, check=True).stdout
         assert out.strip() == "[]"
 
+    @pytest.mark.parametrize("option", ["--evs", "--seeds"])
+    def test_list_not_of_integers_rejected(self, scenario_path, tmp_path, capsys, option):
+        out = tmp_path / "x.csv"
+        rc = main(["sweep", "--scenario", scenario_path, option, "10,x", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{option} must be comma separated integers, got '10,x'" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_empty_spec_rejected(self, scenario_path, tmp_path):
         rc = main(["sweep", "--scenario", scenario_path, "--modes", "",
                    "--levels", "L1", "--evs", "10", "--seeds", "0",
@@ -134,6 +150,7 @@ class TestSweep:
         assert not out.exists()
 
     def test_sweep_loads_the_graph_once(self, scenario_path, tmp_path, monkeypatch):
+        monkeypatch.setattr(sim, "_last_network", None)
         loads = []
         load_graph = sim.load_graph
         monkeypatch.setattr(sim, "load_graph",
@@ -143,7 +160,6 @@ class TestSweep:
                    "--out", str(tmp_path / "sweep.csv")])
         assert rc == 0
         assert len(loads) == 1
-        assert cli._sweep_network is None  # released with the sweep
 
     def test_graph_path_is_read_once(self, tmp_path, monkeypatch):
         doc = default_scenario(ev_count=12, seed=1).to_json()
@@ -221,14 +237,12 @@ class TestPinnedRouterPlans:
 
     def test_default_runs_digest(self):
         h = hashlib.sha256()
-        network = None
         for mode in sim.MODES:
             for level in ("L1", "L2", "L3"):
                 for seed in range(5):
                     scenario = default_scenario(mode=mode, level=level, ev_count=100,
                                                 seed=seed)
-                    network = network or sim.load_network(scenario)
-                    for a in sim.run(scenario, network=network).assignments:
+                    for a in sim.run(scenario).assignments:
                         if a is not None:
                             h.update(json.dumps(cli.assignment_to_dict(a),
                                                 sort_keys=True).encode())

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import os
+import pickle
 import random
 import weakref
 
@@ -10,12 +11,12 @@ import pytest
 
 from medsim import routing, sim
 from medsim.oracle import OracleInstance, verify
-from medsim.road_graph import ArcAttr, build_graph, grid_doc, load_graph
+from medsim.road_graph import ArcAttr, build_graph, grid_doc
 from medsim.routing import EvRequest
 from medsim.sim import (DEFAULT_VEHICLE, LEVEL_TARGETS, MODES, CalibrationError,
                         LevelSampler, Scenario, default_scenario,
                         generate_population, load_network, run)
-from tests.conftest import dijkstra, line_graph, sparse_id
+from tests.conftest import dijkstra, fresh_run, line_graph, sparse_id
 from tests.test_acceptance import random_scenario
 
 
@@ -38,7 +39,7 @@ class TestClassifyAnxious:
 class TestCalibrateLevel:
     def measured_fraction(self, level, n=60, seed=11):
         sc = default_scenario()
-        g = load_graph(sc.graph, vehicle=sc.vehicle)
+        g = load_network(sc).graph
         sampler = LevelSampler(g, level, random.Random(seed))
         hits = 0
         for s, d, eps, _flag in sampler.sample(n):
@@ -68,12 +69,12 @@ class TestPopulation:
     def test_mode_does_not_change_the_population(self):
         a_sc = default_scenario(ev_count=30, seed=9, mode="SCS")
         b_sc = default_scenario(ev_count=30, seed=9, mode="SCS_MED")
-        g = load_graph(a_sc.graph, vehicle=a_sc.vehicle)
+        g = load_network(a_sc).graph
         assert generate_population(a_sc, g) == generate_population(b_sc, g)
 
     def test_arrivals_sorted_within_horizon(self):
         sc = default_scenario(ev_count=25, seed=4)
-        g = load_graph(sc.graph, vehicle=sc.vehicle)
+        g = load_network(sc).graph
         pop = generate_population(sc, g)
         times = [p.t_arrival_s for p in pop]
         assert times == sorted(times)
@@ -81,7 +82,7 @@ class TestPopulation:
 
     def test_energy_band(self):
         sc = default_scenario(ev_count=40, seed=2, level="L2")
-        g = load_graph(sc.graph, vehicle=sc.vehicle)
+        g = load_network(sc).graph
         assert all(1.0 <= p.energy_kwh <= 6.0 for p in generate_population(sc, g))
 
 
@@ -97,7 +98,7 @@ class TestRun:
         row = m.rows[0]
         if not row.anxious:
             sc = default_scenario()
-            g = load_graph(sc.graph, vehicle=sc.vehicle)
+            g = load_network(sc).graph
             _, cost = dijkstra(g, row.source, row.dest)
             assert row.travel_s == pytest.approx(cost)
             assert row.choice == "none"
@@ -163,7 +164,7 @@ class TestRun:
     def test_every_assignment_verifies_against_its_booking_snapshot(self):
         sc = default_scenario(ev_count=50, seed=7, level="L3")
         m = run(sc)
-        g = load_graph(sc.graph, vehicle=sc.vehicle, visit_limit=sc.visit_limit)
+        g = load_network(sc).graph
         checked = 0
         for row, a in zip(m.rows, m.assignments):
             if a is None:
@@ -234,32 +235,21 @@ class TestRunInvariants:
 
 class TestSharedNetwork:
     def test_shared_network_matches_a_fresh_graph_per_cell(self):
-        doc = default_scenario().to_json()
-        network = load_network(Scenario.from_json(doc))
-        for mode in MODES:
-            for level in LEVEL_TARGETS:
-                for ev_count in (20, 60):
-                    for seed in (0, 1):
-                        cell = dict(mode=mode, level=level, ev_count=ev_count, seed=seed)
-                        sc = Scenario.from_json(doc, **cell)
-                        shared = run(sc, network=network)
-                        fresh = run(sc, network=load_network(sc))
-                        assert shared.aggregates() == fresh.aggregates(), cell
-                        assert shared.to_csv() == fresh.to_csv(), cell
-
-    @pytest.mark.parametrize("change", [
-        {"graph": {**default_scenario().graph, "scs": [23]}},
-        {"vehicle": dataclasses.replace(DEFAULT_VEHICLE, mass_kg=2000.0)},
-        {"visit_limit": 3},
-    ], ids=["graph", "vehicle", "visit_limit"])
-    def test_network_from_other_inputs_rejected(self, change):
-        network = load_network(default_scenario())
-        with pytest.raises(ValueError):
-            run(default_scenario(ev_count=5, **change), network=network)
+        first = Scenario.from_json(default_scenario().to_json())
+        cells = [dict(mode=mode, level=level, ev_count=ev_count, seed=seed)
+                 for mode in MODES for level in LEVEL_TARGETS
+                 for ev_count in (20, 60) for seed in (0, 1)]
+        network = sim.network_for(first)
+        shared = [run(dataclasses.replace(first, **cell)) for cell in cells]
+        assert sim._last_network is network
+        for cell, metrics in zip(cells, shared):
+            fresh = fresh_run(dataclasses.replace(first, **cell))
+            assert metrics.aggregates() == fresh.aggregates(), cell
+            assert metrics.to_csv() == fresh.to_csv(), cell
 
 
 class TestRememberedNetwork:
-    """A run given no network reuses the last such run's network on an equal graph."""
+    """A run reuses the last run's network when its key is equal."""
 
     @pytest.fixture(autouse=True)
     def forget(self, monkeypatch):
@@ -295,7 +285,18 @@ class TestRememberedNetwork:
         assert any(adj is to_dest and pos in dests for adj, pos in built[:mark])
         assert not [pos for adj, pos in built[mark:] if adj is to_dest and pos in dests]
         for sc, metrics in ((scs, first), (med, second)):
-            assert metrics.to_csv() == run(sc, network=load_network(sc)).to_csv()
+            assert metrics.to_csv() == fresh_run(sc).to_csv()
+
+    def test_a_scenario_keeps_its_graph_when_the_document_is_edited(self):
+        doc = default_scenario(level="L3", ev_count=100, seed=2).to_json()
+        sc = Scenario.from_json(doc)
+        before = run(sc)
+        remembered = sim._last_network
+        arc = next(a for a in doc["graph"]["arcs"] if (a["i"], a["j"]) == (12, 22))
+        arc["speed_mps"] = 5.0
+        assert run(sc).to_csv() == before.to_csv()
+        assert sim._last_network is remembered
+        assert fresh_run(sc).to_csv() == before.to_csv()
 
     def test_graph_edited_in_place_gets_a_fresh_network(self):
         doc = default_scenario(level="L3", ev_count=100, seed=2).to_json()
@@ -306,28 +307,46 @@ class TestRememberedNetwork:
         sc = Scenario.from_json(doc)
         after = run(sc)
         assert sim._last_network is not remembered
-        assert after.to_csv() == run(sc, network=load_network(sc)).to_csv()
+        assert after.to_csv() == fresh_run(sc).to_csv()
         assert after.to_csv() != before.to_csv()
+
+    def test_a_pickled_scenario_loads_nothing(self, monkeypatch):
+        # as a sweep worker receives its cells: a copy of the frozen document
+        sc = default_scenario(level="L2", ev_count=40, seed=1)
+        run(sc)
+        remembered = sim._last_network
+        loads = []
+        load_graph = sim.load_graph
+        monkeypatch.setattr(sim, "load_graph",
+                            lambda *args, **kw: loads.append(1) or load_graph(*args, **kw))
+        copy = pickle.loads(pickle.dumps(dataclasses.replace(sc, seed=3)))
+        assert copy.graph is not sc.graph and copy.graph == sc.graph
+        metrics = run(copy)
+        assert sim._last_network is remembered and loads == []
+        assert metrics.to_csv() == fresh_run(copy).to_csv()
 
     @pytest.mark.parametrize("other_graph", [
         lambda g: grid_doc(10, 10, arc_len_m=2400.0, scs=g["scs"], med_cycle=g["med_cycle"]),
+        lambda g: {**g, "scs": [22, 23]},
         # equal ids of another type: 1 == 1.0, but the CSV prints 1.0
         lambda g: {
             "nodes": [{**node, "id": float(node["id"])} for node in g["nodes"]],
             "arcs": [{**a, "i": float(a["i"]), "j": float(a["j"])} for a in g["arcs"]],
             **{key: [float(n) for n in g[key]] for key in ("scs", "med_cycle", "entries")},
         },
-    ], ids=["arc-length", "float-ids"])
+    ], ids=["arc-length", "stations", "float-ids"])
     def test_a_run_on_another_graph_replaces_the_network(self, other_graph):
         first = default_scenario(level="L2", ev_count=40, seed=1)
         run(first)
         remembered = sim._last_network
-        other = default_scenario(level="L2", ev_count=40, seed=1, graph=other_graph(first.graph))
-        assert run(other).to_csv() == run(other, network=load_network(other)).to_csv()
+        other = default_scenario(level="L2", ev_count=40, seed=1,
+                                 graph=other_graph(first.graph.thaw()))
+        metrics = run(other)
         assert sim._last_network is not remembered
-        assert sim._last_network.graph_doc is other.graph
+        assert sim._last_network.key[0] is other.graph
+        assert metrics.to_csv() == fresh_run(other).to_csv()
         run(first)
-        assert sim._last_network.graph_doc is first.graph
+        assert sim._last_network.key[0] is first.graph
 
     @pytest.mark.parametrize("change", [
         {"vehicle": dataclasses.replace(DEFAULT_VEHICLE, mass_kg=2000.0)},
@@ -339,8 +358,9 @@ class TestRememberedNetwork:
         run(first)
         remembered = sim._last_network
         other = default_scenario(level="L3", ev_count=100, seed=4, graph=first.graph, **change)
-        assert run(other).to_csv() == run(other, network=load_network(other)).to_csv()
+        metrics = run(other)
         assert sim._last_network is not remembered
+        assert metrics.to_csv() == fresh_run(other).to_csv()
 
     def test_equal_documents_load_once(self, monkeypatch):
         loads = []
@@ -360,7 +380,7 @@ class TestRememberedNetwork:
 
     @pytest.mark.parametrize("as_path", [str, os.fsencode], ids=["str", "bytes"])
     def test_graph_file_edited_between_runs_gets_a_fresh_network(self, tmp_path, as_path):
-        graph = default_scenario().graph
+        graph = default_scenario().graph.thaw()
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(graph))
         before = run(default_scenario(level="L3", ev_count=100, seed=2, graph=as_path(path)))
@@ -368,9 +388,9 @@ class TestRememberedNetwork:
         arc["speed_mps"] = 5.0
         path.write_text(json.dumps(graph))
         sc = default_scenario(level="L3", ev_count=100, seed=2, graph=as_path(path))
-        assert sc.graph == graph
+        assert sc.graph.thaw() == graph
         after = run(sc)
-        assert after.to_csv() == run(sc, network=load_network(sc)).to_csv()
+        assert after.to_csv() == fresh_run(sc).to_csv()
         assert after.to_csv() != before.to_csv()
 
     def test_only_the_last_network_stays_alive(self):
