@@ -18,13 +18,9 @@ from .road_graph import RoadGraph
 @dataclass(frozen=True)
 class Booking:
     ev: str
-    kind: str                # "scs" or "med"
-    node: int                # station node, or meeting point for "med"
     start_s: float
     end_s: float
-    end_node: int | None = None
-    segment_keys: tuple = ()  # ((segment index, cycle pass), ...) for "med"
-    energy_kwh: float = 0.0
+    segment_keys: tuple = ()  # ((segment index, cycle pass), ...) at a mobile charger
 
     def __post_init__(self):
         if self.end_s <= self.start_s:
@@ -79,7 +75,7 @@ class ScsState:
     def book(self, ev: str, arrival_s: float, charge_s: float) -> BookResult:
         """Queue an EV arriving at ``arrival_s`` for ``charge_s`` seconds."""
         start = self._slot_start(arrival_s)
-        self.bookings.append(Booking(ev, "scs", self.node, start, start + charge_s))
+        self.bookings.append(Booking(ev, start, start + charge_s))
         return BookResult(True)
 
 
@@ -99,8 +95,9 @@ class MedState:
     The charger loops the graph's cycle, leaving cycle point 0 at ``start_s``.
     It tops its dissemination battery back up to capacity every time it
     passes the cycle start, so the battery never increases between those
-    refills. An EV may ride at most ``max_passes`` (the graph's
-    ``visit_limit``) passes of the cycle in one attach run.
+    refills. How far one attach run may ride, within ``battery_kwh`` and
+    ``max_passes`` (the graph's ``visit_limit``) passes of the cycle, is
+    the rule of :func:`medsim.routing.attach_run`, which reads both.
     """
 
     def __init__(self, graph: RoadGraph, induction: InductionParams,
@@ -121,7 +118,6 @@ class MedState:
             self.cum_starts.append(acc)
             acc += seg.drive_s
         self.cycle_time_s = acc
-        self.induction = induction
         self.battery_capacity_kwh = battery_kwh
         self.battery_kwh = battery_kwh
         self.start_s = start_s
@@ -190,11 +186,7 @@ class MedState:
         for k in segment_keys:
             self.segment_bookings[k] = ev
         self.battery_kwh -= energy_kwh
-        self.bookings.append(Booking(ev, "med", self.segments[segment_keys[0][0]].i,
-                                     start_s, end_s,
-                                     end_node=self.segments[segment_keys[-1][0]].j,
-                                     segment_keys=tuple(segment_keys),
-                                     energy_kwh=energy_kwh))
+        self.bookings.append(Booking(ev, start_s, end_s, tuple(segment_keys)))
         return BookResult(True)
 
     def advance_to(self, now: float):

@@ -22,18 +22,15 @@ neighbour id are not comparable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .charging import BookResult, Infrastructure, MedState, scs_charge_time
 from .energy import InductionParams, VehicleParams
 from .road_graph import RoadGraph, load_graph, require_keys
-from .routing import (EvRequest, MedAttach, PathCache, RouteAssignment, ScsVisit,
-                      _plan_findings)
+from .routing import (_EPS_TOL, INFINITE, EvRequest, MedAttach, PathCache, RouteAssignment,
+                      ScsVisit, _plan_findings, attach_run)
 
-INFINITE = math.inf
 NODE_BOUND = 14
-_TOL = 1e-9
 
 
 class OracleError(Exception):
@@ -109,6 +106,8 @@ class OracleInstance:
                 raise OracleError(f"med wait_s point {node} is not a cycle point of the graph")
         if not all(rate > 0 for rate in (*self.scs_rates.values(), self.default_rate_kw)):
             raise OracleError("charge rates must be positive")
+        if not self.med_battery_kwh >= 0.0:
+            raise OracleError(f"med battery_kwh must be nonnegative, got {self.med_battery_kwh}")
         self.caches = PathCache(self.graph)
 
     def rate_of(self, node) -> float:
@@ -147,10 +146,10 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
 
     Everything a search node reads about its graph node is precomputed once
     into a row: the bound's inputs, the outgoing arcs in search order with
-    their caps, and the charger there. The search records station visits and
-    attach runs as plain tuples, and the returned plan's :class:`ScsVisit`
-    and :class:`MedAttach` records, with their segments, induced energies
-    and booking keys, are built once at the end.
+    their caps, and the charger there. An attach run rides the router's rule,
+    :func:`~medsim.routing.attach_run`, and ends early only at a spent arc
+    cap. Visits and runs are kept as plain tuples; the returned plan's
+    :class:`ScsVisit` and :class:`MedAttach` records are built at the end.
     """
     g = inst.graph
     size = sum(g.visit_cap(n) for n in g.nodes)
@@ -177,13 +176,7 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
 
     if med_set:
         med = inst.frozen_infrastructure().med_units[0]
-        u = len(med.segments)
-        med_idx = {p: k for k, p in enumerate(med.points)}
-        max_segs = med.max_passes * u
-        # the cycle's segments laid out long enough that a run of max_segs
-        # starting at any point is one slice
-        run_rows = [(*arc_row(s.i, s.j), s.energy_kwh, s.induced_kwh, s.drive_s, s.j)
-                    for s in med.segments] * (med.max_passes + 1)
+        seg_arcs = [arc_row(s.i, s.j) for s in med.segments]
 
     lb_time = caches.rev(dest, "time")
     min_e_dest = caches.rev(dest, "energy")
@@ -205,7 +198,7 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
                             for nbr, attr in g.neighbors(n)),
                            key=lambda arc: arc[4] + lb_time[index[arc[0]]]))
         station = (inst.scs_waits.get(n, 0.0), inst.rate_of(n)) if n in scs_set else None
-        meet = (med_idx[n], inst.med_waits.get(n, 0.0)) if n in med_set else None
+        meet = (med.points.index(n), inst.med_waits.get(n, 0.0)) if n in med_set else None
         rows[n] = (min_e_dest[k], lb_time[k], via, out, station, meet)
 
     best_obj = INFINITE
@@ -230,12 +223,12 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
         # the battery covers it, else via the nearest charger that is both
         # energy-reachable and still has visit budget (every completion must
         # touch one first); infinite means the branch is dead
-        if eps + _TOL >= e_dest:
+        if eps + _EPS_TOL >= e_dest:
             bound = t_dest
         else:
             bound = INFINITE
             for t, e_to_c, c in via:
-                if left[c] and eps + _TOL >= e_to_c:
+                if left[c] and eps + _EPS_TOL >= e_to_c:
                     bound = t
                     break
         if obj + bound >= best_obj - 1e-12:
@@ -260,7 +253,7 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
             if used[arc] >= cap:
                 continue
             nxt = eps - energy
-            if nxt < -_TOL:
+            if nxt < -_EPS_TOL:
                 continue
             used[arc] += 1
             walk.append(nbr)
@@ -273,26 +266,18 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
     def _explore_attach(node, eps, obj, start_idx, wait):
         left[node] -= 1
         meet_leg = len(walk) - 1
-        cur, dispensed, drive = eps, 0.0, 0.0
         taken = []
-        for arc, cap, energy, induced, seg_drive, detach in \
-                run_rows[start_idx:start_idx + max_segs]:
+        for seg, cur, drive, dispensed in attach_run(med, start_idx, eps, Q):
+            arc, cap = seg_arcs[seg.index]
             if used[arc] >= cap:
                 break
-            dispensed += induced
-            if dispensed > inst.med_battery_kwh + _TOL:
-                break
-            cur = min(Q, cur - energy + induced)
-            if cur < -_TOL:
-                break
-            drive += seg_drive
             used[arc] += 1
             taken.append(arc)
-            walk.append(detach)
+            walk.append(seg.j)
             trace.append(cur)
-            qs.append((node, meet_leg, wait, drive, start_idx, len(taken), cur - eps,
-                       dispensed))
-            explore(detach, cur, obj + wait + drive, True)
+            # MedAttach.build's arguments after the charger; a frozen pass is 0
+            qs.append((start_idx, 0, len(taken), meet_leg, wait, drive, cur - eps, dispensed))
+            explore(seg.j, cur, obj + wait + drive, True)
             qs.pop()
         for arc in taken:
             used[arc] -= 1
@@ -301,7 +286,7 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
         left[node] += 1
 
     try:
-        if req.energy_kwh >= -_TOL:
+        if req.energy_kwh >= -_EPS_TOL:
             explore(req.source, req.energy_kwh, 0.0, True)
     finally:
         # the closures reach themselves and each other through their cells;
@@ -312,13 +297,7 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
     if best_plan is None:
         return OracleSolution(None, INFINITE, explored, False)
     legs, tr, z_list, q_list = best_plan
-    q_points = []
-    for node, meet_leg, wait, drive, start_idx, n_seg, gain, dispensed in q_list:
-        segs = [med.segments[(start_idx + k) % u] for k in range(n_seg)]
-        q_points.append(MedAttach(
-            node, med.points[(start_idx + n_seg) % u], meet_leg, wait, drive,
-            tuple((s.i, s.j) for s in segs), tuple(s.induced_kwh for s in segs),
-            med.segment_keys(start_idx, 0, n_seg), gain, dispensed))
+    q_points = [MedAttach.build(med, *q) for q in q_list]
     assignment = RouteAssignment(
         ev=req.ev, source=req.source, dest=dest, capacity_kwh=Q,
         energy_start_kwh=req.energy_kwh, legs=legs,
@@ -369,9 +348,9 @@ def verify(inst: OracleInstance, a: RouteAssignment, tol: float = 1e-6,
     min_e_charger = [inst.caches.rev(c, "energy") for c in chargers]
     for node, eps_here in zip(a.legs, levels):
         pos = g.index[node]
-        if eps_here + _TOL >= min_e_dest[pos]:
+        if eps_here + _EPS_TOL >= min_e_dest[pos]:
             continue
-        if any(eps_here + _TOL >= dist[pos] for dist in min_e_charger):
+        if any(eps_here + _EPS_TOL >= dist[pos] for dist in min_e_charger):
             continue
         return "violated(8)"
 

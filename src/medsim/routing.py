@@ -13,6 +13,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import cycle, islice
 
 from .road_graph import RoadGraph
 
@@ -220,6 +221,21 @@ class MedAttach:
     gain_kwh: float
     dispensed_kwh: float
 
+    @classmethod
+    def build(cls, unit, start_idx, pass_no, n_segments, leg_index, wait_s, attach_s,
+              gain_kwh, dispensed_kwh):
+        """Riding ``n_segments`` of ``unit``'s cycle from ``start_idx`` on pass ``pass_no``.
+
+        Segments, induced energies, booking keys and the detach node come
+        from the charger; ``attach_s`` and ``dispensed_kwh`` are what
+        :func:`attach_run` yielded after the ride's last segment.
+        """
+        u = len(unit.segments)
+        segs = [unit.segments[(start_idx + k) % u] for k in range(n_segments)]
+        return cls(unit.points[start_idx], segs[-1].j, leg_index, wait_s, attach_s,
+                   tuple((seg.i, seg.j) for seg in segs), tuple(seg.induced_kwh for seg in segs),
+                   unit.segment_keys(start_idx, pass_no, n_segments), gain_kwh, dispensed_kwh)
+
 
 @dataclass
 class RouteAssignment:
@@ -375,9 +391,8 @@ class _Candidate:
 
     A station stop charges for ``charge_s``; a mobile-charger stop rides
     ``segments`` from cycle index ``start_idx`` on cycle pass ``pass_no``,
-    leaving the battery at ``eps_after``. What else the route needs (booking
-    keys, arcs, induced energy, detach node) is derived from those when the
-    candidate is chosen.
+    leaving the battery at ``eps_after``; :meth:`MedAttach.build` derives the
+    rest of the stop's record when the candidate is chosen.
     """
 
     kind: str
@@ -394,33 +409,45 @@ class _Candidate:
     eps_after: float = 0.0
 
 
+def attach_run(unit, start_idx, eps, capacity):
+    """The one rule for riding a mobile charger: how far an attach run may go.
+
+    Follows ``unit``'s cycle from point ``start_idx`` with the battery at
+    ``eps``. After each segment the EV can ride it yields ``(segment, level,
+    attach_s, dispensed)``: the level after it is ``eps - energy + induced``
+    capped at ``capacity``; attached drive time and gross energy dispensed
+    are left folds. The run ends before a segment that would dispense more
+    than ``unit.battery_kwh`` or leave the level below zero (each beyond
+    :data:`_EPS_TOL`), and after ``unit.max_passes`` whole cycles.
+    """
+    segs = unit.segments
+    budget, floor = unit.battery_kwh + _EPS_TOL, -_EPS_TOL
+    attach_s = dispensed = 0.0
+    for seg in islice(cycle(segs), start_idx, start_idx + unit.max_passes * len(segs)):
+        induced = seg.induced_kwh
+        dispensed += induced
+        if dispensed > budget:
+            return
+        level = eps - seg.energy_kwh + induced
+        eps = level if level < capacity else capacity
+        if eps < floor:
+            return
+        attach_s += seg.drive_s
+        yield seg, eps, attach_s, dispensed
+
+
 def _plan_med_span(unit, start_idx, eps_at_meet, capacity, need_to_finish):
     """Shortest attach run after which the EV can also finish the trip.
 
-    Walks cycle segments forward from the meeting point, tracking the capped
-    battery level and the gross energy the charger dispenses; stops at the
-    first detach point (the head of the last segment ridden) whose remaining
-    trip the battery now covers (``need_to_finish`` maps a node to that
+    Rides :func:`attach_run` from the meeting point and stops at the first
+    detach point (the head of the last segment ridden) whose remaining trip
+    the battery now covers (``need_to_finish`` maps a node to that
     requirement). Returns ``(segments, eps_after, attach_s)``: the ridden
     ``CycleSegment``s, the battery level after them and the attached drive
-    time; None when no run within the pass budget or battery works.
+    time; None when the run ends before any detach point covers the trip.
     """
-    segs = unit.segments
-    u = len(segs)
-    eps = eps_at_meet
-    dispensed = 0.0
-    attach_s = 0.0
     ridden = []
-    for n in range(unit.max_passes * u):
-        seg = segs[(start_idx + n) % u]
-        dispensed += seg.induced_kwh
-        if dispensed > unit.battery_kwh + _EPS_TOL:
-            return None
-        level = eps - seg.energy_kwh + seg.induced_kwh
-        eps = level if level < capacity else capacity
-        if eps < -_EPS_TOL:
-            return None
-        attach_s += seg.drive_s
+    for seg, eps, attach_s, _ in attach_run(unit, start_idx, eps_at_meet, capacity):
         ridden.append(seg)
         if eps >= need_to_finish(seg.j) - _EPS_TOL:
             return tuple(ridden), eps, attach_s
@@ -530,17 +557,6 @@ def _drive(legs, trace, path, eps, drive_s, capacity):
     return eps, drive_s
 
 
-def _ride(legs, trace, segments, eps, drive_s, capacity):
-    """:func:`_drive` along an attach run, crediting each segment's induced energy."""
-    for seg in segments:
-        level = eps - seg.energy_kwh + seg.induced_kwh
-        eps = capacity if capacity < level else level
-        drive_s += seg.drive_s
-        legs.append(seg.j)
-        trace.append(eps)
-    return eps, drive_s
-
-
 def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0,
                        gate=None, caches: PathCache | None = None) -> RouteAssignment:
     """Feasible route for one EV, charging along the way only when needed.
@@ -591,17 +607,20 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
             trace[-1] = Q
             elapsed += plan.wait_s + plan.charge_s
         else:
-            segments = plan.segments
-            keys = plan.unit.segment_keys(plan.start_idx, plan.pass_no, len(segments))
-            induced = tuple(seg.induced_kwh for seg in segments)
-            dispensed = sum(induced)
+            n, meet_leg, meet_eps = len(plan.segments), len(legs) - 1, eps
+            # ride from the level the walk folded (the scorer's can differ in
+            # its last bits), before the booking debits the battery the run reads
+            run = attach_run(plan.unit, plan.start_idx, eps, Q)
+            for seg, eps, _, dispensed in islice(run, n):
+                drive_s += seg.drive_s
+                legs.append(seg.j)
+                trace.append(eps)
+            att = MedAttach.build(plan.unit, plan.start_idx, plan.pass_no, n, meet_leg,
+                                  plan.wait_s, plan.attach_s, plan.eps_after - meet_eps, dispensed)
             start = arrival + plan.wait_s
-            booked = plan.unit.book_attach(request.ev, keys, dispensed,
+            booked = plan.unit.book_attach(request.ev, att.booking_keys, att.dispensed_kwh,
                                            start, start + plan.attach_s)
-            q_points.append(MedAttach(plan.point, segments[-1].j, len(legs) - 1, plan.wait_s,
-                                      plan.attach_s, tuple((seg.i, seg.j) for seg in segments),
-                                      induced, keys, plan.eps_after - eps, dispensed))
-            eps, drive_s = _ride(legs, trace, segments, eps, drive_s, Q)
+            q_points.append(att)
             elapsed += plan.wait_s + plan.attach_s
         if not booked.accepted:
             raise RuntimeError(f"EV {request.ev}: the {plan.kind} ledger at node "

@@ -41,9 +41,17 @@ DEFAULT_INDUCTION = InductionParams(c_ind=0.75, p_ind_kw=40.0)
 
 @dataclass
 class MedSpec:
-    battery_kwh: float = 200.0
+    battery_kwh: float = 200.0      # infinite: the charger never runs dry
     p_ind_kw: float | None = None   # falls back to the induction block
     start_s: float = 0.0
+
+    def __post_init__(self):
+        if not self.battery_kwh >= 0.0:
+            raise ValueError(f"med battery_kwh must be nonnegative, got {self.battery_kwh}")
+        if not math.isfinite(self.start_s):
+            raise ValueError(f"med start_s must be finite, got {self.start_s}")
+        if self.p_ind_kw is not None and not 0.0 < self.p_ind_kw < INFINITE:
+            raise ValueError(f"med p_ind_kw must be positive and finite, got {self.p_ind_kw}")
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,25 @@ def ref_plan_med_span(unit, start_idx, eps_at_meet, capacity, need_to_finish):
     return None
 
 
+def ref_attach_run(unit, start_idx, eps, capacity):
+    """Every prefix of ``routing.attach_run``, as a list, stepped out by hand.
+
+    Item ``n`` is ``(segment, level, attach_s, dispensed)`` after riding
+    ``n + 1`` segments; the list ends where the run must stop.
+    """
+    segs = unit.segments
+    prefixes = []
+    for n in range(unit.max_passes * len(segs)):
+        seg = segs[(start_idx + n) % len(segs)]
+        _, level, attach_s, dispensed = prefixes[-1] if prefixes else (None, eps, 0.0, 0.0)
+        dispensed += seg.induced_kwh
+        level = min(capacity, level - seg.energy_kwh + seg.induced_kwh)
+        if dispensed > unit.battery_kwh + _EPS_TOL or level < -_EPS_TOL:
+            break
+        prefixes.append((seg, level, attach_s + seg.drive_s, dispensed))
+    return prefixes
+
+
 def ref_best_energy_point(g, caches, request, at, energy_kwh, now, infra, gate=None):
     """``routing.find_best_energy_point``: every scored point a candidate, then ``min``."""
     Q = request.capacity_kwh

@@ -428,6 +428,43 @@ class TestInvalidFiles:
         assert "scenario:" in err and "'mass'" in err and err.count("\n") == 1
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("edit,message", [
+        ({"start_s": float("nan")}, "med start_s must be finite, got nan"),
+        ({"start_s": float("inf")}, "med start_s must be finite, got inf"),
+        ({"battery_kwh": float("nan")}, "med battery_kwh must be nonnegative, got nan"),
+        ({"battery_kwh": -5.0}, "med battery_kwh must be nonnegative, got -5.0"),
+        ({"p_ind_kw": float("nan")}, "med p_ind_kw must be positive and finite, got nan"),
+        ({"p_ind_kw": 0.0}, "med p_ind_kw must be positive and finite, got 0.0"),
+    ], ids=["start-nan", "start-inf", "battery-nan", "battery-negative", "p-ind-nan",
+            "p-ind-zero"])
+    def test_rejected_med_spec(self, tmp_path, capsys, monkeypatch, edit, message):
+        # a NaN or infinite start once crashed the run in MedState.pass_number,
+        # and a bad p_ind_kw in InductionParams; a NaN battery ran unlimited
+        # and a negative one switched the charger off
+        monkeypatch.chdir(tmp_path)
+        doc = default_scenario(ev_count=12).to_json()
+        doc["infra"]["med"][0].update(edit)
+        (tmp_path / "scenario.json").write_text(json.dumps(doc))
+        rc = main(["run", "--scenario", "scenario.json", "--out-csv", "run.csv"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"scenario: {message}" in err and err.count("\n") == 1
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_oracle_rejects_a_nan_charger_battery(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        instance = {
+            "graph": {"nodes": [0, 1, 2, 3], "arcs": _line_arcs(4), "med_cycle": [1, 2]},
+            "request": {"source": 0, "dest": 3, "capacity_kwh": 10.0, "energy_kwh": 1.5},
+            "med": {"c_ind": 0.75, "p_ind_kw": 40.0, "battery_kwh": float("nan")},
+        }
+        (tmp_path / "inst.json").write_text(json.dumps(instance))
+        rc = main(["oracle", "--instance", "inst.json", "--out", "out.json"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "med battery_kwh must be nonnegative, got nan" in err and err.count("\n") == 1
+        assert not (tmp_path / "out.json").exists()
+
     def test_sweep_rejected_scenario_value(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         doc = default_scenario(ev_count=12).to_json()

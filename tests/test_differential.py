@@ -3,20 +3,25 @@
 ``MedState.waiting``, ``find_best_energy_point`` and ``_path_feasible``
 compute what their references in ``conftest.py`` compute (``ref_waiting``,
 ``ref_best_energy_point`` and the per-arc ``route_feasible``), with less
-work per try, point and arc. Each property draws inputs on which the two could part
-and demands the same answer bit for bit (McKeeman 1998, "Differential
-testing for software").
+work per try, point and arc; ``attach_run`` and ``_plan_med_span`` ride the
+charger as ``ref_attach_run`` and ``ref_plan_med_span`` do. Each property
+draws inputs on which the two could part and demands the same answer bit
+for bit (McKeeman 1998, "Differential testing for software").
 """
+
+import math
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
 from medsim.charging import Booking, Infrastructure, MedState, ScsState
 from medsim.energy import InductionParams
 from medsim.road_graph import ArcAttr, build_graph
-from medsim.routing import (EvRequest, PathCache, Stranded, _path_feasible,
-                            find_best_energy_point)
+from medsim.routing import (EvRequest, PathCache, Stranded, _path_feasible, _plan_med_span,
+                            attach_run, find_best_energy_point)
 from medsim.sim import _refuse_all, _refuse_med
-from tests.conftest import TEST_INDUCTION, ref_best_energy_point, ref_waiting, route_feasible
+from tests.conftest import (TEST_INDUCTION, ref_attach_run, ref_best_energy_point,
+                            ref_plan_med_span, ref_waiting, route_feasible)
 
 # whole seconds plus an offset that rounds, so sums tie and still round by order
 DRIVE_S = st.builds(lambda whole, frac: whole + frac, st.integers(1, 9),
@@ -109,7 +114,7 @@ def scoring_cases(draw):
     scs = ScsState(station, draw(st.sampled_from((19.2, 50.0))))
     booked_until = draw(st.sampled_from((0.0, 5.0, 30.0, 300.0)))
     if booked_until:
-        scs.bookings.append(Booking("other", "scs", station, 0.0, booked_until))
+        scs.bookings.append(Booking("other", 0.0, booked_until))
     infra.scs_units.append(scs)
     if draw(st.booleans()):
         # a twin station scores the same; the first one scored must win
@@ -171,3 +176,63 @@ class TestPathFeasible:
         path = PathCache(g).path(0, n)
         start = path.energy_kwh + slack
         assert _path_feasible(path, start) == route_feasible(g, path, start)
+
+
+@st.composite
+def attach_cases(draw):
+    """A charger cycle of 2-6 segments, an EV meeting it, and what each point needs.
+
+    Each segment's arc and induced energies are drawn, zeros included. The
+    charger's budget is finite or infinite; the EV's capacity, its level at
+    the meeting point and the energy each cycle point's remaining trip
+    needs (infinite: no way on) are drawn too.
+    """
+    u = draw(st.integers(2, 6))
+    unit = MedState(ring(draw(st.lists(DRIVE_S, min_size=u, max_size=u)),
+                         draw(st.integers(1, 3))), TEST_INDUCTION,
+                    battery_kwh=draw(st.one_of(st.just(math.inf), st.floats(0.0, 30.0))))
+    unit.segments = tuple(
+        replace(seg, energy_kwh=draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0))),
+                induced_kwh=draw(st.one_of(st.just(0.0), st.floats(0.0, 6.0))))
+        for seg in unit.segments)
+    capacity = draw(st.floats(0.5, 20.0))
+    eps = draw(st.one_of(st.floats(0.0, capacity), st.sampled_from((0.0, -5e-10, capacity))))
+    need = draw(st.lists(st.one_of(st.floats(0.0, 25.0), st.just(math.inf)),
+                         min_size=u, max_size=u))
+    return unit, draw(st.integers(0, u - 1)), eps, capacity, need
+
+
+class TestAttachRun:
+    @settings(max_examples=300, deadline=None)
+    @given(case=attach_cases())
+    def test_prefixes_and_stop_match_the_reference(self, case):
+        unit, start_idx, eps, capacity, _ = case
+        assert repr(list(attach_run(unit, start_idx, eps, capacity))) == \
+            repr(ref_attach_run(unit, start_idx, eps, capacity))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=attach_cases())
+    def test_planned_span_matches_the_reference(self, case):
+        unit, start_idx, eps, capacity, need = case
+        args = (unit, start_idx, eps, capacity, need.__getitem__)
+        assert repr(_plan_med_span(*args)) == repr(ref_plan_med_span(*args))
+
+    def test_each_stop_is_where_the_reference_stops(self):
+        # one cycle of three 1 kWh / 2 kWh-induced segments, visit limit 2
+        unit = MedState(ring([10.0, 20.0, 30.0], 2), TEST_INDUCTION)
+        unit.segments = tuple(replace(seg, energy_kwh=1.0, induced_kwh=2.0)
+                              for seg in unit.segments)
+        # budget plus tolerance landing exactly on a dispensed sum still allows it
+        for budget, want in ((math.inf, 6), (5.0, 2), (4.0 - 1e-9, 2), (4.0 - 2e-9, 1)):
+            unit.battery_kwh = budget
+            run = list(attach_run(unit, 1, 0.0, 100.0))
+            assert len(run) == want and repr(run) == repr(ref_attach_run(unit, 1, 0.0, 100.0))
+        # a level exactly at minus the tolerance rides on; one below it stops
+        unit.battery_kwh = math.inf
+        flat = tuple(replace(seg, energy_kwh=0.0, induced_kwh=0.0) for seg in unit.segments)
+        unit.segments = flat
+        assert len(list(attach_run(unit, 0, -1e-9, 100.0))) == 6
+        assert list(attach_run(unit, 0, -2e-9, 100.0)) == []
+        # a segment that drains more than it induces empties the battery
+        unit.segments = (flat[0], replace(flat[1], energy_kwh=1.0), flat[2])
+        assert [seg.index for seg, *_ in attach_run(unit, 0, 0.5, 100.0)] == [0]
