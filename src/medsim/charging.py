@@ -51,7 +51,7 @@ class ScsState:
     """
 
     def __init__(self, node: int, rate_kw: float):
-        if rate_kw <= 0:
+        if not rate_kw > 0:
             raise ValueError("station rate must be positive")
         self.node = node
         self.rate_kw = rate_kw

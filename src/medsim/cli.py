@@ -213,9 +213,10 @@ def cmd_sweep(args) -> int:
     first = _scenario(doc, **cells[0])
     for cell in cells:  # bad input exits 2 here, before any cell runs
         _scenario(first, **cell)
-    # loaded here, outside the catch-all below, so a bad graph exits 2 too;
-    # in-process cells find this network remembered
-    sim.network_for(first)
+    # loaded here, outside the catch-all below, so a bad graph, or a charger
+    # or entry point it lacks, exits 2 too; in-process cells find this
+    # network remembered
+    sim.build_infrastructure(first, sim.network_for(first).graph)
     try:
         if args.jobs > 1:
             # imported here: only a parallel sweep needs the pool's modules

@@ -22,14 +22,7 @@ _GAMMA = (_CAL_HIGH_DBM - _CAL_LOW_DBM) / (10.0 * math.log10(_CAL_FAR_M / _CAL_N
 
 @dataclass(frozen=True)
 class RadioParams:
-    ptx_dbm: float = 18.0
-    f_ghz: float = 5.9
-    pth_dbm: float = -85.0
-    sinr_db: float = 10.0
-
-    def __post_init__(self):
-        if self.pth_dbm > self.ptx_dbm:
-            raise ValueError("receiver sensitivity cannot exceed transmit power")
+    pth_dbm: float = -85.0  # receiver sensitivity
 
 
 def transmission_range(rp: RadioParams) -> float:

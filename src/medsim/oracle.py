@@ -297,13 +297,10 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
     if best_plan is None:
         return OracleSolution(None, INFINITE, explored, False)
     legs, tr, z_list, q_list = best_plan
-    q_points = [MedAttach.build(med, *q) for q in q_list]
     assignment = RouteAssignment(
         ev=req.ev, source=req.source, dest=dest, capacity_kwh=Q,
-        energy_start_kwh=req.energy_kwh, legs=legs,
-        x_arcs=list(zip(legs, legs[1:])),
-        y_arcs=[arc for a in q_points for arc in a.segments],
-        z_visits=[ScsVisit(*v) for v in z_list], q_points=q_points, energy_trace=tr,
+        energy_start_kwh=req.energy_kwh, legs=legs, z_visits=[ScsVisit(*v) for v in z_list],
+        q_points=[MedAttach.build(med, *q) for q in q_list], energy_trace=tr,
         total_time_s=best_obj)
     return OracleSolution(assignment, best_obj, explored, True)
 

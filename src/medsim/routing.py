@@ -210,8 +210,8 @@ class ScsVisit:
 
 @dataclass
 class MedAttach:
-    meet_node: int
-    detach_node: int
+    """One attach run; ``meet_node`` and ``detach_node`` are its span's ends."""
+
     leg_index: int
     wait_s: float
     attach_s: float
@@ -221,19 +221,27 @@ class MedAttach:
     gain_kwh: float
     dispensed_kwh: float
 
+    @property
+    def meet_node(self) -> int:
+        return self.segments[0][0]
+
+    @property
+    def detach_node(self) -> int:
+        return self.segments[-1][1]
+
     @classmethod
     def build(cls, unit, start_idx, pass_no, n_segments, leg_index, wait_s, attach_s,
               gain_kwh, dispensed_kwh):
         """Riding ``n_segments`` of ``unit``'s cycle from ``start_idx`` on pass ``pass_no``.
 
-        Segments, induced energies, booking keys and the detach node come
-        from the charger; ``attach_s`` and ``dispensed_kwh`` are what
-        :func:`attach_run` yielded after the ride's last segment.
+        Segments, induced energies and booking keys come from the charger;
+        ``attach_s`` and ``dispensed_kwh`` are what :func:`attach_run`
+        yielded after the ride's last segment.
         """
         u = len(unit.segments)
         segs = [unit.segments[(start_idx + k) % u] for k in range(n_segments)]
-        return cls(unit.points[start_idx], segs[-1].j, leg_index, wait_s, attach_s,
-                   tuple((seg.i, seg.j) for seg in segs), tuple(seg.induced_kwh for seg in segs),
+        return cls(leg_index, wait_s, attach_s, tuple((seg.i, seg.j) for seg in segs),
+                   tuple(seg.induced_kwh for seg in segs),
                    unit.segment_keys(start_idx, pass_no, n_segments), gain_kwh, dispensed_kwh)
 
 
@@ -243,7 +251,8 @@ class RouteAssignment:
 
     ``energy_trace`` holds the battery level at every node of ``legs`` right
     after whatever happens there (charging to full at a station visit,
-    capped inductive gain along attached arcs).
+    capped inductive gain along attached arcs). ``x_arcs`` and ``y_arcs``
+    are derived from the walk and the attach spans, never stored.
     """
 
     ev: str
@@ -252,13 +261,21 @@ class RouteAssignment:
     capacity_kwh: float
     energy_start_kwh: float
     legs: list
-    x_arcs: list
-    y_arcs: list
     z_visits: list
     q_points: list
     energy_trace: list
     total_time_s: float
     depart_s: float = 0.0
+
+    @property
+    def x_arcs(self) -> list:
+        """The arcs driven: consecutive pairs of the walk."""
+        return list(zip(self.legs, self.legs[1:]))
+
+    @property
+    def y_arcs(self) -> list:
+        """The arcs ridden behind a mobile charger: the attach spans joined."""
+        return [arc for att in self.q_points for arc in att.segments]
 
     @property
     def wait_total_s(self) -> float:
@@ -302,9 +319,7 @@ def _plan_findings(g: RoadGraph, a: RouteAssignment, tol: float):
         found.append((2, "walk does not start at the source"))
     if legs and legs[-1] != a.dest:
         found.append((2, "walk does not end at the destination"))
-    walk = list(zip(legs, legs[1:]))
-    if a.x_arcs != walk:
-        found.append((2, "x arcs do not match the walk"))
+    walk = a.x_arcs
     attrs = []
     for i, j in walk:
         attr = g.arc(i, j)
@@ -313,19 +328,12 @@ def _plan_findings(g: RoadGraph, a: RouteAssignment, tol: float):
             return found, []
         attrs.append(attr)
 
-    if [arc for att in a.q_points for arc in att.segments] != list(a.y_arcs):
-        found.append((3, "y arcs do not equal the concatenated attach spans"))
     cycle = set(g.med_cycle_segments()) if a.q_points else ()
     gain_at = {}
     for att in a.q_points:
         k, n = att.leg_index, len(att.segments)
-        if not 0 <= k < len(legs) - n or list(att.segments) != walk[k:k + n]:
+        if not n or not 0 <= k < len(legs) - n or list(att.segments) != walk[k:k + n]:
             found.append((3, "attach span does not match the walk slice"))
-        else:
-            if att.meet_node != legs[k]:
-                found.append((3, "attach start node mismatch"))
-            if att.detach_node != legs[k + n]:
-                found.append((3, "detach node mismatch"))
         if any(arc not in cycle for arc in att.segments):
             found.append((3, "attach segment is not a cycle arc"))
         if att.wait_s < 0:
@@ -634,8 +642,7 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
     a = RouteAssignment(
         ev=request.ev, source=request.source, dest=request.dest,
         capacity_kwh=Q, energy_start_kwh=request.energy_kwh,
-        legs=legs, x_arcs=list(zip(legs, legs[1:])),
-        y_arcs=[arc for att in q_points for arc in att.segments], z_visits=z_visits,
-        q_points=q_points, energy_trace=trace, total_time_s=0.0, depart_s=now)
+        legs=legs, z_visits=z_visits, q_points=q_points, energy_trace=trace,
+        total_time_s=0.0, depart_s=now)
     a.total_time_s = _plus_stops(drive_s, a)
     return a

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 from .charging import Infrastructure, MedState, ScsState
 from .energy import InductionParams, VehicleParams
-from .comms import RadioParams
-from .road_graph import RoadGraph, load_graph, require_keys
+from .road_graph import GraphError, RoadGraph, load_graph, require_keys
 from .routing import (EvRequest, NoPath, PathCache, Stranded, check_assignment,
                       find_shortest_path)
 
@@ -28,6 +27,8 @@ LEVEL_TARGETS = {"L1": 0.20, "L2": 0.60, "L3": 0.95}
 MODES = ("SCS", "SCS_MED")
 ENERGY_MIN_KWH = 1.0
 ENERGY_MAX_KWH = 6.0
+# radio keys older scenario documents carry; nothing reads them
+_LEGACY_RADIO_KEYS = ("beacon_period_s", "ptx_dbm", "f_ghz", "pth_dbm", "sinr_db")
 
 
 class CalibrationError(Exception):
@@ -81,7 +82,6 @@ class Scenario:
     stranded_penalty_s: float | None = None
     vehicle: VehicleParams = DEFAULT_VEHICLE
     induction: InductionParams = DEFAULT_INDUCTION
-    radio: RadioParams = RadioParams()
     block_prob: float = 0.05
     scs: list = field(default_factory=list)      # (node, rate_kw) pairs
     meds: list = field(default_factory=list)     # MedSpec per mobile charger
@@ -101,6 +101,13 @@ class Scenario:
             raise ValueError("block_prob must be a probability")
         if self.stranded_penalty_s is None:
             self.stranded_penalty_s = 10.0 * self.horizon_s
+        for name in ("horizon_s", "stranded_penalty_s"):  # chained, so NaN fails too
+            value = getattr(self, name)
+            if not 0.0 <= value < INFINITE:
+                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+        for node, rate in self.scs:
+            if not rate > 0.0:
+                raise ValueError(f"station {node} rate_kw must be positive, got {rate}")
         if isinstance(self.graph, (str, bytes)):  # a path: keep the document it names
             with open(self.graph, encoding="utf-8") as fh:
                 self.graph = json.load(fh)
@@ -114,8 +121,7 @@ class Scenario:
             "stranded_penalty_s": self.stranded_penalty_s,
             "vehicle": vars(self.vehicle).copy(),
             "induction": vars(self.induction).copy(),
-            "radio": {"ptx_dbm": self.radio.ptx_dbm, "f_ghz": self.radio.f_ghz,
-                      "pth_dbm": self.radio.pth_dbm, "block_prob": self.block_prob},
+            "radio": {"block_prob": self.block_prob},
             "infra": {
                 "scs": [{"node": n, "rate_kw": r} for n, r in self.scs],
                 "med": [{"battery_kwh": m.battery_kwh, "p_ind_kw": m.p_ind_kw,
@@ -138,7 +144,9 @@ class Scenario:
             require_keys(s, ("node",), f"infra scs entry #{k}", ValueError)
         radio_doc = dict(doc.get("radio", {}))
         block = radio_doc.pop("block_prob", 0.05)
-        radio_doc.pop("beacon_period_s", None)  # older documents carry it; nothing reads it
+        for key in radio_doc:
+            if key not in _LEGACY_RADIO_KEYS:
+                raise ValueError(f"radio block has an unknown key {key!r}")
         kwargs = {
             "graph": doc["graph"],
             "mode": doc.get("mode", "SCS_MED"),
@@ -150,7 +158,6 @@ class Scenario:
             "vehicle": VehicleParams(**doc["vehicle"]) if "vehicle" in doc else DEFAULT_VEHICLE,
             "induction": InductionParams(**doc["induction"]) if "induction" in doc
                          else DEFAULT_INDUCTION,
-            "radio": RadioParams(**radio_doc) if radio_doc else RadioParams(),
             "block_prob": float(block),
             "scs": [(s["node"], float(s.get("rate_kw", 19.2)))
                     for s in infra.get("scs", ())],
@@ -177,8 +184,10 @@ def default_scenario(**overrides) -> Scenario:
 # -- population ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EvSpawn:
+@dataclass
+class EvRecord:
+    """One EV: its spawn, then the outcome :func:`run` sets once it is routed."""
+
     ev: str
     t_arrival_s: float
     source: int
@@ -186,6 +195,10 @@ class EvSpawn:
     energy_kwh: float
     anxious: bool
     excluded: bool
+    choice: str = "none"  # "scs", "med", or "none"
+    travel_s: float = 0.0
+    wait_s: float = 0.0
+    stranded: bool = False
 
 
 class LevelSampler:
@@ -255,7 +268,7 @@ class LevelSampler:
 
 def generate_population(scenario: Scenario, g: RoadGraph,
                         caches: PathCache | None = None):
-    """Deterministic spawn list; independent of the charging mode.
+    """Deterministic spawn list, as records not yet routed; independent of the mode.
 
     The same seed yields the same population for both modes, which is what
     makes paired mode comparisons meaningful.
@@ -267,26 +280,11 @@ def generate_population(scenario: Scenario, g: RoadGraph,
     draws = sampler.sample(n)
     excluded = [rng.random() < scenario.block_prob for _ in range(n)]
     width = max(3, len(str(max(n - 1, 0))))
-    return [EvSpawn(f"ev{k:0{width}d}", arrivals[k], s, d, eps, anx, excl)
+    return [EvRecord(f"ev{k:0{width}d}", arrivals[k], s, d, eps, anx, excl)
             for k, ((s, d, eps, anx), excl) in enumerate(zip(draws, excluded))]
 
 
 # -- metrics ---------------------------------------------------------------------
-
-
-@dataclass
-class EvRecord:
-    ev: str
-    t_arrival_s: float
-    source: int
-    dest: int
-    energy_kwh: float
-    anxious: bool
-    excluded: bool
-    choice: str          # "scs", "med", or "none"
-    travel_s: float
-    wait_s: float
-    stranded: bool
 
 
 CSV_HEADER = ("ev,arrival_s,source,dest,energy_kwh,anxious,excluded,"
@@ -395,9 +393,17 @@ def network_for(scenario: Scenario) -> Network:
 
 
 def build_infrastructure(scenario: Scenario, g: RoadGraph) -> Infrastructure:
+    """The scenario's chargers on ``g``; a charger or entry point ``g`` lacks is a GraphError."""
+    for node in scenario.entries or ():
+        if node not in g.nodes:
+            raise GraphError(f"entry point {node} is not a node of the graph")
     infra = Infrastructure()
     for node, rate in scenario.scs:
+        if node not in g.scs_nodes:
+            raise GraphError(f"station {node} is not a station of the graph")
         infra.scs_units.append(ScsState(node, rate))
+    if scenario.meds and not g.med_points:
+        raise GraphError("a mobile charger needs the graph's med_cycle")
     for spec in scenario.meds:
         ind = scenario.induction if spec.p_ind_kw is None else \
             InductionParams(scenario.induction.c_ind, spec.p_ind_kw)
@@ -441,35 +447,28 @@ def run(scenario: Scenario, keep_assignments: bool = True) -> RunMetrics:
     network = network_for(scenario)
     g, caches = network.graph, network.caches
     infra = build_infrastructure(scenario, g)
-    population = generate_population(scenario, g, caches)
-    metrics = RunMetrics(scenario.mode, scenario.level, scenario.ev_count,
-                         scenario.seed, infrastructure=infra)
+    # each record gets its outcome in place, in arrival order
+    metrics = RunMetrics(scenario.mode, scenario.level, scenario.ev_count, scenario.seed,
+                         rows=generate_population(scenario, g, caches), infrastructure=infra)
     # what an EV not excluded by the comms drop may use: everything, or no
     # mobile charger in SCS mode
     open_gate = None if scenario.mode == "SCS_MED" else _refuse_med
 
-    for spawn in population:
-        infra.advance_to(spawn.t_arrival_s)
-        request = EvRequest(spawn.ev, spawn.source, spawn.dest,
-                            scenario.vehicle.capacity_kwh, spawn.energy_kwh)
+    for rec in metrics.rows:
+        infra.advance_to(rec.t_arrival_s)
+        request = EvRequest(rec.ev, rec.source, rec.dest,
+                            scenario.vehicle.capacity_kwh, rec.energy_kwh)
         try:
-            a = find_shortest_path(g, request, infra, now=spawn.t_arrival_s,
-                                   gate=_refuse_all if spawn.excluded else open_gate,
+            a = find_shortest_path(g, request, infra, now=rec.t_arrival_s,
+                                   gate=_refuse_all if rec.excluded else open_gate,
                                    caches=caches)
         except Stranded:
-            metrics.rows.append(EvRecord(
-                spawn.ev, spawn.t_arrival_s, spawn.source, spawn.dest,
-                spawn.energy_kwh, spawn.anxious, spawn.excluded, "none",
-                scenario.stranded_penalty_s, 0.0, True))
-            if keep_assignments:
-                metrics.assignments.append(None)
-            continue
-        for problem in check_assignment(g, a):
-            metrics.violations.append(f"{spawn.ev}: {problem}")
-        metrics.rows.append(EvRecord(
-            spawn.ev, spawn.t_arrival_s, spawn.source, spawn.dest,
-            spawn.energy_kwh, spawn.anxious, spawn.excluded, _first_choice(a),
-            a.total_time_s, a.wait_total_s, False))
+            a = None
+            rec.travel_s, rec.stranded = scenario.stranded_penalty_s, True
+        else:
+            for problem in check_assignment(g, a):
+                metrics.violations.append(f"{rec.ev}: {problem}")
+            rec.choice, rec.travel_s, rec.wait_s = _first_choice(a), a.total_time_s, a.wait_total_s
         if keep_assignments:
             metrics.assignments.append(a)
     return metrics

@@ -478,6 +478,58 @@ class TestInvalidFiles:
         assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("argv", [
+        ["run", "--out-csv", "out.csv"],
+        ["sweep", "--out", "out.csv", "--evs", "0", "--seeds", "0"],
+    ], ids=["run", "sweep"])
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["radio"].update(beacon="on"),
+         "scenario: radio block has an unknown key 'beacon'"),
+        (lambda doc: doc.update(horizon_s=float("inf")),
+         "scenario: horizon_s must be nonnegative and finite, got inf"),
+        (lambda doc: doc.update(horizon_s=float("nan")),
+         "scenario: horizon_s must be nonnegative and finite, got nan"),
+        (lambda doc: doc.update(horizon_s=-100.0),
+         "scenario: horizon_s must be nonnegative and finite, got -100.0"),
+        (lambda doc: doc.update(stranded_penalty_s=float("inf")),
+         "scenario: stranded_penalty_s must be nonnegative and finite, got inf"),
+        (lambda doc: doc.update(stranded_penalty_s=-1.0),
+         "scenario: stranded_penalty_s must be nonnegative and finite, got -1.0"),
+        (lambda doc: doc["infra"]["scs"][0].update(rate_kw=float("nan")),
+         "scenario: station 22 rate_kw must be positive, got nan"),
+        (lambda doc: doc["infra"]["scs"][0].update(rate_kw=0.0),
+         "scenario: station 22 rate_kw must be positive, got 0.0"),
+        (lambda doc: doc["infra"]["scs"][0].update(node=23),
+         "station 23 is not a station of the graph"),
+        (lambda doc: doc["infra"]["scs"][0].update(node=1000),
+         "station 1000 is not a station of the graph"),
+        (lambda doc: doc.update(entries=[0, 1000]),
+         "entry point 1000 is not a node of the graph"),
+        (lambda doc: doc["graph"].update(med_cycle=[]),
+         "a mobile charger needs the graph's med_cycle"),
+    ], ids=["radio-unknown-key", "horizon-inf", "horizon-nan", "horizon-negative",
+            "penalty-inf", "penalty-negative", "rate-nan", "rate-zero", "station-not-a-station",
+            "station-not-a-node", "entry-not-a-node", "med-without-cycle"])
+    def test_rejected_run_input(self, tmp_path, capsys, monkeypatch, argv, edit, message):
+        # an infinite horizon once hung the run, a NaN one crashed it and a
+        # negative one gave negative arrival times; an infinite penalty made
+        # the mean travel time infinite; a NaN rate wrote NaN travel times; a
+        # station id off the graph raised a bare KeyError, and one at a plain
+        # node left the graph's station unused; a rate of 0 or a charger with
+        # no cycle to drive raised a traceback. With no EVs a missed input
+        # runs to exit 0 rather than hanging the suite.
+        monkeypatch.chdir(tmp_path)
+        cells = []
+        monkeypatch.setattr(cli, "_sweep_cell", lambda *args: cells.append(args))
+        doc = default_scenario(ev_count=0).to_json()
+        edit(doc)
+        (tmp_path / "scenario.json").write_text(json.dumps(doc))
+        rc = main([argv[0], "--scenario", "scenario.json", *argv[1:]])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err and err.count("\n") == 1
+        assert cells == [] and not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
         ["run"],
         ["route", "--source", "0", "--dest", "9", "--energy", "5"],
         ["sweep", "--out", "sweep.csv"],

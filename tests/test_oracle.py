@@ -36,8 +36,7 @@ def _dip_below_zero(a):
 
 
 def _attach_off_the_walk(a):
-    a.y_arcs = [(3, 0)]  # never traversed
-    a.q_points[0].segments = ((3, 0),)
+    a.q_points[0].segments = ((3, 0),)  # never traversed
 
 
 def _short_after_station(a):
@@ -50,10 +49,16 @@ def _attach_on_the_spur(a):
     # the first run starts one arc early, on the source spur (4, 0): on the
     # walk, with the same gains, so only the arc's kind is wrong
     att = a.q_points[0]
-    att.leg_index, att.meet_node = 0, 4
+    att.leg_index = 0
     att.segments = ((4, 0),) + att.segments
     att.induced_per_segment = (0.0,) + att.induced_per_segment
-    a.y_arcs = [arc for q in a.q_points for arc in q.segments]
+
+
+def _empty_attach_span(a):
+    # a run that rides nothing has no meet or detach node; the check must
+    # say so, not crash on it
+    att = a.q_points[0]
+    att.segments = att.induced_per_segment = att.booking_keys = ()
 
 
 def _negative_station_wait(a):
@@ -180,10 +185,7 @@ class TestVerify:
                      id="short-after-station"),
         pytest.param(lambda: line_instance(energy=6.0), lambda a: a.legs.pop(), "violated(2)",
                      id="flow-break"),
-        pytest.param(ring_instance, lambda a: setattr(a.q_points[0], "meet_node", 2),
-                     "violated(3)", id="meet-node-off-walk"),
-        pytest.param(ring_instance, lambda a: setattr(a.q_points[0], "detach_node", 3),
-                     "violated(3)", id="detach-node-off-walk"),
+        pytest.param(ring_instance, _empty_attach_span, "violated(3)", id="empty-attach-span"),
         pytest.param(ring_instance, _attach_on_the_spur, "violated(3)", id="attach-not-cycle-arc"),
         pytest.param(ring_instance, lambda a: setattr(a.q_points[1], "leg_index", 9),
                      "violated(3)", id="attach-index-past-walk"),

@@ -412,13 +412,21 @@ class TestScenarioJson:
         assert again.scs == sc.scs
         assert run(again).to_csv() == run(sc).to_csv()
 
-    def test_legacy_beacon_period_is_ignored(self):
+    @staticmethod
+    def _assert_legacy_key_ignored(key):
         # scenario files written before the field was dropped still load and run
         doc = default_scenario(ev_count=10, seed=4).to_json()
-        assert "beacon_period_s" not in doc["radio"]
-        legacy = {**doc, "radio": {**doc["radio"], "beacon_period_s": 1.0}}
+        assert doc["radio"] == {"block_prob": 0.05}
+        legacy = {**doc, "radio": {**doc["radio"], key: 1.0}}
         assert run(Scenario.from_json(legacy)).to_csv() == \
             run(Scenario.from_json(doc)).to_csv()
+
+    def test_legacy_beacon_period_is_ignored(self):
+        self._assert_legacy_key_ignored("beacon_period_s")
+
+    @pytest.mark.parametrize("key", ["ptx_dbm", "f_ghz", "pth_dbm", "sinr_db"])
+    def test_legacy_radio_key_is_ignored(self, key):
+        self._assert_legacy_key_ignored(key)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_sparse_node_ids_run_like_the_default_grid(self, mode):
