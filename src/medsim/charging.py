@@ -33,10 +33,10 @@ class BookResult:
 
 
 def scs_charge_time(energy_kwh: float, capacity_kwh: float, rate_kw: float) -> float:
-    """Seconds to fill the battery from ``energy_kwh`` to full at ``rate_kw``."""
+    """Seconds to fill from ``energy_kwh`` (1e-9 slack on [0, capacity]) at ``rate_kw``."""
     if rate_kw <= 0:
         raise ValueError("charge rate must be positive")
-    if energy_kwh < 0 or energy_kwh > capacity_kwh + 1e-9:
+    if energy_kwh < -1e-9 or energy_kwh > capacity_kwh + 1e-9:
         raise ValueError("energy level outside [0, capacity]")
     return max(0.0, capacity_kwh - energy_kwh) / rate_kw * 3600.0
 

@@ -124,6 +124,14 @@ class RoadGraph:
         return [(pts[k], pts[(k + 1) % len(pts)]) for k in range(len(pts))]
 
 
+def node_set(ids, what: str) -> frozenset:
+    """The ids as a set; an id that is a JSON list or object is a GraphError."""
+    try:
+        return frozenset(ids)
+    except TypeError:
+        raise GraphError(f"{what}: a node id cannot be a list or an object") from None
+
+
 def build_graph(nodes, arcs, scs_list=(), med_cycle=(), visit_limit: int = 2,
                 entries=None) -> RoadGraph:
     """Assemble an immutable :class:`RoadGraph` from the declared nodes and arcs.
@@ -134,21 +142,21 @@ def build_graph(nodes, arcs, scs_list=(), med_cycle=(), visit_limit: int = 2,
     each static station and cycle point (see :meth:`RoadGraph.visit_cap`).
     """
     nodes = list(nodes)
-    if len(set(nodes)) != len(nodes):
+    declared = node_set(nodes, "graph nodes")
+    if len(declared) != len(nodes):
         raise GraphError("duplicate node ids")
-    declared = set(nodes)
     for (i, j) in arcs:
         if i == j:
             raise GraphError(f"self arc ({i},{j}) not allowed")
         if i not in declared or j not in declared:
             raise GraphError(f"arc ({i},{j}) references undeclared node")
     scs_list = list(scs_list)
-    if not set(scs_list) <= declared:
+    if not node_set(scs_list, "graph scs") <= declared:
         raise GraphError("static station not among declared nodes")
     med_cycle = list(med_cycle)
     if len(med_cycle) > 1 and med_cycle[0] == med_cycle[-1]:
         med_cycle = med_cycle[:-1]
-    if len(set(med_cycle)) != len(med_cycle):
+    if len(node_set(med_cycle, "graph med_cycle")) != len(med_cycle):
         raise GraphError("mobile-charger cycle repeats a point")
     if not set(med_cycle) <= declared:
         raise GraphError("mobile-charger cycle point not among declared nodes")
@@ -171,7 +179,7 @@ def build_graph(nodes, arcs, scs_list=(), med_cycle=(), visit_limit: int = 2,
         entries = [n for n in sorted(nodes) if n not in chargers]
     else:
         entries = list(entries)
-        if not set(entries) <= declared:
+        if not node_set(entries, "graph entries") <= declared:
             raise GraphError("entry point not among declared nodes")
     return RoadGraph(nodes, arcs, scs_list, med_cycle, visit_limit, entries)
 
@@ -248,7 +256,10 @@ def load_graph(doc, vehicle: VehicleParams | None = None, visit_limit: int = 2) 
             attr = _arc_attr(i, j, *spec, vehicle)
         if attr is None:
             attr = built[spec] = _arc_attr(i, j, *spec, vehicle)
-        arcs[(i, j)] = attr
+        try:
+            arcs[(i, j)] = attr
+        except TypeError:
+            raise GraphError(f"graph arc #{k}: a node id cannot be a list or an object") from None
     return build_graph(nodes, arcs, doc.get("scs", ()), doc.get("med_cycle", ()),
                        visit_limit=visit_limit, entries=doc.get("entries"))
 

@@ -165,20 +165,18 @@ def _lex_path(adj, order, source, target, rev_dist):
     raise NoPath(f"path reconstruction from {order[source]} to {order[target]} failed")
 
 
-def _path_feasible(path: CachedPath, energy_start_kwh: float) -> bool:
-    """Whether the battery covers the path arc by arc without running below zero.
+def _arrival_level(path: CachedPath, eps: float):
+    """The battery level at the path's end, folded arc by arc; None if it runs below zero.
 
-    The level is folded over the whole path and compared once, at the end.
-    That is the same answer as a comparison after every arc: arc energies
-    are finite and nonnegative (``ArcAttr`` rejects anything else), and
-    subtracting a nonnegative float never raises a float, so the level
-    never rises along a drive and its lowest point is its last. A path with
-    no arcs checks no level, so it is feasible from any start.
+    The fold is the one :func:`_drive` makes, so the level is the walk's,
+    bit for bit. It is compared once, at the end, as good as after every
+    arc: arc energies are finite and nonnegative (``ArcAttr``), and taking a
+    nonnegative float away never raises a float, so the lowest level is the
+    last. A path with no arcs checks no level: it is feasible from any start.
     """
-    eps = energy_start_kwh
     for attr in path.attrs:
         eps -= attr.energy_kwh
-    return not eps < -_EPS_TOL or not path.attrs
+    return eps if not eps < -_EPS_TOL or not path.attrs else None
 
 
 # -- requests and realized routes --------------------------------------------
@@ -395,26 +393,23 @@ def check_assignment(g: RoadGraph, a: RouteAssignment, tol: float = 1e-6):
 
 @dataclass
 class _Candidate:
-    """A scored energy point: the path there and the stop's plan.
+    """The chosen energy point: the path there and the stop's plan.
 
-    A station stop charges for ``charge_s``; a mobile-charger stop rides
-    ``segments`` from cycle index ``start_idx`` on cycle pass ``pass_no``,
-    leaving the battery at ``eps_after``; :meth:`MedAttach.build` derives the
-    rest of the stop's record when the candidate is chosen.
+    A station stop charges for ``charge_s``; a mobile-charger stop is
+    ``ride``, the :func:`attach_run` prefix priced from cycle index
+    ``start_idx`` on cycle pass ``pass_no``, which the walk appends as it
+    is; :meth:`MedAttach.build` derives the rest of the stop's record.
     """
 
     kind: str
     unit: object
     point: int
     path: CachedPath
-    score: float
     wait_s: float
     charge_s: float = 0.0
-    segments: tuple = ()
+    ride: tuple = ()
     start_idx: int = 0
     pass_no: int = 0
-    attach_s: float = 0.0
-    eps_after: float = 0.0
 
 
 def attach_run(unit, start_idx, eps, capacity):
@@ -450,15 +445,15 @@ def _plan_med_span(unit, start_idx, eps_at_meet, capacity, need_to_finish):
     Rides :func:`attach_run` from the meeting point and stops at the first
     detach point (the head of the last segment ridden) whose remaining trip
     the battery now covers (``need_to_finish`` maps a node to that
-    requirement). Returns ``(segments, eps_after, attach_s)``: the ridden
-    ``CycleSegment``s, the battery level after them and the attached drive
-    time; None when the run ends before any detach point covers the trip.
+    requirement). Returns the run's items up to that point, each
+    ``(segment, level, attach_s, dispensed)`` as :func:`attach_run` yields
+    it; None when the run ends before any detach point covers the trip.
     """
-    ridden = []
-    for seg, eps, attach_s, _ in attach_run(unit, start_idx, eps_at_meet, capacity):
-        ridden.append(seg)
-        if eps >= need_to_finish(seg.j) - _EPS_TOL:
-            return tuple(ridden), eps, attach_s
+    ride = []
+    for step in attach_run(unit, start_idx, eps_at_meet, capacity):
+        ride.append(step)
+        if step[1] >= need_to_finish(step[0].j) - _EPS_TOL:
+            return tuple(ride)
     return None
 
 
@@ -471,7 +466,8 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
     drive there (on the time-shortest path, which must be energy-feasible),
     plus queue wait and charge time for stations, plus meeting wait and
     attached drive for mobile chargers, plus the drive-time estimate from
-    the exit point to the destination.
+    the exit point to the destination. Each stop is priced from the level
+    :func:`_arrival_level` folds, the one the walk records there.
 
     The winner has the smallest ``(score, kind != "scs", point)``: ties
     prefer stations, then smaller node ids, and of points equal in all three
@@ -508,10 +504,10 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
             path = caches.path(at, node, "time")
         except NoPath:
             continue
-        if not _path_feasible(path, energy_kwh):
+        arrive = _arrival_level(path, energy_kwh)
+        if arrive is None:
             continue
         drive = path.drive_s
-        arrive = max(0.0, energy_kwh - path.energy_kwh)
         if kind == "scs":
             if arrive >= Q - 1e-12:
                 continue  # nothing to gain here
@@ -522,32 +518,25 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
             charge = unit.charge_s(arrive, Q)
             key = (drive + wait + charge + finish, False, node)
             if best_key is None or key < best_key:
-                best_key, best = key, (unit, path, wait, charge)
+                best_key, best = key, ("scs", unit, node, path, wait, charge)
             continue
         if arrive >= need_to_finish(node) - _EPS_TOL:
             continue  # no deficit at this point, it is not an energy stop
-        span = _plan_med_span(unit, idx, arrive, Q, need_to_finish)
-        if span is None:
+        ride = _plan_med_span(unit, idx, arrive, Q, need_to_finish)
+        if ride is None:
             continue
-        segments, eps_after, attach_s = span
-        finish = rev_time[index[segments[-1].j]]
+        last, _, attach_s, _ = ride[-1]
+        finish = rev_time[index[last.j]]
         if finish == INFINITE:
             continue
-        wait, pass_no = unit.waiting(idx, now + drive, len(segments))
+        wait, pass_no = unit.waiting(idx, now + drive, len(ride))
         key = (drive + wait + attach_s + finish, True, node)
         if best_key is None or key < best_key:
-            best_key, best = key, (unit, path, wait, (segments, idx, pass_no, attach_s,
-                                                      eps_after))
+            best_key, best = key, ("med", unit, node, path, wait, 0.0, ride, idx, pass_no)
 
     if best_key is None:
         raise Stranded(f"EV {request.ev}: no feasible energy point from node {at}")
-    score, is_med, point = best_key
-    unit, path, wait, plan = best
-    if not is_med:
-        return _Candidate("scs", unit, point, path, score, wait, charge_s=plan)
-    segments, idx, pass_no, attach_s, eps_after = plan
-    return _Candidate("med", unit, point, path, score, wait, segments=segments,
-                      start_idx=idx, pass_no=pass_no, attach_s=attach_s, eps_after=eps_after)
+    return _Candidate(*best)
 
 
 def _drive(legs, trace, path, eps, drive_s, capacity):
@@ -572,15 +561,17 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
     A feasible direct path is returned untouched. Otherwise charging stops
     are inserted one at a time via :func:`find_best_energy_point`, each
     booked against the live ledgers, until the path on from the last stop is
-    feasible. Raises :class:`Stranded` when
-    no plan exists within :data:`LEG_LIMIT` stops. A ledger that rejects the
-    slot the router priced raises ``RuntimeError``: in a sequential run
-    nothing changes between pricing and booking, so a rejection means the
-    scorer and the ledger disagree.
+    feasible. Raises :class:`Stranded` when no plan exists within
+    :data:`LEG_LIMIT` stops. A ledger that rejects the slot the router
+    priced raises ``RuntimeError``: in a sequential run nothing changes
+    between pricing and booking, so a rejection means the scorer and the
+    ledger disagree.
 
     The walk is composed in one pass: each node is appended with the
     battery level there, and the drive time is folded arc by arc in walk
-    order, the left fold a per-arc walk of the finished route makes.
+    order, the left fold a per-arc walk of the finished route makes. Each
+    stop is recorded from the one level chain it was priced on: a station's
+    arrival level, or the ride the scorer priced, nodes and levels as they are.
     """
     caches = caches or PathCache(g)
     Q = request.capacity_kwh
@@ -597,7 +588,7 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
     elapsed = 0.0
     stops = 0
     # tail: the time-shortest path on to the destination, None if there is none
-    while tail is None or not _path_feasible(tail, eps):
+    while tail is None or _arrival_level(tail, eps) is None:
         if stops == LEG_LIMIT:
             raise Stranded(f"EV {request.ev}: still infeasible after "
                            f"{LEG_LIMIT} charging stops")
@@ -615,21 +606,18 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
             trace[-1] = Q
             elapsed += plan.wait_s + plan.charge_s
         else:
-            n, meet_leg, meet_eps = len(plan.segments), len(legs) - 1, eps
-            # ride from the level the walk folded (the scorer's can differ in
-            # its last bits), before the booking debits the battery the run reads
-            run = attach_run(plan.unit, plan.start_idx, eps, Q)
-            for seg, eps, _, dispensed in islice(run, n):
+            meet_leg, meet_eps = len(legs) - 1, eps
+            for seg, eps, attach_s, dispensed in plan.ride:
                 drive_s += seg.drive_s
                 legs.append(seg.j)
                 trace.append(eps)
-            att = MedAttach.build(plan.unit, plan.start_idx, plan.pass_no, n, meet_leg,
-                                  plan.wait_s, plan.attach_s, plan.eps_after - meet_eps, dispensed)
+            att = MedAttach.build(plan.unit, plan.start_idx, plan.pass_no, len(plan.ride),
+                                  meet_leg, plan.wait_s, attach_s, eps - meet_eps, dispensed)
             start = arrival + plan.wait_s
             booked = plan.unit.book_attach(request.ev, att.booking_keys, att.dispensed_kwh,
-                                           start, start + plan.attach_s)
+                                           start, start + attach_s)
             q_points.append(att)
-            elapsed += plan.wait_s + plan.attach_s
+            elapsed += plan.wait_s + attach_s
         if not booked.accepted:
             raise RuntimeError(f"EV {request.ev}: the {plan.kind} ledger at node "
                                f"{plan.point} rejected the slot the router priced")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .charging import Infrastructure, MedState, ScsState
 from .energy import InductionParams, VehicleParams
-from .road_graph import GraphError, RoadGraph, load_graph, require_keys
+from .road_graph import GraphError, RoadGraph, load_graph, node_set, require_keys
 from .routing import (EvRequest, NoPath, PathCache, Stranded, check_assignment,
                       find_shortest_path)
 
@@ -394,6 +394,7 @@ def network_for(scenario: Scenario) -> Network:
 
 def build_infrastructure(scenario: Scenario, g: RoadGraph) -> Infrastructure:
     """The scenario's chargers on ``g``; a charger or entry point ``g`` lacks is a GraphError."""
+    node_set(scenario.entries or (), "scenario entries")
     for node in scenario.entries or ():
         if node not in g.nodes:
             raise GraphError(f"entry point {node} is not a node of the graph")

@@ -70,8 +70,8 @@ def fresh_run(scenario, **kw):
     return sim.run(scenario, **kw)
 
 
-def route_feasible(g, path, energy_start_kwh: float) -> bool:
-    """Energy feasibility of a path with the battery it starts on.
+def route_level(g, path, energy_start_kwh: float):
+    """The battery level at a path's end, folded arc by arc; None if it runs below zero.
 
     The running level must stay nonnegative at every intermediate node, not
     only at the end.
@@ -83,8 +83,13 @@ def route_feasible(g, path, energy_start_kwh: float) -> bool:
             raise NoPath(f"path uses missing arc ({i},{j})")
         eps -= attr.energy_kwh
         if eps < -_EPS_TOL:
-            return False
-    return True
+            return None
+    return eps
+
+
+def route_feasible(g, path, energy_start_kwh: float) -> bool:
+    """Energy feasibility of a path with the battery it starts on."""
+    return route_level(g, path, energy_start_kwh) is not None
 
 
 def objective_time(g, a) -> float:
@@ -105,8 +110,8 @@ def objective_time(g, a) -> float:
 #
 # Each keeps the plain form the router once had: every try of the cycle-pass
 # search builds its segment keys, clamps call min(), and every scored point
-# becomes a candidate before a min. Feasibility is checked after every arc,
-# by route_feasible above.
+# becomes a candidate before a min. The arrival level is folded arc by arc
+# and checked after every arc, by route_level above.
 
 
 def ref_waiting(unit, start_idx, ev_arrival_s, n_segments):
@@ -121,13 +126,13 @@ def ref_waiting(unit, start_idx, ev_arrival_s, n_segments):
 
 
 def ref_plan_med_span(unit, start_idx, eps_at_meet, capacity, need_to_finish):
-    """``routing._plan_med_span`` with its clamp through ``min``."""
+    """``routing._plan_med_span`` with its clamp through ``min``: the ride as a prefix."""
     segs = unit.segments
     u = len(segs)
     eps = eps_at_meet
     dispensed = 0.0
     attach_s = 0.0
-    ridden = []
+    ride = []
     for n in range(unit.max_passes * u):
         seg = segs[(start_idx + n) % u]
         dispensed += seg.induced_kwh
@@ -137,9 +142,9 @@ def ref_plan_med_span(unit, start_idx, eps_at_meet, capacity, need_to_finish):
         if eps < -_EPS_TOL:
             return None
         attach_s += seg.drive_s
-        ridden.append(seg)
+        ride.append((seg, eps, attach_s, dispensed))
         if eps >= need_to_finish(seg.j) - _EPS_TOL:
-            return tuple(ridden), eps, attach_s
+            return tuple(ride)
     return None
 
 
@@ -163,10 +168,14 @@ def ref_attach_run(unit, start_idx, eps, capacity):
 
 
 def ref_best_energy_point(g, caches, request, at, energy_kwh, now, infra, gate=None):
-    """``routing.find_best_energy_point``: every scored point a candidate, then ``min``."""
+    """``routing.find_best_energy_point``: every scored point a candidate, then ``min``.
+
+    Each candidate is kept with its score, which the router's candidate does
+    not store.
+    """
     Q = request.capacity_kwh
     rev_time = caches.rev(request.dest, "time")
-    candidates = []
+    candidates = []  # (score, kind != "scs", point, candidate)
 
     def need_to_finish(node):
         try:
@@ -184,10 +193,10 @@ def ref_best_energy_point(g, caches, request, at, energy_kwh, now, infra, gate=N
             path = caches.path(at, node, "time")
         except NoPath:
             continue
-        if not route_feasible(g, path, energy_kwh):
+        arrive = route_level(g, path, energy_kwh)
+        if arrive is None:
             continue
         drive = path.drive_s
-        arrive = max(0.0, energy_kwh - path.energy_kwh)
         if kind == "scs":
             if arrive >= Q - 1e-12:
                 continue
@@ -196,25 +205,25 @@ def ref_best_energy_point(g, caches, request, at, energy_kwh, now, infra, gate=N
                 continue
             wait = unit.wait_s(now, drive)
             charge = unit.charge_s(arrive, Q)
-            candidates.append(_Candidate(kind, unit, node, path, drive + wait + charge + finish,
-                                         wait, charge_s=charge))
+            candidates.append((drive + wait + charge + finish, False, node,
+                               _Candidate(kind, unit, node, path, wait, charge_s=charge)))
             continue
         if arrive >= need_to_finish(node) - _EPS_TOL:
             continue
-        span = ref_plan_med_span(unit, idx, arrive, Q, need_to_finish)
-        if span is None:
+        ride = ref_plan_med_span(unit, idx, arrive, Q, need_to_finish)
+        if ride is None:
             continue
-        segments, eps_after, attach_s = span
-        finish = rev_time[g.index[segments[-1].j]]
+        last, _, attach_s, _ = ride[-1]
+        finish = rev_time[g.index[last.j]]
         if finish == INFINITE:
             continue
-        wait, pass_no = ref_waiting(unit, idx, now + drive, len(segments))
-        candidates.append(_Candidate(kind, unit, node, path, drive + wait + attach_s + finish,
-                                     wait, segments=segments, start_idx=idx, pass_no=pass_no,
-                                     attach_s=attach_s, eps_after=eps_after))
+        wait, pass_no = ref_waiting(unit, idx, now + drive, len(ride))
+        candidates.append((drive + wait + attach_s + finish, True, node,
+                           _Candidate(kind, unit, node, path, wait, ride=ride, start_idx=idx,
+                                      pass_no=pass_no)))
     if not candidates:
         raise Stranded(f"EV {request.ev}: no feasible energy point from node {at}")
-    return min(candidates, key=lambda c: (c.score, c.kind != "scs", c.point))
+    return min(candidates, key=lambda c: c[:3])[3]
 
 
 def line_graph(n=6, dt=100.0, energy=1.0, scs=(3,), visit_limit=2):

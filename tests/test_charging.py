@@ -163,7 +163,9 @@ class TestRequiredAttachSpan:
         return _plan_med_span(med, start_idx, 0.0, 100.0, lambda node: deficit)
 
     def test_small_deficit_one_segment(self):
-        segments, eps, attach_s = self.span(1.0, self.med(), 1)
+        ride = self.span(1.0, self.med(), 1)
+        segments = [seg for seg, *_ in ride]
+        _, eps, attach_s, _ = ride[-1]
         assert (segments[-1].j, len(segments)) == (2, 1)
         assert [(s.i, s.j) for s in segments] == [(1, 2)]
         assert attach_s == pytest.approx(600.0)
@@ -171,7 +173,9 @@ class TestRequiredAttachSpan:
         assert sum(s.induced_kwh for s in segments) == pytest.approx(5.0)
 
     def test_nine_kwh_needs_two_segments(self):
-        segments, eps, _ = self.span(9.0, self.med(), 1)
+        ride = self.span(9.0, self.med(), 1)
+        segments = [seg for seg, *_ in ride]
+        eps = ride[-1][1]
         assert (segments[-1].j, len(segments)) == (3, 2)
         assert [(s.i, s.j) for s in segments] == [(1, 2), (2, 3)]
         assert eps == pytest.approx(2 * 4.76375)

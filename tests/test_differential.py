@@ -1,8 +1,8 @@
 """Differential tests: the router's scoring against plain reference copies.
 
-``MedState.waiting``, ``find_best_energy_point`` and ``_path_feasible``
+``MedState.waiting``, ``find_best_energy_point`` and ``_arrival_level``
 compute what their references in ``conftest.py`` compute (``ref_waiting``,
-``ref_best_energy_point`` and the per-arc ``route_feasible``), with less
+``ref_best_energy_point`` and the per-arc ``route_level``), with less
 work per try, point and arc; ``attach_run`` and ``_plan_med_span`` ride the
 charger as ``ref_attach_run`` and ``ref_plan_med_span`` do. Each property
 draws inputs on which the two could part and demands the same answer bit
@@ -17,11 +17,11 @@ from hypothesis import given, settings, strategies as st
 from medsim.charging import Booking, Infrastructure, MedState, ScsState
 from medsim.energy import InductionParams
 from medsim.road_graph import ArcAttr, build_graph
-from medsim.routing import (EvRequest, PathCache, Stranded, _path_feasible, _plan_med_span,
+from medsim.routing import (EvRequest, PathCache, Stranded, _arrival_level, _plan_med_span,
                             attach_run, find_best_energy_point)
 from medsim.sim import _refuse_all, _refuse_med
 from tests.conftest import (TEST_INDUCTION, ref_attach_run, ref_best_energy_point,
-                            ref_plan_med_span, ref_waiting, route_feasible)
+                            ref_plan_med_span, ref_waiting, route_level)
 
 # whole seconds plus an offset that rounds, so sums tie and still round by order
 DRIVE_S = st.builds(lambda whole, frac: whole + frac, st.integers(1, 9),
@@ -175,7 +175,7 @@ class TestPathFeasible:
                                        for k, e in enumerate(energies)})
         path = PathCache(g).path(0, n)
         start = path.energy_kwh + slack
-        assert _path_feasible(path, start) == route_feasible(g, path, start)
+        assert repr(_arrival_level(path, start)) == repr(route_level(g, path, start))
 
 
 @st.composite

@@ -7,6 +7,7 @@ import weakref
 import pytest
 
 from medsim import routing, sim
+from medsim.charging import scs_charge_time
 from medsim.energy import InductionParams
 from medsim.oracle import OracleError, OracleInstance, solve_exact, verify
 from medsim.road_graph import ArcAttr, build_graph
@@ -380,10 +381,6 @@ class TestOneAttachRecord:
         for a in plans:
             assert _gain_misses(a) == []
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the scorer prices a span from max(0, level - path energy) while the walk "
-        "folds the path arc by arc, so the two levels at the meet can differ in "
-        "the last bits and the recorded gain with them"))
     def test_router_gain_is_the_trace_rise(self):
         for a in self.router_plans():
             assert _gain_misses(a) == []
@@ -402,6 +399,32 @@ class TestOneAttachRecord:
         med.battery_kwh = math.inf  # without the budget both runs would go on
         assert len(list(attach_run(med, 0, 2.0, 100.0))) == len(
             list(attach_run(med, 1, 1.0, 100.0))) == 8
+
+
+class TestOneStationLevel:
+    """A router station stop is priced and recorded from the level its walk holds there."""
+
+    def test_router_charge_is_priced_from_the_walk_level(self):
+        visits = 0
+        for mode in sim.MODES:
+            for level in ("L1", "L2", "L3"):
+                for seed in range(5):
+                    scenario = sim.default_scenario(mode=mode, level=level, ev_count=100,
+                                                    seed=seed)
+                    metrics = sim.run(scenario)
+                    g = sim.network_for(scenario).graph
+                    rates = {u.node: u.rate_kw for u in metrics.infrastructure.scs_units}
+                    for a in filter(None, metrics.assignments):
+                        for v in a.z_visits:
+                            k = v.leg_index
+                            assert k > 0
+                            walk = a.energy_trace[k - 1] - g.arc(a.legs[k - 1],
+                                                                 a.legs[k]).energy_kwh
+                            assert repr(v.arrive_kwh) == repr(walk)
+                            assert repr(v.charge_s) == repr(
+                                scs_charge_time(v.arrive_kwh, a.capacity_kwh, rates[v.node]))
+                            visits += 1
+        assert visits > 100
 
 
 class TestPinnedSolverOutputs:

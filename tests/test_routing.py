@@ -12,9 +12,10 @@ from medsim.oracle import FrozenMed, FrozenScs
 from medsim.road_graph import ArcAttr, build_graph
 from medsim.routing import (EvRequest, NoPath, Stranded, check_assignment,
                             find_best_energy_point, find_shortest_path, PathCache,
-                            _drive, _path_feasible)
+                            _arrival_level, _drive)
 from tests.conftest import (dijkstra, line_graph, objective_time, relabelled,
-                            ring_with_spurs, route_energy, route_feasible, route_time,
+                            ring_with_spurs, route_energy, route_feasible, route_level,
+                            route_time,
                             sparse_id)
 
 
@@ -339,7 +340,7 @@ def test_cached_path_costs_match_the_per_arc_walk(g, start):
             path = caches.path(s, t, "time")
             assert path.drive_s == route_time(g, path)
             assert path.energy_kwh == route_energy(g, path)
-            assert _path_feasible(path, start) == route_feasible(g, path, start)
+            assert repr(_arrival_level(path, start)) == repr(route_level(g, path, start))
             # the router composes a walk from the direct path and a detour
             # back, folding drive time as it appends; a per-arc walk of the
             # finished route must give the same floats

@@ -15,7 +15,6 @@ MODULES = sorted((ROOT / "src" / "medsim").glob("*.py"))
 # fields only code outside the package reads, each with its reader
 READ_OUTSIDE = [
     ("RunMetrics", "infrastructure"),  # the final ledgers, read by the audit tests
-    ("_Candidate", "score"),  # read by the reference scorer in tests/conftest.py
 ]
 
 
