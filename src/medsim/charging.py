@@ -10,6 +10,7 @@ ledgers are the only mutable state here; everything else is arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .energy import InductionParams, induced_energy
 from .road_graph import RoadGraph
@@ -112,12 +113,8 @@ class MedState:
                                      induced_energy(attr.drive_time_s, induction)))
         self.points = pts
         self.segments = tuple(segs)
-        self.cum_starts = []
-        acc = 0.0
-        for seg in segs:
-            self.cum_starts.append(acc)
-            acc += seg.drive_s
-        self.cycle_time_s = acc
+        # the drive time from point 0 to each point, and round the whole cycle
+        *self.cum_starts, self.cycle_time_s = accumulate((s.drive_s for s in segs), initial=0.0)
         self.battery_capacity_kwh = battery_kwh
         self.battery_kwh = battery_kwh
         self.start_s = start_s

@@ -9,7 +9,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import oracle as oracle_mod
 from . import sim
@@ -36,6 +36,15 @@ def _atomic_write(path: str, text: str):
         raise
 
 
+def _write_json(path, doc, **dumps_args):
+    """``doc`` as indented JSON: the whole file at ``path``, or stdout without one."""
+    text = json.dumps(doc, indent=2, **dumps_args) + "\n"
+    if path:
+        _atomic_write(path, text)
+    else:
+        sys.stdout.write(text)
+
+
 def _ints(text: str, option: str):
     try:
         return [int(x) for x in text.split(",") if x != ""]
@@ -60,9 +69,7 @@ def assignment_to_dict(a: RouteAssignment) -> dict:
         "legs": list(a.legs),
         "x_arcs": [list(arc) for arc in a.x_arcs],
         "y_arcs": [list(arc) for arc in a.y_arcs],
-        "z_visits": [{"node": v.node, "leg_index": v.leg_index, "wait_s": v.wait_s,
-                      "charge_s": v.charge_s, "arrive_kwh": v.arrive_kwh}
-                     for v in a.z_visits],
+        "z_visits": [asdict(v) for v in a.z_visits],
         "q_points": [{"meet_node": p.meet_node, "detach_node": p.detach_node,
                       "leg_index": p.leg_index, "wait_s": p.wait_s,
                       "attach_s": p.attach_s,
@@ -97,9 +104,8 @@ def _read_json(path: str):
             raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _load_scenario(args, **extra) -> sim.Scenario:
-    doc = _read_json(args.scenario)
-    overrides = dict(extra)
+def _load_scenario(args) -> sim.Scenario:
+    overrides = {}
     if getattr(args, "mode", None):
         overrides["mode"] = args.mode
     if getattr(args, "level", None):
@@ -109,7 +115,7 @@ def _load_scenario(args, **extra) -> sim.Scenario:
         overrides["seed"] = seed
     if getattr(args, "evs", None) is not None:
         overrides["ev_count"] = args.evs
-    return _scenario(doc, **overrides)
+    return _scenario(_read_json(args.scenario), **overrides)
 
 
 def _scenario(doc: dict | sim.Scenario, **overrides) -> sim.Scenario:
@@ -143,11 +149,7 @@ def cmd_route(args) -> int:
         out = {"stranded": False, "assignment": assignment_to_dict(a)}
     except Stranded as exc:
         out = {"stranded": True, "reason": str(exc)}
-    text = json.dumps(out, indent=2) + "\n"
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_json(args.out, out)
     return 0
 
 
@@ -160,11 +162,7 @@ def cmd_oracle(args) -> int:
         "explored": sol.explored,
         "assignment": assignment_to_dict(sol.best) if sol.best else None,
     }
-    text = json.dumps(out, indent=2) + "\n"
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_json(args.out, out)
     return 0
 
 
@@ -178,11 +176,8 @@ def cmd_run(args) -> int:
         return 1
     if args.out_csv:
         _atomic_write(args.out_csv, metrics.to_csv())
-    agg_text = json.dumps(metrics.aggregates(), indent=2, sort_keys=True) + "\n"
-    if args.out_json:
-        _atomic_write(args.out_json, agg_text)
-    if not args.out_csv and not args.out_json:
-        sys.stdout.write(agg_text)
+    if args.out_json or not args.out_csv:
+        _write_json(args.out_json, metrics.aggregates(), sort_keys=True)
     return 0
 
 
@@ -213,10 +208,6 @@ def cmd_sweep(args) -> int:
     first = _scenario(doc, **cells[0])
     for cell in cells:  # bad input exits 2 here, before any cell runs
         _scenario(first, **cell)
-    # loaded here, outside the catch-all below, so a bad graph, or a charger
-    # or entry point it lacks, exits 2 too; in-process cells find this
-    # network remembered
-    sim.build_infrastructure(first, sim.network_for(first).graph)
     try:
         if args.jobs > 1:
             # imported here: only a parallel sweep needs the pool's modules
@@ -229,11 +220,9 @@ def cmd_sweep(args) -> int:
         print(f"sweep: aborted, no output written: {exc}", file=sys.stderr)
         return 1
     rows.sort(key=lambda r: (r["mode"], r["level"], r["ev_count"], r["seed"]))
-    lines = [SWEEP_HEADER]
-    for r in rows:
-        lines.append(f"{r['mode']},{r['level']},{r['ev_count']},{r['seed']},"
-                     f"{r['mean_travel_s']:.6f},{r['mean_wait_s']:.6f},"
-                     f"{r['med_share']:.6f},{r['stranded']}")
+    lines = [SWEEP_HEADER] + [f"{r['mode']},{r['level']},{r['ev_count']},{r['seed']},"
+                              f"{r['mean_travel_s']:.6f},{r['mean_wait_s']:.6f},"
+                              f"{r['med_share']:.6f},{r['stranded']}" for r in rows]
     _atomic_write(args.out, "\n".join(lines) + "\n")
     return 0
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .charging import BookResult, Infrastructure, MedState, scs_charge_time
+from .charging import BookResult, Infrastructure, MedState, ScsState, scs_charge_time
 from .energy import InductionParams, VehicleParams
 from .road_graph import RoadGraph, load_graph, require_keys
 from .routing import (_EPS_TOL, INFINITE, EvRequest, MedAttach, PathCache, RouteAssignment,
@@ -40,19 +40,15 @@ class OracleError(Exception):
 # -- frozen infrastructure (waits as data, bookings always granted) -----------
 
 
-class FrozenScs:
+class FrozenScs(ScsState):
     """Station with a fixed queue wait, for static-ledger routing."""
 
     def __init__(self, node: int, rate_kw: float, wait_s: float = 0.0):
-        self.node = node
-        self.rate_kw = rate_kw
+        super().__init__(node, rate_kw)
         self.fixed_wait_s = wait_s
 
     def wait_s(self, now, drive_s):
         return self.fixed_wait_s
-
-    def charge_s(self, energy_kwh, capacity_kwh):
-        return scs_charge_time(energy_kwh, capacity_kwh, self.rate_kw)
 
     def book(self, ev, arrival_s, charge_s):
         return BookResult(True)
@@ -108,6 +104,8 @@ class OracleInstance:
             raise OracleError("charge rates must be positive")
         if not self.med_battery_kwh >= 0.0:
             raise OracleError(f"med battery_kwh must be nonnegative, got {self.med_battery_kwh}")
+        if self.graph.med_points and self.induction is None:
+            raise OracleError("instance has a mobile charger but no induction parameters")
         self.caches = PathCache(self.graph)
 
     def rate_of(self, node) -> float:
@@ -116,12 +114,8 @@ class OracleInstance:
     def frozen_infrastructure(self):
         scs = [FrozenScs(n, self.rate_of(n), self.scs_waits.get(n, 0.0))
                for n in self.graph.scs_nodes]
-        meds = []
-        if self.graph.med_points:
-            if self.induction is None:
-                raise OracleError("instance has a mobile charger but no induction parameters")
-            meds.append(FrozenMed(self.graph, self.induction, self.med_waits,
-                                  self.med_battery_kwh))
+        meds = [FrozenMed(self.graph, self.induction, self.med_waits, self.med_battery_kwh)
+                ] if self.graph.med_points else []
         return Infrastructure(scs_units=scs, med_units=meds)
 
 
@@ -286,8 +280,7 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
         left[node] += 1
 
     try:
-        if req.energy_kwh >= -_EPS_TOL:
-            explore(req.source, req.energy_kwh, 0.0, True)
+        explore(req.source, req.energy_kwh, 0.0, True)
     finally:
         # the closures reach themselves and each other through their cells;
         # emptying the cells breaks that cycle, so reference counting frees
@@ -363,13 +356,11 @@ def verify(inst: OracleInstance, a: RouteAssignment, tol: float = 1e-6,
         z_counts[v.node] = z_counts.get(v.node, 0) + 1
         if z_counts[v.node] > g.visit_cap(v.node):
             return "violated(10)"
-    med_set = set(g.med_points)
     q_counts = {}
     for att in a.q_points:
-        if att.meet_node not in med_set:
-            return "violated(11)"
-        q_counts[att.meet_node] = q_counts.get(att.meet_node, 0) + 1
-        if q_counts[att.meet_node] > g.visit_cap(att.meet_node):
+        node = att.meet_node
+        q_counts[node] = q_counts.get(node, 0) + 1
+        if node not in g.med_points or q_counts[node] > g.visit_cap(node):
             return "violated(11)"
     return "ok"
 
@@ -385,10 +376,16 @@ def instance_from_json(doc) -> OracleInstance:
             and all(isinstance(s, dict) for s in scs)):
         raise OracleError("request and med must be objects, scs a list of objects")
     require_keys(r, ("source", "dest", "capacity_kwh", "energy_kwh"), "request", OracleError)
+    scs_waits, scs_rates = {}, {}
     for k, s in enumerate(scs):
         require_keys(s, ("node",), f"scs entry #{k}", OracleError)
         if isinstance(s["node"], (list, dict)):
             raise OracleError(f"scs entry #{k} has a node that is not a node id")
+        try:
+            wait, rate = float(s.get("wait_s", 0.0)), float(s.get("rate_kw", 19.2))
+        except (TypeError, ValueError):
+            raise OracleError(f"scs entry #{k} has a non-numeric wait_s or rate_kw") from None
+        scs_waits[s["node"]], scs_rates[s["node"]] = wait, rate
     try:
         vehicle = VehicleParams(**doc["vehicle"]) if "vehicle" in doc else None
     except (TypeError, ValueError) as exc:
@@ -399,13 +396,6 @@ def instance_from_json(doc) -> OracleInstance:
                             float(r["capacity_kwh"]), float(r["energy_kwh"]))
     except (TypeError, ValueError) as exc:
         raise OracleError(f"request: {exc}") from None
-    scs_waits, scs_rates = {}, {}
-    for k, s in enumerate(scs):
-        try:
-            wait, rate = float(s.get("wait_s", 0.0)), float(s.get("rate_kw", 19.2))
-        except (TypeError, ValueError):
-            raise OracleError(f"scs entry #{k} has a non-numeric wait_s or rate_kw") from None
-        scs_waits[s["node"]], scs_rates[s["node"]] = wait, rate
     try:
         med_waits = {int(k): float(v) for k, v in med.get("wait_s", {}).items()}
     except (AttributeError, TypeError, ValueError):

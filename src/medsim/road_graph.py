@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 from .energy import VehicleParams, segment_energy
 
@@ -54,15 +56,16 @@ class RoadGraph:
     """
 
     def __init__(self, nodes, arcs, scs_nodes, med_points, visit_limit, entries):
+        check_visit_limit(visit_limit)
         self.nodes = frozenset(nodes)
-        self._arcs = dict(arcs)
+        self.arcs = arcs  # a dict of its own, from build_graph or load_graph
         self.scs_nodes = tuple(sorted(scs_nodes))
         self.med_points = tuple(med_points)
         self.visit_limit = visit_limit
         self.entries = tuple(entries)
         self._chargers = frozenset(self.scs_nodes) | frozenset(self.med_points)
         adj = {n: [] for n in self.nodes}
-        for (i, j), attr in self._arcs.items():
+        for (i, j), attr in self.arcs.items():
             adj[i].append((j, attr))
         self._adj = {n: tuple(sorted(out, key=lambda e: e[0])) for n, out in adj.items()}
         self.order = tuple(sorted(self.nodes))
@@ -72,7 +75,7 @@ class RoadGraph:
     # -- queries ------------------------------------------------------------
 
     def arc(self, i, j):
-        return self._arcs.get((i, j))
+        return self.arcs.get((i, j))
 
     def neighbors(self, i):
         """Outgoing (node, ArcAttr) pairs sorted by node id."""
@@ -114,10 +117,6 @@ class RoadGraph:
         """How often a walk may visit ``node``: ``visit_limit`` at a charger, else 1."""
         return self.visit_limit if node in self._chargers else 1
 
-    @property
-    def arcs(self):
-        return self._arcs
-
     def med_cycle_segments(self):
         """Arcs (i, j) around the mobile-charger cycle in order, wrapping to the start."""
         pts = self.med_points
@@ -132,16 +131,20 @@ def node_set(ids, what: str) -> frozenset:
         raise GraphError(f"{what}: a node id cannot be a list or an object") from None
 
 
-def build_graph(nodes, arcs, scs_list=(), med_cycle=(), visit_limit: int = 2,
-                entries=None) -> RoadGraph:
-    """Assemble an immutable :class:`RoadGraph` from the declared nodes and arcs.
+def check_visit_limit(visit_limit):
+    """A GraphError unless ``visit_limit``, the bound on repeat charger visits, is an int >= 1."""
+    if not (isinstance(visit_limit, int) and visit_limit >= 1):
+        raise GraphError("visit_limit must be an integer >= 1")
 
-    ``arcs`` maps (i, j) to :class:`ArcAttr` (or its keyword dict).
+
+def _checked_ids(nodes, arcs, scs, med_cycle, entries):
+    """A graph's ids after every structural check, as ``(nodes, scs, med_cycle, entries)``.
+
     ``med_cycle`` is a closed walk: consecutive points (including the wrap
-    back to the first) must be arcs. ``visit_limit`` bounds repeat visits to
-    each static station and cycle point (see :meth:`RoadGraph.visit_cap`).
+    back to the first) must be arcs, and a repeated closing point is dropped.
+    No ``entries`` means every node but the chargers, in id order.
     """
-    nodes = list(nodes)
+    nodes = tuple(nodes)
     declared = node_set(nodes, "graph nodes")
     if len(declared) != len(nodes):
         raise GraphError("duplicate node ids")
@@ -150,38 +153,42 @@ def build_graph(nodes, arcs, scs_list=(), med_cycle=(), visit_limit: int = 2,
             raise GraphError(f"self arc ({i},{j}) not allowed")
         if i not in declared or j not in declared:
             raise GraphError(f"arc ({i},{j}) references undeclared node")
-    scs_list = list(scs_list)
-    if not node_set(scs_list, "graph scs") <= declared:
+    scs = tuple(scs)
+    if not node_set(scs, "graph scs") <= declared:
         raise GraphError("static station not among declared nodes")
-    med_cycle = list(med_cycle)
+    med_cycle = tuple(med_cycle)
     if len(med_cycle) > 1 and med_cycle[0] == med_cycle[-1]:
         med_cycle = med_cycle[:-1]
     if len(node_set(med_cycle, "graph med_cycle")) != len(med_cycle):
         raise GraphError("mobile-charger cycle repeats a point")
     if not set(med_cycle) <= declared:
         raise GraphError("mobile-charger cycle point not among declared nodes")
-    if med_cycle:
-        if len(med_cycle) < 2:
-            raise GraphError("mobile-charger cycle needs at least two points")
-        for k, i in enumerate(med_cycle):
-            j = med_cycle[(k + 1) % len(med_cycle)]
-            if (i, j) not in arcs:
-                raise GraphError(f"mobile-charger cycle is not closed: missing arc ({i},{j})")
-    if set(scs_list) & set(med_cycle):
+    if len(med_cycle) == 1:
+        raise GraphError("mobile-charger cycle needs at least two points")
+    for i, j in zip(med_cycle, med_cycle[1:] + med_cycle[:1]):
+        if (i, j) not in arcs:
+            raise GraphError(f"mobile-charger cycle is not closed: missing arc ({i},{j})")
+    if set(scs) & set(med_cycle):
         raise GraphError("a node cannot be both a static station and a cycle point")
-    if not (isinstance(visit_limit, int) and visit_limit >= 1):
-        raise GraphError("visit_limit must be an integer >= 1")
-
-    arcs = {key: attr if isinstance(attr, ArcAttr) else ArcAttr(**attr)
-            for key, attr in arcs.items()}
     if entries is None:
-        chargers = set(scs_list) | set(med_cycle)
-        entries = [n for n in sorted(nodes) if n not in chargers]
+        chargers = set(scs) | set(med_cycle)
+        entries = tuple(n for n in sorted(nodes) if n not in chargers)
     else:
-        entries = list(entries)
+        entries = tuple(entries)
         if not node_set(entries, "graph entries") <= declared:
             raise GraphError("entry point not among declared nodes")
-    return RoadGraph(nodes, arcs, scs_list, med_cycle, visit_limit, entries)
+    return nodes, scs, med_cycle, entries
+
+
+def build_graph(nodes, arcs, scs_list=(), med_cycle=(), visit_limit: int = 2,
+                entries=None) -> RoadGraph:
+    """Assemble an immutable :class:`RoadGraph` from the declared nodes and arcs.
+
+    ``arcs`` maps (i, j) to :class:`ArcAttr`, and the ids pass :func:`_checked_ids`.
+    ``visit_limit`` bounds repeat visits to each charger (:meth:`RoadGraph.visit_cap`).
+    """
+    nodes, scs, med_cycle, entries = _checked_ids(nodes, arcs, scs_list, med_cycle, entries)
+    return RoadGraph(nodes, dict(arcs), scs, med_cycle, visit_limit, entries)
 
 
 # -- JSON schema ------------------------------------------------------------
@@ -195,7 +202,7 @@ def build_graph(nodes, arcs, scs_list=(), med_cycle=(), visit_limit: int = 2,
 #   "entries":   [0, 1, ...]                                (optional)
 # }
 #
-# Arc drive time is length/speed. When an arc omits energy_kwh it is resolved
+# Arc drive time is length/speed. When an arc omits energy_kwh it is priced
 # from the vehicle parameters at load time, so routing sees plain numbers.
 
 
@@ -210,8 +217,42 @@ def require_keys(doc, keys, what: str, error=GraphError):
 _NO_ENERGY = object()
 
 
-def _arc_attr(i, j, length, speed, energy, vehicle) -> ArcAttr:
-    """The arc (i, j) from its raw JSON values; ``vehicle`` prices a missing energy."""
+@dataclass(frozen=True)
+class GraphSpec:
+    """A graph document after every check, holding nothing of a vehicle.
+
+    :func:`parse_graph` makes it, and :func:`load_graph` prices its arcs.
+    Arc ``arcs[n]``, a pair ``(i, j)``, has ``specs[arc_specs[n]]``: its
+    length and speed as floats and its :class:`ArcAttr`, None without an
+    energy. Ids compare by value (``1 == 1.0``); ``id_types``, the type of
+    every id, computed on first use, tells such graphs apart.
+    """
+
+    arcs: tuple
+    arc_specs: tuple
+    specs: tuple
+    nodes: tuple
+    scs: tuple
+    med_cycle: tuple
+    entries: tuple
+
+    @cached_property
+    def id_types(self) -> tuple:
+        return tuple(map(type, chain(self.nodes, chain.from_iterable(self.arcs), self.scs,
+                                     self.med_cycle, self.entries)))
+
+    def to_json(self) -> dict:
+        """The normalized document: no node ``x``/``y``, no repeated arc, floats, all entries."""
+        keys = ("length_m", "speed_mps", "energy_kwh")  # a missing energy is left out
+        specs = [dict(zip(keys, (length, speed) if attr is None else
+                          (length, speed, attr.energy_kwh))) for length, speed, attr in self.specs]
+        arcs = [{"i": i, "j": j, **specs[k]} for (i, j), k in zip(self.arcs, self.arc_specs)]
+        return {"nodes": [{"id": n} for n in self.nodes], "arcs": arcs, "scs": list(self.scs),
+                "med_cycle": list(self.med_cycle), "entries": list(self.entries)}
+
+
+def _arc_spec(i, j, length, speed, energy) -> tuple:
+    """The arc (i, j)'s length and speed as floats and its ArcAttr, None if it lacks an energy."""
     try:
         length = float(length)
         speed = float(speed)
@@ -220,48 +261,59 @@ def _arc_attr(i, j, length, speed, energy, vehicle) -> ArcAttr:
         raise GraphError(f"arc ({i},{j}) has a non-numeric length, speed or energy") from None
     if speed <= 0:
         raise GraphError(f"arc ({i},{j}) has nonpositive speed")
-    dt = length / speed
-    if energy is None:
-        if vehicle is None:
-            raise GraphError(f"arc ({i},{j}) lacks energy_kwh and no vehicle was given")
-        energy = segment_energy(vehicle, speed, dt)
-    return ArcAttr(dt, energy, length)
+    # an arc the vehicle is to price is checked with a stand-in energy of 0
+    attr = ArcAttr(length / speed, 0.0 if energy is None else energy, length)
+    return length, speed, None if energy is None else attr
 
 
-def load_graph(doc, vehicle: VehicleParams | None = None, visit_limit: int = 2) -> RoadGraph:
-    """Build a graph from a parsed JSON document (or a path to one)."""
+def parse_graph(doc) -> GraphSpec:
+    """Check a parsed JSON document (or a path to one) and keep it as a :class:`GraphSpec`."""
     if isinstance(doc, (str, bytes)):
         with open(doc, encoding="utf-8") as fh:
             doc = json.load(fh)
     require_keys(doc, ("nodes", "arcs"), "graph")
     # a node is an id or {"id": ..., "x": ..., "y": ...}; x/y are not read
-    nodes = []
-    for k, entry in enumerate(doc["nodes"]):
-        if isinstance(entry, dict):
-            require_keys(entry, ("id",), f"node #{k}")
-            entry = entry["id"]
-        nodes.append(entry)
-    arcs = {}
-    # each distinct raw (length_m, speed_mps, energy_kwh) is converted,
-    # checked and priced once, and its frozen ArcAttr shared; a spec that
-    # fails raises before it is stored, so every bad arc names itself
-    built = {}
+    try:
+        nodes = [n["id"] if isinstance(n, dict) else n for n in doc["nodes"]]
+    except KeyError:  # name the node that lacks its id
+        for k, n in enumerate(doc["nodes"]):
+            if isinstance(n, dict):
+                require_keys(n, ("id",), f"node #{k}")
+    # each distinct raw (length_m, speed_mps, energy_kwh) is converted and
+    # checked once, and its arcs share one spec; a spec that fails raises
+    # before it is stored, so every bad arc names itself
+    arcs, specs, seen = {}, [], {}
     for k, a in enumerate(doc["arcs"]):
-        require_keys(a, ("i", "j", "length_m", "speed_mps"), f"arc #{k}")
-        i, j = a["i"], a["j"]
-        spec = (a["length_m"], a["speed_mps"], a.get("energy_kwh", _NO_ENERGY))
         try:
-            attr = built.get(spec)
-        except TypeError:  # an unhashable value: converted as given, never shared
-            attr = _arc_attr(i, j, *spec, vehicle)
-        if attr is None:
-            attr = built[spec] = _arc_attr(i, j, *spec, vehicle)
+            i, j = a["i"], a["j"]
+            raw = (a["length_m"], a["speed_mps"], a.get("energy_kwh", _NO_ENERGY))
+        except (KeyError, TypeError):  # name the key the arc lacks, if it is one
+            require_keys(a, ("i", "j", "length_m", "speed_mps"), f"arc #{k}")
+            raise
         try:
-            arcs[(i, j)] = attr
+            n = seen.get(raw)
+        except TypeError:  # a list or an object, which _arc_spec rejects
+            n = None
+        if n is None:
+            specs.append(_arc_spec(i, j, *raw))
+            n = seen[raw] = len(specs) - 1
+        try:
+            arcs[(i, j)] = n
         except TypeError:
             raise GraphError(f"graph arc #{k}: a node id cannot be a list or an object") from None
-    return build_graph(nodes, arcs, doc.get("scs", ()), doc.get("med_cycle", ()),
-                       visit_limit=visit_limit, entries=doc.get("entries"))
+    return GraphSpec(tuple(arcs), tuple(arcs.values()), tuple(specs), *_checked_ids(
+        nodes, arcs, doc.get("scs", ()), doc.get("med_cycle", ()), doc.get("entries")))
+
+
+def load_graph(doc, vehicle: VehicleParams | None = None, visit_limit: int = 2) -> RoadGraph:
+    """A graph from a :class:`GraphSpec`, a JSON document or a path; ``vehicle`` prices arcs."""
+    spec = doc if isinstance(doc, GraphSpec) else parse_graph(doc)
+    if vehicle is None and any(attr is None for *_, attr in spec.specs):
+        raise GraphError("an arc lacks energy_kwh and no vehicle was given")
+    attrs = [attr or ArcAttr(length / speed, segment_energy(vehicle, speed, length / speed),
+                             length) for length, speed, attr in spec.specs]
+    arcs = dict(zip(spec.arcs, map(attrs.__getitem__, spec.arc_specs)))
+    return RoadGraph(spec.nodes, arcs, spec.scs, spec.med_cycle, visit_limit, spec.entries)
 
 
 def grid_doc(rows: int, cols: int, arc_len_m: float = 2500.0, speed_mps: float = 15.0,

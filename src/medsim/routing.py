@@ -77,7 +77,7 @@ class PathCache:
     """Memoized single-source distance maps and path reconstructions.
 
     One per network, shared by every run on it: the runs on an equal graph
-    document, vehicle and visit limit (see ``sim.run``); routing
+    value, vehicle and visit limit (see ``sim.run``); routing
     repeatedly asks for distances from the same sources (EV positions) and
     to the same targets (chargers, destinations), so the maps are worth
     keeping. It holds only graph-derived data, never ledger or population
@@ -493,8 +493,8 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
 
     # stations first, then each charger's cycle points; a station has no
     # cycle index
-    points = [("scs", unit, None, unit.node) for unit in getattr(infra, "scs_units", ())]
-    points += [("med", unit, idx, point) for unit in getattr(infra, "med_units", ())
+    points = [("scs", unit, None, unit.node) for unit in infra.scs_units]
+    points += [("med", unit, idx, point) for unit in infra.med_units
                for idx, point in enumerate(unit.points)]
     for kind, unit, idx, node in points:
         # the reach step both kinds share: gate, path, feasibility, arrival level

@@ -9,15 +9,15 @@ order, so a run is fully deterministic for a given seed.
 
 from __future__ import annotations
 
-import json
 import math
-import pickle
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .charging import Infrastructure, MedState, ScsState
 from .energy import InductionParams, VehicleParams
-from .road_graph import GraphError, RoadGraph, load_graph, node_set, require_keys
+from .road_graph import (GraphError, GraphSpec, RoadGraph, check_visit_limit, load_graph,
+                         grid_doc, node_set, parse_graph, require_keys)
 from .routing import (EvRequest, NoPath, PathCache, Stranded, check_assignment,
                       find_shortest_path)
 
@@ -55,25 +55,16 @@ class MedSpec:
             raise ValueError(f"med p_ind_kw must be positive and finite, got {self.p_ind_kw}")
 
 
-@dataclass(frozen=True)
-class GraphDoc:
-    """A graph document frozen as its pickle: equal bytes, equal value and types."""
-
-    pickled: bytes
-
-    def thaw(self):
-        return pickle.loads(self.pickled)
-
-
 @dataclass
 class Scenario:
     """Everything one simulation run depends on, JSON round-trippable.
 
-    ``graph``, a document or a path to one, is frozen on construction into a
-    :class:`GraphDoc`, which no edit to the caller's document reaches.
+    ``graph``, a document or a path to one, is parsed on construction into a
+    :class:`~medsim.road_graph.GraphSpec`, out of reach of edits to the document.
+    Every input check runs here and on ``replace``, charger and entry ids included.
     """
 
-    graph: GraphDoc
+    graph: GraphSpec
     mode: str = "SCS_MED"
     ev_count: int = 50
     level: str = "L1"
@@ -105,18 +96,24 @@ class Scenario:
             value = getattr(self, name)
             if not 0.0 <= value < INFINITE:
                 raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+        check_visit_limit(self.visit_limit)
+        if not isinstance(self.graph, GraphSpec):
+            self.graph = parse_graph(self.graph)
         for node, rate in self.scs:
             if not rate > 0.0:
                 raise ValueError(f"station {node} rate_kw must be positive, got {rate}")
-        if isinstance(self.graph, (str, bytes)):  # a path: keep the document it names
-            with open(self.graph, encoding="utf-8") as fh:
-                self.graph = json.load(fh)
-        if not isinstance(self.graph, GraphDoc):
-            self.graph = GraphDoc(pickle.dumps(self.graph))
+            if node not in self.graph.scs:
+                raise GraphError(f"station {node} is not a station of the graph")
+        missing = node_set(self.entries or (), "scenario entries").difference(self.graph.nodes)
+        if missing:
+            node = next(n for n in self.entries if n in missing)
+            raise GraphError(f"entry point {node} is not a node of the graph")
+        if self.meds and not self.graph.med_cycle:
+            raise GraphError("a mobile charger needs the graph's med_cycle")
 
     def to_json(self) -> dict:
         doc = {
-            "graph": self.graph.thaw(), "mode": self.mode, "ev_count": self.ev_count,
+            "graph": self.graph.to_json(), "mode": self.mode, "ev_count": self.ev_count,
             "level": self.level, "seed": self.seed, "horizon_s": self.horizon_s,
             "stranded_penalty_s": self.stranded_penalty_s,
             "vehicle": vars(self.vehicle).copy(),
@@ -167,13 +164,11 @@ class Scenario:
             "visit_limit": int(doc.get("visit_limit", 2)),
             "entries": doc.get("entries"),
         }
-        kwargs.update(overrides)
-        return cls(**kwargs)
+        return cls(**(kwargs | overrides))
 
 
 def default_scenario(**overrides) -> Scenario:
     """The desk-scale standard: 10x10 grid, one station, one mobile charger."""
-    from .road_graph import grid_doc
     graph = grid_doc(10, 10, arc_len_m=2500.0, speed_mps=15.0,
                      scs=[22], med_cycle=[44, 45, 55, 54])
     base = dict(graph=graph, scs=[(22, 19.2)], meds=[MedSpec()])
@@ -230,11 +225,9 @@ class LevelSampler:
         key = (s, d)
         if key not in self._energy_memo:
             try:
-                path = self.caches.path(s, d, "time")
+                self._energy_memo[key] = self.caches.path(s, d, "time").energy_kwh
             except NoPath:
                 self._energy_memo[key] = INFINITE
-            else:
-                self._energy_memo[key] = path.energy_kwh
         return self._energy_memo[key]
 
     def draw(self, want_anxious: bool, attempts: int = 400):
@@ -310,15 +303,10 @@ class RunMetrics:
 
     def med_share(self) -> float:
         """Fraction of the whole population that charged from the mobile charger."""
-        if not self.rows:
-            return 0.0
-        return sum(1 for r in self.rows if r.choice == "med") / len(self.rows)
+        return self.counts()["med"] / len(self.rows) if self.rows else 0.0
 
     def counts(self) -> dict:
-        out = {"scs": 0, "med": 0, "none": 0}
-        for r in self.rows:
-            out[r.choice] += 1
-        return out
+        return {"scs": 0, "med": 0, "none": 0, **Counter(r.choice for r in self.rows)}
 
     def stranded_count(self) -> int:
         return sum(1 for r in self.rows if r.stranded)
@@ -337,12 +325,10 @@ class RunMetrics:
         }
 
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.ev},{r.t_arrival_s:.6f},{r.source},{r.dest},"
-                f"{r.energy_kwh:.6f},{int(r.anxious)},{int(r.excluded)},"
-                f"{r.choice},{r.travel_s:.6f},{r.wait_s:.6f},{int(r.stranded)}")
+        lines = [CSV_HEADER] + [
+            f"{r.ev},{r.t_arrival_s:.6f},{r.source},{r.dest},"
+            f"{r.energy_kwh:.6f},{int(r.anxious)},{int(r.excluded)},"
+            f"{r.choice},{r.travel_s:.6f},{r.wait_s:.6f},{int(r.stranded)}" for r in self.rows]
         return "\n".join(lines) + "\n"
 
 
@@ -354,9 +340,9 @@ class Network:
     """A loaded road graph and its path cache, keyed on what they were built from.
 
     Both hold only graph-derived data, so one network can serve every run
-    whose scenario has an equal ``key``: the frozen graph document, the
-    vehicle and the visit limit. Ledgers, infrastructure and the population
-    stay per run.
+    whose scenario has an equal ``key``: the graph value, the vehicle and
+    the visit limit, and the graph's id types, as the outputs print 1 and
+    1.0 apart. Ledgers, infrastructure and the population stay per run.
     """
 
     graph: RoadGraph
@@ -365,18 +351,18 @@ class Network:
 
 
 def _network_key(scenario: Scenario) -> tuple:
-    return scenario.graph, scenario.vehicle, scenario.visit_limit
+    return scenario.graph, scenario.graph.id_types, scenario.vehicle, scenario.visit_limit
 
 
 def load_network(scenario: Scenario) -> Network:
-    """Load the scenario's graph and start an empty path cache for it."""
-    g = load_graph(scenario.graph.thaw(), vehicle=scenario.vehicle,
+    """Price the scenario's checked graph for its vehicle and start an empty path cache."""
+    g = load_graph(scenario.graph, vehicle=scenario.vehicle,
                    visit_limit=scenario.visit_limit)
     return Network(g, PathCache(g), _network_key(scenario))
 
 
-# the network :func:`network_for` returned last; its key holds a frozen
-# document, so no edit to a caller's document can make a later run match it
+# the network :func:`network_for` returned last; its key holds a graph
+# value, so no edit to a caller's document can make a later run match it
 _last_network: Network | None = None
 
 
@@ -393,32 +379,18 @@ def network_for(scenario: Scenario) -> Network:
 
 
 def build_infrastructure(scenario: Scenario, g: RoadGraph) -> Infrastructure:
-    """The scenario's chargers on ``g``; a charger or entry point ``g`` lacks is a GraphError."""
-    node_set(scenario.entries or (), "scenario entries")
-    for node in scenario.entries or ():
-        if node not in g.nodes:
-            raise GraphError(f"entry point {node} is not a node of the graph")
-    infra = Infrastructure()
-    for node, rate in scenario.scs:
-        if node not in g.scs_nodes:
-            raise GraphError(f"station {node} is not a station of the graph")
-        infra.scs_units.append(ScsState(node, rate))
-    if scenario.meds and not g.med_points:
-        raise GraphError("a mobile charger needs the graph's med_cycle")
-    for spec in scenario.meds:
-        ind = scenario.induction if spec.p_ind_kw is None else \
-            InductionParams(scenario.induction.c_ind, spec.p_ind_kw)
-        infra.med_units.append(MedState(g, ind, battery_kwh=spec.battery_kwh,
-                                        start_s=spec.start_s))
-    return infra
+    """The scenario's chargers on ``g``, its graph loaded; the scenario checked them."""
+    meds = [MedState(g, scenario.induction if spec.p_ind_kw is None else
+                     InductionParams(scenario.induction.c_ind, spec.p_ind_kw),
+                     battery_kwh=spec.battery_kwh, start_s=spec.start_s)
+            for spec in scenario.meds]
+    return Infrastructure([ScsState(node, rate) for node, rate in scenario.scs], meds)
 
 
 def _first_choice(assignment) -> str:
     stops = [(v.leg_index, "scs") for v in assignment.z_visits]
     stops += [(p.leg_index, "med") for p in assignment.q_points]
-    if not stops:
-        return "none"
-    return min(stops)[1]
+    return min(stops, default=(0, "none"))[1]
 
 
 def _refuse_all(kind, node) -> bool:

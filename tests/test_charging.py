@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from medsim.charging import Infrastructure, MedState, ScsState, scs_charge_time
+from medsim.charging import Booking, Infrastructure, MedState, ScsState, scs_charge_time
 from medsim.energy import InductionParams
 from medsim.road_graph import ArcAttr, build_graph
 from medsim.routing import (EvRequest, PathCache, Stranded, _plan_med_span,
@@ -53,6 +53,11 @@ class TestScsWaitingTime:
 
 
 class TestScsBooking:
+    @pytest.mark.parametrize("end_s", [100.0, 99.0])
+    def test_a_booking_must_end_after_it_starts(self, end_s):
+        with pytest.raises(ValueError, match="booking must end after it starts"):
+            Booking("a", 100.0, end_s)
+
     def test_empty_ledger_accepts(self):
         s = ScsState(3, 19.2)
         assert s.book("a", 100.0, 200.0).accepted

@@ -548,11 +548,12 @@ class TestInvalidFiles:
          "scenario entries: a node id cannot be a list or an object"),
         (lambda doc: doc.update(entries=[0, {"id": 1}]),
          "scenario entries: a node id cannot be a list or an object"),
+        (lambda doc: doc.update(visit_limit=0), "visit_limit must be an integer >= 1"),
     ], ids=["radio-unknown-key", "horizon-inf", "horizon-nan", "horizon-negative",
             "penalty-inf", "penalty-negative", "rate-nan", "rate-zero", "station-not-a-station",
             "station-not-a-node", "entry-not-a-node", "med-without-cycle", "node-id-list",
             "node-id-object", "arc-tail-list", "graph-scs-list", "graph-med-cycle-object",
-            "graph-entries-list", "entries-list", "entries-object"])
+            "graph-entries-list", "entries-list", "entries-object", "visit-limit-zero"])
     def test_rejected_run_input(self, tmp_path, capsys, monkeypatch, argv, edit, message):
         # an infinite horizon once hung the run, a NaN one crashed it and a
         # negative one gave negative arrival times; an infinite penalty made

@@ -6,12 +6,12 @@ import weakref
 
 import pytest
 
-from medsim import routing, sim
+from medsim import oracle, routing, sim
 from medsim.charging import scs_charge_time
 from medsim.energy import InductionParams
 from medsim.oracle import OracleError, OracleInstance, solve_exact, verify
 from medsim.road_graph import ArcAttr, build_graph
-from medsim.routing import (EvRequest, Stranded, attach_run, check_assignment,
+from medsim.routing import (EvRequest, MedAttach, Stranded, attach_run, check_assignment,
                             find_shortest_path)
 from tests.conftest import (line_graph, objective_time, random_oracle_instance,
                             relabelled_instance, ring_with_spurs, sparse_id)
@@ -154,6 +154,28 @@ class TestSolveExact:
         assert sol.objective_s == pytest.approx(
             objective_time(inst.graph, sol.best), abs=1e-9)
 
+    @pytest.mark.parametrize("visit_limit,charges,explored", [(1, 1, 3), (2, 3, 14)])
+    def test_station_visit_budget_bounds_the_search(self, monkeypatch, visit_limit, charges,
+                                                    explored):
+        # a full 3.5 kWh battery at the station (node 1) cannot drive the
+        # 4 kWh on to node 5, so the search wanders back to the station. A
+        # walk charges there at most visit_limit times: once on arrival at
+        # visit_limit 1, and twice more, back from 0 and from 2, at 2. A
+        # spent budget also leaves the bound no charger to reach, which
+        # prunes the walk. A second full charge at one station never beats
+        # skipping the loop between the two visits, so the budget changes
+        # the search, not the optimum.
+        calls = []
+        charge_time = oracle.scs_charge_time
+        monkeypatch.setattr(oracle, "scs_charge_time",
+                            lambda *args: calls.append(args) or charge_time(*args))
+        inst = OracleInstance(line_graph(scs=(1,), visit_limit=visit_limit),
+                              EvRequest("t", 0, 5, 3.5, 1.5), scs_waits={1: 60.0},
+                              scs_rates={1: 19.2})
+        sol = solve_exact(inst)
+        assert not sol.feasible
+        assert (len(calls), sol.explored) == (charges, explored)
+
 
 @pytest.mark.parametrize("build,budget,feasible", [
     pytest.param(ring_instance, 2_000_000, True, id="feasible"),
@@ -209,6 +231,27 @@ class TestVerify:
         corrupt(bad)
         assert verify(inst, bad, check_waits=False) == want
         assert check_assignment(inst.graph, bad)
+
+    @pytest.mark.parametrize("laps,want", [(2, "ok"), (3, "violated(11)")])
+    def test_attach_budget_per_cycle_point(self, laps, want):
+        # from 4 to 5, attaching at cycle point 0 for (0, 1) on every lap:
+        # visit_limit 2 allows two attaches at a point, and each cycle arc
+        # four traversals, so a third lap breaks (11) alone
+        inst = ring_instance()
+        med = inst.frozen_infrastructure().med_units[0]
+        seg = med.segments[0]
+        legs = [4] + [0, 1, 2, 3] * (laps - 1) + [0, 1, 2, 5]
+        q_points = [MedAttach.build(med, 0, lap, 1, 1 + 4 * lap, 0.0, seg.drive_s, 0.0,
+                                    seg.induced_kwh) for lap in range(laps)]
+        eps, drive, trace = 9.0, 0.0, [9.0]
+        for k, (i, j) in enumerate(zip(legs, legs[1:])):
+            arc = inst.graph.arc(i, j)
+            gain = seg.induced_kwh if k % 4 == 1 and k < 4 * laps else 0.0
+            eps = min(10.0, eps - arc.energy_kwh + gain)
+            drive += arc.drive_time_s
+            trace.append(eps)
+        plan = routing.RouteAssignment("t", 4, 5, 10.0, 9.0, legs, [], q_points, trace, drive)
+        assert verify(inst, plan) == want
 
     def test_verify_computes_no_map_after_solve_exact(self, monkeypatch):
         # the instance owns one path cache, so verify reads the maps that

@@ -11,7 +11,7 @@ import pytest
 
 from medsim import routing, sim
 from medsim.oracle import OracleInstance, verify
-from medsim.road_graph import ArcAttr, build_graph, grid_doc
+from medsim.road_graph import ArcAttr, GraphError, build_graph, grid_doc, parse_graph
 from medsim.routing import EvRequest
 from medsim.sim import (DEFAULT_VEHICLE, LEVEL_TARGETS, MODES, CalibrationError,
                         LevelSampler, Scenario, default_scenario,
@@ -311,7 +311,7 @@ class TestRememberedNetwork:
         assert after.to_csv() != before.to_csv()
 
     def test_a_pickled_scenario_loads_nothing(self, monkeypatch):
-        # as a sweep worker receives its cells: a copy of the frozen document
+        # as a sweep worker receives its cells: a copy of the graph value
         sc = default_scenario(level="L2", ev_count=40, seed=1)
         run(sc)
         remembered = sim._last_network
@@ -340,7 +340,7 @@ class TestRememberedNetwork:
         run(first)
         remembered = sim._last_network
         other = default_scenario(level="L2", ev_count=40, seed=1,
-                                 graph=other_graph(first.graph.thaw()))
+                                 graph=other_graph(first.graph.to_json()))
         metrics = run(other)
         assert sim._last_network is not remembered
         assert sim._last_network.key[0] is other.graph
@@ -380,7 +380,7 @@ class TestRememberedNetwork:
 
     @pytest.mark.parametrize("as_path", [str, os.fsencode], ids=["str", "bytes"])
     def test_graph_file_edited_between_runs_gets_a_fresh_network(self, tmp_path, as_path):
-        graph = default_scenario().graph.thaw()
+        graph = default_scenario().graph.to_json()
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(graph))
         before = run(default_scenario(level="L3", ev_count=100, seed=2, graph=as_path(path)))
@@ -388,7 +388,7 @@ class TestRememberedNetwork:
         arc["speed_mps"] = 5.0
         path.write_text(json.dumps(graph))
         sc = default_scenario(level="L3", ev_count=100, seed=2, graph=as_path(path))
-        assert sc.graph.thaw() == graph
+        assert sc.graph.to_json() == graph
         after = run(sc)
         assert after.to_csv() == fresh_run(sc).to_csv()
         assert after.to_csv() != before.to_csv()
@@ -450,6 +450,28 @@ class TestScenarioJson:
             lines[k] = ",".join(cols)
         assert "\n".join(lines) + "\n" == run(Scenario.from_json(doc)).to_csv()
 
+    def test_round_trip_keeps_the_graph_value(self):
+        sc = default_scenario(level="L3", ev_count=100, seed=2)
+        again = Scenario.from_json(json.loads(json.dumps(sc.to_json())))
+        assert again.graph is not sc.graph
+        assert again.graph == sc.graph and again.graph.id_types == sc.graph.id_types
+        assert fresh_run(again).to_csv() == fresh_run(sc).to_csv()
+
+    def test_to_json_writes_the_normalized_graph(self):
+        # node x/y and the first of two arcs (0, 1) are dropped, numbers are
+        # floats, a missing energy stays missing and the entries are written
+        graph = {"nodes": [{"id": 0, "x": 1.0, "y": 2.0}, 1, 2], "scs": [2], "arcs": [
+            {"i": 0, "j": 1, "length_m": 100, "speed_mps": "10"},
+            {"i": 1, "j": 2, "length_m": 100.0, "speed_mps": 10, "energy_kwh": 0},
+            {"i": 0, "j": 1, "length_m": 200, "speed_mps": 10, "note": "resurfaced"}]}
+        normalized = {
+            "nodes": [{"id": 0}, {"id": 1}, {"id": 2}],
+            "arcs": [{"i": 0, "j": 1, "length_m": 200.0, "speed_mps": 10.0},
+                     {"i": 1, "j": 2, "length_m": 100.0, "speed_mps": 10.0, "energy_kwh": 0.0}],
+            "scs": [2], "med_cycle": [], "entries": [0, 1]}
+        assert parse_graph(graph).to_json() == normalized
+        assert parse_graph(normalized).to_json() == normalized
+
     def test_overrides(self):
         doc = default_scenario().to_json()
         sc = Scenario.from_json(doc, mode="SCS", ev_count=5, seed=99)
@@ -462,6 +484,30 @@ class TestScenarioJson:
             default_scenario(ev_count=101)
         with pytest.raises(ValueError):
             default_scenario(level="L9")
+
+
+class TestScenarioChecks:
+    """Every input check runs when a scenario is built, so nothing fails once a network loads."""
+
+    @pytest.fixture(autouse=True)
+    def no_network_loads(self, monkeypatch):
+        def refuse(*args, **kw):
+            raise AssertionError("a network loaded")
+        monkeypatch.setattr(sim, "load_graph", refuse)
+
+    @pytest.mark.parametrize("change,message", [
+        ({"scs": [(23, 19.2)]}, "station 23 is not a station of the graph"),
+        ({"scs": [(1000, 19.2)]}, "station 1000 is not a station of the graph"),
+        ({"entries": [0, 1000]}, "entry point 1000 is not a node of the graph"),
+        ({"graph": grid_doc(10, 10, scs=[22])}, "a mobile charger needs the graph's med_cycle"),
+        ({"visit_limit": 0}, "visit_limit must be an integer >= 1"),
+    ], ids=["station-not-a-station", "station-not-a-node", "entry-not-a-node",
+            "charger-without-cycle", "visit-limit-zero"])
+    def test_rejected_when_built_and_when_replaced(self, change, message):
+        with pytest.raises(GraphError, match=message):
+            default_scenario(**change)
+        with pytest.raises(GraphError, match=message):
+            dataclasses.replace(default_scenario(), **change)
 
 
 class TestPinnedRandomScenarios:
