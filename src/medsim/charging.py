@@ -14,6 +14,7 @@ from itertools import accumulate
 
 from .energy import InductionParams, induced_energy
 from .road_graph import RoadGraph
+from .routing import _EPS_TOL
 
 
 @dataclass(frozen=True)
@@ -93,10 +94,13 @@ class CycleSegment:
 class MedState:
     """A mobile charger on a closed cycle, with per-segment per-pass bookings.
 
-    The charger loops the graph's cycle, leaving cycle point 0 at ``start_s``.
-    It tops its dissemination battery back up to capacity every time it
-    passes the cycle start, so the battery never increases between those
-    refills. How far one attach run may ride, within ``battery_kwh`` and
+    The charger loops the graph's cycle from ``start_s`` on: it first
+    reaches cycle point ``idx`` at ``start_s + cum_starts[idx]`` and again
+    every ``cycle_time_s``. A pass of the cycle starts at point 0 and is
+    numbered by the second element of a segment key. Each pass starts with
+    a full dissemination battery, so one pass may dispense at most
+    ``battery_kwh`` over all its bookings; an infinite battery never runs
+    dry. How far one attach run may ride, within that budget and
     ``max_passes`` (the graph's ``visit_limit``) passes of the cycle, is
     the rule of :func:`medsim.routing.attach_run`, which reads both.
     """
@@ -115,20 +119,21 @@ class MedState:
         self.segments = tuple(segs)
         # the drive time from point 0 to each point, and round the whole cycle
         *self.cum_starts, self.cycle_time_s = accumulate((s.drive_s for s in segs), initial=0.0)
-        self.battery_capacity_kwh = battery_kwh
         self.battery_kwh = battery_kwh
         self.start_s = start_s
         self.max_passes = graph.visit_limit
         self.segment_bookings: dict[tuple[int, int], str] = {}
+        self.pass_dispensed: dict[int, float] = {}  # energy booked per cycle pass
         self.bookings: list[Booking] = []
-        self._next_refill_s = start_s + self.cycle_time_s
 
     # -- geometry of the loop -------------------------------------------------
 
     def arrival_at(self, point_idx: int, now: float) -> float:
-        """Next absolute time the charger reaches a cycle point, from ``now``."""
-        elapsed = max(0.0, now - self.start_s)
-        offset = elapsed % self.cycle_time_s
+        """Next absolute time the charger reaches a cycle point, from ``now``; never before
+        ``start_s + cum_starts[point_idx]``, as the charger sets off at ``start_s``."""
+        if now < self.start_s:
+            return self.start_s + self.cum_starts[point_idx]
+        offset = (now - self.start_s) % self.cycle_time_s
         ahead = (self.cum_starts[point_idx] - offset) % self.cycle_time_s
         return now + ahead
 
@@ -141,22 +146,35 @@ class MedState:
         return tuple(((start_idx + k) % u, pass_no + (start_idx + k) // u)
                      for k in range(n_segments))
 
+    def _pass_shares(self, keys) -> dict:
+        """Each pass's share of a span's ``(segment, pass)`` keys: the left fold, in span
+        order, of its segments' induced energies, as :func:`attach_run` folds a pass."""
+        shares = {}
+        for seg, pass_no in keys:
+            shares[pass_no] = shares.get(pass_no, 0.0) + self.segments[seg].induced_kwh
+        return shares
+
     def waiting(self, start_idx: int, ev_arrival_s: float, n_segments: int):
         """Wait at the meeting point and the cycle pass the EV will ride.
 
         The smallest nonnegative wait such that the charger reaches the point
-        no earlier than the EV does and none of the span's segments is booked
-        for that pass; whole cycles are added as needed, with no upper bound.
+        no earlier than the EV does, none of the span's segments is booked
+        for that pass and each pass the span touches still holds the span's
+        share; whole cycles are added as needed. A share beyond a whole
+        pass's budget would wait forever, so it raises ``ValueError``.
 
-        The span's (segment index, pass offset) pairs are worked out once per
-        call; each try adds one ``cycle_time_s`` to the arrival, takes the
-        pass from :meth:`pass_number` and tests the segments of that pass,
-        so a try checks the keys :meth:`segment_keys` would build without
-        building them.
+        The span's (segment, pass offset) pairs and shares are worked out
+        once per call; each try adds one ``cycle_time_s`` to the arrival,
+        takes the pass from :meth:`pass_number` and makes the tests, sums
+        and comparisons :meth:`book_attach` makes, so the two agree bit for bit.
         """
         u = len(self.segments)
         span = [((start_idx + k) % u, (start_idx + k) // u) for k in range(n_segments)]
-        booked = self.segment_bookings
+        limit = self.battery_kwh + _EPS_TOL
+        shares = self._pass_shares(span)
+        if max(shares.values()) > limit:
+            raise ValueError("the span dispenses more than one pass's budget")
+        booked, spent = self.segment_bookings, self.pass_dispensed
         arrival = self.arrival_at(start_idx, ev_arrival_s)
         while True:
             pass_no = self.pass_number(start_idx, arrival)
@@ -164,33 +182,33 @@ class MedState:
                 if (seg, pass_no + offset) in booked:
                     break
             else:
-                return arrival - ev_arrival_s, pass_no
+                for offset, share in shares.items():
+                    if spent.get(pass_no + offset, 0.0) + share > limit:
+                        break
+                else:
+                    return arrival - ev_arrival_s, pass_no
             arrival += self.cycle_time_s
 
     # -- ledger ----------------------------------------------------------------
 
-    def book_attach(self, ev: str, segment_keys, energy_kwh: float,
-                    start_s: float, end_s: float) -> BookResult:
-        """Reserve a contiguous run of segments for one cycle pass.
+    def book_attach(self, ev: str, segment_keys, start_s: float, end_s: float) -> BookResult:
+        """Reserve a contiguous run of segments, ``((segment, pass), ...)``.
 
-        Accepts only when every segment of the pass is still free and the
-        dissemination battery still holds the energy to hand out; the ledger
-        and battery update together.
+        Accepts only when every segment key is still free and each pass the
+        keys touch still has the energy to hand out their share; the segment
+        ledger and the energy booked per pass update together.
         """
-        if any(k in self.segment_bookings for k in segment_keys) \
-                or energy_kwh > self.battery_kwh + 1e-9:
+        booked, spent = self.segment_bookings, self.pass_dispensed
+        limit = self.battery_kwh + _EPS_TOL
+        shares = self._pass_shares(segment_keys)
+        if any(k in booked for k in segment_keys) or any(
+                spent.get(p, 0.0) + share > limit for p, share in shares.items()):
             return BookResult(False)
-        for k in segment_keys:
-            self.segment_bookings[k] = ev
-        self.battery_kwh -= energy_kwh
+        booked.update(dict.fromkeys(segment_keys, ev))
+        for p, share in shares.items():
+            spent[p] = spent.get(p, 0.0) + share
         self.bookings.append(Booking(ev, start_s, end_s, tuple(segment_keys)))
         return BookResult(True)
-
-    def advance_to(self, now: float):
-        """Apply every depot refill the charger passed up to ``now``."""
-        while self._next_refill_s <= now:
-            self.battery_kwh = self.battery_capacity_kwh
-            self._next_refill_s += self.cycle_time_s
 
 
 @dataclass
@@ -199,8 +217,4 @@ class Infrastructure:
 
     scs_units: list = field(default_factory=list)
     med_units: list = field(default_factory=list)
-
-    def advance_to(self, now: float):
-        for med in self.med_units:
-            med.advance_to(now)
 

@@ -3,25 +3,19 @@
 The solver enumerates source-to-destination walks of the constrained
 shortest-path formulation on small instances, with charging decisions at
 station visits and contiguous attach runs along the mobile-charger cycle.
-Repeat visits are bounded by counting, with the caps the graph derives from
-``visit_limit`` (:meth:`RoadGraph.visit_cap`): every charger node may be
-charged at / attached to at most ``visit_limit`` times, and an arc (i, j)
-may be traversed at most ``visit_cap(i) * visit_cap(j)`` times. These are
-the bounds the paper's formulation gets by cloning each charger into
-``visit_limit`` copies. Waits are frozen inputs here; the formulation treats
-them as data, not as queue dynamics.
-
-Branch and bound with an admissible drive-time bound keeps the enumeration
-exact while pruning hopeless prefixes. The search is best-first at each
-node: it tries the outgoing arcs in order of drive time plus the head's
-shortest drive time to the destination, so a good incumbent comes early
-and pruning starts soon. The order changes how many states are explored,
-never the objective; explored counts from versions that tried arcs by
-neighbour id are not comparable.
+Repeat visits are bounded by counting (:meth:`RoadGraph.visit_cap`): a
+charger may be used ``visit_limit`` times and an arc (i, j) driven
+``visit_cap(i) * visit_cap(j)`` times, the bounds the paper's formulation
+gets by cloning each charger into ``visit_limit`` copies. Waits are frozen
+data, not queue dynamics. Branch and bound with an admissible drive-time
+bound keeps the search exact; it tries each node's arcs best-first, so a
+good incumbent comes early. The order changes how many states are explored,
+never the objective.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .charging import BookResult, Infrastructure, MedState, ScsState, scs_charge_time
@@ -65,7 +59,7 @@ class FrozenMed(MedState):
     def waiting(self, start_idx, ev_arrival_s, n_segments):
         return self.waits.get(self.points[start_idx], 0.0), 0
 
-    def book_attach(self, ev, segment_keys, energy_kwh, start_s, end_s):
+    def book_attach(self, ev, segment_keys, start_s, end_s):
         return BookResult(True)
 
 
@@ -130,20 +124,15 @@ class OracleSolution:
 def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleSolution:
     """Global minimum-travel-time plan for one EV, or infeasibility.
 
-    Depth-first enumeration over walks with per-visit charging and attach
-    decisions; an admissible remaining-drive-time bound prunes branches that
-    cannot beat the incumbent, so the returned objective is exact. At each
-    node the search charges first, then attaches, then drives, trying the
-    arcs best-first: by drive time plus the head's time to the destination,
-    ties by neighbour order. Among optima of equal objective, the first one
-    found in that order is returned.
-
-    Everything a search node reads about its graph node is precomputed once
-    into a row: the bound's inputs, the outgoing arcs in search order with
-    their caps, and the charger there. An attach run rides the router's rule,
-    :func:`~medsim.routing.attach_run`, and ends early only at a spent arc
-    cap. Visits and runs are kept as plain tuples; the returned plan's
-    :class:`ScsVisit` and :class:`MedAttach` records are built at the end.
+    Depth-first enumeration with per-visit charging and attach decisions;
+    an admissible remaining-drive-time bound prunes branches that cannot
+    beat the incumbent, so the objective is exact. At each node the search
+    charges, then attaches, then drives, trying arcs by drive time plus the
+    head's time to the destination, ties by neighbour order; of equal optima
+    the first found wins. Each graph node's bound inputs, arcs in search
+    order with their caps, and charger are precomputed into a row. An attach
+    run rides :func:`~medsim.routing.attach_run` and ends early only at a
+    spent arc cap. Visits and runs stay plain tuples until the plan is built.
     """
     g = inst.graph
     size = sum(g.visit_cap(n) for n in g.nodes)
@@ -345,23 +334,13 @@ def verify(inst: OracleInstance, a: RouteAssignment, tol: float = 1e-6,
         return "violated(8)"
 
     # (9)-(11) decision domains: arc multiplicities and per-charger visit budgets
-    counts = {}
-    for arc in a.x_arcs:
-        counts[arc] = counts.get(arc, 0) + 1
-    for (i, j), n in counts.items():
-        if n > g.visit_cap(i) * g.visit_cap(j):
-            return "violated(9)"
-    z_counts = {}
-    for v in a.z_visits:
-        z_counts[v.node] = z_counts.get(v.node, 0) + 1
-        if z_counts[v.node] > g.visit_cap(v.node):
-            return "violated(10)"
-    q_counts = {}
-    for att in a.q_points:
-        node = att.meet_node
-        q_counts[node] = q_counts.get(node, 0) + 1
-        if node not in g.med_points or q_counts[node] > g.visit_cap(node):
-            return "violated(11)"
+    if any(n > g.visit_cap(i) * g.visit_cap(j) for (i, j), n in Counter(a.x_arcs).items()):
+        return "violated(9)"
+    if any(n > g.visit_cap(node) for node, n in Counter(v.node for v in a.z_visits).items()):
+        return "violated(10)"
+    meets = Counter(att.meet_node for att in a.q_points)
+    if any(node not in g.med_points or n > g.visit_cap(node) for node, n in meets.items()):
+        return "violated(11)"
     return "ok"
 
 

@@ -221,11 +221,14 @@ _NO_ENERGY = object()
 class GraphSpec:
     """A graph document after every check, holding nothing of a vehicle.
 
-    :func:`parse_graph` makes it, and :func:`load_graph` prices its arcs.
+    :func:`parse_graph` makes it, and :meth:`priced` prices its arcs.
     Arc ``arcs[n]``, a pair ``(i, j)``, has ``specs[arc_specs[n]]``: its
     length and speed as floats and its :class:`ArcAttr`, None without an
-    energy. Ids compare by value (``1 == 1.0``); ``id_types``, the type of
-    every id, computed on first use, tells such graphs apart.
+    energy. ``specs`` holds each distinct spec some arc uses once, in the
+    order the arcs first use them, so a document and its :meth:`to_json`
+    parse to equal values. Ids compare by value (``1 == 1.0``);
+    ``id_types``, the type of every id, computed on first use, tells such
+    graphs apart.
     """
 
     arcs: tuple
@@ -240,6 +243,24 @@ class GraphSpec:
     def id_types(self) -> tuple:
         return tuple(map(type, chain(self.nodes, chain.from_iterable(self.arcs), self.scs,
                                      self.med_cycle, self.entries)))
+
+    def priced(self, vehicle: VehicleParams | None) -> list:
+        """One :class:`ArcAttr` per spec; a spec without an energy is priced for ``vehicle``.
+
+        A GraphError names the first arc of a spec the vehicle cannot price
+        to a finite energy, a drag term that overflows a float included.
+        """
+        if vehicle is None and any(attr is None for *_, attr in self.specs):
+            raise GraphError("an arc lacks energy_kwh and no vehicle was given")
+        attrs = []
+        for n, (length, speed, attr) in enumerate(self.specs):
+            try:
+                attrs.append(attr or ArcAttr(length / speed, segment_energy(
+                    vehicle, speed, length / speed), length))
+            except (GraphError, OverflowError):  # only the energy is left to check
+                i, j = self.arcs[self.arc_specs.index(n)]
+                raise GraphError(f"arc ({i},{j}) costs the vehicle a non-finite energy") from None
+        return attrs
 
     def to_json(self) -> dict:
         """The normalized document: no node ``x``/``y``, no repeated arc, floats, all entries."""
@@ -259,6 +280,8 @@ def _arc_spec(i, j, length, speed, energy) -> tuple:
         energy = None if energy is _NO_ENERGY else float(energy)
     except (TypeError, ValueError):
         raise GraphError(f"arc ({i},{j}) has a non-numeric length, speed or energy") from None
+    except OverflowError:  # an integer beyond the float range
+        raise GraphError(f"arc ({i},{j}) has a length, speed or energy beyond a float") from None
     if speed <= 0:
         raise GraphError(f"arc ({i},{j}) has nonpositive speed")
     # an arc the vehicle is to price is checked with a stand-in energy of 0
@@ -280,9 +303,10 @@ def parse_graph(doc) -> GraphSpec:
             if isinstance(n, dict):
                 require_keys(n, ("id",), f"node #{k}")
     # each distinct raw (length_m, speed_mps, energy_kwh) is converted and
-    # checked once, and its arcs share one spec; a spec that fails raises
-    # before it is stored, so every bad arc names itself
-    arcs, specs, seen = {}, [], {}
+    # checked once, and raw values that convert alike (10, 10.0 and "10")
+    # share one spec; a spec that fails raises before it is stored, so every
+    # bad arc names itself
+    arcs, specs, seen, by_value = {}, [], {}, {}
     for k, a in enumerate(doc["arcs"]):
         try:
             i, j = a["i"], a["j"]
@@ -295,23 +319,27 @@ def parse_graph(doc) -> GraphSpec:
         except TypeError:  # a list or an object, which _arc_spec rejects
             n = None
         if n is None:
-            specs.append(_arc_spec(i, j, *raw))
-            n = seen[raw] = len(specs) - 1
+            spec = _arc_spec(i, j, *raw)
+            n = seen[raw] = by_value.setdefault(spec, len(specs))
+            if n == len(specs):
+                specs.append(spec)
         try:
             arcs[(i, j)] = n
         except TypeError:
             raise GraphError(f"graph arc #{k}: a node id cannot be a list or an object") from None
-    return GraphSpec(tuple(arcs), tuple(arcs.values()), tuple(specs), *_checked_ids(
-        nodes, arcs, doc.get("scs", ()), doc.get("med_cycle", ()), doc.get("entries")))
+    # renumber the specs the arcs use in the order they first use them; a
+    # spec only an overridden repeat of an arc used is dropped
+    used = {n: k for k, n in enumerate(dict.fromkeys(arcs.values()))}
+    return GraphSpec(tuple(arcs), tuple(map(used.__getitem__, arcs.values())),
+                     tuple(specs[n] for n in used), *_checked_ids(
+                         nodes, arcs, doc.get("scs", ()), doc.get("med_cycle", ()),
+                         doc.get("entries")))
 
 
 def load_graph(doc, vehicle: VehicleParams | None = None, visit_limit: int = 2) -> RoadGraph:
     """A graph from a :class:`GraphSpec`, a JSON document or a path; ``vehicle`` prices arcs."""
     spec = doc if isinstance(doc, GraphSpec) else parse_graph(doc)
-    if vehicle is None and any(attr is None for *_, attr in spec.specs):
-        raise GraphError("an arc lacks energy_kwh and no vehicle was given")
-    attrs = [attr or ArcAttr(length / speed, segment_energy(vehicle, speed, length / speed),
-                             length) for length, speed, attr in spec.specs]
+    attrs = spec.priced(vehicle)
     arcs = dict(zip(spec.arcs, map(attrs.__getitem__, spec.arc_specs)))
     return RoadGraph(spec.nodes, arcs, spec.scs, spec.med_cycle, visit_limit, spec.entries)
 

@@ -33,9 +33,8 @@ class Stranded(Exception):
 def _dijkstra_dist(adj, source):
     """Distances from position ``source`` over a cost table (see ``RoadGraph.cost_table``).
 
-    An ``array('d')`` indexed by position, :data:`INFINITE` where a node is
-    unreachable. The search runs on a list; the array it returns holds each
-    retained map in 8 bytes per node.
+    An ``array('d')`` (8 bytes per node) indexed by position, :data:`INFINITE`
+    where a node is unreachable; the search itself runs on a list.
     """
     dist = [INFINITE] * len(adj)
     dist[source] = 0.0
@@ -53,12 +52,8 @@ def _dijkstra_dist(adj, source):
 
 
 class CachedPath(tuple):
-    """A path's node tuple, carrying its arcs.
-
-    ``attrs`` lists the path's arcs (``ArcAttr``) in path order.
-    ``drive_s`` and ``energy_kwh`` are left folds over them in path order,
-    so they are bit-identical to a per-arc walk over the graph.
-    """
+    """A path's node tuple, carrying its arcs ``attrs`` (``ArcAttr``) in path order and
+    ``drive_s`` and ``energy_kwh``, left folds over them bit-identical to a per-arc walk."""
 
 
 def _cached_path(nodes, attrs):
@@ -76,15 +71,11 @@ def _cached_path(nodes, attrs):
 class PathCache:
     """Memoized single-source distance maps and path reconstructions.
 
-    One per network, shared by every run on it: the runs on an equal graph
-    value, vehicle and visit limit (see ``sim.run``); routing
-    repeatedly asks for distances from the same sources (EV positions) and
-    to the same targets (chargers, destinations), so the maps are worth
-    keeping. It holds only graph-derived data, never ledger or population
-    state. The searches read the graph's cost tables, which every cache on
-    that graph shares. Queries take node ids; a distance map is an
-    ``array('d')`` indexed by node position (``g.index``), with
-    :data:`INFINITE` where no path exists.
+    One per network, shared by every run on it (see ``sim.network_for``):
+    routing asks again and again for distances from EV positions and to
+    chargers and destinations. It holds only graph-derived data. Queries
+    take node ids; a distance map is an ``array('d')`` indexed by node
+    position (``g.index``), :data:`INFINITE` where no path exists.
     """
 
     def __init__(self, g: RoadGraph):
@@ -128,15 +119,12 @@ def _lex_path(adj, order, source, target, rev_dist):
     """A minimum-cost path between positions ``source`` != ``target`` over the cost table ``adj``.
 
     Follows tight arcs (arc cost plus the head's distance to ``target``
-    equals the tail's) depth first, smallest neighbour position first, so
-    without a dead end the path is the greedy smallest-id walk. Tightness
-    is exact float equality, so no step adds slack: the path costs the
-    distance, but for the rounding of summing its arcs in the other order.
-    A reachable node always has a tight arc: the search set its distance
-    to ``d + cost`` over one arc, and float addition commutes. Zero-cost
-    arcs can lead that walk to a node whose tight arcs all return to visited
-    nodes; the search then backs up and tries the next tight arc. The path
-    comes back as node ids, mapped through ``order``.
+    equals the tail's, as exact float equality, so no step adds slack) depth
+    first, smallest neighbour position first: without a dead end, the greedy
+    smallest-id walk. A reachable node always has a tight arc, as the search
+    set its distance to ``d + cost`` over one arc. Zero-cost arcs can lead
+    to a node whose tight arcs all return to visited nodes; the search then
+    backs up and tries the next. The path comes back as ids, via ``order``.
     """
     if rev_dist[source] == INFINITE:
         raise NoPath(f"no path from {order[source]} to {order[target]}")
@@ -168,11 +156,10 @@ def _lex_path(adj, order, source, target, rev_dist):
 def _arrival_level(path: CachedPath, eps: float):
     """The battery level at the path's end, folded arc by arc; None if it runs below zero.
 
-    The fold is the one :func:`_drive` makes, so the level is the walk's,
-    bit for bit. It is compared once, at the end, as good as after every
-    arc: arc energies are finite and nonnegative (``ArcAttr``), and taking a
-    nonnegative float away never raises a float, so the lowest level is the
-    last. A path with no arcs checks no level: it is feasible from any start.
+    The fold is :func:`_drive`'s, so the level is the walk's, bit for bit.
+    One comparison at the end is exact: arc energies are finite and
+    nonnegative (``ArcAttr``), so the lowest level is the last. A path with
+    no arcs checks no level: it is feasible from any start.
     """
     for attr in path.attrs:
         eps -= attr.energy_kwh
@@ -298,17 +285,15 @@ def _plus_stops(drive_s: float, a: RouteAssignment) -> float:
 def _plan_findings(g: RoadGraph, a: RouteAssignment, tol: float):
     """The plan checks that need only the graph: the one walk and energy replay.
 
-    Returns ``(findings, levels)``. ``findings`` lists ``(constraint id,
-    message)`` pairs in check order: (2) the walk, (3) the attach spans and
-    (10) the station visits, each with a negative wait there as (4), then
-    the trace length (4), the energy replay (4)-(7) and the stored total
-    time (4). ``levels`` holds the replayed battery level at each node of
-    the walk, after any station charge there. Every arc is read from the
-    graph itself, never from a path cache, so the router is checked
-    independently; one lookup per arc serves the walk, the replay and the
-    drive-time fold, the same left fold the router makes while it composes
-    the walk. A recorded level that disagrees with the replay reads (7) at
-    a station visit, where the battery must be full, and (4) elsewhere.
+    Returns ``(findings, levels)``: ``(constraint id, message)`` pairs in
+    check order, (2) the walk, (3) the attach spans and (10) the station
+    visits, each with a negative wait there as (4), then the trace length
+    (4), the energy replay (4)-(7) and the stored total time (4); and the
+    replayed level at each node of the walk, after any station charge. Each
+    arc is read once from the graph, never from a path cache, so the router
+    is checked independently; the drive time is the router's left fold. A
+    recorded level that disagrees with the replay reads (7) at a station
+    visit and (4) elsewhere.
     """
     found = []
     Q = a.capacity_kwh
@@ -419,17 +404,21 @@ def attach_run(unit, start_idx, eps, capacity):
     ``eps``. After each segment the EV can ride it yields ``(segment, level,
     attach_s, dispensed)``: the level after it is ``eps - energy + induced``
     capped at ``capacity``; attached drive time and gross energy dispensed
-    are left folds. The run ends before a segment that would dispense more
-    than ``unit.battery_kwh`` or leave the level below zero (each beyond
-    :data:`_EPS_TOL`), and after ``unit.max_passes`` whole cycles.
+    are left folds. The charger's budget is per cycle pass, so a second
+    fold of the energy dispensed restarts each time the run crosses cycle
+    index 0, where a pass begins. The run ends before a segment that would
+    take that fold past ``unit.battery_kwh`` or leave the level below zero
+    (each beyond :data:`_EPS_TOL`), and after ``unit.max_passes`` whole
+    cycles. The fold within a pass is the share ``MedState`` books.
     """
     segs = unit.segments
     budget, floor = unit.battery_kwh + _EPS_TOL, -_EPS_TOL
-    attach_s = dispensed = 0.0
+    attach_s = dispensed = in_pass = 0.0
     for seg in islice(cycle(segs), start_idx, start_idx + unit.max_passes * len(segs)):
         induced = seg.induced_kwh
         dispensed += induced
-        if dispensed > budget:
+        in_pass = induced if seg.index == 0 else in_pass + induced
+        if in_pass > budget:
             return
         level = eps - seg.energy_kwh + induced
         eps = level if level < capacity else capacity
@@ -463,17 +452,14 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
     """Pick the reachable energy point minimizing the EV's time outlay.
 
     Every station and cycle point the comms gate lets through is scored:
-    drive there (on the time-shortest path, which must be energy-feasible),
-    plus queue wait and charge time for stations, plus meeting wait and
-    attached drive for mobile chargers, plus the drive-time estimate from
-    the exit point to the destination. Each stop is priced from the level
-    :func:`_arrival_level` folds, the one the walk records there.
-
-    The winner has the smallest ``(score, kind != "scs", point)``: ties
-    prefer stations, then smaller node ids, and of points equal in all three
-    the first scored wins. Each point is compared as soon as it is scored,
-    with a strict ``<`` as ``min`` compares, and only the winner is built
-    into a :class:`_Candidate`.
+    drive there on the time-shortest path, which must be energy-feasible,
+    plus queue wait and charge time at a station, or meeting wait and
+    attached drive at a mobile charger, plus the drive time on from the exit
+    point. Each stop is priced from the level :func:`_arrival_level` folds,
+    the one the walk records there. The winner has the smallest ``(score,
+    kind != "scs", point)``: ties prefer stations, then smaller ids, then the
+    first scored, as each point is compared with a strict ``<`` as soon as
+    it is scored. Only the winner becomes a :class:`_Candidate`.
     """
     Q = request.capacity_kwh
     rev_time = caches.rev(request.dest, "time")
@@ -561,17 +547,12 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
     A feasible direct path is returned untouched. Otherwise charging stops
     are inserted one at a time via :func:`find_best_energy_point`, each
     booked against the live ledgers, until the path on from the last stop is
-    feasible. Raises :class:`Stranded` when no plan exists within
-    :data:`LEG_LIMIT` stops. A ledger that rejects the slot the router
-    priced raises ``RuntimeError``: in a sequential run nothing changes
-    between pricing and booking, so a rejection means the scorer and the
-    ledger disagree.
-
-    The walk is composed in one pass: each node is appended with the
-    battery level there, and the drive time is folded arc by arc in walk
-    order, the left fold a per-arc walk of the finished route makes. Each
-    stop is recorded from the one level chain it was priced on: a station's
-    arrival level, or the ride the scorer priced, nodes and levels as they are.
+    feasible; :class:`Stranded` when no plan exists within :data:`LEG_LIMIT`
+    stops. A ledger that rejects the slot the router priced raises
+    ``RuntimeError``, as nothing changes between pricing and booking. The
+    walk is composed in one pass, folding levels and drive time arc by arc
+    in walk order, and each stop is recorded from the level chain it was
+    priced on: a station's arrival level, or the ride the scorer priced.
     """
     caches = caches or PathCache(g)
     Q = request.capacity_kwh
@@ -614,8 +595,7 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
             att = MedAttach.build(plan.unit, plan.start_idx, plan.pass_no, len(plan.ride),
                                   meet_leg, plan.wait_s, attach_s, eps - meet_eps, dispensed)
             start = arrival + plan.wait_s
-            booked = plan.unit.book_attach(request.ev, att.booking_keys, att.dispensed_kwh,
-                                           start, start + attach_s)
+            booked = plan.unit.book_attach(request.ev, att.booking_keys, start, start + attach_s)
             q_points.append(att)
             elapsed += plan.wait_s + attach_s
         if not booked.accepted:

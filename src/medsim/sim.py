@@ -2,9 +2,10 @@
 
 A run spawns EVs at entry points over a horizon, routes each one at its
 arrival instant against the live booking ledgers, and collects per-EV and
-aggregate metrics. Time is continuous; the only state-changing events are
-EV arrivals and the mobile charger's depot refills, both processed in time
-order, so a run is fully deterministic for a given seed.
+aggregate metrics. Time is continuous; the only event is an EV arrival,
+processed in time order, so a run is fully deterministic for a given seed.
+A mobile charger's energy budget is per cycle pass and kept in its ledger
+(:class:`~medsim.charging.MedState`), not on a clock.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ DEFAULT_INDUCTION = InductionParams(c_ind=0.75, p_ind_kw=40.0)
 
 @dataclass
 class MedSpec:
-    battery_kwh: float = 200.0      # infinite: the charger never runs dry
+    battery_kwh: float = 200.0      # per cycle pass; infinite: never runs dry
     p_ind_kw: float | None = None   # falls back to the induction block
     start_s: float = 0.0
 
@@ -99,6 +100,7 @@ class Scenario:
         check_visit_limit(self.visit_limit)
         if not isinstance(self.graph, GraphSpec):
             self.graph = parse_graph(self.graph)
+        self.graph.priced(self.vehicle)  # every arc costs the vehicle a finite energy
         for node, rate in self.scs:
             if not rate > 0.0:
                 raise ValueError(f"station {node} rate_kw must be positive, got {rate}")
@@ -339,10 +341,9 @@ class RunMetrics:
 class Network:
     """A loaded road graph and its path cache, keyed on what they were built from.
 
-    Both hold only graph-derived data, so one network can serve every run
-    whose scenario has an equal ``key``: the graph value, the vehicle and
-    the visit limit, and the graph's id types, as the outputs print 1 and
-    1.0 apart. Ledgers, infrastructure and the population stay per run.
+    One network serves every run whose scenario has an equal ``key``: the
+    graph value and its id types (the outputs print 1 and 1.0 apart), the
+    vehicle and the visit limit. Ledgers and the population stay per run.
     """
 
     graph: RoadGraph
@@ -407,15 +408,11 @@ def run(scenario: Scenario, keep_assignments: bool = True) -> RunMetrics:
     """Simulate one scenario and collect metrics.
 
     EVs are routed in arrival order against live ledgers; stranded EVs are
-    recorded with the penalty travel time rather than aborting the run. In
-    mode "SCS" the mobile chargers exist but take no bookings.
-
-    Eligibility is decided once per EV, by which charger gate its routing
-    gets: :func:`_refuse_all` for an EV the comms drop excluded, else
-    :func:`_refuse_med` in mode "SCS", else no gate at all.
-
-    The graph and its path cache come from :func:`network_for`, so a run
-    on an equal graph, vehicle and visit limit reuses the last run's.
+    recorded with the penalty travel time rather than aborting the run. An
+    EV's charger gate is :func:`_refuse_all` if the comms drop excluded it,
+    else :func:`_refuse_med` in mode "SCS" (the mobile chargers take no
+    bookings), else none. The graph and its path cache come from
+    :func:`network_for`, so a run on an equal network reuses the last one.
     """
     network = network_for(scenario)
     g, caches = network.graph, network.caches
@@ -428,7 +425,6 @@ def run(scenario: Scenario, keep_assignments: bool = True) -> RunMetrics:
     open_gate = None if scenario.mode == "SCS_MED" else _refuse_med
 
     for rec in metrics.rows:
-        infra.advance_to(rec.t_arrival_s)
         request = EvRequest(rec.ev, rec.source, rec.dest,
                             scenario.vehicle.capacity_kwh, rec.energy_kwh)
         try:

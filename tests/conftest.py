@@ -106,6 +106,69 @@ def objective_time(g, a) -> float:
     return t + sum(p.wait_s for p in a.q_points)
 
 
+def fleet_audit(g, metrics, tol: float = 1e-6):
+    """Problems in a run's plans against its final mobile-charger ledgers; empty when clean.
+
+    Each served EV's plan is walked in time from its departure: an arc adds
+    its drive time, read from ``g``, a station visit its wait and charge,
+    and an attach its wait, which ends at the meet. Each attach must match
+    one booking of its charger by EV and segment keys, starting at the meet
+    and ending ``attach_s`` later. The meet must be a time the charger's
+    schedule puts it at the meet point, ``start_s + cum_starts[idx] + pass
+    * cycle_time_s`` with ``pass >= 0``, where ``(idx, pass)`` is the first
+    key. Then each charger's booked segments are summed per pass, and no
+    pass may dispense more than ``battery_kwh``. The sums read the
+    segments' induced energies, not the ledger's running totals.
+    """
+    problems = []
+    meds = metrics.infrastructure.med_units
+    unmatched = {id(med): list(med.bookings) for med in meds}
+    for a in filter(None, metrics.assignments):
+        stops = {v.leg_index: v.wait_s + v.charge_s for v in a.z_visits}
+        attaches = {q.leg_index: q for q in a.q_points}
+        t = a.depart_s
+        for k, node in enumerate(a.legs):
+            t += stops.get(k, 0.0)
+            q = attaches.get(k)
+            if q is not None:
+                t += q.wait_s
+                problems += _audit_attach(meds, unmatched, a.ev, q, t, tol)
+            if k + 1 < len(a.legs):
+                t += g.arc(node, a.legs[k + 1]).drive_time_s
+    for med in meds:
+        problems += [f"{b.ev}: a booking no plan holds" for b in unmatched[id(med)]]
+        spent = {}
+        for b in med.bookings:
+            for seg, pass_no in b.segment_keys:
+                spent[pass_no] = spent.get(pass_no, 0.0) + med.segments[seg].induced_kwh
+        problems += [f"pass {p} dispenses {e} kWh, more than the {med.battery_kwh} kWh battery"
+                     for p, e in sorted(spent.items()) if e > med.battery_kwh + tol]
+    return problems
+
+
+def _audit_attach(meds, unmatched, ev, q, meet_s, tol):
+    """Problems of one attach met at ``meet_s``: its booking and the charger's schedule."""
+    for med in meds:
+        for b in unmatched[id(med)]:
+            if b.ev == ev and b.segment_keys == q.booking_keys:
+                unmatched[id(med)].remove(b)
+                idx, pass_no = q.booking_keys[0]
+                due = med.start_s + med.cum_starts[idx] + pass_no * med.cycle_time_s
+                found = []
+                if med.points[idx] != q.meet_node:
+                    found.append(f"{ev}: meets at {q.meet_node}, not at cycle point {idx}")
+                if pass_no < 0:
+                    found.append(f"{ev}: books pass {pass_no}, before the charger starts")
+                if not abs(meet_s - due) <= tol * max(1.0, abs(due)):
+                    found.append(f"{ev}: meets at {meet_s} s, the charger is there at {due} s")
+                if not (abs(b.start_s - meet_s) <= tol * max(1.0, meet_s)
+                        and abs(b.end_s - (meet_s + q.attach_s)) <= tol * max(1.0, meet_s)):
+                    found.append(f"{ev}: booked for [{b.start_s}, {b.end_s}] s, "
+                                 f"rides from {meet_s} s for {q.attach_s} s")
+                return found
+    return [f"{ev}: no booking holds the keys {q.booking_keys}"]
+
+
 # -- reference copies of the router's scoring, for differential tests -------
 #
 # Each keeps the plain form the router once had: every try of the cycle-pass
@@ -114,13 +177,27 @@ def objective_time(g, a) -> float:
 # and checked after every arc, by route_level above.
 
 
+def ref_pass_shares(unit, keys):
+    """Each pass's share of a span's energy: its segments' induced energies summed in order."""
+    shares = {}
+    for seg, pass_no in keys:
+        shares[pass_no] = shares.get(pass_no, 0.0) + unit.segments[seg].induced_kwh
+    return shares
+
+
 def ref_waiting(unit, start_idx, ev_arrival_s, n_segments):
-    """``MedState.waiting``, building each try's keys with ``segment_keys``."""
+    """``MedState.waiting``, building each try's keys with ``segment_keys``.
+
+    A try fits when no key is booked and every pass the keys touch holds
+    its share on top of what it has dispensed already.
+    """
     arrival = unit.arrival_at(start_idx, ev_arrival_s)
     while True:
         pass_no = unit.pass_number(start_idx, arrival)
         keys = unit.segment_keys(start_idx, pass_no, n_segments)
-        if not any(k in unit.segment_bookings for k in keys):
+        if not any(k in unit.segment_bookings for k in keys) and all(
+                unit.pass_dispensed.get(p, 0.0) + share <= unit.battery_kwh + _EPS_TOL
+                for p, share in ref_pass_shares(unit, keys).items()):
             return arrival - ev_arrival_s, pass_no
         arrival += unit.cycle_time_s
 
@@ -132,11 +209,14 @@ def ref_plan_med_span(unit, start_idx, eps_at_meet, capacity, need_to_finish):
     eps = eps_at_meet
     dispensed = 0.0
     attach_s = 0.0
+    per_pass = {}  # the energy the ride takes from each cycle pass
     ride = []
     for n in range(unit.max_passes * u):
         seg = segs[(start_idx + n) % u]
         dispensed += seg.induced_kwh
-        if dispensed > unit.battery_kwh + _EPS_TOL:
+        pass_no = (start_idx + n) // u
+        per_pass[pass_no] = per_pass.get(pass_no, 0.0) + seg.induced_kwh
+        if per_pass[pass_no] > unit.battery_kwh + _EPS_TOL:
             return None
         eps = min(capacity, eps - seg.energy_kwh + seg.induced_kwh)
         if eps < -_EPS_TOL:
@@ -152,16 +232,21 @@ def ref_attach_run(unit, start_idx, eps, capacity):
     """Every prefix of ``routing.attach_run``, as a list, stepped out by hand.
 
     Item ``n`` is ``(segment, level, attach_s, dispensed)`` after riding
-    ``n + 1`` segments; the list ends where the run must stop.
+    ``n + 1`` segments; the list ends where the run must stop. The budget
+    is per cycle pass: the energy taken from each pass, numbered as the
+    segment keys number it, is summed apart.
     """
     segs = unit.segments
     prefixes = []
+    per_pass = {}
     for n in range(unit.max_passes * len(segs)):
         seg = segs[(start_idx + n) % len(segs)]
         _, level, attach_s, dispensed = prefixes[-1] if prefixes else (None, eps, 0.0, 0.0)
         dispensed += seg.induced_kwh
+        pass_no = (start_idx + n) // len(segs)
+        per_pass[pass_no] = per_pass.get(pass_no, 0.0) + seg.induced_kwh
         level = min(capacity, level - seg.energy_kwh + seg.induced_kwh)
-        if dispensed > unit.battery_kwh + _EPS_TOL or level < -_EPS_TOL:
+        if per_pass[pass_no] > unit.battery_kwh + _EPS_TOL or level < -_EPS_TOL:
             break
         prefixes.append((seg, level, attach_s + seg.drive_s, dispensed))
     return prefixes

@@ -207,36 +207,59 @@ class TestRequiredAttachSpan:
 
 
 class TestMedBooking:
-    def test_four_full_recharges_then_reject(self):
+    """One energy budget per cycle pass: the ledger sums each pass's share."""
+
+    def med(self, battery_kwh, start_s=0.0):
+        # 600 s segments at 40 kW and 0.75 coupling: 5.0 kWh induced per segment
         g = ring_graph([600, 600, 600, 600], energy=0.23625)
-        med = MedState(g, InductionParams(0.75, 40.0), battery_kwh=200.0)
-        for k in range(4):
-            res = med.book_attach(f"ev{k}", ((0, k),), 50.0, k * 1000.0,
-                                  k * 1000.0 + 600.0)
-            assert res.accepted
-        fifth = med.book_attach("ev4", ((0, 9),), 50.0, 9000.0, 9600.0)
-        assert not fifth.accepted
-        assert med.battery_kwh == pytest.approx(0.0)
+        return MedState(g, InductionParams(0.75, 40.0), battery_kwh=battery_kwh,
+                        start_s=start_s)
+
+    def test_each_pass_has_its_own_budget(self):
+        med = self.med(12.0)
+        assert med.book_attach("a", ((0, 0), (1, 0)), 0.0, 1200.0).accepted
+        # a third segment would take pass 0 to 15 kWh
+        assert not med.book_attach("b", ((2, 0),), 1200.0, 1800.0).accepted
+        for k in range(1, 5):
+            assert med.book_attach(f"c{k}", ((2, k),), 2400.0 * k, 2400.0 * k + 600.0).accepted
+        assert med.pass_dispensed == {0: 10.0, 1: 5.0, 2: 5.0, 3: 5.0, 4: 5.0}
+        assert med.battery_kwh == 12.0
 
     def test_segment_conflict_rejected(self):
         g = ring_graph([100, 100, 100, 100])
         med = MedState(g, InductionParams(0.75, 40.0))
-        assert med.book_attach("a", ((1, 0), (2, 0)), 1.0, 0.0, 200.0).accepted
-        assert not med.book_attach("b", ((2, 0),), 1.0, 0.0, 100.0).accepted
-        assert med.book_attach("b", ((2, 1),), 1.0, 400.0, 500.0).accepted
+        assert med.book_attach("a", ((1, 0), (2, 0)), 0.0, 200.0).accepted
+        assert not med.book_attach("b", ((2, 0),), 0.0, 100.0).accepted
+        assert med.book_attach("b", ((2, 1),), 400.0, 500.0).accepted
 
-    def test_depot_refill_at_cycle_start(self):
-        g = ring_graph([100, 100, 100, 100])
-        med = MedState(g, InductionParams(0.75, 40.0), battery_kwh=200.0)
-        med.book_attach("a", ((0, 0),), 150.0, 0.0, 100.0)
-        assert med.battery_kwh == pytest.approx(50.0)
-        med.advance_to(med.cycle_time_s + 1.0)
-        assert med.battery_kwh == pytest.approx(200.0)
+    def test_a_span_across_the_cycle_start_is_charged_to_both_passes(self):
+        med = self.med(12.0)
+        assert med.book_attach("a", ((3, 0), (0, 1), (1, 1)), 1800.0, 3600.0).accepted
+        assert med.pass_dispensed == {0: 5.0, 1: 10.0}
+        assert not med.book_attach("b", ((2, 1),), 3600.0, 4200.0).accepted
+        # pass 0 holds 5 kWh of the span, so 10 more would pass 12
+        assert not med.book_attach("b", ((1, 0), (2, 0)), 600.0, 1800.0).accepted
+        assert med.book_attach("b", ((1, 0),), 600.0, 1200.0).accepted
+        assert med.pass_dispensed == {0: 10.0, 1: 10.0}
 
-    def test_battery_never_negative_between_refills(self):
-        g = ring_graph([100, 100, 100, 100])
-        med = MedState(g, InductionParams(0.75, 40.0), battery_kwh=100.0)
-        med.book_attach("a", ((0, 0),), 80.0, 0.0, 100.0)
-        med.book_attach("b", ((1, 0),), 80.0, 0.0, 100.0)  # rejected, 80 > 20
-        assert med.battery_kwh >= 0.0
-
+    @settings(max_examples=150, deadline=None)
+    @given(battery=st.sampled_from((5.0, 12.0, 14.999999999, 200.0, math.inf)),
+           start_s=st.sampled_from((0.0, 700.0)),
+           tries=st.lists(st.tuples(st.integers(0, 3), st.floats(0.0, 20000.0),
+                                    st.integers(1, 6)), max_size=30))
+    def test_waiting_picks_a_pass_the_ledger_accepts(self, battery, start_s, tries):
+        # every span the wait search settles on books, and no pass ever
+        # dispenses more than the battery
+        med = self.med(battery, start_s)
+        for k, (idx, now, n) in enumerate(tries):
+            try:
+                wait, pass_no = med.waiting(idx, now, n)
+            except ValueError:  # one pass of the span alone needs more than the battery
+                assert max(med._pass_shares(med.segment_keys(idx, 0, n)).values()) > battery
+                continue
+            keys = med.segment_keys(idx, pass_no, n)
+            start = now + wait
+            assert start >= start_s + med.cum_starts[idx] and pass_no >= 0
+            assert med.book_attach(f"ev{k}", keys, start, start + 600.0 * n).accepted
+        for spent in med.pass_dispensed.values():
+            assert spent <= battery + 1e-9

@@ -506,7 +506,8 @@ class TestInvalidFiles:
     @pytest.mark.parametrize("argv", [
         ["run", "--out-csv", "out.csv"],
         ["sweep", "--out", "out.csv", "--evs", "0", "--seeds", "0"],
-    ], ids=["run", "sweep"])
+        ["route", "--source", "0", "--dest", "9", "--energy", "5", "--out", "out.csv"],
+    ], ids=["run", "sweep", "route"])
     @pytest.mark.parametrize("edit,message", [
         (lambda doc: doc["radio"].update(beacon="on"),
          "scenario: radio block has an unknown key 'beacon'"),
@@ -549,11 +550,18 @@ class TestInvalidFiles:
         (lambda doc: doc.update(entries=[0, {"id": 1}]),
          "scenario entries: a node id cannot be a list or an object"),
         (lambda doc: doc.update(visit_limit=0), "visit_limit must be an integer >= 1"),
+        (lambda doc: doc["graph"]["arcs"][0].update(speed_mps=1e200, length_m=1e250),
+         "scenario: arc (0,1) costs the vehicle a non-finite energy"),
+        (lambda doc: doc["graph"]["arcs"][0].update(speed_mps=1e120, length_m=1e200),
+         "scenario: arc (0,1) costs the vehicle a non-finite energy"),
+        (lambda doc: doc["graph"]["arcs"][0].update(length_m=10 ** 400),
+         "scenario: arc (0,1) has a length, speed or energy beyond a float"),
     ], ids=["radio-unknown-key", "horizon-inf", "horizon-nan", "horizon-negative",
             "penalty-inf", "penalty-negative", "rate-nan", "rate-zero", "station-not-a-station",
             "station-not-a-node", "entry-not-a-node", "med-without-cycle", "node-id-list",
             "node-id-object", "arc-tail-list", "graph-scs-list", "graph-med-cycle-object",
-            "graph-entries-list", "entries-list", "entries-object", "visit-limit-zero"])
+            "graph-entries-list", "entries-list", "entries-object", "visit-limit-zero",
+            "speed-squared-overflows", "energy-overflows", "length-beyond-a-float"])
     def test_rejected_run_input(self, tmp_path, capsys, monkeypatch, argv, edit, message):
         # an infinite horizon once hung the run, a NaN one crashed it and a
         # negative one gave negative arrival times; an infinite penalty made
@@ -561,8 +569,10 @@ class TestInvalidFiles:
         # station id off the graph raised a bare KeyError, and one at a plain
         # node left the graph's station unused; a rate of 0 or a charger with
         # no cycle to drive raised a traceback, and so did a node id that is
-        # a JSON list or object. With no EVs a missed input runs to exit 0
-        # rather than hanging the suite.
+        # a JSON list or object, an arc speed whose square overflows a float
+        # and a length beyond one; an arc the vehicle priced to an infinite
+        # energy aborted a sweep with exit 1. With no EVs a missed input runs
+        # to exit 0 rather than hanging the suite.
         monkeypatch.chdir(tmp_path)
         cells = []
         monkeypatch.setattr(cli, "_sweep_cell", lambda *args: cells.append(args))

@@ -44,12 +44,19 @@ def waiting_cases(draw):
     passes from the first one the EV could ride, so a search makes at least
     ``wall + 1`` tries. The ledger also holds random keys on the passes
     around that first one, so a span that wraps past the cycle start meets
-    bookings one pass on; passes are negative when the EV reaches the cycle
-    before the charger starts.
+    bookings one pass on, and random energy already dispensed on those
+    passes. The charger's battery holds one to three whole passes' worth,
+    or is infinite, so a pass can be too drained for the span but no span
+    is too big for an empty pass. An EV that reaches the cycle before the
+    charger starts rides pass 0 at the earliest.
     """
     u = draw(st.integers(2, 5))
-    unit = MedState(ring(draw(st.lists(DRIVE_S, min_size=u, max_size=u)),
-                         draw(st.integers(1, 3))), TEST_INDUCTION,
+    g = ring(draw(st.lists(DRIVE_S, min_size=u, max_size=u)), draw(st.integers(1, 3)))
+    full_pass = sum(MedState(g, TEST_INDUCTION)._pass_shares((k, 0) for k in range(u))
+                    .values())
+    unit = MedState(g, TEST_INDUCTION,
+                    battery_kwh=draw(st.one_of(st.just(math.inf),
+                                               st.floats(1.0, 3.0).map(full_pass.__mul__))),
                     start_s=draw(st.one_of(st.just(0.0), st.floats(0.1, 5000.0))))
     start_idx = draw(st.integers(0, u - 1))
     n_segments = draw(st.integers(1, unit.max_passes * u))
@@ -58,6 +65,10 @@ def waiting_cases(draw):
     for seg, ahead in draw(st.lists(st.tuples(st.integers(0, u - 1), st.integers(-3, 16)),
                                     max_size=30)):
         unit.segment_bookings[(seg, first + ahead)] = "other"
+    budget = unit.battery_kwh if unit.battery_kwh < math.inf else 3 * full_pass
+    for ahead, share in draw(st.lists(st.tuples(st.integers(-1, 16), st.floats(0.0, 1.0)),
+                                      max_size=10)):
+        unit.pass_dispensed[first + ahead] = share * budget
     wall = draw(st.integers(0, 14))
     for k in range(wall):
         unit.segment_bookings[(start_idx, first + k)] = "wall"
@@ -76,10 +87,10 @@ class TestWaiting:
         assert pass_no >= first + wall
 
     def test_a_wall_of_twelve_passes_takes_thirteen_tries(self):
-        # the EV reaches the cycle before the charger starts, on pass -2
+        # the EV reaches the cycle before the charger starts, so pass 0 is its first
         unit = MedState(ring([100.0, 200.3, 50.1], 2), TEST_INDUCTION, start_s=700.0)
         first = unit.pass_number(1, unit.arrival_at(1, 0.0))
-        assert first == -2
+        assert first == 0
         for k in range(12):
             unit.segment_bookings[(1, first + k)] = "wall"
         wait, pass_no = unit.waiting(1, 0.0, 2)
@@ -183,18 +194,22 @@ def attach_cases(draw):
     """A charger cycle of 2-6 segments, an EV meeting it, and what each point needs.
 
     Each segment's arc and induced energies are drawn, zeros included. The
-    charger's budget is finite or infinite; the EV's capacity, its level at
-    the meeting point and the energy each cycle point's remaining trip
-    needs (infinite: no way on) are drawn too.
+    charger's budget is finite or infinite, or a share of one whole pass's
+    induced energy, so a run that crosses the cycle start often needs the
+    budget restart; the EV's capacity, its level at the meeting point and
+    the energy each cycle point's remaining trip needs (infinite: no way
+    on) are drawn too.
     """
     u = draw(st.integers(2, 6))
     unit = MedState(ring(draw(st.lists(DRIVE_S, min_size=u, max_size=u)),
-                         draw(st.integers(1, 3))), TEST_INDUCTION,
-                    battery_kwh=draw(st.one_of(st.just(math.inf), st.floats(0.0, 30.0))))
+                         draw(st.integers(1, 3))), TEST_INDUCTION)
     unit.segments = tuple(
         replace(seg, energy_kwh=draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0))),
                 induced_kwh=draw(st.one_of(st.just(0.0), st.floats(0.0, 6.0))))
         for seg in unit.segments)
+    full_pass = sum(seg.induced_kwh for seg in unit.segments)
+    unit.battery_kwh = draw(st.one_of(st.just(math.inf), st.floats(0.0, 30.0),
+                                      st.floats(0.4, 1.0).map(full_pass.__mul__)))
     capacity = draw(st.floats(0.5, 20.0))
     eps = draw(st.one_of(st.floats(0.0, capacity), st.sampled_from((0.0, -5e-10, capacity))))
     need = draw(st.lists(st.one_of(st.floats(0.0, 25.0), st.just(math.inf)),
@@ -222,8 +237,11 @@ class TestAttachRun:
         unit = MedState(ring([10.0, 20.0, 30.0], 2), TEST_INDUCTION)
         unit.segments = tuple(replace(seg, energy_kwh=1.0, induced_kwh=2.0)
                               for seg in unit.segments)
-        # budget plus tolerance landing exactly on a dispensed sum still allows it
-        for budget, want in ((math.inf, 6), (5.0, 2), (4.0 - 1e-9, 2), (4.0 - 2e-9, 1)):
+        # from point 1 the six segments take 2, 4 | 2, 4, 6 | 2 kWh from
+        # passes 0, 1 and 2: the budget restarts where each pass begins, and
+        # a budget plus tolerance landing exactly on a pass's sum still allows it
+        for budget, want in ((math.inf, 6), (6.0 - 1e-9, 6), (6.0 - 2e-9, 4), (5.0, 4),
+                             (4.0 - 1e-9, 4), (4.0 - 2e-9, 1)):
             unit.battery_kwh = budget
             run = list(attach_run(unit, 1, 0.0, 100.0))
             assert len(run) == want and repr(run) == repr(ref_attach_run(unit, 1, 0.0, 100.0))

@@ -444,6 +444,37 @@ class TestOneAttachRecord:
             list(attach_run(med, 1, 1.0, 100.0))) == 8
 
 
+def ring_across_the_cycle_start():
+    """``budget_bound_ring``'s cycle, where only a run across the cycle start reaches the exit.
+
+    The EV comes in on (4, 2) with 3 kWh and leaves on (1, 5), which costs
+    60. From point 2 the run takes 35 and 25 kWh from pass 0 and 10 from
+    pass 1, reaching point 1 with 69 kWh; one 60 kWh budget for the whole
+    run would end it at point 0. Points 3 and 0, the only others the EV
+    can reach, cannot gather 60 kWh by point 1.
+    """
+    arcs = {(4, 2): ArcAttr(100.0, 1.0, 1000.0), (1, 5): ArcAttr(100.0, 60.0, 1000.0)}
+    for (i, j), drive in zip(((0, 1), (1, 2), (2, 3), (3, 0)), (100.0, 200.0, 350.0, 250.0)):
+        arcs[(i, j)] = ArcAttr(drive, 1.0, 1000.0)
+    g = build_graph(range(6), arcs, med_cycle=[0, 1, 2, 3])
+    return OracleInstance(g, EvRequest("c", 4, 5, 100.0, 3.0),
+                          induction=InductionParams(1.0, 360.0), med_battery_kwh=60.0)
+
+
+class TestPassBudgetAcrossTheCycleStart:
+    def test_router_and_oracle_restart_the_budget(self):
+        inst = ring_across_the_cycle_start()
+        routed = find_shortest_path(inst.graph, inst.request, inst.frozen_infrastructure(),
+                                    caches=inst.caches)
+        best = solve_exact(inst).best
+        assert [q.booking_keys for q in routed.q_points] == [((2, 0), (3, 0), (0, 1))]
+        assert verify(inst, routed) == verify(inst, best) == "ok"
+        assert routed.total_time_s == best.total_time_s
+        med = inst.frozen_infrastructure().med_units[0]
+        # 35 + 25 kWh fill pass 0; pass 1 gives 10 + 20 and stops at 35 more
+        assert [seg.index for seg, *_ in attach_run(med, 2, 2.0, 100.0)] == [2, 3, 0, 1]
+
+
 class TestOneStationLevel:
     """A router station stop is priced and recorded from the level its walk holds there."""
 

@@ -140,7 +140,7 @@ class TestGrid:
 
     def test_repeated_arc_specs_load_like_arcs_built_one_by_one(self):
         # one spec as ints, floats and numeric strings, with and without an
-        # energy; arcs with equal raw values share one ArcAttr
+        # energy; arcs whose values convert to equal floats share one ArcAttr
         specs = [
             {"length_m": 2500, "speed_mps": 15},
             {"length_m": 2500.0, "speed_mps": 15.0},
@@ -158,7 +158,7 @@ class TestGrid:
                  for a in doc["arcs"]}
         g = load_graph(doc, vehicle=TEST_VEHICLE)
         assert g.arcs == alone
-        assert len({id(attr) for attr in g.arcs.values()}) == 5
+        assert len({id(attr) for attr in g.arcs.values()}) == 3
 
 
 class TestArcValidation:

@@ -304,9 +304,15 @@ class TestMedPassBudget:
             self.route(visit_limit=1)
 
     def test_charger_battery_caps_the_run(self):
-        # five segments would dispense 3.75 kWh, more than the 3 kWh on board
+        # the five segments from point 0 take 3 kWh from pass 0 and 0.75 kWh
+        # from pass 1; the budget is per pass, so 3 kWh covers the run and
+        # 2.9 kWh ends it after three segments
+        g, a = self.route(battery_kwh=3.0)
+        keys = a.q_points[0].booking_keys
+        p = keys[0][1]
+        assert keys == ((0, p), (1, p), (2, p), (3, p), (0, p + 1))
         with pytest.raises(Stranded):
-            self.route(battery_kwh=3.0)
+            self.route(battery_kwh=2.9)
 
 
 @st.composite
