@@ -2,19 +2,21 @@
 
 A static station serves one EV at a time, first come first served, and every
 visit charges to full. A mobile charger loops a fixed cycle forever; an EV
-meets it at a cycle point, follows it for a contiguous run of segments, and
-each segment of each cycle pass can be booked by at most one EV. Booking
-ledgers are the only mutable state here; everything else is arithmetic.
+meets it at a cycle point and rides it, by the charger's own rule, for a
+contiguous run of segments; each segment of each cycle pass can be booked by
+at most one EV. Only the ledgers and each charger's memo of runs ever change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, cycle, islice
 
 from .energy import InductionParams, induced_energy
 from .road_graph import RoadGraph
 from .routing import _EPS_TOL
+
+STATION_RATE_KW = 19.2  # a station's charge rate where its document gives none
 
 
 @dataclass(frozen=True)
@@ -100,9 +102,9 @@ class MedState:
     numbered by the second element of a segment key. Each pass starts with
     a full dissemination battery, so one pass may dispense at most
     ``battery_kwh`` over all its bookings; an infinite battery never runs
-    dry. How far one attach run may ride, within that budget and
-    ``max_passes`` (the graph's ``visit_limit``) passes of the cycle, is
-    the rule of :func:`medsim.routing.attach_run`, which reads both.
+    dry. The charger owns the ride: :meth:`ride` rules how far an attach
+    run may go, and :meth:`span` records what a run takes from each pass
+    for :meth:`waiting`, :meth:`book_attach` and ``MedAttach.build``.
     """
 
     def __init__(self, graph: RoadGraph, induction: InductionParams,
@@ -125,6 +127,7 @@ class MedState:
         self.segment_bookings: dict[tuple[int, int], str] = {}
         self.pass_dispensed: dict[int, float] = {}  # energy booked per cycle pass
         self.bookings: list[Booking] = []
+        self._spans = {}
 
     # -- geometry of the loop -------------------------------------------------
 
@@ -141,44 +144,76 @@ class MedState:
         elapsed = arrival_s - self.start_s
         return int(round((elapsed - self.cum_starts[point_idx]) / self.cycle_time_s))
 
-    def segment_keys(self, start_idx: int, pass_no: int, n_segments: int):
-        u = len(self.segments)
-        return tuple(((start_idx + k) % u, pass_no + (start_idx + k) // u)
-                     for k in range(n_segments))
+    def ride(self, start_idx: int, eps: float, capacity: float):
+        """The one rule for riding this charger: how far an attach run may go.
 
-    def _pass_shares(self, keys) -> dict:
-        """Each pass's share of a span's ``(segment, pass)`` keys: the left fold, in span
-        order, of its segments' induced energies, as :func:`attach_run` folds a pass."""
-        shares = {}
-        for seg, pass_no in keys:
-            shares[pass_no] = shares.get(pass_no, 0.0) + self.segments[seg].induced_kwh
-        return shares
+        Follows the cycle from point ``start_idx`` with the battery at
+        ``eps``. After each segment the EV can ride it yields ``(segment,
+        level, attach_s)``: the level after it is ``eps - energy + induced``
+        capped at ``capacity``, and the attached drive time is a left fold.
+        The budget is per cycle pass, so the fold of the energy dispensed
+        restarts each time the run crosses cycle index 0, where a pass
+        begins. The run ends before a segment that would take that fold past
+        ``battery_kwh`` or leave the level below zero (each beyond
+        :data:`_EPS_TOL`), and after ``max_passes`` whole cycles. The fold
+        within a pass is the share :meth:`span` records.
+        """
+        segs = self.segments
+        budget, floor = self.battery_kwh + _EPS_TOL, -_EPS_TOL
+        attach_s = in_pass = 0.0
+        for seg in islice(cycle(segs), start_idx, start_idx + self.max_passes * len(segs)):
+            induced = seg.induced_kwh
+            in_pass = induced if seg.index == 0 else in_pass + induced
+            if in_pass > budget:
+                return
+            level = eps - seg.energy_kwh + induced
+            eps = level if level < capacity else capacity
+            if eps < floor:
+                return
+            attach_s += seg.drive_s
+            yield seg, eps, attach_s
+
+    def span(self, start_idx: int, n_segments: int):
+        """The run of ``n_segments`` from cycle point ``start_idx``, built once per charger.
+
+        Returns ``(keys, shares)``: the run's ``(segment, pass offset)`` pairs
+        in run order (ridden from pass ``p``, offset ``k`` is pass ``p + k``),
+        and a dict of each offset's share, the energy :meth:`ride` folds there.
+        """
+        found = self._spans.get((start_idx, n_segments))
+        if found is None:
+            u = len(self.segments)
+            keys = tuple(((start_idx + k) % u, (start_idx + k) // u) for k in range(n_segments))
+            shares = {}
+            for seg, offset in keys:
+                shares[offset] = shares.get(offset, 0.0) + self.segments[seg].induced_kwh
+            found = self._spans[start_idx, n_segments] = keys, shares
+        return found
+
+    def segment_keys(self, start_idx: int, pass_no: int, n_segments: int):
+        return tuple((seg, pass_no + offset) for seg, offset in self.span(start_idx, n_segments)[0])
 
     def waiting(self, start_idx: int, ev_arrival_s: float, n_segments: int):
         """Wait at the meeting point and the cycle pass the EV will ride.
 
         The smallest nonnegative wait such that the charger reaches the point
-        no earlier than the EV does, none of the span's segments is booked
-        for that pass and each pass the span touches still holds the span's
-        share; whole cycles are added as needed. A share beyond a whole
-        pass's budget would wait forever, so it raises ``ValueError``.
-
-        The span's (segment, pass offset) pairs and shares are worked out
-        once per call; each try adds one ``cycle_time_s`` to the arrival,
-        takes the pass from :meth:`pass_number` and makes the tests, sums
-        and comparisons :meth:`book_attach` makes, so the two agree bit for bit.
+        no earlier than the EV does and the span is free on that pass: none
+        of its keys is booked, and each pass it touches has ``spent + share
+        <= battery_kwh + _EPS_TOL``. Whole cycles are added as needed. A
+        share beyond a whole pass's budget would wait forever, so it raises
+        ``ValueError``. Each try adds one ``cycle_time_s`` to the arrival,
+        takes the pass from :meth:`pass_number` and makes only the free test
+        :meth:`book_attach` makes, on the same :meth:`span`.
         """
-        u = len(self.segments)
-        span = [((start_idx + k) % u, (start_idx + k) // u) for k in range(n_segments)]
+        keys, shares = self.span(start_idx, n_segments)
         limit = self.battery_kwh + _EPS_TOL
-        shares = self._pass_shares(span)
         if max(shares.values()) > limit:
             raise ValueError("the span dispenses more than one pass's budget")
         booked, spent = self.segment_bookings, self.pass_dispensed
         arrival = self.arrival_at(start_idx, ev_arrival_s)
         while True:
             pass_no = self.pass_number(start_idx, arrival)
-            for seg, offset in span:
+            for seg, offset in keys:
                 if (seg, pass_no + offset) in booked:
                     break
             else:
@@ -191,23 +226,25 @@ class MedState:
 
     # -- ledger ----------------------------------------------------------------
 
-    def book_attach(self, ev: str, segment_keys, start_s: float, end_s: float) -> BookResult:
-        """Reserve a contiguous run of segments, ``((segment, pass), ...)``.
+    def book_attach(self, ev: str, start_idx: int, pass_no: int, n_segments: int,
+                    start_s: float, end_s: float) -> BookResult:
+        """Reserve the :meth:`span` of ``n_segments`` from ``start_idx``, ridden from ``pass_no``.
 
-        Accepts only when every segment key is still free and each pass the
-        keys touch still has the energy to hand out their share; the segment
-        ledger and the energy booked per pass update together.
+        Accepts only when the span is free on that pass, by the test
+        :meth:`waiting` makes; the segment ledger and the energy booked per
+        pass then update together.
         """
+        shares = self.span(start_idx, n_segments)[1]
+        segment_keys = self.segment_keys(start_idx, pass_no, n_segments)
         booked, spent = self.segment_bookings, self.pass_dispensed
         limit = self.battery_kwh + _EPS_TOL
-        shares = self._pass_shares(segment_keys)
         if any(k in booked for k in segment_keys) or any(
-                spent.get(p, 0.0) + share > limit for p, share in shares.items()):
+                spent.get(pass_no + off, 0.0) + share > limit for off, share in shares.items()):
             return BookResult(False)
         booked.update(dict.fromkeys(segment_keys, ev))
-        for p, share in shares.items():
-            spent[p] = spent.get(p, 0.0) + share
-        self.bookings.append(Booking(ev, start_s, end_s, tuple(segment_keys)))
+        for offset, share in shares.items():
+            spent[pass_no + offset] = spent.get(pass_no + offset, 0.0) + share
+        self.bookings.append(Booking(ev, start_s, end_s, segment_keys))
         return BookResult(True)
 
 

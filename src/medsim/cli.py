@@ -10,6 +10,8 @@ import os
 import sys
 import tempfile
 from dataclasses import asdict, replace
+from functools import reduce
+from operator import add
 
 from . import oracle as oracle_mod
 from . import sim
@@ -63,6 +65,7 @@ def _default_seed(value):
 
 
 def assignment_to_dict(a: RouteAssignment) -> dict:
+    trace = a.energy_trace  # attach energies are derived: reduce() adds left to right, sum() won't
     return {
         "ev": a.ev, "source": a.source, "dest": a.dest,
         "capacity_kwh": a.capacity_kwh, "energy_start_kwh": a.energy_start_kwh,
@@ -75,7 +78,8 @@ def assignment_to_dict(a: RouteAssignment) -> dict:
                       "attach_s": p.attach_s,
                       "segments": [list(arc) for arc in p.segments],
                       "booking_keys": [list(k) for k in p.booking_keys],
-                      "gain_kwh": p.gain_kwh, "dispensed_kwh": p.dispensed_kwh}
+                      "gain_kwh": trace[p.leg_index + len(p.segments)] - trace[p.leg_index],
+                      "dispensed_kwh": reduce(add, p.induced_per_segment, 0.0)}
                      for p in a.q_points],
         "energy_trace": list(a.energy_trace),
         "total_time_s": a.total_time_s,

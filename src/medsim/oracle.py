@@ -18,11 +18,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .charging import BookResult, Infrastructure, MedState, ScsState, scs_charge_time
+from .charging import (STATION_RATE_KW, BookResult, Infrastructure, MedState, ScsState,
+                       scs_charge_time)
 from .energy import InductionParams, VehicleParams
 from .road_graph import RoadGraph, load_graph, require_keys
 from .routing import (_EPS_TOL, INFINITE, EvRequest, MedAttach, PathCache, RouteAssignment,
-                      ScsVisit, _plan_findings, attach_run)
+                      ScsVisit, _plan_findings)
 
 NODE_BOUND = 14
 
@@ -59,7 +60,7 @@ class FrozenMed(MedState):
     def waiting(self, start_idx, ev_arrival_s, n_segments):
         return self.waits.get(self.points[start_idx], 0.0), 0
 
-    def book_attach(self, ev, segment_keys, start_s, end_s):
+    def book_attach(self, ev, start_idx, pass_no, n_segments, start_s, end_s):
         return BookResult(True)
 
 
@@ -67,6 +68,7 @@ class FrozenMed(MedState):
 class OracleInstance:
     """One EV's routing problem against frozen chargers.
 
+    A station missing from ``scs_rates`` charges at ``STATION_RATE_KW``.
     ``caches`` is the instance's one path cache: :func:`solve_exact`,
     :func:`verify` and anything else that asks about this instance share its
     distance maps instead of computing them again.
@@ -79,7 +81,6 @@ class OracleInstance:
     med_waits: dict = field(default_factory=dict)
     induction: InductionParams | None = None
     med_battery_kwh: float = INFINITE
-    default_rate_kw: float = 19.2
     caches: PathCache = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -94,7 +95,7 @@ class OracleInstance:
         for node in self.med_waits:
             if node not in self.graph.med_points:
                 raise OracleError(f"med wait_s point {node} is not a cycle point of the graph")
-        if not all(rate > 0 for rate in (*self.scs_rates.values(), self.default_rate_kw)):
+        if not all(rate > 0 for rate in self.scs_rates.values()):
             raise OracleError("charge rates must be positive")
         if not self.med_battery_kwh >= 0.0:
             raise OracleError(f"med battery_kwh must be nonnegative, got {self.med_battery_kwh}")
@@ -103,7 +104,7 @@ class OracleInstance:
         self.caches = PathCache(self.graph)
 
     def rate_of(self, node) -> float:
-        return self.scs_rates.get(node, self.default_rate_kw)
+        return self.scs_rates.get(node, STATION_RATE_KW)
 
     def frozen_infrastructure(self):
         scs = [FrozenScs(n, self.rate_of(n), self.scs_waits.get(n, 0.0))
@@ -131,8 +132,8 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
     head's time to the destination, ties by neighbour order; of equal optima
     the first found wins. Each graph node's bound inputs, arcs in search
     order with their caps, and charger are precomputed into a row. An attach
-    run rides :func:`~medsim.routing.attach_run` and ends early only at a
-    spent arc cap. Visits and runs stay plain tuples until the plan is built.
+    run follows the frozen charger's ``ride`` and ends early only at a spent
+    arc cap. Visits and runs stay plain tuples until the plan is built.
     """
     g = inst.graph
     size = sum(g.visit_cap(n) for n in g.nodes)
@@ -250,7 +251,7 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
         left[node] -= 1
         meet_leg = len(walk) - 1
         taken = []
-        for seg, cur, drive, dispensed in attach_run(med, start_idx, eps, Q):
+        for seg, cur, drive in med.ride(start_idx, eps, Q):
             arc, cap = seg_arcs[seg.index]
             if used[arc] >= cap:
                 break
@@ -259,7 +260,7 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
             walk.append(seg.j)
             trace.append(cur)
             # MedAttach.build's arguments after the charger; a frozen pass is 0
-            qs.append((start_idx, 0, len(taken), meet_leg, wait, drive, cur - eps, dispensed))
+            qs.append((start_idx, 0, len(taken), meet_leg, wait, drive))
             explore(seg.j, cur, obj + wait + drive, True)
             qs.pop()
         for arc in taken:
@@ -361,7 +362,7 @@ def instance_from_json(doc) -> OracleInstance:
         if isinstance(s["node"], (list, dict)):
             raise OracleError(f"scs entry #{k} has a node that is not a node id")
         try:
-            wait, rate = float(s.get("wait_s", 0.0)), float(s.get("rate_kw", 19.2))
+            wait, rate = float(s.get("wait_s", 0.0)), float(s.get("rate_kw", STATION_RATE_KW))
         except (TypeError, ValueError):
             raise OracleError(f"scs entry #{k} has a non-numeric wait_s or rate_kw") from None
         scs_waits[s["node"]], scs_rates[s["node"]] = wait, rate

@@ -13,7 +13,6 @@ import math
 from array import array
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import cycle, islice
 
 from .road_graph import RoadGraph
 
@@ -203,8 +202,6 @@ class MedAttach:
     segments: tuple
     induced_per_segment: tuple
     booking_keys: tuple
-    gain_kwh: float
-    dispensed_kwh: float
 
     @property
     def meet_node(self) -> int:
@@ -215,19 +212,17 @@ class MedAttach:
         return self.segments[-1][1]
 
     @classmethod
-    def build(cls, unit, start_idx, pass_no, n_segments, leg_index, wait_s, attach_s,
-              gain_kwh, dispensed_kwh):
+    def build(cls, unit, start_idx, pass_no, n_segments, leg_index, wait_s, attach_s):
         """Riding ``n_segments`` of ``unit``'s cycle from ``start_idx`` on pass ``pass_no``.
 
-        Segments, induced energies and booking keys come from the charger;
-        ``attach_s`` and ``dispensed_kwh`` are what :func:`attach_run`
-        yielded after the ride's last segment.
+        Segments, induced energies and booking keys come from the charger's
+        ``span``; ``attach_s`` is what ``unit.ride`` yielded after the
+        ride's last segment.
         """
-        u = len(unit.segments)
-        segs = [unit.segments[(start_idx + k) % u] for k in range(n_segments)]
+        segs = [unit.segments[seg] for seg, _ in unit.span(start_idx, n_segments)[0]]
         return cls(leg_index, wait_s, attach_s, tuple((seg.i, seg.j) for seg in segs),
                    tuple(seg.induced_kwh for seg in segs),
-                   unit.segment_keys(start_idx, pass_no, n_segments), gain_kwh, dispensed_kwh)
+                   unit.segment_keys(start_idx, pass_no, n_segments))
 
 
 @dataclass
@@ -381,9 +376,9 @@ class _Candidate:
     """The chosen energy point: the path there and the stop's plan.
 
     A station stop charges for ``charge_s``; a mobile-charger stop is
-    ``ride``, the :func:`attach_run` prefix priced from cycle index
-    ``start_idx`` on cycle pass ``pass_no``, which the walk appends as it
-    is; :meth:`MedAttach.build` derives the rest of the stop's record.
+    ``ride``, the prefix of the charger's ``ride`` priced from cycle index
+    ``start_idx`` on pass ``pass_no``: the walk appends it as it is, the
+    ledger books its ``span`` and :meth:`MedAttach.build` records it.
     """
 
     kind: str
@@ -397,49 +392,18 @@ class _Candidate:
     pass_no: int = 0
 
 
-def attach_run(unit, start_idx, eps, capacity):
-    """The one rule for riding a mobile charger: how far an attach run may go.
-
-    Follows ``unit``'s cycle from point ``start_idx`` with the battery at
-    ``eps``. After each segment the EV can ride it yields ``(segment, level,
-    attach_s, dispensed)``: the level after it is ``eps - energy + induced``
-    capped at ``capacity``; attached drive time and gross energy dispensed
-    are left folds. The charger's budget is per cycle pass, so a second
-    fold of the energy dispensed restarts each time the run crosses cycle
-    index 0, where a pass begins. The run ends before a segment that would
-    take that fold past ``unit.battery_kwh`` or leave the level below zero
-    (each beyond :data:`_EPS_TOL`), and after ``unit.max_passes`` whole
-    cycles. The fold within a pass is the share ``MedState`` books.
-    """
-    segs = unit.segments
-    budget, floor = unit.battery_kwh + _EPS_TOL, -_EPS_TOL
-    attach_s = dispensed = in_pass = 0.0
-    for seg in islice(cycle(segs), start_idx, start_idx + unit.max_passes * len(segs)):
-        induced = seg.induced_kwh
-        dispensed += induced
-        in_pass = induced if seg.index == 0 else in_pass + induced
-        if in_pass > budget:
-            return
-        level = eps - seg.energy_kwh + induced
-        eps = level if level < capacity else capacity
-        if eps < floor:
-            return
-        attach_s += seg.drive_s
-        yield seg, eps, attach_s, dispensed
-
-
 def _plan_med_span(unit, start_idx, eps_at_meet, capacity, need_to_finish):
     """Shortest attach run after which the EV can also finish the trip.
 
-    Rides :func:`attach_run` from the meeting point and stops at the first
-    detach point (the head of the last segment ridden) whose remaining trip
-    the battery now covers (``need_to_finish`` maps a node to that
-    requirement). Returns the run's items up to that point, each
-    ``(segment, level, attach_s, dispensed)`` as :func:`attach_run` yields
-    it; None when the run ends before any detach point covers the trip.
+    Rides the charger (``unit.ride``) from the meeting point and stops at
+    the first detach point (the head of the last segment ridden) whose
+    remaining trip the battery now covers (``need_to_finish`` maps a node
+    to that requirement). Returns the run's items up to that point, each
+    ``(segment, level, attach_s)`` as the ride yields it; None when the run
+    ends before any detach point covers the trip.
     """
     ride = []
-    for step in attach_run(unit, start_idx, eps_at_meet, capacity):
+    for step in unit.ride(start_idx, eps_at_meet, capacity):
         ride.append(step)
         if step[1] >= need_to_finish(step[0].j) - _EPS_TOL:
             return tuple(ride)
@@ -456,10 +420,12 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
     plus queue wait and charge time at a station, or meeting wait and
     attached drive at a mobile charger, plus the drive time on from the exit
     point. Each stop is priced from the level :func:`_arrival_level` folds,
-    the one the walk records there. The winner has the smallest ``(score,
-    kind != "scs", point)``: ties prefer stations, then smaller ids, then the
-    first scored, as each point is compared with a strict ``<`` as soon as
-    it is scored. Only the winner becomes a :class:`_Candidate`.
+    the one the walk records there, and a charger's stop from the ride
+    :func:`_plan_med_span` plans and the wait and pass its ``waiting``
+    finds. The winner has the smallest ``(score, kind != "scs", point)``:
+    ties prefer stations, then smaller ids, then the first scored, as each
+    point is compared with a strict ``<`` as soon as it is scored. Only the
+    winner becomes a :class:`_Candidate`.
     """
     Q = request.capacity_kwh
     rev_time = caches.rev(request.dest, "time")
@@ -511,7 +477,7 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
         ride = _plan_med_span(unit, idx, arrive, Q, need_to_finish)
         if ride is None:
             continue
-        last, _, attach_s, _ = ride[-1]
+        last, _, attach_s = ride[-1]
         finish = rev_time[index[last.j]]
         if finish == INFINITE:
             continue
@@ -587,16 +553,16 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
             trace[-1] = Q
             elapsed += plan.wait_s + plan.charge_s
         else:
-            meet_leg, meet_eps = len(legs) - 1, eps
-            for seg, eps, attach_s, dispensed in plan.ride:
+            meet_leg, n = len(legs) - 1, len(plan.ride)
+            for seg, eps, attach_s in plan.ride:
                 drive_s += seg.drive_s
                 legs.append(seg.j)
                 trace.append(eps)
-            att = MedAttach.build(plan.unit, plan.start_idx, plan.pass_no, len(plan.ride),
-                                  meet_leg, plan.wait_s, attach_s, eps - meet_eps, dispensed)
             start = arrival + plan.wait_s
-            booked = plan.unit.book_attach(request.ev, att.booking_keys, start, start + attach_s)
-            q_points.append(att)
+            booked = plan.unit.book_attach(request.ev, plan.start_idx, plan.pass_no, n,
+                                           start, start + attach_s)
+            q_points.append(MedAttach.build(plan.unit, plan.start_idx, plan.pass_no, n,
+                                            meet_leg, plan.wait_s, attach_s))
             elapsed += plan.wait_s + attach_s
         if not booked.accepted:
             raise RuntimeError(f"EV {request.ev}: the {plan.kind} ledger at node "

@@ -15,14 +15,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .charging import Infrastructure, MedState, ScsState
+from .charging import STATION_RATE_KW, Infrastructure, MedState, ScsState
 from .energy import InductionParams, VehicleParams
 from .road_graph import (GraphError, GraphSpec, RoadGraph, check_visit_limit, load_graph,
                          grid_doc, node_set, parse_graph, require_keys)
-from .routing import (EvRequest, NoPath, PathCache, Stranded, check_assignment,
+from .routing import (INFINITE, EvRequest, NoPath, PathCache, Stranded, check_assignment,
                       find_shortest_path)
-
-INFINITE = math.inf
 
 LEVEL_TARGETS = {"L1": 0.20, "L2": 0.60, "L3": 0.95}
 MODES = ("SCS", "SCS_MED")
@@ -30,6 +28,13 @@ ENERGY_MIN_KWH = 1.0
 ENERGY_MAX_KWH = 6.0
 # radio keys older scenario documents carry; nothing reads them
 _LEGACY_RADIO_KEYS = ("beacon_period_s", "ptx_dbm", "f_ghz", "pth_dbm", "sinr_db")
+# each key a document may hold, with its converter (None: as it is); a missing key keeps the default
+_SCENARIO_KEYS = {"graph": None, "mode": None, "ev_count": int, "level": None, "seed": int,
+                  "horizon_s": float, "stranded_penalty_s": None,
+                  "vehicle": lambda block: VehicleParams(**block),
+                  "induction": lambda block: InductionParams(**block),
+                  "visit_limit": int, "entries": None}
+_MED_KEYS = {"battery_kwh": float, "p_ind_kw": None, "start_s": float}
 
 
 class CalibrationError(Exception):
@@ -123,8 +128,7 @@ class Scenario:
             "radio": {"block_prob": self.block_prob},
             "infra": {
                 "scs": [{"node": n, "rate_kw": r} for n, r in self.scs],
-                "med": [{"battery_kwh": m.battery_kwh, "p_ind_kw": m.p_ind_kw,
-                         "start_s": m.start_s} for m in self.meds],
+                "med": [vars(m).copy() for m in self.meds],
             },
             "visit_limit": self.visit_limit,
         }
@@ -141,39 +145,27 @@ class Scenario:
         infra = doc.get("infra", {})
         for k, s in enumerate(infra.get("scs", ())):
             require_keys(s, ("node",), f"infra scs entry #{k}", ValueError)
-        radio_doc = dict(doc.get("radio", {}))
-        block = radio_doc.pop("block_prob", 0.05)
-        for key in radio_doc:
-            if key not in _LEGACY_RADIO_KEYS:
+        radio = dict(doc.get("radio", {}))
+        for key in radio:
+            if key != "block_prob" and key not in _LEGACY_RADIO_KEYS:
                 raise ValueError(f"radio block has an unknown key {key!r}")
-        kwargs = {
-            "graph": doc["graph"],
-            "mode": doc.get("mode", "SCS_MED"),
-            "ev_count": int(doc.get("ev_count", 50)),
-            "level": doc.get("level", "L1"),
-            "seed": int(doc.get("seed", 0)),
-            "horizon_s": float(doc.get("horizon_s", 3600.0)),
-            "stranded_penalty_s": doc.get("stranded_penalty_s"),
-            "vehicle": VehicleParams(**doc["vehicle"]) if "vehicle" in doc else DEFAULT_VEHICLE,
-            "induction": InductionParams(**doc["induction"]) if "induction" in doc
-                         else DEFAULT_INDUCTION,
-            "block_prob": float(block),
-            "scs": [(s["node"], float(s.get("rate_kw", 19.2)))
-                    for s in infra.get("scs", ())],
-            "meds": [MedSpec(float(m.get("battery_kwh", 200.0)),
-                             m.get("p_ind_kw"), float(m.get("start_s", 0.0)))
-                     for m in infra.get("med", ())],
-            "visit_limit": int(doc.get("visit_limit", 2)),
-            "entries": doc.get("entries"),
-        }
+        kwargs = _given(doc, _SCENARIO_KEYS) | _given(radio, {"block_prob": float})
+        kwargs["scs"] = [(s["node"], float(s.get("rate_kw", STATION_RATE_KW)))
+                         for s in infra.get("scs", ())]
+        kwargs["meds"] = [MedSpec(**_given(m, _MED_KEYS)) for m in infra.get("med", ())]
         return cls(**(kwargs | overrides))
+
+
+def _given(doc: dict, convert: dict) -> dict:
+    """The keys of ``doc`` that ``convert`` names, each through its converter."""
+    return {key: value if convert[key] is None else convert[key](value)
+            for key, value in doc.items() if key in convert}
 
 
 def default_scenario(**overrides) -> Scenario:
     """The desk-scale standard: 10x10 grid, one station, one mobile charger."""
-    graph = grid_doc(10, 10, arc_len_m=2500.0, speed_mps=15.0,
-                     scs=[22], med_cycle=[44, 45, 55, 54])
-    base = dict(graph=graph, scs=[(22, 19.2)], meds=[MedSpec()])
+    graph = grid_doc(10, 10, scs=[22], med_cycle=[44, 45, 55, 54])
+    base = dict(graph=graph, scs=[(22, STATION_RATE_KW)], meds=[MedSpec()])
     base.update(overrides)
     return Scenario(**base)
 

@@ -186,15 +186,16 @@ def ref_pass_shares(unit, keys):
 
 
 def ref_waiting(unit, start_idx, ev_arrival_s, n_segments):
-    """``MedState.waiting``, building each try's keys with ``segment_keys``.
+    """``MedState.waiting``, building each try's keys by hand.
 
     A try fits when no key is booked and every pass the keys touch holds
     its share on top of what it has dispensed already.
     """
+    u = len(unit.segments)
     arrival = unit.arrival_at(start_idx, ev_arrival_s)
     while True:
         pass_no = unit.pass_number(start_idx, arrival)
-        keys = unit.segment_keys(start_idx, pass_no, n_segments)
+        keys = [((start_idx + k) % u, pass_no + (start_idx + k) // u) for k in range(n_segments)]
         if not any(k in unit.segment_bookings for k in keys) and all(
                 unit.pass_dispensed.get(p, 0.0) + share <= unit.battery_kwh + _EPS_TOL
                 for p, share in ref_pass_shares(unit, keys).items()):
@@ -207,13 +208,11 @@ def ref_plan_med_span(unit, start_idx, eps_at_meet, capacity, need_to_finish):
     segs = unit.segments
     u = len(segs)
     eps = eps_at_meet
-    dispensed = 0.0
     attach_s = 0.0
     per_pass = {}  # the energy the ride takes from each cycle pass
     ride = []
     for n in range(unit.max_passes * u):
         seg = segs[(start_idx + n) % u]
-        dispensed += seg.induced_kwh
         pass_no = (start_idx + n) // u
         per_pass[pass_no] = per_pass.get(pass_no, 0.0) + seg.induced_kwh
         if per_pass[pass_no] > unit.battery_kwh + _EPS_TOL:
@@ -222,16 +221,16 @@ def ref_plan_med_span(unit, start_idx, eps_at_meet, capacity, need_to_finish):
         if eps < -_EPS_TOL:
             return None
         attach_s += seg.drive_s
-        ride.append((seg, eps, attach_s, dispensed))
+        ride.append((seg, eps, attach_s))
         if eps >= need_to_finish(seg.j) - _EPS_TOL:
             return tuple(ride)
     return None
 
 
 def ref_attach_run(unit, start_idx, eps, capacity):
-    """Every prefix of ``routing.attach_run``, as a list, stepped out by hand.
+    """Every prefix of ``MedState.ride``, as a list, stepped out by hand.
 
-    Item ``n`` is ``(segment, level, attach_s, dispensed)`` after riding
+    Item ``n`` is ``(segment, level, attach_s)`` after riding
     ``n + 1`` segments; the list ends where the run must stop. The budget
     is per cycle pass: the energy taken from each pass, numbered as the
     segment keys number it, is summed apart.
@@ -241,14 +240,13 @@ def ref_attach_run(unit, start_idx, eps, capacity):
     per_pass = {}
     for n in range(unit.max_passes * len(segs)):
         seg = segs[(start_idx + n) % len(segs)]
-        _, level, attach_s, dispensed = prefixes[-1] if prefixes else (None, eps, 0.0, 0.0)
-        dispensed += seg.induced_kwh
+        _, level, attach_s = prefixes[-1] if prefixes else (None, eps, 0.0)
         pass_no = (start_idx + n) // len(segs)
         per_pass[pass_no] = per_pass.get(pass_no, 0.0) + seg.induced_kwh
         level = min(capacity, level - seg.energy_kwh + seg.induced_kwh)
         if per_pass[pass_no] > unit.battery_kwh + _EPS_TOL or level < -_EPS_TOL:
             break
-        prefixes.append((seg, level, attach_s + seg.drive_s, dispensed))
+        prefixes.append((seg, level, attach_s + seg.drive_s))
     return prefixes
 
 
@@ -298,7 +296,7 @@ def ref_best_energy_point(g, caches, request, at, energy_kwh, now, infra, gate=N
         ride = ref_plan_med_span(unit, idx, arrive, Q, need_to_finish)
         if ride is None:
             continue
-        last, _, attach_s, _ = ride[-1]
+        last, _, attach_s = ride[-1]
         finish = rev_time[g.index[last.j]]
         if finish == INFINITE:
             continue
@@ -356,7 +354,7 @@ def relabelled_instance(inst, new_id=sparse_id):
         {new_id(n): w for n, w in inst.scs_waits.items()},
         {new_id(n): rate for n, rate in inst.scs_rates.items()},
         {new_id(n): w for n, w in inst.med_waits.items()},
-        inst.induction, inst.med_battery_kwh, inst.default_rate_kw)
+        inst.induction, inst.med_battery_kwh)
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ from medsim.energy import InductionParams
 from medsim.road_graph import ArcAttr, build_graph
 from medsim.routing import (EvRequest, PathCache, Stranded, _plan_med_span,
                             find_best_energy_point)
+from tests.conftest import ref_pass_shares
 
 
 def ring_graph(times, energy=0.1):
@@ -153,6 +154,15 @@ class TestMedWaiting:
         keys = med.segment_keys(3, 0, 2)
         assert keys == ((3, 0), (0, 1))
 
+    def test_each_span_is_built_once(self):
+        med = MedState(ring_graph([100, 200, 300, 400]), InductionParams(0.75, 40.0))
+        keys, shares = med.span(3, 3)
+        assert keys == ((3, 0), (0, 1), (1, 1))
+        assert shares == {0: med.segments[3].induced_kwh,
+                          1: med.segments[0].induced_kwh + med.segments[1].induced_kwh}
+        assert med.span(3, 3) is med.span(3, 3)
+        assert med.span(3, 2) is not med.span(3, 3)
+
 
 class TestRequiredAttachSpan:
     """The router's attach-span planner, fed a fixed energy deficit: the EV
@@ -170,7 +180,7 @@ class TestRequiredAttachSpan:
     def test_small_deficit_one_segment(self):
         ride = self.span(1.0, self.med(), 1)
         segments = [seg for seg, *_ in ride]
-        _, eps, attach_s, _ = ride[-1]
+        _, eps, attach_s = ride[-1]
         assert (segments[-1].j, len(segments)) == (2, 1)
         assert [(s.i, s.j) for s in segments] == [(1, 2)]
         assert attach_s == pytest.approx(600.0)
@@ -217,29 +227,30 @@ class TestMedBooking:
 
     def test_each_pass_has_its_own_budget(self):
         med = self.med(12.0)
-        assert med.book_attach("a", ((0, 0), (1, 0)), 0.0, 1200.0).accepted
+        assert med.book_attach("a", 0, 0, 2, 0.0, 1200.0).accepted
         # a third segment would take pass 0 to 15 kWh
-        assert not med.book_attach("b", ((2, 0),), 1200.0, 1800.0).accepted
+        assert not med.book_attach("b", 2, 0, 1, 1200.0, 1800.0).accepted
         for k in range(1, 5):
-            assert med.book_attach(f"c{k}", ((2, k),), 2400.0 * k, 2400.0 * k + 600.0).accepted
+            assert med.book_attach(f"c{k}", 2, k, 1, 2400.0 * k, 2400.0 * k + 600.0).accepted
         assert med.pass_dispensed == {0: 10.0, 1: 5.0, 2: 5.0, 3: 5.0, 4: 5.0}
         assert med.battery_kwh == 12.0
 
     def test_segment_conflict_rejected(self):
         g = ring_graph([100, 100, 100, 100])
         med = MedState(g, InductionParams(0.75, 40.0))
-        assert med.book_attach("a", ((1, 0), (2, 0)), 0.0, 200.0).accepted
-        assert not med.book_attach("b", ((2, 0),), 0.0, 100.0).accepted
-        assert med.book_attach("b", ((2, 1),), 400.0, 500.0).accepted
+        assert med.book_attach("a", 1, 0, 2, 0.0, 200.0).accepted
+        assert not med.book_attach("b", 2, 0, 1, 0.0, 100.0).accepted
+        assert med.book_attach("b", 2, 1, 1, 400.0, 500.0).accepted
 
     def test_a_span_across_the_cycle_start_is_charged_to_both_passes(self):
         med = self.med(12.0)
-        assert med.book_attach("a", ((3, 0), (0, 1), (1, 1)), 1800.0, 3600.0).accepted
+        assert med.book_attach("a", 3, 0, 3, 1800.0, 3600.0).accepted
+        assert med.bookings[-1].segment_keys == ((3, 0), (0, 1), (1, 1))
         assert med.pass_dispensed == {0: 5.0, 1: 10.0}
-        assert not med.book_attach("b", ((2, 1),), 3600.0, 4200.0).accepted
+        assert not med.book_attach("b", 2, 1, 1, 3600.0, 4200.0).accepted
         # pass 0 holds 5 kWh of the span, so 10 more would pass 12
-        assert not med.book_attach("b", ((1, 0), (2, 0)), 600.0, 1800.0).accepted
-        assert med.book_attach("b", ((1, 0),), 600.0, 1200.0).accepted
+        assert not med.book_attach("b", 1, 0, 2, 600.0, 1800.0).accepted
+        assert med.book_attach("b", 1, 0, 1, 600.0, 1200.0).accepted
         assert med.pass_dispensed == {0: 10.0, 1: 10.0}
 
     @settings(max_examples=150, deadline=None)
@@ -255,11 +266,10 @@ class TestMedBooking:
             try:
                 wait, pass_no = med.waiting(idx, now, n)
             except ValueError:  # one pass of the span alone needs more than the battery
-                assert max(med._pass_shares(med.segment_keys(idx, 0, n)).values()) > battery
+                assert max(ref_pass_shares(med, med.segment_keys(idx, 0, n)).values()) > battery
                 continue
-            keys = med.segment_keys(idx, pass_no, n)
             start = now + wait
             assert start >= start_s + med.cum_starts[idx] and pass_no >= 0
-            assert med.book_attach(f"ev{k}", keys, start, start + 600.0 * n).accepted
+            assert med.book_attach(f"ev{k}", idx, pass_no, n, start, start + 600.0 * n).accepted
         for spent in med.pass_dispensed.values():
             assert spent <= battery + 1e-9

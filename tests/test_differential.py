@@ -3,8 +3,8 @@
 ``MedState.waiting``, ``find_best_energy_point`` and ``_arrival_level``
 compute what their references in ``conftest.py`` compute (``ref_waiting``,
 ``ref_best_energy_point`` and the per-arc ``route_level``), with less
-work per try, point and arc; ``attach_run`` and ``_plan_med_span`` ride the
-charger as ``ref_attach_run`` and ``ref_plan_med_span`` do. Each property
+work per try, point and arc; ``MedState.ride`` and ``_plan_med_span`` ride
+the charger as ``ref_attach_run`` and ``ref_plan_med_span`` do. Each property
 draws inputs on which the two could part and demands the same answer bit
 for bit (McKeeman 1998, "Differential testing for software").
 """
@@ -18,10 +18,10 @@ from medsim.charging import Booking, Infrastructure, MedState, ScsState
 from medsim.energy import InductionParams
 from medsim.road_graph import ArcAttr, build_graph
 from medsim.routing import (EvRequest, PathCache, Stranded, _arrival_level, _plan_med_span,
-                            attach_run, find_best_energy_point)
+                            find_best_energy_point)
 from medsim.sim import _refuse_all, _refuse_med
 from tests.conftest import (TEST_INDUCTION, ref_attach_run, ref_best_energy_point,
-                            ref_plan_med_span, ref_waiting, route_level)
+                            ref_pass_shares, ref_plan_med_span, ref_waiting, route_level)
 
 # whole seconds plus an offset that rounds, so sums tie and still round by order
 DRIVE_S = st.builds(lambda whole, frac: whole + frac, st.integers(1, 9),
@@ -52,7 +52,7 @@ def waiting_cases(draw):
     """
     u = draw(st.integers(2, 5))
     g = ring(draw(st.lists(DRIVE_S, min_size=u, max_size=u)), draw(st.integers(1, 3)))
-    full_pass = sum(MedState(g, TEST_INDUCTION)._pass_shares((k, 0) for k in range(u))
+    full_pass = sum(ref_pass_shares(MedState(g, TEST_INDUCTION), [(k, 0) for k in range(u)])
                     .values())
     unit = MedState(g, TEST_INDUCTION,
                     battery_kwh=draw(st.one_of(st.just(math.inf),
@@ -222,7 +222,7 @@ class TestAttachRun:
     @given(case=attach_cases())
     def test_prefixes_and_stop_match_the_reference(self, case):
         unit, start_idx, eps, capacity, _ = case
-        assert repr(list(attach_run(unit, start_idx, eps, capacity))) == \
+        assert repr(list(unit.ride(start_idx, eps, capacity))) == \
             repr(ref_attach_run(unit, start_idx, eps, capacity))
 
     @settings(max_examples=300, deadline=None)
@@ -243,14 +243,14 @@ class TestAttachRun:
         for budget, want in ((math.inf, 6), (6.0 - 1e-9, 6), (6.0 - 2e-9, 4), (5.0, 4),
                              (4.0 - 1e-9, 4), (4.0 - 2e-9, 1)):
             unit.battery_kwh = budget
-            run = list(attach_run(unit, 1, 0.0, 100.0))
+            run = list(unit.ride(1, 0.0, 100.0))
             assert len(run) == want and repr(run) == repr(ref_attach_run(unit, 1, 0.0, 100.0))
         # a level exactly at minus the tolerance rides on; one below it stops
         unit.battery_kwh = math.inf
         flat = tuple(replace(seg, energy_kwh=0.0, induced_kwh=0.0) for seg in unit.segments)
         unit.segments = flat
-        assert len(list(attach_run(unit, 0, -1e-9, 100.0))) == 6
-        assert list(attach_run(unit, 0, -2e-9, 100.0)) == []
+        assert len(list(unit.ride(0, -1e-9, 100.0))) == 6
+        assert list(unit.ride(0, -2e-9, 100.0)) == []
         # a segment that drains more than it induces empties the battery
         unit.segments = (flat[0], replace(flat[1], energy_kwh=1.0), flat[2])
-        assert [seg.index for seg, *_ in attach_run(unit, 0, 0.5, 100.0)] == [0]
+        assert [seg.index for seg, *_ in unit.ride(0, 0.5, 100.0)] == [0]

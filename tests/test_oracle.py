@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import hashlib
 import math
 import weakref
@@ -11,7 +10,7 @@ from medsim.charging import scs_charge_time
 from medsim.energy import InductionParams
 from medsim.oracle import OracleError, OracleInstance, solve_exact, verify
 from medsim.road_graph import ArcAttr, build_graph
-from medsim.routing import (EvRequest, MedAttach, Stranded, attach_run, check_assignment,
+from medsim.routing import (EvRequest, MedAttach, Stranded, check_assignment,
                             find_shortest_path)
 from tests.conftest import (line_graph, objective_time, random_oracle_instance,
                             relabelled_instance, ring_with_spurs, sparse_id)
@@ -241,8 +240,8 @@ class TestVerify:
         med = inst.frozen_infrastructure().med_units[0]
         seg = med.segments[0]
         legs = [4] + [0, 1, 2, 3] * (laps - 1) + [0, 1, 2, 5]
-        q_points = [MedAttach.build(med, 0, lap, 1, 1 + 4 * lap, 0.0, seg.drive_s, 0.0,
-                                    seg.induced_kwh) for lap in range(laps)]
+        q_points = [MedAttach.build(med, 0, lap, 1, 1 + 4 * lap, 0.0, seg.drive_s)
+                    for lap in range(laps)]
         eps, drive, trace = 9.0, 0.0, [9.0]
         for k, (i, j) in enumerate(zip(legs, legs[1:])):
             arc = inst.graph.arc(i, j)
@@ -371,62 +370,8 @@ def _left_fold(values):
     return total
 
 
-def _gain_misses(a):
-    """Attach runs whose recorded gain is not the trace's rise, bit for bit."""
-    return [q for q in a.q_points
-            if q.gain_kwh != a.energy_trace[q.leg_index + len(q.segments)]
-            - a.energy_trace[q.leg_index]]
-
-
 class TestOneAttachRecord:
-    """``MedAttach.build`` keeps each record's numbers one fold, bit for bit.
-
-    ``dispensed_kwh`` is the left fold of ``induced_per_segment`` in every
-    plan of the router and the oracle. A plain ``sum`` would differ from
-    Python 3.12 on, where it compensates its rounding. The oracle's
-    ``gain_kwh`` is the trace's level at detach minus its level at the meet.
-    """
-
-    @staticmethod
-    def ring_instances():
-        # the ring topologies of the oracle-small mix, with a 60 kWh charger
-        for seed in range(120):
-            inst = random_oracle_instance(seed)
-            if inst.graph.med_points:
-                yield dataclasses.replace(inst, med_battery_kwh=60.0)
-        yield budget_bound_ring()
-
-    @staticmethod
-    def router_plans():
-        for mode in sim.MODES:
-            for level in ("L1", "L2", "L3"):
-                for seed in range(5):
-                    yield from filter(None, sim.run(sim.default_scenario(
-                        mode=mode, level=level, ev_count=100, seed=seed)).assignments)
-        for inst in TestOneAttachRecord.ring_instances():
-            try:
-                yield find_shortest_path(inst.graph, inst.request, inst.frozen_infrastructure(),
-                                         caches=inst.caches)
-            except Stranded:
-                pass
-
-    def test_dispensed_is_the_left_fold_of_induced(self):
-        plans = list(self.router_plans())
-        plans += [sol.best for sol in map(solve_exact, self.ring_instances()) if sol.feasible]
-        records = [q for a in plans for q in a.q_points]
-        assert len(records) > 600
-        for q in records:
-            assert repr(q.dispensed_kwh) == repr(_left_fold(q.induced_per_segment))
-
-    def test_oracle_gain_is_the_trace_rise(self):
-        plans = [sol.best for sol in map(solve_exact, self.ring_instances()) if sol.feasible]
-        assert sum(len(a.q_points) for a in plans) > 20
-        for a in plans:
-            assert _gain_misses(a) == []
-
-    def test_router_gain_is_the_trace_rise(self):
-        for a in self.router_plans():
-            assert _gain_misses(a) == []
+    """The router and the oracle ride the charger by one rule, ``MedState.ride``."""
 
     def test_router_and_oracle_stop_where_the_budget_binds(self):
         inst = budget_bound_ring()
@@ -437,11 +382,10 @@ class TestOneAttachRecord:
             == [((1, 2), (2, 3))]
         assert verify(inst, routed) == verify(inst, best) == "ok"
         med = inst.frozen_infrastructure().med_units[0]
-        assert [seg.index for seg, *_ in attach_run(med, 0, 2.0, 100.0)] == [0, 1]
-        assert [seg.index for seg, *_ in attach_run(med, 1, 1.0, 100.0)] == [1, 2]
+        assert [seg.index for seg, *_ in med.ride(0, 2.0, 100.0)] == [0, 1]
+        assert [seg.index for seg, *_ in med.ride(1, 1.0, 100.0)] == [1, 2]
         med.battery_kwh = math.inf  # without the budget both runs would go on
-        assert len(list(attach_run(med, 0, 2.0, 100.0))) == len(
-            list(attach_run(med, 1, 1.0, 100.0))) == 8
+        assert len(list(med.ride(0, 2.0, 100.0))) == len(list(med.ride(1, 1.0, 100.0))) == 8
 
 
 def ring_across_the_cycle_start():
@@ -472,7 +416,7 @@ class TestPassBudgetAcrossTheCycleStart:
         assert routed.total_time_s == best.total_time_s
         med = inst.frozen_infrastructure().med_units[0]
         # 35 + 25 kWh fill pass 0; pass 1 gives 10 + 20 and stops at 35 more
-        assert [seg.index for seg, *_ in attach_run(med, 2, 2.0, 100.0)] == [2, 3, 0, 1]
+        assert [seg.index for seg, *_ in med.ride(2, 2.0, 100.0)] == [2, 3, 0, 1]
 
 
 class TestOneStationLevel:
@@ -537,7 +481,9 @@ class TestPinnedSolverOutputs:
                      for v in a.z_visits],
                     [(q.meet_node, q.detach_node, q.leg_index, repr(q.wait_s), repr(q.attach_s),
                       q.segments, [repr(e) for e in q.induced_per_segment], q.booking_keys,
-                      repr(q.gain_kwh), repr(q.dispensed_kwh)) for q in a.q_points],
+                      repr(a.energy_trace[q.leg_index + len(q.segments)]
+                           - a.energy_trace[q.leg_index]),
+                      repr(_left_fold(q.induced_per_segment))) for q in a.q_points],
                     [repr(e) for e in a.energy_trace],
                     a.y_arcs,
                 ]

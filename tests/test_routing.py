@@ -296,7 +296,7 @@ class TestMedPassBudget:
         g, a = self.route()
         att = a.q_points[0]
         assert len(att.segments) == 5
-        assert att.dispensed_kwh == pytest.approx(3.75)
+        assert sum(att.induced_per_segment) == pytest.approx(3.75)
         assert check_assignment(g, a) == []
 
     def test_one_pass_strands(self):

@@ -6,6 +6,7 @@ import os
 import pickle
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -550,3 +551,29 @@ class TestPinnedRandomScenarios:
         for seed in range(60):
             h.update(run(random_scenario(seed), keep_assignments=False).to_csv().encode())
         assert h.hexdigest() == self.DIGEST
+
+
+class TestArcCaps:
+    """ROADMAP item 1: the router drives a plain arc more often than the formulation allows.
+
+    ``verify`` caps each arc (i, j) at ``visit_cap(i) * visit_cap(j)`` driven
+    times, and ``solve_exact`` searches under that cap. In these criterion-1
+    scenarios a routed plan breaks it, and ``check_assignment`` reports none
+    of them: in scenario 122, ``ev001`` drives (16, 15) twice. The fix for
+    item 1 turns this test into an unexpected pass, which fails the suite
+    until the mark comes off.
+    """
+
+    SCENARIOS = (122, 127, 259, 460, 632, 752, 772, 870, 970)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_every_routed_plan_respects_the_arc_caps(self):
+        over = []
+        for seed in self.SCENARIOS:
+            scenario = random_scenario(seed)
+            metrics = run(scenario)
+            cap = sim.network_for(scenario).graph.visit_cap
+            for a in filter(None, metrics.assignments):
+                over += [(seed, a.ev, (i, j), n) for (i, j), n in Counter(a.x_arcs).items()
+                         if n > cap(i) * cap(j)]
+        assert over == []

@@ -87,7 +87,7 @@ def definitions(tree, owner=None):
 
 def test_definitions_found():
     found = {(owner, d.name) for tree in trees() for owner, d in definitions(tree)}
-    assert {("MedState", "waiting"), (None, "attach_run"), (None, "MedState"),
+    assert {("MedState", "waiting"), ("MedState", "ride"), (None, "MedState"),
             ("PathCache", "fwd")} <= found
 
 
@@ -98,3 +98,12 @@ def test_every_definition_is_used():
                     if not (d.name.startswith("__") and d.name.endswith("__"))
                     and used[d.name] == names_used(d)[d.name])
     assert unused == sorted(USED_OUTSIDE)
+
+
+def test_the_router_reads_no_charger_budget():
+    # the mobile charger owns its ride: how far a run may go and what each
+    # pass has left are MedState's to work out, so the router, which prices
+    # and walks the rides, reads none of the budget's inputs or ledgers
+    tree = ast.parse((ROOT / "src" / "medsim" / "routing.py").read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert read & {"battery_kwh", "max_passes", "pass_dispensed", "segment_bookings"} == set()
