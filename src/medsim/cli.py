@@ -146,10 +146,9 @@ def cmd_route(args) -> int:
     except ValueError as exc:
         print(f"route: {exc}", file=sys.stderr)
         return 2
-    gate = None if scenario.mode == "SCS_MED" else sim._refuse_med
     try:
-        a = find_shortest_path(g, request, infra, now=args.now, gate=gate,
-                               caches=network.caches)
+        a = find_shortest_path(g, request, infra, now=args.now,
+                               gate=sim.mode_gate(scenario.mode), caches=network.caches)
         out = {"stranded": False, "assignment": assignment_to_dict(a)}
     except Stranded as exc:
         out = {"stranded": True, "reason": str(exc)}
@@ -205,8 +204,10 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         print(f"sweep: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
+    # the modes innermost: the cells of a mode pair run back to back, and
+    # the second reuses the first's population (sim.generate_population)
     cells = [dict(mode=m, level=l, ev_count=n, seed=s)
-             for m in modes for l in levels for n in ev_counts for s in seeds]
+             for l in levels for n in ev_counts for s in seeds for m in modes]
     # the first cell's overrides make a scenario that validates, whatever mode,
     # level or count the document holds; cells copy it, reading no file again
     first = _scenario(doc, **cells[0])
@@ -217,7 +218,8 @@ def cmd_sweep(args) -> int:
             # imported here: only a parallel sweep needs the pool's modules
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(pool.map(_sweep_cell, [first] * len(cells), cells))
+                rows = list(pool.map(_sweep_cell, [first] * len(cells), cells,
+                                     chunksize=len(modes)))  # a pair stays in one worker
         else:
             rows = [_sweep_cell(first, cell) for cell in cells]
     except Exception as exc:

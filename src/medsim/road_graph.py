@@ -120,7 +120,7 @@ class RoadGraph:
     def med_cycle_segments(self):
         """Arcs (i, j) around the mobile-charger cycle in order, wrapping to the start."""
         pts = self.med_points
-        return [(pts[k], pts[(k + 1) % len(pts)]) for k in range(len(pts))]
+        return list(zip(pts, pts[1:] + pts[:1]))
 
 
 def node_set(ids, what: str) -> frozenset:

@@ -13,6 +13,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import repeat
 
 from .road_graph import RoadGraph
 
@@ -283,12 +284,19 @@ def _plan_findings(g: RoadGraph, a: RouteAssignment, tol: float):
     Returns ``(findings, levels)``: ``(constraint id, message)`` pairs in
     check order, (2) the walk, (3) the attach spans and (10) the station
     visits, each with a negative wait there as (4), then the trace length
-    (4), the energy replay (4)-(7) and the stored total time (4); and the
-    replayed level at each node of the walk, after any station charge. Each
-    arc is read once from the graph, never from a path cache, so the router
-    is checked independently; the drive time is the router's left fold. A
-    recorded level that disagrees with the replay reads (7) at a station
-    visit and (4) elsewhere.
+    (4), the energy replay (4)-(7) node by node and the stored total time
+    (4); and the replayed level at each node of the walk, after any station
+    charge. The walk's arcs are read from the graph's arc table in one pass,
+    never from a path cache, so the router is checked independently; the
+    drive time is the router's left fold. A recorded level that disagrees
+    with the replay reads (7) at a station visit and (4) elsewhere.
+
+    The replay folds every level first. Its node by node findings are
+    looked for only when a test on the whole plan leaves room for one: a
+    lowest level below ``-_EPS_TOL`` or a start level that is NaN, a start
+    above ``Q + _EPS_TOL`` (the clamp keeps every later level at or below
+    ``Q``), a recorded level or station arrival unequal to the replay's, or
+    a ``tol`` that is not a nonnegative number.
     """
     found = []
     Q = a.capacity_kwh
@@ -297,27 +305,28 @@ def _plan_findings(g: RoadGraph, a: RouteAssignment, tol: float):
         found.append((2, "walk does not start at the source"))
     if legs and legs[-1] != a.dest:
         found.append((2, "walk does not end at the destination"))
-    walk = a.x_arcs
-    attrs = []
-    for i, j in walk:
-        attr = g.arc(i, j)
-        if attr is None:
-            found.append((2, f"walk uses missing arc ({i},{j})"))
-            return found, []
-        attrs.append(attr)
+    arcs = g.arcs
+    try:
+        attrs = list(map(arcs.__getitem__, zip(legs, legs[1:])))
+    except KeyError:
+        i, j = next(arc for arc in zip(legs, legs[1:]) if arc not in arcs)
+        found.append((2, f"walk uses missing arc ({i},{j})"))
+        return found, []
 
-    cycle = set(g.med_cycle_segments()) if a.q_points else ()
     gain_at = {}
-    for att in a.q_points:
-        k, n = att.leg_index, len(att.segments)
-        if not n or not 0 <= k < len(legs) - n or list(att.segments) != walk[k:k + n]:
-            found.append((3, "attach span does not match the walk slice"))
-        if any(arc not in cycle for arc in att.segments):
-            found.append((3, "attach segment is not a cycle arc"))
-        if att.wait_s < 0:
-            found.append((4, "negative attach wait"))
-        for off, induced in enumerate(att.induced_per_segment):
-            gain_at[k + off] = induced
+    if a.q_points:
+        cycle = set(g.med_cycle_segments())
+        for att in a.q_points:
+            k, n = att.leg_index, len(att.segments)
+            if not n or not 0 <= k < len(legs) - n or \
+                    list(att.segments) != list(zip(legs[k:k + n], legs[k + 1:k + n + 1])):
+                found.append((3, "attach span does not match the walk slice"))
+            if not cycle.issuperset(att.segments):
+                found.append((3, "attach segment is not a cycle arc"))
+            if att.wait_s < 0:
+                found.append((4, "negative attach wait"))
+            for off, induced in enumerate(att.induced_per_segment):
+                gain_at[k + off] = induced
 
     charge_at = {}
     for v in a.z_visits:
@@ -334,33 +343,66 @@ def _plan_findings(g: RoadGraph, a: RouteAssignment, tol: float):
     if len(trace) != len(legs):
         found.append((4, "energy trace length does not match the walk"))
         return found, []
+    # each arc with its attach gain; a step (None, k) at a station's node k
+    # fills the battery there
+    steps = zip(attrs, map(gain_at.get, range(len(attrs)), repeat(0.0)) if gain_at
+                else repeat(0.0))
+    if charge_at:
+        steps = list(steps)
+        for k in sorted(charge_at, reverse=True):
+            steps.insert(k, (None, k))
     eps = a.energy_start_kwh
+    levels = [eps] if legs else []
+    low = eps  # the lowest level before any station charge, NaN if the start is
+    arrive = {}  # the level reaching each station node, before its charges
     drive_s = 0.0
-    levels = []
-    for k, recorded in enumerate(trace):
-        if k:
-            attr = attrs[k - 1]
-            drive_s += attr.drive_time_s
-            level = eps - attr.energy_kwh + (gain_at.get(k - 1, 0.0) if gain_at else 0.0)
-            eps = level if level < Q else Q
-        if eps < -_EPS_TOL:
-            found.append((5, f"battery below zero arriving at walk index {k}"))
-        if charge_at:
-            for v in charge_at.get(k, ()):
-                if abs(v.arrive_kwh - eps) > tol:
-                    found.append((4, "recorded arrival energy at station disagrees "
-                                     "with the trace"))
-                eps = Q
-        if eps > Q + _EPS_TOL:
-            found.append((6, f"battery above capacity at walk index {k}"))
-        if abs(recorded - eps) > tol:
-            found.append((7, "battery not full right after a station visit") if k in charge_at
-                         else (4, f"energy trace diverges at walk index {k}"))
+    for attr, gain in steps:
+        if attr is None:
+            arrive[gain], eps = eps, Q
+            levels[gain] = Q
+            continue
+        drive_s += attr.drive_time_s
+        level = eps - attr.energy_kwh + gain
+        eps = level if level < Q else Q
+        if eps < low:
+            low = eps
         levels.append(eps)
 
+    # after the clamp no level exceeds Q, so only the start can break (6)
+    clean = (tol >= 0 and levels == trace and low >= -_EPS_TOL
+             and a.energy_start_kwh <= Q + _EPS_TOL and Q <= Q + _EPS_TOL)
+    for k, visits in charge_at.items() if clean else ():
+        eps = arrive[k]
+        for v in visits:
+            clean = clean and v.arrive_kwh == eps
+            eps = Q
+    if not clean:
+        found += _node_findings(levels, arrive, charge_at, trace, Q, tol)
     if abs(a.total_time_s - _plus_stops(drive_s, a)) > tol:
         found.append((4, "stored total time disagrees with the recomputed objective"))
     return found, levels
+
+
+def _node_findings(levels, arrive, charge_at, trace, Q, tol):
+    """The replay's findings (4)-(7), node by node along the walk."""
+    found = []
+    for k, (eps, recorded) in enumerate(zip(levels, trace)):
+        visits = charge_at.get(k, ())
+        if visits:
+            eps = arrive[k]
+        if eps < -_EPS_TOL:
+            found.append((5, f"battery below zero arriving at walk index {k}"))
+        for v in visits:
+            if abs(v.arrive_kwh - eps) > tol:
+                found.append((4, "recorded arrival energy at station disagrees "
+                                 "with the trace"))
+            eps = Q
+        if eps > Q + _EPS_TOL:
+            found.append((6, f"battery above capacity at walk index {k}"))
+        if abs(recorded - eps) > tol:
+            found.append((7, "battery not full right after a station visit") if visits
+                         else (4, f"energy trace diverges at walk index {k}"))
+    return found
 
 
 def check_assignment(g: RoadGraph, a: RouteAssignment, tol: float = 1e-6):

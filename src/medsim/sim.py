@@ -143,6 +143,12 @@ class Scenario:
             doc["graph"] = doc["graph_path"]  # read by __post_init__
         require_keys(doc, ("graph",), "scenario", ValueError)
         infra = doc.get("infra", {})
+        if not isinstance(infra, dict):
+            raise ValueError("infra block must be an object")
+        for kind in ("scs", "med"):
+            for k, entry in enumerate(infra.get(kind, ())):
+                if not isinstance(entry, dict):
+                    raise ValueError(f"infra {kind} entry #{k} must be an object")
         for k, s in enumerate(infra.get("scs", ())):
             require_keys(s, ("node",), f"infra scs entry #{k}", ValueError)
         radio = dict(doc.get("radio", {}))
@@ -253,19 +259,36 @@ class LevelSampler:
         return [(*self.draw(f), f) for f in flags]
 
 
+# the key and draws of generate_population's last draw; the key holds the
+# graph itself, so no other graph can take its id while it is remembered
+_last_population: tuple | None = None
+
+
 def generate_population(scenario: Scenario, g: RoadGraph,
                         caches: PathCache | None = None):
     """Deterministic spawn list, as records not yet routed; independent of the mode.
 
     The same seed yields the same population for both modes, which is what
-    makes paired mode comparisons meaningful.
+    makes paired mode comparisons meaningful. The last draw is remembered
+    with everything it reads: the graph, the seed, the EV count, the level,
+    the horizon, the drop rate and the entries. A call with an equal key
+    reuses it, so the second mode of a pair draws nothing. Each call returns
+    new records, as :func:`run` writes outcomes into them.
     """
-    rng = random.Random(scenario.seed)
+    global _last_population
+    entries = None if scenario.entries is None else \
+        tuple((type(node), node) for node in scenario.entries)  # 1 and 1.0 print apart
+    key = (g, scenario.seed, scenario.ev_count, scenario.level, scenario.horizon_s,
+           scenario.block_prob, entries)
     n = scenario.ev_count
-    arrivals = sorted(rng.uniform(0.0, scenario.horizon_s) for _ in range(n))
-    sampler = LevelSampler(g, scenario.level, rng, scenario.entries, caches)
-    draws = sampler.sample(n)
-    excluded = [rng.random() < scenario.block_prob for _ in range(n)]
+    if _last_population is None or _last_population[0] != key:
+        rng = random.Random(scenario.seed)
+        arrivals = sorted(rng.uniform(0.0, scenario.horizon_s) for _ in range(n))
+        sampler = LevelSampler(g, scenario.level, rng, scenario.entries, caches)
+        draws = sampler.sample(n)
+        excluded = [rng.random() < scenario.block_prob for _ in range(n)]
+        _last_population = key, arrivals, draws, excluded
+    _, arrivals, draws, excluded = _last_population
     width = max(3, len(str(max(n - 1, 0))))
     return [EvRecord(f"ev{k:0{width}d}", arrivals[k], s, d, eps, anx, excl)
             for k, ((s, d, eps, anx), excl) in enumerate(zip(draws, excluded))]
@@ -396,14 +419,19 @@ def _refuse_med(kind, node) -> bool:
     return kind != "med"
 
 
+def mode_gate(mode: str):
+    """The charger gate of an EV in ``mode`` that the comms drop did not exclude:
+    none in mode "SCS_MED", :func:`_refuse_med` in mode "SCS"."""
+    return None if mode == "SCS_MED" else _refuse_med
+
+
 def run(scenario: Scenario, keep_assignments: bool = True) -> RunMetrics:
     """Simulate one scenario and collect metrics.
 
     EVs are routed in arrival order against live ledgers; stranded EVs are
     recorded with the penalty travel time rather than aborting the run. An
     EV's charger gate is :func:`_refuse_all` if the comms drop excluded it,
-    else :func:`_refuse_med` in mode "SCS" (the mobile chargers take no
-    bookings), else none. The graph and its path cache come from
+    else the mode's, :func:`mode_gate`. The graph and its path cache come from
     :func:`network_for`, so a run on an equal network reuses the last one.
     """
     network = network_for(scenario)
@@ -412,9 +440,7 @@ def run(scenario: Scenario, keep_assignments: bool = True) -> RunMetrics:
     # each record gets its outcome in place, in arrival order
     metrics = RunMetrics(scenario.mode, scenario.level, scenario.ev_count, scenario.seed,
                          rows=generate_population(scenario, g, caches), infrastructure=infra)
-    # what an EV not excluded by the comms drop may use: everything, or no
-    # mobile charger in SCS mode
-    open_gate = None if scenario.mode == "SCS_MED" else _refuse_med
+    open_gate = mode_gate(scenario.mode)
 
     for rec in metrics.rows:
         request = EvRequest(rec.ev, rec.source, rec.dest,

@@ -12,7 +12,7 @@ from medsim.energy import InductionParams, VehicleParams
 from medsim.oracle import OracleInstance
 from medsim.road_graph import ArcAttr, build_graph, grid_doc, load_graph
 from medsim.routing import (_EPS_TOL, INFINITE, EvRequest, NoPath, PathCache, Stranded,
-                            _Candidate)
+                            _Candidate, _plus_stops)
 
 settings.register_profile("ci", derandomize=True)
 settings.register_profile("fresh", derandomize=False)
@@ -62,6 +62,93 @@ def route_energy(g, path) -> float:
     for i, j in zip(path, path[1:]):
         e += g.arc(i, j).energy_kwh
     return e
+
+
+def ref_plan_findings(g, a, tol: float):
+    """``routing._plan_findings`` in its plain form: each arc read through ``g.arc``,
+    and every check made at every node of the walk as the level is folded.
+
+    Returns ``(findings, levels)``: ``(constraint id, message)`` pairs in
+    check order, (2) the walk, (3) the attach spans and (10) the station
+    visits, each with a negative wait there as (4), then the trace length
+    (4), the energy replay (4)-(7) and the stored total time (4); and the
+    replayed level at each node of the walk, after any station charge. Each
+    arc is read once from the graph, never from a path cache, so the router
+    is checked independently; the drive time is the router's left fold. A
+    recorded level that disagrees with the replay reads (7) at a station
+    visit and (4) elsewhere.
+    """
+    found = []
+    Q = a.capacity_kwh
+    legs = a.legs
+    if not legs or legs[0] != a.source:
+        found.append((2, "walk does not start at the source"))
+    if legs and legs[-1] != a.dest:
+        found.append((2, "walk does not end at the destination"))
+    walk = a.x_arcs
+    attrs = []
+    for i, j in walk:
+        attr = g.arc(i, j)
+        if attr is None:
+            found.append((2, f"walk uses missing arc ({i},{j})"))
+            return found, []
+        attrs.append(attr)
+
+    cycle = set(g.med_cycle_segments()) if a.q_points else ()
+    gain_at = {}
+    for att in a.q_points:
+        k, n = att.leg_index, len(att.segments)
+        if not n or not 0 <= k < len(legs) - n or list(att.segments) != walk[k:k + n]:
+            found.append((3, "attach span does not match the walk slice"))
+        if any(arc not in cycle for arc in att.segments):
+            found.append((3, "attach segment is not a cycle arc"))
+        if att.wait_s < 0:
+            found.append((4, "negative attach wait"))
+        for off, induced in enumerate(att.induced_per_segment):
+            gain_at[k + off] = induced
+
+    charge_at = {}
+    for v in a.z_visits:
+        if not (0 <= v.leg_index < len(legs)) or legs[v.leg_index] != v.node:
+            found.append((10, "station visit index does not match the walk"))
+            continue
+        if v.node not in g.scs_nodes:
+            found.append((10, f"station visit at non-station node {v.node}"))
+        if v.wait_s < 0 or v.charge_s < 0:
+            found.append((4, "negative wait or charge time at a station"))
+        charge_at.setdefault(v.leg_index, []).append(v)
+
+    trace = a.energy_trace
+    if len(trace) != len(legs):
+        found.append((4, "energy trace length does not match the walk"))
+        return found, []
+    eps = a.energy_start_kwh
+    drive_s = 0.0
+    levels = []
+    for k, recorded in enumerate(trace):
+        if k:
+            attr = attrs[k - 1]
+            drive_s += attr.drive_time_s
+            level = eps - attr.energy_kwh + (gain_at.get(k - 1, 0.0) if gain_at else 0.0)
+            eps = level if level < Q else Q
+        if eps < -_EPS_TOL:
+            found.append((5, f"battery below zero arriving at walk index {k}"))
+        if charge_at:
+            for v in charge_at.get(k, ()):
+                if abs(v.arrive_kwh - eps) > tol:
+                    found.append((4, "recorded arrival energy at station disagrees "
+                                     "with the trace"))
+                eps = Q
+        if eps > Q + _EPS_TOL:
+            found.append((6, f"battery above capacity at walk index {k}"))
+        if abs(recorded - eps) > tol:
+            found.append((7, "battery not full right after a station visit") if k in charge_at
+                         else (4, f"energy trace diverges at walk index {k}"))
+        levels.append(eps)
+
+    if abs(a.total_time_s - _plus_stops(drive_s, a)) > tol:
+        found.append((4, "stored total time disagrees with the recomputed objective"))
+    return found, levels
 
 
 def fresh_run(scenario, **kw):

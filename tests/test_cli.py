@@ -162,6 +162,27 @@ class TestSweep:
         assert rc == 0
         assert len(loads) == 1
 
+    def test_the_second_mode_of_each_pair_draws_no_population(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sim, "_last_population", None)
+        calls, draws = [], []  # LevelSampler.draw calls; (mode, draw calls) per run
+        draw, population = sim.LevelSampler.draw, sim.generate_population
+        monkeypatch.setattr(sim.LevelSampler, "draw",
+                            lambda *args, **kw: calls.append(1) or draw(*args, **kw))
+
+        def counting(scenario, *args, **kw):
+            start = len(calls)
+            spawns = population(scenario, *args, **kw)
+            draws.append((scenario.mode, len(calls) - start))
+            return spawns
+        monkeypatch.setattr(sim, "generate_population", counting)
+        scenario = tmp_path / "default.json"
+        scenario.write_text(json.dumps(default_scenario().to_json()))
+        assert main(["sweep", "--scenario", str(scenario), "--out",
+                     str(tmp_path / "sweep.csv")]) == 0
+        assert [mode for mode, _ in draws] == ["SCS", "SCS_MED"] * 150
+        assert min(n for _, n in draws[0::2]) >= 10
+        assert [n for _, n in draws[1::2]] == [0] * 150
+
     def test_graph_path_is_read_once(self, tmp_path, monkeypatch):
         doc = default_scenario(ev_count=12, seed=1).to_json()
         (tmp_path / "grid.json").write_text(json.dumps(doc["graph"]))
@@ -191,6 +212,7 @@ class TestPinnedOutputs:
     """
 
     RUN_DIGEST = "32645a81a232a9a178b543716d601bbd3f9f4ccbab67704e34daaa0b4ad105b9"
+    SWEEP_DIGEST = "002f9d1f35b86b05926b28a4b378ff6bce0bc06ffbe578b41605571743af57f1"
 
     def digest(self, args, tmp_path):
         scenario = tmp_path / "default.json"
@@ -200,8 +222,11 @@ class TestPinnedOutputs:
         return hashlib.sha256(out.read_bytes()).hexdigest()
 
     def test_default_sweep(self, tmp_path):
-        assert self.digest(["sweep", "--out"], tmp_path) == \
-            "002f9d1f35b86b05926b28a4b378ff6bce0bc06ffbe578b41605571743af57f1"
+        assert self.digest(["sweep", "--out"], tmp_path) == self.SWEEP_DIGEST
+
+    def test_default_sweep_two_jobs(self, tmp_path):
+        # each worker runs whole mode pairs and remembers its own population
+        assert self.digest(["sweep", "--jobs", "2", "--out"], tmp_path) == self.SWEEP_DIGEST
 
     def test_default_run_l3_100_evs(self, tmp_path):
         args = ["run", "--level", "L3", "--evs", "100", "--seed", "0", "--out-csv"]
@@ -268,6 +293,17 @@ class TestRouteAndOracle:
         assert not doc["stranded"]
         assert doc["assignment"]["legs"][0] == 0
         assert doc["assignment"]["legs"][-1] == 9
+
+    def test_route_takes_the_mode_gate(self, scenario_path, tmp_path):
+        # the charger gate of sim.run: SCS mode books no mobile charger
+        stops = {}
+        for mode in sim.MODES:
+            out = tmp_path / f"{mode}.json"
+            assert main(["route", "--scenario", scenario_path, "--source", "40", "--dest", "59",
+                         "--energy", "1.0", "--mode", mode, "--out", str(out)]) == 0
+            plan = json.loads(out.read_text())["assignment"]
+            stops[mode] = len(plan["z_visits"]), len(plan["q_points"])
+        assert stops == {"SCS": (1, 0), "SCS_MED": (0, 1)}
 
     def test_route_stranded_reported(self, scenario_path, tmp_path):
         out = tmp_path / "route.json"
@@ -556,12 +592,18 @@ class TestInvalidFiles:
          "scenario: arc (0,1) costs the vehicle a non-finite energy"),
         (lambda doc: doc["graph"]["arcs"][0].update(length_m=10 ** 400),
          "scenario: arc (0,1) has a length, speed or energy beyond a float"),
+        (lambda doc: doc.update(infra=[]), "scenario: infra block must be an object"),
+        (lambda doc: doc["infra"].update(med=[1]),
+         "scenario: infra med entry #0 must be an object"),
+        (lambda doc: doc["infra"].update(scs=[22]),
+         "scenario: infra scs entry #0 must be an object"),
     ], ids=["radio-unknown-key", "horizon-inf", "horizon-nan", "horizon-negative",
             "penalty-inf", "penalty-negative", "rate-nan", "rate-zero", "station-not-a-station",
             "station-not-a-node", "entry-not-a-node", "med-without-cycle", "node-id-list",
             "node-id-object", "arc-tail-list", "graph-scs-list", "graph-med-cycle-object",
             "graph-entries-list", "entries-list", "entries-object", "visit-limit-zero",
-            "speed-squared-overflows", "energy-overflows", "length-beyond-a-float"])
+            "speed-squared-overflows", "energy-overflows", "length-beyond-a-float",
+            "infra-list", "infra-med-entry-number", "infra-scs-entry-number"])
     def test_rejected_run_input(self, tmp_path, capsys, monkeypatch, argv, edit, message):
         # an infinite horizon once hung the run, a NaN one crashed it and a
         # negative one gave negative arrival times; an infinite penalty made
@@ -569,10 +611,11 @@ class TestInvalidFiles:
         # station id off the graph raised a bare KeyError, and one at a plain
         # node left the graph's station unused; a rate of 0 or a charger with
         # no cycle to drive raised a traceback, and so did a node id that is
-        # a JSON list or object, an arc speed whose square overflows a float
-        # and a length beyond one; an arc the vehicle priced to an infinite
-        # energy aborted a sweep with exit 1. With no EVs a missed input runs
-        # to exit 0 rather than hanging the suite.
+        # a JSON list or object, an infra block or entry that is not an
+        # object, an arc speed whose square overflows a float and a length
+        # beyond one; an arc the vehicle priced to an infinite energy aborted
+        # a sweep with exit 1. With no EVs a missed input runs to exit 0
+        # rather than hanging the suite.
         monkeypatch.chdir(tmp_path)
         cells = []
         monkeypatch.setattr(cli, "_sweep_cell", lambda *args: cells.append(args))

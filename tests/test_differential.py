@@ -1,10 +1,11 @@
-"""Differential tests: the router's scoring against plain reference copies.
+"""Differential tests: the router's scoring and self-check against plain reference copies.
 
 ``MedState.waiting``, ``find_best_energy_point`` and ``_arrival_level``
 compute what their references in ``conftest.py`` compute (``ref_waiting``,
 ``ref_best_energy_point`` and the per-arc ``route_level``), with less
 work per try, point and arc; ``MedState.ride`` and ``_plan_med_span`` ride
-the charger as ``ref_attach_run`` and ``ref_plan_med_span`` do. Each property
+the charger as ``ref_attach_run`` and ``ref_plan_med_span`` do, and
+``_plan_findings`` checks a plan as ``ref_plan_findings`` does. Each test
 draws inputs on which the two could part and demands the same answer bit
 for bit (McKeeman 1998, "Differential testing for software").
 """
@@ -14,14 +15,19 @@ from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
+from medsim import sim
 from medsim.charging import Booking, Infrastructure, MedState, ScsState
 from medsim.energy import InductionParams
+from medsim.oracle import solve_exact
 from medsim.road_graph import ArcAttr, build_graph
-from medsim.routing import (EvRequest, PathCache, Stranded, _arrival_level, _plan_med_span,
-                            find_best_energy_point)
-from medsim.sim import _refuse_all, _refuse_med
-from tests.conftest import (TEST_INDUCTION, ref_attach_run, ref_best_energy_point,
-                            ref_pass_shares, ref_plan_med_span, ref_waiting, route_level)
+from medsim.routing import (EvRequest, PathCache, RouteAssignment, ScsVisit, Stranded,
+                            _arrival_level, _plan_findings, _plan_med_span,
+                            find_best_energy_point, find_shortest_path)
+from medsim.sim import _refuse_all, _refuse_med, default_scenario
+from tests.conftest import (TEST_INDUCTION, line_graph, random_oracle_instance,
+                            ref_attach_run, ref_best_energy_point, ref_pass_shares,
+                            ref_plan_findings, ref_plan_med_span, ref_waiting, route_level)
+from tests.test_acceptance import random_scenario
 
 # whole seconds plus an offset that rounds, so sums tie and still round by order
 DRIVE_S = st.builds(lambda whole, frac: whole + frac, st.integers(1, 9),
@@ -254,3 +260,107 @@ class TestAttachRun:
         # a segment that drains more than it induces empties the battery
         unit.segments = (flat[0], replace(flat[1], energy_kwh=1.0), flat[2])
         assert [seg.index for seg, *_ in unit.ride(0, 0.5, 100.0)] == [0]
+
+
+# -- the plan checker -------------------------------------------------------------
+
+ODD = (math.nan, math.inf, -math.inf, -0.0, -1.0)
+
+
+def routed_plans():
+    """``(graph, plan, doctor)`` triples: the default runs at 100 EVs and criterion 1's
+    scenarios 0-59, a sixth of them to doctor; the oracle's optima and the router's
+    plans on random oracle instances; and plans on zero-energy arcs with an integer
+    capacity, where a clamp at capacity shows in the levels' types."""
+    routed = []
+    for scenario in [*(default_scenario(mode=mode, level=level, ev_count=100)
+                       for mode in sim.MODES for level in ("L1", "L2", "L3")),
+                     *map(random_scenario, range(60))]:
+        routed += [(sim._last_network.graph, a) for a in sim.run(scenario).assignments if a]
+    plans = [(g, a, n % 6 == 0) for n, (g, a) in enumerate(routed)]
+    for seed in range(60):
+        inst = random_oracle_instance(seed)
+        best = solve_exact(inst).best
+        if best is not None:
+            plans.append((inst.graph, best, True))
+        try:
+            plans.append((inst.graph, find_shortest_path(
+                inst.graph, inst.request, inst.frozen_infrastructure()), True))
+        except Stranded:
+            pass
+    flat = line_graph(4, energy=0.0, scs=(2,))
+    plans.append((flat, RouteAssignment("flat", 0, 3, 50, 50, [0, 1, 2, 3], [], [],
+                                        [50, 50, 50, 50], 300.0), True))
+    plans.append((flat, RouteAssignment("flat", 0, 3, 50, 49, [0, 1, 2, 3],
+                                        [ScsVisit(2, 2, 0.0, 5.0, 49.0)], [],
+                                        [49, 49.0, 50, 50], 305.0), True))
+    return plans
+
+
+def _with(items, k, **change):
+    """``items`` with item ``k`` replaced by a copy holding ``change``."""
+    return items[:k] + [replace(items[k], **change)] + items[k + 1:]
+
+
+def doctored(a):
+    """Copies of plan ``a``, each with one field perturbed."""
+    Q, legs, trace = a.capacity_kwh, a.legs, a.energy_trace
+    for value in (*ODD, 0.0, Q + 1.0, int(Q)):
+        yield replace(a, capacity_kwh=value)
+    for value in (*ODD, Q + 1.0, Q + 1e-10, -1e-10):
+        yield replace(a, energy_start_kwh=value)
+    for value in (*ODD, a.total_time_s + 1e-3):
+        yield replace(a, total_time_s=value)
+    k = len(legs) // 2
+    for walk in (legs[::-1], legs[1:], legs[:-1], [], legs[:k] + [legs[k]] + legs[k:],
+                 legs[:k] + [-7] + legs[k + 1:]):
+        yield replace(a, legs=walk)
+    for k in sorted({0, len(trace) // 2, len(trace) - 1}):
+        for value in (*ODD, trace[k] + 1e-3, trace[k] + 1e-7):
+            yield replace(a, energy_trace=trace[:k] + [value] + trace[k + 1:])
+    yield replace(a, energy_trace=trace[:-1])
+    for k, v in enumerate(a.z_visits):
+        for field, values in (("leg_index", (v.leg_index - 1, v.leg_index + 1, -1, len(legs))),
+                              ("node", (v.node + 1,)), ("wait_s", (-1.0, math.nan)),
+                              ("charge_s", (-1.0, math.inf)),
+                              ("arrive_kwh", (*ODD, v.arrive_kwh + 1e-3))):
+            for value in values:
+                yield replace(a, z_visits=_with(a.z_visits, k, **{field: value}))
+        yield replace(a, z_visits=a.z_visits + [v])  # charged twice there
+        yield replace(a, z_visits=_with(a.z_visits, k, leg_index=0, node=legs[0]))
+    for k, p in enumerate(a.q_points):
+        for field, values in (("leg_index", (p.leg_index - 1, p.leg_index + 1, -1, math.nan)),
+                              ("wait_s", (-1.0, math.nan)),
+                              ("segments", (p.segments[1:], p.segments[::-1],
+                                            p.segments + p.segments[:1],
+                                            tuple((j, i) for i, j in p.segments))),
+                              ("induced_per_segment", (p.induced_per_segment[1:],))):
+            for value in values:
+                yield replace(a, q_points=_with(a.q_points, k, **{field: value}))
+        for j, induced in enumerate(p.induced_per_segment):
+            for value in (*ODD, induced + 1.0, 0.0):
+                gains = p.induced_per_segment[:j] + (value,) + p.induced_per_segment[j + 1:]
+                yield replace(a, q_points=_with(a.q_points, k, induced_per_segment=gains))
+
+
+def _outcome(check, g, a, tol):
+    try:
+        return repr(check(g, a, tol))
+    except Exception as exc:  # a plan neither checker can read must fail alike
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestPlanFindings:
+    """``_plan_findings`` against ``ref_plan_findings``: findings and levels by ``repr``."""
+
+    def test_routed_and_doctored_plans_match_the_reference(self):
+        plans = routed_plans()
+        checked = found = 0
+        for g, a, doctor in plans:
+            for b in [a, *doctored(a)] if doctor else [a]:
+                for tol in ((1e-6, 0.0, -1.0, math.nan) if b is a else (1e-6, 0.0)):
+                    want = _outcome(ref_plan_findings, g, b, tol)
+                    assert _outcome(_plan_findings, g, b, tol) == want, (a.ev, b, tol)
+                    checked += 1
+                    found += not want.startswith("([]")
+        assert len(plans) > 2500 and checked > 50_000 and found > 20_000

@@ -126,6 +126,10 @@ class TestRun:
         m = run(default_scenario(ev_count=50, seed=6, level="L3", block_prob=1.0))
         assert all(r.choice == "none" for r in m.rows)
 
+    def test_the_mode_gate(self):
+        assert sim.mode_gate("SCS_MED") is None
+        assert sim.mode_gate("SCS") is sim._refuse_med
+
     def test_scs_mode_never_uses_the_mobile_charger(self):
         m = run(default_scenario(ev_count=50, seed=6, level="L3", mode="SCS"))
         assert all(r.choice != "med" for r in m.rows)
@@ -425,6 +429,54 @@ class TestRememberedNetwork:
         run(default_scenario(ev_count=10, graph=other, scs=[(5, 19.2)]))
         gc.collect()
         assert remembered() is None
+
+
+class TestRememberedPopulation:
+    """A run reuses the last population draw when everything the draw reads is equal."""
+
+    @pytest.fixture(autouse=True)
+    def forget(self, monkeypatch):
+        monkeypatch.setattr(sim, "_last_network", None)
+        monkeypatch.setattr(sim, "_last_population", None)
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls = []
+        draw = LevelSampler.draw
+        monkeypatch.setattr(LevelSampler, "draw",
+                            lambda *args, **kw: calls.append(1) or draw(*args, **kw))
+        return calls
+
+    def test_the_second_mode_of_a_pair_draws_nothing(self, draws):
+        scs, med = (default_scenario(mode=mode, level="L3", ev_count=100, seed=5)
+                    for mode in MODES)
+        first = run(scs)
+        assert len(draws) >= 100
+        draws.clear()
+        second = run(med)
+        assert draws == []
+        # new records per run: the second run's outcomes leave the first's alone
+        assert not {id(r) for r in first.rows} & {id(r) for r in second.rows}
+        for sc, metrics in ((scs, first), (med, second)):
+            assert metrics.to_csv() == fresh_run(sc).to_csv()
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 6}, {"ev_count": 99}, {"level": "L2"}, {"horizon_s": 1800.0},
+        {"block_prob": 0.5}, {"entries": [0, 1, 2]},
+        # equal ids of another type: 1 == 1.0, but the CSV prints 1.0
+        {"entries": [0.0, 1.0, 2.0, 3.0]},
+        {"vehicle": dataclasses.replace(DEFAULT_VEHICLE, mass_kg=2000.0)},
+        {"graph": grid_doc(10, 10, arc_len_m=2400.0, scs=[22], med_cycle=[44, 45, 55, 54])},
+    ], ids=["seed", "ev_count", "level", "horizon_s", "block_prob", "entries",
+            "entries-float", "vehicle", "graph"])
+    def test_any_change_the_draw_reads_draws_again(self, draws, change):
+        base = default_scenario(level="L3", ev_count=100, seed=5, entries=[0, 1, 2, 3])
+        run(base)
+        other = dataclasses.replace(base, **change)
+        draws.clear()
+        metrics = run(other)
+        assert draws
+        assert metrics.to_csv() == fresh_run(other).to_csv()
 
 
 class TestScenarioJson:
