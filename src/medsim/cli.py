@@ -127,8 +127,8 @@ def _scenario(doc: dict | sim.Scenario, **overrides) -> sim.Scenario:
         if isinstance(doc, sim.Scenario):
             return replace(doc, **overrides)
         return sim.Scenario.from_json(doc, **overrides)
-    # a value Scenario or a parameter block rejects, or a key a block does not take
-    except (ValueError, TypeError) as exc:
+    # a bad shape, which the key tables word, or a value a check rejects
+    except ValueError as exc:
         raise InputError(f"scenario: {exc}") from None
 
 
@@ -222,6 +222,8 @@ def cmd_sweep(args) -> int:
                                      chunksize=len(modes)))  # a pair stays in one worker
         else:
             rows = [_sweep_cell(first, cell) for cell in cells]
+    except sim.CalibrationError:  # a level the graph cannot realize exits 2, as in run
+        raise
     except Exception as exc:
         print(f"sweep: aborted, no output written: {exc}", file=sys.stderr)
         return 1

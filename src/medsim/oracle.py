@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from .charging import (STATION_RATE_KW, BookResult, Infrastructure, MedState, ScsState,
                        scs_charge_time)
 from .energy import InductionParams, VehicleParams
-from .road_graph import RoadGraph, load_graph, require_keys
+from .road_graph import (AS_IS, INTEGER, NODE_ID, NUMBER, OBJECT, OBJECTS, RoadGraph, load_graph,
+                         read_block, read_entries, read_params)
 from .routing import (_EPS_TOL, INFINITE, EvRequest, MedAttach, PathCache, RouteAssignment,
                       ScsVisit, _plan_findings)
 
@@ -348,44 +349,37 @@ def verify(inst: OracleInstance, a: RouteAssignment, tol: float = 1e-6,
 # -- instance (de)serialization ------------------------------------------------
 
 
+# the kind of each key an instance block may hold; parse_graph reads the graph
+_INSTANCE_KEYS = {"graph": AS_IS, "request": OBJECT, "scs": OBJECTS, "med": OBJECT,
+                  "vehicle": OBJECT, "visit_limit": INTEGER}
+_REQUEST_KEYS = {"ev": ("text", str), "source": NODE_ID, "dest": NODE_ID,
+                 "capacity_kwh": NUMBER, "energy_kwh": NUMBER}
+_SCS_KEYS = {"node": NODE_ID, "wait_s": NUMBER, "rate_kw": NUMBER}
+_MED_KEYS = {"c_ind": NUMBER, "p_ind_kw": NUMBER, "battery_kwh": NUMBER, "wait_s": (
+    "an object mapping integer cycle points to numbers",
+    lambda waits: {int(k): float(v) for k, v in OBJECT[1](waits).items()})}
+
+
+def _med(med: dict) -> tuple:
+    """A med block's induction (None without ``c_ind``), battery and waits."""
+    return (InductionParams(med["c_ind"], med["p_ind_kw"]) if "c_ind" in med else None,
+            med.get("battery_kwh", INFINITE), med.get("wait_s", {}))
+
+
 def instance_from_json(doc) -> OracleInstance:
     """Build an instance from the CLI's JSON schema."""
-    require_keys(doc, ("graph", "request"), "instance", OracleError)
-    r, scs, med = doc["request"], doc.get("scs", []), doc.get("med", {})
-    if not (isinstance(r, dict) and isinstance(med, dict) and isinstance(scs, list)
-            and all(isinstance(s, dict) for s in scs)):
-        raise OracleError("request and med must be objects, scs a list of objects")
-    require_keys(r, ("source", "dest", "capacity_kwh", "energy_kwh"), "request", OracleError)
-    scs_waits, scs_rates = {}, {}
-    for k, s in enumerate(scs):
-        require_keys(s, ("node",), f"scs entry #{k}", OracleError)
-        if isinstance(s["node"], (list, dict)):
-            raise OracleError(f"scs entry #{k} has a node that is not a node id")
-        try:
-            wait, rate = float(s.get("wait_s", 0.0)), float(s.get("rate_kw", STATION_RATE_KW))
-        except (TypeError, ValueError):
-            raise OracleError(f"scs entry #{k} has a non-numeric wait_s or rate_kw") from None
-        scs_waits[s["node"]], scs_rates[s["node"]] = wait, rate
-    try:
-        vehicle = VehicleParams(**doc["vehicle"]) if "vehicle" in doc else None
-    except (TypeError, ValueError) as exc:
-        raise OracleError(f"vehicle: {exc}") from None
+    doc = read_block(doc, "instance", _INSTANCE_KEYS, ("graph", "request"), OracleError)
+    request = read_block(doc["request"], "request", _REQUEST_KEYS,
+                         ("source", "dest", "capacity_kwh", "energy_kwh"), OracleError,
+                         build=lambda r: EvRequest(r.get("ev", "ev0"), r["source"], r["dest"],
+                                                   r["capacity_kwh"], r["energy_kwh"]))
+    scs = read_entries(doc.get("scs", ()), "scs", _SCS_KEYS, ("node",), OracleError)
+    med = doc.get("med", {})
+    induction, battery_kwh, med_waits = read_block(
+        med, "med", _MED_KEYS, ("p_ind_kw",) if "c_ind" in med else (), OracleError, build=_med)
+    vehicle = read_params(doc["vehicle"], "vehicle", VehicleParams, OracleError) \
+        if "vehicle" in doc else None
     g = load_graph(doc["graph"], vehicle=vehicle, visit_limit=doc.get("visit_limit", 2))
-    try:
-        request = EvRequest(str(r.get("ev", "ev0")), r["source"], r["dest"],
-                            float(r["capacity_kwh"]), float(r["energy_kwh"]))
-    except (TypeError, ValueError) as exc:
-        raise OracleError(f"request: {exc}") from None
-    try:
-        med_waits = {int(k): float(v) for k, v in med.get("wait_s", {}).items()}
-    except (AttributeError, TypeError, ValueError):
-        raise OracleError("med wait_s must map integer cycle points to numbers") from None
-    if "c_ind" in med:
-        require_keys(med, ("p_ind_kw",), "med", OracleError)
-    try:
-        induction = (InductionParams(float(med["c_ind"]), float(med["p_ind_kw"]))
-                     if "c_ind" in med else None)
-        battery_kwh = float(med.get("battery_kwh", INFINITE))
-    except (TypeError, ValueError) as exc:
-        raise OracleError(f"med: {exc}") from None
-    return OracleInstance(g, request, scs_waits, scs_rates, med_waits, induction, battery_kwh)
+    return OracleInstance(g, request, {s["node"]: s.get("wait_s", 0.0) for s in scs},
+                          {s["node"]: s.get("rate_kw", STATION_RATE_KW) for s in scs},
+                          med_waits, induction, battery_kwh)

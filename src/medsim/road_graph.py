@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
 
@@ -123,18 +123,18 @@ class RoadGraph:
         return list(zip(pts, pts[1:] + pts[:1]))
 
 
-def node_set(ids, what: str) -> frozenset:
-    """The ids as a set; an id that is a JSON list or object is a GraphError."""
-    try:
-        return frozenset(ids)
-    except TypeError:
-        raise GraphError(f"{what}: a node id cannot be a list or an object") from None
+# MedState.ride slices max_passes * len(segments) segments off the cycle and may walk them
+# all: far below islice's limit of sys.maxsize, and few enough for a ride to end
+VISIT_LIMIT_MAX = 1000
 
 
 def check_visit_limit(visit_limit):
-    """A GraphError unless ``visit_limit``, the bound on repeat charger visits, is an int >= 1."""
+    """A GraphError unless ``visit_limit``, the bound on repeat charger visits, is an int in
+    [1, :data:`VISIT_LIMIT_MAX`]."""
     if not (isinstance(visit_limit, int) and visit_limit >= 1):
         raise GraphError("visit_limit must be an integer >= 1")
+    if visit_limit > VISIT_LIMIT_MAX:
+        raise GraphError(f"visit_limit must be at most {VISIT_LIMIT_MAX}")
 
 
 def _checked_ids(nodes, arcs, scs, med_cycle, entries):
@@ -145,7 +145,7 @@ def _checked_ids(nodes, arcs, scs, med_cycle, entries):
     No ``entries`` means every node but the chargers, in id order.
     """
     nodes = tuple(nodes)
-    declared = node_set(nodes, "graph nodes")
+    declared = frozenset(nodes)
     if len(declared) != len(nodes):
         raise GraphError("duplicate node ids")
     for (i, j) in arcs:
@@ -154,12 +154,12 @@ def _checked_ids(nodes, arcs, scs, med_cycle, entries):
         if i not in declared or j not in declared:
             raise GraphError(f"arc ({i},{j}) references undeclared node")
     scs = tuple(scs)
-    if not node_set(scs, "graph scs") <= declared:
+    if not set(scs) <= declared:
         raise GraphError("static station not among declared nodes")
     med_cycle = tuple(med_cycle)
     if len(med_cycle) > 1 and med_cycle[0] == med_cycle[-1]:
         med_cycle = med_cycle[:-1]
-    if len(node_set(med_cycle, "graph med_cycle")) != len(med_cycle):
+    if len(set(med_cycle)) != len(med_cycle):
         raise GraphError("mobile-charger cycle repeats a point")
     if not set(med_cycle) <= declared:
         raise GraphError("mobile-charger cycle point not among declared nodes")
@@ -175,7 +175,7 @@ def _checked_ids(nodes, arcs, scs, med_cycle, entries):
         entries = tuple(n for n in sorted(nodes) if n not in chargers)
     else:
         entries = tuple(entries)
-        if not node_set(entries, "graph entries") <= declared:
+        if not set(entries) <= declared:
             raise GraphError("entry point not among declared nodes")
     return nodes, scs, med_cycle, entries
 
@@ -189,6 +189,88 @@ def build_graph(nodes, arcs, scs_list=(), med_cycle=(), visit_limit: int = 2,
     """
     nodes, scs, med_cycle, entries = _checked_ids(nodes, arcs, scs_list, med_cycle, entries)
     return RoadGraph(nodes, dict(arcs), scs, med_cycle, visit_limit, entries)
+
+
+# -- document shapes: a reader declares each block's keys, key -> kind, a pair (name, read)
+# whose read converts a JSON value or raises, and reads the block through read_block before it
+# uses any value, so a bad shape is the reader's own error, "<block> <key>: ..."
+
+
+def _is(*types):
+    def read(value):
+        if isinstance(value, types):
+            return value
+        raise TypeError
+    return read
+
+
+def _integer(value) -> int:
+    if isinstance(value, float) and not value.is_integer():  # NaN and infinities too
+        raise ValueError
+    return int(value)
+
+
+def _ids(ids) -> list:  # ids are compared and sorted: all numbers or all strings
+    kinds = set(map(type, OBJECTS[1](ids)))
+    if kinds <= {int, float, bool} or kinds <= {str}:
+        return ids
+    raise TypeError
+
+
+AS_IS = ("anything", lambda v: v)
+OBJECT = ("an object", _is(dict))
+OBJECTS = ("a list of objects", _is(list))  # each entry read as a block of its own
+NUMBER = ("a number", float)  # numeric strings too, as float reads them
+INTEGER = ("an integer", _integer)
+STRING = ("a string", _is(str))
+NODE_ID = ("a node id", _is(int, float, str))
+NODE_IDS = ("a list of node ids, all numbers or all strings", _ids)
+
+
+def or_null(kind: tuple) -> tuple:
+    """``kind``, or a JSON null read as None."""
+    return f"{kind[0]}, or null", lambda v: None if v is None else kind[1](v)
+
+
+def read_block(block, what: str, keys: dict, required=(), error=GraphError, closed=False,
+               build=None):
+    """``build(values)``, or ``values`` without a ``build``: each key of the JSON object
+    ``block`` that ``keys`` declares, read by its kind; a key declared None is taken and
+    never read. A block that is not an object, a value of the wrong kind, a missing
+    ``required`` key, an undeclared key when ``closed`` (else skipped) or a ValueError of
+    ``build`` raises ``error``."""
+    if not isinstance(block, dict):
+        raise error(f"{what} must be an object")
+    values = {}
+    for key, value in block.items():
+        kind = keys.get(key, closed)  # undeclared: an error when closed, else skipped
+        if kind is True:
+            raise error(f"{what} has an unknown key {key!r}")
+        if kind:
+            try:
+                values[key] = kind[1](value)
+            except (TypeError, ValueError, KeyError, OverflowError):
+                raise error(f"{what} {key}: must be {kind[0]}, got {value!r:.60}") from None
+    for key in required:
+        if key not in values:
+            raise error(f"{what} lacks required key {key!r}")
+    try:
+        return values if build is None else build(values)
+    except ValueError as exc:  # a value the built type rejects
+        raise error(f"{what}: {exc}") from None
+
+
+def read_entries(entries: list, what: str, keys: dict, required=(), error=GraphError) -> list:
+    """:func:`read_block` on each entry of ``entries``, named ``<what> entry #k``."""
+    return [read_block(e, f"{what} entry #{k}", keys, required, error)
+            for k, e in enumerate(entries)]
+
+
+def read_params(block, what: str, params, error=GraphError):
+    """The dataclass ``params`` from a JSON object holding a number for each of its fields."""
+    names = [f.name for f in fields(params)]
+    return read_block(block, what, dict.fromkeys(names, NUMBER), names, error, True,
+                      lambda values: params(**values))
 
 
 # -- JSON schema ------------------------------------------------------------
@@ -205,12 +287,12 @@ def build_graph(nodes, arcs, scs_list=(), med_cycle=(), visit_limit: int = 2,
 # Arc drive time is length/speed. When an arc omits energy_kwh it is priced
 # from the vehicle parameters at load time, so routing sees plain numbers.
 
-
-def require_keys(doc, keys, what: str, error=GraphError):
-    """Raise ``error`` naming the first of ``keys`` missing from the document ``doc``."""
-    for key in keys:
-        if key not in doc:
-            raise error(f"{what} lacks required key {key!r}")
+# a node is an id or {"id": ..., "x": ..., "y": ...}; x/y are not read
+_GRAPH_KEYS = {"nodes": ("a list of node ids or objects with an id", lambda nodes: _ids(
+    [n["id"] if isinstance(n, dict) else n for n in OBJECTS[1](nodes)])),
+    "arcs": OBJECTS, "scs": NODE_IDS, "med_cycle": NODE_IDS, "entries": or_null(NODE_IDS)}
+_ARC_KEYS = {"i": NODE_ID, "j": NODE_ID, "length_m": NUMBER, "speed_mps": NUMBER,
+             "energy_kwh": NUMBER}
 
 
 # the energy of an arc spec without "energy_kwh", kept apart from a null one
@@ -274,14 +356,8 @@ class GraphSpec:
 
 def _arc_spec(i, j, length, speed, energy) -> tuple:
     """The arc (i, j)'s length and speed as floats and its ArcAttr, None if it lacks an energy."""
-    try:
-        length = float(length)
-        speed = float(speed)
-        energy = None if energy is _NO_ENERGY else float(energy)
-    except (TypeError, ValueError):
-        raise GraphError(f"arc ({i},{j}) has a non-numeric length, speed or energy") from None
-    except OverflowError:  # an integer beyond the float range
-        raise GraphError(f"arc ({i},{j}) has a length, speed or energy beyond a float") from None
+    length, speed = float(length), float(speed)
+    energy = None if energy is _NO_ENERGY else float(energy)
     if speed <= 0:
         raise GraphError(f"arc ({i},{j}) has nonpositive speed")
     # an arc the vehicle is to price is checked with a stand-in energy of 0
@@ -294,45 +370,32 @@ def parse_graph(doc) -> GraphSpec:
     if isinstance(doc, (str, bytes)):
         with open(doc, encoding="utf-8") as fh:
             doc = json.load(fh)
-    require_keys(doc, ("nodes", "arcs"), "graph")
-    # a node is an id or {"id": ..., "x": ..., "y": ...}; x/y are not read
-    try:
-        nodes = [n["id"] if isinstance(n, dict) else n for n in doc["nodes"]]
-    except KeyError:  # name the node that lacks its id
-        for k, n in enumerate(doc["nodes"]):
-            if isinstance(n, dict):
-                require_keys(n, ("id",), f"node #{k}")
+    doc = read_block(doc, "graph", _GRAPH_KEYS, ("nodes", "arcs"))
     # each distinct raw (length_m, speed_mps, energy_kwh) is converted and
     # checked once, and raw values that convert alike (10, 10.0 and "10")
-    # share one spec; a spec that fails raises before it is stored, so every
-    # bad arc names itself
+    # share one spec; a spec that fails raises before it is stored, and an arc
+    # that fails is checked against _ARC_KEYS, so every bad arc names itself
     arcs, specs, seen, by_value = {}, [], {}, {}
     for k, a in enumerate(doc["arcs"]):
         try:
             i, j = a["i"], a["j"]
             raw = (a["length_m"], a["speed_mps"], a.get("energy_kwh", _NO_ENERGY))
-        except (KeyError, TypeError):  # name the key the arc lacks, if it is one
-            require_keys(a, ("i", "j", "length_m", "speed_mps"), f"arc #{k}")
-            raise
-        try:
             n = seen.get(raw)
-        except TypeError:  # a list or an object, which _arc_spec rejects
-            n = None
-        if n is None:
-            spec = _arc_spec(i, j, *raw)
-            n = seen[raw] = by_value.setdefault(spec, len(specs))
-            if n == len(specs):
-                specs.append(spec)
-        try:
+            if n is None:
+                spec = _arc_spec(i, j, *raw)
+                n = seen[raw] = by_value.setdefault(spec, len(specs))
+                if n == len(specs):
+                    specs.append(spec)
             arcs[(i, j)] = n
-        except TypeError:
-            raise GraphError(f"graph arc #{k}: a node id cannot be a list or an object") from None
+        except (TypeError, ValueError, KeyError, OverflowError):
+            read_block(a, f"graph arc #{k}", _ARC_KEYS, ("i", "j", "length_m", "speed_mps"))
+            raise  # the arc has its shape, so a value of it is out of range
     # renumber the specs the arcs use in the order they first use them; a
     # spec only an overridden repeat of an arc used is dropped
     used = {n: k for k, n in enumerate(dict.fromkeys(arcs.values()))}
     return GraphSpec(tuple(arcs), tuple(map(used.__getitem__, arcs.values())),
                      tuple(specs[n] for n in used), *_checked_ids(
-                         nodes, arcs, doc.get("scs", ()), doc.get("med_cycle", ()),
+                         doc["nodes"], arcs, doc.get("scs", ()), doc.get("med_cycle", ()),
                          doc.get("entries")))
 
 

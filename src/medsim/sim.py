@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 from .charging import STATION_RATE_KW, Infrastructure, MedState, ScsState
 from .energy import InductionParams, VehicleParams
-from .road_graph import (GraphError, GraphSpec, RoadGraph, check_visit_limit, load_graph,
-                         grid_doc, node_set, parse_graph, require_keys)
+from .road_graph import (AS_IS, INTEGER, NODE_ID, NODE_IDS, NUMBER, OBJECT, OBJECTS, STRING,
+                         GraphError, GraphSpec, RoadGraph, check_visit_limit, grid_doc, load_graph,
+                         or_null, parse_graph, read_block, read_entries, read_params)
 from .routing import (INFINITE, EvRequest, NoPath, PathCache, Stranded, check_assignment,
                       find_shortest_path)
 
@@ -26,15 +27,19 @@ LEVEL_TARGETS = {"L1": 0.20, "L2": 0.60, "L3": 0.95}
 MODES = ("SCS", "SCS_MED")
 ENERGY_MIN_KWH = 1.0
 ENERGY_MAX_KWH = 6.0
-# radio keys older scenario documents carry; nothing reads them
-_LEGACY_RADIO_KEYS = ("beacon_period_s", "ptx_dbm", "f_ghz", "pth_dbm", "sinr_db")
-# each key a document may hold, with its converter (None: as it is); a missing key keeps the default
-_SCENARIO_KEYS = {"graph": None, "mode": None, "ev_count": int, "level": None, "seed": int,
-                  "horizon_s": float, "stranded_penalty_s": None,
-                  "vehicle": lambda block: VehicleParams(**block),
-                  "induction": lambda block: InductionParams(**block),
-                  "visit_limit": int, "entries": None}
-_MED_KEYS = {"battery_kwh": float, "p_ind_kw": None, "start_s": float}
+# the kind of each key a scenario block may hold; a missing key keeps the
+# default, and parse_graph reads the graph
+_SCENARIO_KEYS = {"graph": AS_IS, "graph_path": AS_IS, "mode": STRING, "ev_count": INTEGER,
+                  "level": STRING, "seed": INTEGER, "horizon_s": NUMBER,
+                  "stranded_penalty_s": or_null(NUMBER), "vehicle": OBJECT, "induction": OBJECT,
+                  "radio": OBJECT, "infra": OBJECT, "visit_limit": INTEGER,
+                  "entries": or_null(NODE_IDS)}
+# the radio keys older documents carry are taken and never read
+_RADIO_KEYS = {"block_prob": NUMBER, **dict.fromkeys(
+    ("beacon_period_s", "ptx_dbm", "f_ghz", "pth_dbm", "sinr_db"))}
+_INFRA_KEYS = {"scs": OBJECTS, "med": OBJECTS}
+_SCS_KEYS = {"node": NODE_ID, "rate_kw": NUMBER}
+_MED_KEYS = {"battery_kwh": NUMBER, "p_ind_kw": or_null(NUMBER), "start_s": NUMBER}
 
 
 class CalibrationError(Exception):
@@ -44,6 +49,11 @@ class CalibrationError(Exception):
 DEFAULT_VEHICLE = VehicleParams(mass_kg=1800.0, mu=0.013, drag_c=0.52, area_m2=2.2,
                                 air_density=1.2, efficiency=0.75, capacity_kwh=50.0)
 DEFAULT_INDUCTION = InductionParams(c_ind=0.75, p_ind_kw=40.0)
+
+
+# MedState.waiting adds cycles to the time since start_s: from within 1e9 s a double still
+# resolves 1e-6 s, but from 1e20 s it steps past a cycle and from 1e308 s a cycle adds nothing
+MED_START_MAX_S = 1e9
 
 
 @dataclass
@@ -57,8 +67,18 @@ class MedSpec:
             raise ValueError(f"med battery_kwh must be nonnegative, got {self.battery_kwh}")
         if not math.isfinite(self.start_s):
             raise ValueError(f"med start_s must be finite, got {self.start_s}")
+        if abs(self.start_s) > MED_START_MAX_S:
+            raise ValueError(f"med start_s must be within {MED_START_MAX_S:g}, got {self.start_s}")
         if self.p_ind_kw is not None and not 0.0 < self.p_ind_kw < INFINITE:
             raise ValueError(f"med p_ind_kw must be positive and finite, got {self.p_ind_kw}")
+
+
+# a run books arrival times plus drive, wait and charge times: up to 1e9 s (32 years) a double
+# resolves 2.4e-7 s of them, but at 1e300 s they vanish and a booking ends where it starts
+HORIZON_MAX_S = 1e9
+# at 10 MW, beyond any real charger, a station still takes 3.6e-4 s for 1 Wh, over a
+# thousand steps of a time below HORIZON_MAX_S, so no booking vanishes against its start
+STATION_RATE_MAX_KW = 1e4
 
 
 @dataclass
@@ -96,12 +116,14 @@ class Scenario:
             raise ValueError("battery capacity must cover the initial-energy band")
         if not 0.0 <= self.block_prob <= 1.0:
             raise ValueError("block_prob must be a probability")
-        if self.stranded_penalty_s is None:
-            self.stranded_penalty_s = 10.0 * self.horizon_s
         for name in ("horizon_s", "stranded_penalty_s"):  # chained, so NaN fails too
             value = getattr(self, name)
-            if not 0.0 <= value < INFINITE:
+            if value is not None and not 0.0 <= value < INFINITE:
                 raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+        if self.horizon_s > HORIZON_MAX_S:
+            raise ValueError(f"horizon_s must be at most {HORIZON_MAX_S:g}, got {self.horizon_s}")
+        if self.stranded_penalty_s is None:
+            self.stranded_penalty_s = 10.0 * self.horizon_s
         check_visit_limit(self.visit_limit)
         if not isinstance(self.graph, GraphSpec):
             self.graph = parse_graph(self.graph)
@@ -109,12 +131,14 @@ class Scenario:
         for node, rate in self.scs:
             if not rate > 0.0:
                 raise ValueError(f"station {node} rate_kw must be positive, got {rate}")
+            if rate > STATION_RATE_MAX_KW:
+                raise ValueError(f"station {node} rate_kw must be at most "
+                                 f"{STATION_RATE_MAX_KW:g}, got {rate}")
             if node not in self.graph.scs:
                 raise GraphError(f"station {node} is not a station of the graph")
-        missing = node_set(self.entries or (), "scenario entries").difference(self.graph.nodes)
-        if missing:
-            node = next(n for n in self.entries if n in missing)
-            raise GraphError(f"entry point {node} is not a node of the graph")
+        for node in self.entries or ():
+            if node not in self.graph.nodes:
+                raise GraphError(f"entry point {node} is not a node of the graph")
         if self.meds and not self.graph.med_cycle:
             raise GraphError("a mobile charger needs the graph's med_cycle")
 
@@ -138,34 +162,20 @@ class Scenario:
 
     @classmethod
     def from_json(cls, doc: dict, **overrides) -> "Scenario":
-        doc = dict(doc)
-        if "graph_path" in doc and "graph" not in doc:
-            doc["graph"] = doc["graph_path"]  # read by __post_init__
-        require_keys(doc, ("graph",), "scenario", ValueError)
-        infra = doc.get("infra", {})
-        if not isinstance(infra, dict):
-            raise ValueError("infra block must be an object")
-        for kind in ("scs", "med"):
-            for k, entry in enumerate(infra.get(kind, ())):
-                if not isinstance(entry, dict):
-                    raise ValueError(f"infra {kind} entry #{k} must be an object")
-        for k, s in enumerate(infra.get("scs", ())):
-            require_keys(s, ("node",), f"infra scs entry #{k}", ValueError)
-        radio = dict(doc.get("radio", {}))
-        for key in radio:
-            if key != "block_prob" and key not in _LEGACY_RADIO_KEYS:
-                raise ValueError(f"radio block has an unknown key {key!r}")
-        kwargs = _given(doc, _SCENARIO_KEYS) | _given(radio, {"block_prob": float})
-        kwargs["scs"] = [(s["node"], float(s.get("rate_kw", STATION_RATE_KW)))
-                         for s in infra.get("scs", ())]
-        kwargs["meds"] = [MedSpec(**_given(m, _MED_KEYS)) for m in infra.get("med", ())]
+        kwargs = read_block(doc, "scenario", _SCENARIO_KEYS)
+        kwargs["graph"] = kwargs.pop("graph", kwargs.pop("graph_path", None))  # its older name
+        if kwargs["graph"] is None:
+            raise GraphError("scenario lacks required key 'graph'")
+        for name, params in (("vehicle", VehicleParams), ("induction", InductionParams)):
+            if name in kwargs:
+                kwargs[name] = read_params(kwargs[name], name, params)
+        kwargs |= read_block(kwargs.pop("radio", {}), "radio", _RADIO_KEYS, closed=True)
+        infra = read_block(kwargs.pop("infra", {}), "infra", _INFRA_KEYS)
+        kwargs["scs"] = [(s["node"], s.get("rate_kw", STATION_RATE_KW)) for s in read_entries(
+            infra.get("scs", ()), "infra scs", _SCS_KEYS, ("node",))]
+        kwargs["meds"] = [MedSpec(**m) for m in read_entries(
+            infra.get("med", ()), "infra med", _MED_KEYS)]
         return cls(**(kwargs | overrides))
-
-
-def _given(doc: dict, convert: dict) -> dict:
-    """The keys of ``doc`` that ``convert`` names, each through its converter."""
-    return {key: value if convert[key] is None else convert[key](value)
-            for key, value in doc.items() if key in convert}
 
 
 def default_scenario(**overrides) -> Scenario:

@@ -442,7 +442,7 @@ class TestInvalidFiles:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("edit,message", [
-        ({"energy_kwh": None}, "arc ({i},{j}) has a non-numeric length, speed or energy"),
+        ({"energy_kwh": None}, "graph arc #5 energy_kwh: must be a number, got None"),
         ({"energy_kwh": float("nan")}, "arc energy must be nonnegative and finite, got nan"),
         ({"speed_mps": 0}, "arc ({i},{j}) has nonpositive speed"),
     ], ids=["null-energy", "nan-energy", "zero-speed"])
@@ -539,6 +539,20 @@ class TestInvalidFiles:
         assert err.count("\n") == 1
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("argv", [["run"], ["sweep", "--out", "sweep.csv"]],
+                             ids=["run", "sweep"])
+    def test_level_the_graph_cannot_realize(self, tmp_path, capsys, monkeypatch, argv):
+        # a sweep once aborted with exit 1 where run exits 2 on the same document
+        monkeypatch.chdir(tmp_path)
+        doc = default_scenario(ev_count=12).to_json()
+        doc["vehicle"]["mass_kg"] = 1e30  # no trip is cheap enough to be relaxed
+        (tmp_path / "scenario.json").write_text(json.dumps(doc))
+        rc = main([argv[0], "--scenario", "scenario.json", *argv[1:]])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "could not draw" in err and err.count("\n") == 1
+        assert not (tmp_path / "sweep.csv").exists()
+
     @pytest.mark.parametrize("argv", [
         ["run", "--out-csv", "out.csv"],
         ["sweep", "--out", "out.csv", "--evs", "0", "--seeds", "0"],
@@ -546,7 +560,7 @@ class TestInvalidFiles:
     ], ids=["run", "sweep", "route"])
     @pytest.mark.parametrize("edit,message", [
         (lambda doc: doc["radio"].update(beacon="on"),
-         "scenario: radio block has an unknown key 'beacon'"),
+         "scenario: radio has an unknown key 'beacon'"),
         (lambda doc: doc.update(horizon_s=float("inf")),
          "scenario: horizon_s must be nonnegative and finite, got inf"),
         (lambda doc: doc.update(horizon_s=float("nan")),
@@ -570,40 +584,59 @@ class TestInvalidFiles:
         (lambda doc: doc["graph"].update(med_cycle=[]),
          "a mobile charger needs the graph's med_cycle"),
         (lambda doc: doc["graph"]["nodes"][0].update(id=[0]),
-         "graph nodes: a node id cannot be a list or an object"),
+         "graph nodes: must be a list of node ids or objects with an id"),
         (lambda doc: doc["graph"]["nodes"][0].update(id={"id": 0}),
-         "graph nodes: a node id cannot be a list or an object"),
+         "graph nodes: must be a list of node ids or objects with an id"),
         (lambda doc: doc["graph"]["arcs"][3].update(i=[0]),
-         "graph arc #3: a node id cannot be a list or an object"),
+         "graph arc #3 i: must be a node id, got [0]"),
         (lambda doc: doc["graph"].update(scs=[[22]]),
-         "graph scs: a node id cannot be a list or an object"),
+         "graph scs: must be a list of node ids, all numbers or all strings, got [[22]]"),
         (lambda doc: doc["graph"].update(med_cycle=[44, {"id": 45}, 55, 54]),
-         "graph med_cycle: a node id cannot be a list or an object"),
+         "graph med_cycle: must be a list of node ids"),
         (lambda doc: doc["graph"].update(entries=[0, [1]]),
-         "graph entries: a node id cannot be a list or an object"),
-        (lambda doc: doc.update(entries=[[0]]),
-         "scenario entries: a node id cannot be a list or an object"),
+         "graph entries: must be a list of node ids"),
+        (lambda doc: doc.update(entries=[[0]]), "scenario entries: must be a list of node ids"),
         (lambda doc: doc.update(entries=[0, {"id": 1}]),
-         "scenario entries: a node id cannot be a list or an object"),
+         "scenario entries: must be a list of node ids"),
         (lambda doc: doc.update(visit_limit=0), "visit_limit must be an integer >= 1"),
         (lambda doc: doc["graph"]["arcs"][0].update(speed_mps=1e200, length_m=1e250),
          "scenario: arc (0,1) costs the vehicle a non-finite energy"),
         (lambda doc: doc["graph"]["arcs"][0].update(speed_mps=1e120, length_m=1e200),
          "scenario: arc (0,1) costs the vehicle a non-finite energy"),
         (lambda doc: doc["graph"]["arcs"][0].update(length_m=10 ** 400),
-         "scenario: arc (0,1) has a length, speed or energy beyond a float"),
-        (lambda doc: doc.update(infra=[]), "scenario: infra block must be an object"),
+         "scenario: graph arc #0 length_m: must be a number, got 1000"),
+        (lambda doc: doc.update(infra=[]), "scenario: scenario infra: must be an object, got []"),
         (lambda doc: doc["infra"].update(med=[1]),
          "scenario: infra med entry #0 must be an object"),
         (lambda doc: doc["infra"].update(scs=[22]),
          "scenario: infra scs entry #0 must be an object"),
+        (lambda doc: doc.update(ev_count=float("inf")),
+         "scenario: scenario ev_count: must be an integer, got inf"),
+        (lambda doc: doc.update(ev_count=float("nan")),
+         "scenario: scenario ev_count: must be an integer, got nan"),
+        (lambda doc: doc.update(seed=float("inf")),
+         "scenario: scenario seed: must be an integer, got inf"),
+        (lambda doc: doc.update(seed=float("nan")),
+         "scenario: scenario seed: must be an integer, got nan"),
+        (lambda doc: doc.update(visit_limit=2 ** 63), "visit_limit must be at most 1000"),
+        (lambda doc: doc.update(visit_limit=1e308), "visit_limit must be at most 1000"),
+        (lambda doc: doc["infra"]["scs"][0].update(rate_kw=1e20),
+         "scenario: station 22 rate_kw must be at most 10000, got 1e+20"),
+        (lambda doc: doc.update(horizon_s=1e300),
+         "scenario: horizon_s must be at most 1e+09, got 1e+300"),
+        (lambda doc: doc["infra"]["med"][0].update(start_s=-1e308),
+         "scenario: med start_s must be within 1e+09, got -1e+308"),
+        (lambda doc: doc["infra"]["med"][0].update(start_s=-1e20),
+         "scenario: med start_s must be within 1e+09, got -1e+20"),
     ], ids=["radio-unknown-key", "horizon-inf", "horizon-nan", "horizon-negative",
             "penalty-inf", "penalty-negative", "rate-nan", "rate-zero", "station-not-a-station",
             "station-not-a-node", "entry-not-a-node", "med-without-cycle", "node-id-list",
             "node-id-object", "arc-tail-list", "graph-scs-list", "graph-med-cycle-object",
             "graph-entries-list", "entries-list", "entries-object", "visit-limit-zero",
             "speed-squared-overflows", "energy-overflows", "length-beyond-a-float",
-            "infra-list", "infra-med-entry-number", "infra-scs-entry-number"])
+            "infra-list", "infra-med-entry-number", "infra-scs-entry-number", "ev-count-inf",
+            "ev-count-nan", "seed-inf", "seed-nan", "visit-limit-2-63", "visit-limit-1e308",
+            "rate-1e20", "horizon-1e300", "start-minus-1e308", "start-minus-1e20"])
     def test_rejected_run_input(self, tmp_path, capsys, monkeypatch, argv, edit, message):
         # an infinite horizon once hung the run, a NaN one crashed it and a
         # negative one gave negative arrival times; an infinite penalty made
@@ -614,8 +647,12 @@ class TestInvalidFiles:
         # a JSON list or object, an infra block or entry that is not an
         # object, an arc speed whose square overflows a float and a length
         # beyond one; an arc the vehicle priced to an infinite energy aborted
-        # a sweep with exit 1. With no EVs a missed input runs to exit 0
-        # rather than hanging the suite.
+        # a sweep with exit 1. An ev_count or seed of Infinity, a visit_limit
+        # of 2**63, a rate or horizon that makes a charge time vanish against
+        # the arrival time, and a charger start far from time 0 (it hung the
+        # run at -1e308 and skipped 32 passes at -1e20) ended in a traceback
+        # too. With no EVs a missed input runs to exit 0 rather than hanging
+        # the suite.
         monkeypatch.chdir(tmp_path)
         cells = []
         monkeypatch.setattr(cli, "_sweep_cell", lambda *args: cells.append(args))
@@ -627,6 +664,22 @@ class TestInvalidFiles:
         assert rc == 2
         assert message in err and err.count("\n") == 1
         assert cells == [] and not (tmp_path / "out.csv").exists()
+
+    def test_largest_accepted_horizon_and_rate_run_clean(self, tmp_path):
+        # the bounds hold for EVs that do stop: at the largest horizon, rate
+        # and charger starts no booking ends where it starts
+        doc = default_scenario(ev_count=100, level="L3").to_json()
+        doc["horizon_s"] = sim.HORIZON_MAX_S
+        doc["infra"]["scs"][0]["rate_kw"] = sim.STATION_RATE_MAX_KW
+        for start_s in (-sim.MED_START_MAX_S, sim.MED_START_MAX_S):
+            doc["infra"]["med"][0]["start_s"] = start_s
+            (tmp_path / "scenario.json").write_text(json.dumps(doc))
+            out = tmp_path / "aggregates.json"
+            rc = main(["run", "--scenario", str(tmp_path / "scenario.json"),
+                       "--out-json", str(out)])
+            agg = json.loads(out.read_text())
+            assert rc == 0 and agg["violations"] == 0
+            assert agg["n_scs"] > 0 and agg["n_med"] > 0
 
     @pytest.mark.parametrize("argv", [
         ["run"],
@@ -640,7 +693,7 @@ class TestInvalidFiles:
         (lambda doc: doc["graph"]["arcs"][3].pop("length_m"),
          "arc #3 lacks required key 'length_m'"),
         (lambda doc: doc["graph"]["arcs"][0].update(speed_mps="fast"),
-         "arc (0,1) has a non-numeric length, speed or energy"),
+         "graph arc #0 speed_mps: must be a number, got 'fast'"),
     ], ids=["graph", "arcs", "length_m", "non-numeric"])
     def test_missing_key_or_non_numeric_arc(self, tmp_path, capsys, monkeypatch, argv, cut,
                                             message):
@@ -683,40 +736,57 @@ class TestInvalidFiles:
         (lambda doc: doc["scs"][0].update(rate_kw=0.0), "charge rates must be positive"),
         (lambda doc: doc["scs"][0].update(rate_kw=-19.2), "charge rates must be positive"),
         (lambda doc: doc["scs"][0].update(rate_kw="fast"),
-         "scs entry #0 has a non-numeric wait_s or rate_kw"),
+         "scs entry #0 rate_kw: must be a number, got 'fast'"),
         (lambda doc: doc["scs"][0].update(wait_s="long"),
-         "scs entry #0 has a non-numeric wait_s or rate_kw"),
+         "scs entry #0 wait_s: must be a number, got 'long'"),
         (lambda doc: doc["scs"][0].update(wait_s=-1.0), "waits must be nonnegative"),
         (lambda doc: doc["scs"][0].update(wait_s=float("nan")), "waits must be nonnegative"),
         (lambda doc: doc["scs"][0].update(node=2), "scs node 2 is not a station of the graph"),
         (lambda doc: doc.update(med={"wait_s": {"a": 10.0}}),
-         "med wait_s must map integer cycle points to numbers"),
+         "med wait_s: must be an object mapping integer cycle points to numbers"),
         (lambda doc: doc.update(med={"wait_s": {"1": "soon"}}),
-         "med wait_s must map integer cycle points to numbers"),
+         "med wait_s: must be an object mapping integer cycle points to numbers"),
         (lambda doc: doc.update(med={"wait_s": {"1": 10.0}}),
          "med wait_s point 1 is not a cycle point of the graph"),
         (lambda doc: doc.update(med={"c_ind": "high", "p_ind_kw": 40.0}),
-         "med: could not convert string to float: 'high'"),
+         "med c_ind: must be a number, got 'high'"),
         (lambda doc: doc.update(med={"c_ind": 0.75}), "med lacks required key 'p_ind_kw'"),
         (lambda doc: doc.update(med={"c_ind": 1.5, "p_ind_kw": 40.0}),
          "med: c_ind must be in [0, 1]"),
         (lambda doc: doc.update(med={"battery_kwh": "big"}),
-         "med: could not convert string to float: 'big'"),
-        (lambda doc: doc.update(vehicle={"mass": 1.0}), "vehicle:"),
-        (lambda doc: doc["request"].update(capacity_kwh=None), "request:"),
-        (lambda doc: doc.update(scs=[1]), "scs a list of objects"),
-        (lambda doc: doc.update(med=[]), "med must be objects"),
-        (lambda doc: doc.update(scs={"node": 1}), "scs a list of objects"),
+         "med battery_kwh: must be a number, got 'big'"),
+        (lambda doc: doc.update(vehicle={"mass": 1.0}), "vehicle has an unknown key 'mass'"),
+        (lambda doc: doc["request"].update(capacity_kwh=None),
+         "request capacity_kwh: must be a number, got None"),
+        (lambda doc: doc.update(scs=[1]), "scs entry #0 must be an object"),
+        (lambda doc: doc.update(med=[]), "instance med: must be an object, got []"),
+        (lambda doc: doc.update(scs={"node": 1}),
+         "instance scs: must be a list of objects, got {'node': 1}"),
         (lambda doc: doc["scs"][0].update(node=[1]),
-         "scs entry #0 has a node that is not a node id"),
+         "scs entry #0 node: must be a node id, got [1]"),
         (lambda doc: doc.update(med={"wait_s": [10.0]}),
-         "med wait_s must map integer cycle points to numbers"),
+         "med wait_s: must be an object mapping integer cycle points to numbers, got [10.0]"),
+        (lambda doc: doc.update(graph=1), "graph must be an object"),
+        (lambda doc: doc.update(graph=[]), "graph must be an object"),
+        (lambda doc: doc["graph"].update(nodes=3),
+         "graph nodes: must be a list of node ids or objects with an id, got 3"),
+        (lambda doc: doc["graph"]["arcs"].__setitem__(0, 5), "graph arc #0 must be an object"),
+        (lambda doc: doc["graph"].update(arcs={"a": 1}),
+         "graph arcs: must be a list of objects, got {'a': 1}"),
+        (lambda doc: doc["graph"].update(scs=1),
+         "graph scs: must be a list of node ids, all numbers or all strings, got 1"),
+        (lambda doc: doc["graph"].update(med_cycle=1),
+         "graph med_cycle: must be a list of node ids, all numbers or all strings, got 1"),
+        (lambda doc: doc["request"].update(source=[0]),
+         "request source: must be a node id, got [0]"),
     ], ids=["rate-zero", "rate-negative", "rate-non-numeric", "wait-non-numeric",
             "wait-negative", "wait-nan", "not-a-station", "med-key-non-integer",
             "med-wait-non-numeric", "med-not-a-cycle-point", "c-ind-non-numeric",
             "p-ind-missing", "c-ind-out-of-range", "battery-non-numeric", "vehicle-unknown-key",
             "capacity-null", "scs-not-objects", "med-not-an-object", "scs-an-object",
-            "scs-node-a-list", "med-wait-not-a-map"])
+            "scs-node-a-list", "med-wait-not-a-map", "graph-a-number", "graph-a-list",
+            "nodes-a-number", "arc-a-number", "arcs-an-object", "graph-scs-a-number",
+            "med-cycle-a-number", "source-a-list"])
     def test_oracle_rejected_value(self, tmp_path, capsys, edit, message):
         instance = {
             "graph": {"nodes": [0, 1, 2, 3], "arcs": _line_arcs(4), "scs": [1]},
