@@ -197,32 +197,38 @@ class MedState:
         """Wait at the meeting point and the cycle pass the EV will ride.
 
         The smallest nonnegative wait such that the charger reaches the point
-        no earlier than the EV does and the span is free on that pass: none
-        of its keys is booked, and each pass it touches has ``spent + share
-        <= battery_kwh + _EPS_TOL``. Whole cycles are added as needed. A
-        share beyond a whole pass's budget would wait forever, so it raises
-        ``ValueError``. Each try adds one ``cycle_time_s`` to the arrival,
-        takes the pass from :meth:`pass_number` and makes only the free test
-        :meth:`book_attach` makes, on the same :meth:`span`.
+        no earlier than the EV does and the span is free on that pass
+        (:meth:`_free`). Whole cycles are added as needed. A share beyond a
+        whole pass's budget would wait forever, so it raises ``ValueError``.
+        Each try adds one ``cycle_time_s`` to the arrival and takes the pass
+        from :meth:`pass_number`.
         """
         keys, shares = self.span(start_idx, n_segments)
-        limit = self.battery_kwh + _EPS_TOL
-        if max(shares.values()) > limit:
+        if max(shares.values()) > self.battery_kwh + _EPS_TOL:
             raise ValueError("the span dispenses more than one pass's budget")
-        booked, spent = self.segment_bookings, self.pass_dispensed
         arrival = self.arrival_at(start_idx, ev_arrival_s)
         while True:
             pass_no = self.pass_number(start_idx, arrival)
-            for seg, offset in keys:
-                if (seg, pass_no + offset) in booked:
-                    break
-            else:
-                for offset, share in shares.items():
-                    if spent.get(pass_no + offset, 0.0) + share > limit:
-                        break
-                else:
-                    return arrival - ev_arrival_s, pass_no
+            if self._free(keys, shares, pass_no):
+                return arrival - ev_arrival_s, pass_no
             arrival += self.cycle_time_s
+
+    def _free(self, keys, shares, pass_no: int) -> bool:
+        """Whether a :meth:`span`, its ``keys`` and ``shares``, is free ridden from ``pass_no``.
+
+        The one test :meth:`waiting` and :meth:`book_attach` make: none of
+        its keys is booked, and each pass it touches has ``spent + share <=
+        battery_kwh + _EPS_TOL``.
+        """
+        booked, spent = self.segment_bookings, self.pass_dispensed
+        for seg, offset in keys:
+            if (seg, pass_no + offset) in booked:
+                return False
+        limit = self.battery_kwh + _EPS_TOL
+        for offset, share in shares.items():
+            if spent.get(pass_no + offset, 0.0) + share > limit:
+                return False
+        return True
 
     # -- ledger ----------------------------------------------------------------
 
@@ -230,18 +236,15 @@ class MedState:
                     start_s: float, end_s: float) -> BookResult:
         """Reserve the :meth:`span` of ``n_segments`` from ``start_idx``, ridden from ``pass_no``.
 
-        Accepts only when the span is free on that pass, by the test
-        :meth:`waiting` makes; the segment ledger and the energy booked per
-        pass then update together.
+        Accepts only when the span is free on that pass (:meth:`_free`); the
+        segment ledger and the energy booked per pass then update together.
         """
-        shares = self.span(start_idx, n_segments)[1]
-        segment_keys = self.segment_keys(start_idx, pass_no, n_segments)
-        booked, spent = self.segment_bookings, self.pass_dispensed
-        limit = self.battery_kwh + _EPS_TOL
-        if any(k in booked for k in segment_keys) or any(
-                spent.get(pass_no + off, 0.0) + share > limit for off, share in shares.items()):
+        keys, shares = self.span(start_idx, n_segments)
+        if not self._free(keys, shares, pass_no):
             return BookResult(False)
-        booked.update(dict.fromkeys(segment_keys, ev))
+        segment_keys = self.segment_keys(start_idx, pass_no, n_segments)
+        self.segment_bookings.update(dict.fromkeys(segment_keys, ev))
+        spent = self.pass_dispensed
         for offset, share in shares.items():
             spent[pass_no + offset] = spent.get(pass_no + offset, 0.0) + share
         self.bookings.append(Booking(ev, start_s, end_s, segment_keys))

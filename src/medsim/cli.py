@@ -15,7 +15,7 @@ from operator import add
 
 from . import oracle as oracle_mod
 from . import sim
-from .road_graph import GraphError, grid_doc, load_graph
+from .road_graph import GraphError, grid_doc, load_graph, read_json
 from .routing import EvRequest, RouteAssignment, Stranded, find_shortest_path
 
 SWEEP_HEADER = "mode,level,ev_count,seed,mean_travel_s,mean_wait_s,med_share,stranded"
@@ -100,14 +100,6 @@ def cmd_gen_grid(args) -> int:
     return 0
 
 
-def _read_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path} is not valid JSON: {exc}") from None
-
-
 def _load_scenario(args) -> sim.Scenario:
     overrides = {}
     if getattr(args, "mode", None):
@@ -119,7 +111,7 @@ def _load_scenario(args) -> sim.Scenario:
         overrides["seed"] = seed
     if getattr(args, "evs", None) is not None:
         overrides["ev_count"] = args.evs
-    return _scenario(_read_json(args.scenario), **overrides)
+    return _scenario(read_json(args.scenario), **overrides)
 
 
 def _scenario(doc: dict | sim.Scenario, **overrides) -> sim.Scenario:
@@ -147,8 +139,7 @@ def cmd_route(args) -> int:
         print(f"route: {exc}", file=sys.stderr)
         return 2
     try:
-        a = find_shortest_path(g, request, infra, now=args.now,
-                               gate=sim.mode_gate(scenario.mode), caches=network.caches)
+        a = find_shortest_path(g, request, infra, now=args.now, caches=network.caches)
         out = {"stranded": False, "assignment": assignment_to_dict(a)}
     except Stranded as exc:
         out = {"stranded": True, "reason": str(exc)}
@@ -157,7 +148,7 @@ def cmd_route(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    inst = oracle_mod.instance_from_json(_read_json(args.instance))
+    inst = oracle_mod.instance_from_json(read_json(args.instance))
     sol = oracle_mod.solve_exact(inst)
     out = {
         "feasible": sol.feasible,
@@ -193,7 +184,7 @@ def _sweep_cell(first: sim.Scenario, overrides: dict) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    doc = _read_json(args.scenario)
+    doc = read_json(args.scenario)
     modes = [m for m in args.modes.split(",") if m]
     levels = [l for l in args.levels.split(",") if l]
     ev_counts = _ints(args.evs, "--evs")
@@ -292,8 +283,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, sim.CalibrationError, oracle_mod.OracleError, InputError,
-            FileNotFoundError) as exc:
+    except (GraphError, sim.CalibrationError, oracle_mod.OracleError, InputError) as exc:
         print(f"medsim: {exc}", file=sys.stderr)
         return 2
 

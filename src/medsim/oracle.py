@@ -292,8 +292,7 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
 # -- constraint-by-constraint verification ------------------------------------
 
 
-def verify(inst: OracleInstance, a: RouteAssignment, tol: float = 1e-6,
-           check_waits: bool = True) -> str:
+def verify(inst: OracleInstance, a: RouteAssignment, tol: float = 1e-6) -> str:
     """Check a plan against every formulation constraint; name the first broken one.
 
     Returns "ok" or "violated(<id>)" where the id is the constraint number:
@@ -316,12 +315,11 @@ def verify(inst: OracleInstance, a: RouteAssignment, tol: float = 1e-6,
         expected = scs_charge_time(v.arrive_kwh, Q, inst.rate_of(v.node))
         if abs(v.charge_s - expected) > tol:
             return "violated(4)"
-        if check_waits and abs(v.wait_s - inst.scs_waits.get(v.node, 0.0)) > tol:
+        if abs(v.wait_s - inst.scs_waits.get(v.node, 0.0)) > tol:
             return "violated(4)"
-    if check_waits:
-        for att in a.q_points:
-            if abs(att.wait_s - inst.med_waits.get(att.meet_node, 0.0)) > tol:
-                return "violated(4)"
+    for att in a.q_points:
+        if abs(att.wait_s - inst.med_waits.get(att.meet_node, 0.0)) > tol:
+            return "violated(4)"
 
     # (8) wherever the EV stands it can still reach the destination or a charger
     min_e_dest = inst.caches.rev(a.dest, "energy")

@@ -365,11 +365,25 @@ def _arc_spec(i, j, length, speed, energy) -> tuple:
     return length, speed, None if energy is None else attr
 
 
+def read_json(path):
+    """The JSON document in the file at ``path``; a GraphError if it cannot be read or
+    holds no JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise GraphError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise GraphError(f"{path} nests its JSON too deeply to read") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or bytes not UTF-8
+        reason = getattr(exc, "strerror", None) or exc
+        raise GraphError(f"cannot read {path}: {reason}") from None
+
+
 def parse_graph(doc) -> GraphSpec:
     """Check a parsed JSON document (or a path to one) and keep it as a :class:`GraphSpec`."""
     if isinstance(doc, (str, bytes)):
-        with open(doc, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(doc)
     doc = read_block(doc, "graph", _GRAPH_KEYS, ("nodes", "arcs"))
     # each distinct raw (length_m, speed_mps, energy_kwh) is converted and
     # checked once, and raw values that convert alike (10, 10.0 and "10")

@@ -453,15 +453,14 @@ def _plan_med_span(unit, start_idx, eps_at_meet, capacity, need_to_finish):
 
 
 def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
-                           at, energy_kwh: float, now: float, infra,
-                           gate=None) -> _Candidate:
+                           at, energy_kwh: float, now: float, infra) -> _Candidate:
     """Pick the reachable energy point minimizing the EV's time outlay.
 
-    Every station and cycle point the comms gate lets through is scored:
-    drive there on the time-shortest path, which must be energy-feasible,
-    plus queue wait and charge time at a station, or meeting wait and
-    attached drive at a mobile charger, plus the drive time on from the exit
-    point. Each stop is priced from the level :func:`_arrival_level` folds,
+    Every station and cycle point of ``infra``, the chargers the EV may
+    book, is scored: drive there on the time-shortest path, which must be
+    energy-feasible, plus queue wait and charge time at a station, or
+    meeting wait and attached drive at a mobile charger, plus the drive time
+    on from the exit point. Each stop is priced from the level :func:`_arrival_level` folds,
     the one the walk records there, and a charger's stop from the ride
     :func:`_plan_med_span` plans and the wait and pass its ``waiting``
     finds. The winner has the smallest ``(score, kind != "scs", point)``:
@@ -474,16 +473,12 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
     index = g.index
     best_key = best = None
 
-    need_memo = {}
-
     def need_to_finish(node):
         # energy along the time-shortest tail the EV would actually drive
-        if node not in need_memo:
-            try:
-                need_memo[node] = caches.path(node, request.dest, "time").energy_kwh
-            except NoPath:
-                need_memo[node] = INFINITE
-        return need_memo[node]
+        try:
+            return caches.path(node, request.dest, "time").energy_kwh
+        except NoPath:
+            return INFINITE
 
     # stations first, then each charger's cycle points; a station has no
     # cycle index
@@ -491,9 +486,7 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
     points += [("med", unit, idx, point) for unit in infra.med_units
                for idx, point in enumerate(unit.points)]
     for kind, unit, idx, node in points:
-        # the reach step both kinds share: gate, path, feasibility, arrival level
-        if gate is not None and not gate(kind, node):
-            continue
+        # the reach step both kinds share: path, feasibility, arrival level
         try:
             path = caches.path(at, node, "time")
         except NoPath:
@@ -549,12 +542,13 @@ def _drive(legs, trace, path, eps, drive_s, capacity):
 
 
 def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0,
-                       gate=None, caches: PathCache | None = None) -> RouteAssignment:
+                       caches: PathCache | None = None) -> RouteAssignment:
     """Feasible route for one EV, charging along the way only when needed.
 
     A feasible direct path is returned untouched. Otherwise charging stops
-    are inserted one at a time via :func:`find_best_energy_point`, each
-    booked against the live ledgers, until the path on from the last stop is
+    are inserted one at a time via :func:`find_best_energy_point` from the
+    chargers ``infra`` holds, the ones the EV may book, each booked against
+    their live ledgers, until the path on from the last stop is
     feasible; :class:`Stranded` when no plan exists within :data:`LEG_LIMIT`
     stops. A ledger that rejects the slot the router priced raises
     ``RuntimeError``, as nothing changes between pricing and booking. The
@@ -582,8 +576,7 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
             raise Stranded(f"EV {request.ev}: still infeasible after "
                            f"{LEG_LIMIT} charging stops")
         stops += 1
-        plan = find_best_energy_point(g, caches, request, legs[-1], eps, now + elapsed,
-                                      infra, gate)
+        plan = find_best_energy_point(g, caches, request, legs[-1], eps, now + elapsed, infra)
         arrival = now + elapsed + plan.path.drive_s
         eps, drive_s = _drive(legs, trace, plan.path, eps, drive_s, Q)
         elapsed += plan.path.drive_s

@@ -224,21 +224,17 @@ class LevelSampler:
         self.dests = g.order  # sorted, so a seed always draws the same trips
         if not self.entries or len(self.dests) < 2:
             raise CalibrationError("graph too small to spawn trips")
-        self._energy_memo = {}
 
     def route_energy(self, s, d) -> float:
-        """Energy of the time-shortest route from ``s`` to ``d``, memoized.
+        """Energy of the time-shortest route from ``s`` to ``d``, infinite without one.
 
         This is the one definition of an anxious trip: its battery holds
         less than this. :meth:`draw` conditions every energy level on it.
         """
-        key = (s, d)
-        if key not in self._energy_memo:
-            try:
-                self._energy_memo[key] = self.caches.path(s, d, "time").energy_kwh
-            except NoPath:
-                self._energy_memo[key] = INFINITE
-        return self._energy_memo[key]
+        try:
+            return self.caches.path(s, d, "time").energy_kwh
+        except NoPath:
+            return INFINITE
 
     def draw(self, want_anxious: bool, attempts: int = 400):
         for _ in range(attempts):
@@ -405,11 +401,15 @@ def network_for(scenario: Scenario) -> Network:
 
 
 def build_infrastructure(scenario: Scenario, g: RoadGraph) -> Infrastructure:
-    """The scenario's chargers on ``g``, its graph loaded; the scenario checked them."""
+    """The chargers an EV of the scenario may book, on ``g``, its graph loaded.
+
+    The scenario checked them. In mode "SCS" the mobile chargers take no
+    bookings, so only the stations are built.
+    """
     meds = [MedState(g, scenario.induction if spec.p_ind_kw is None else
                      InductionParams(scenario.induction.c_ind, spec.p_ind_kw),
                      battery_kwh=spec.battery_kwh, start_s=spec.start_s)
-            for spec in scenario.meds]
+            for spec in scenario.meds] if scenario.mode == "SCS_MED" else []
     return Infrastructure([ScsState(node, rate) for node, rate in scenario.scs], meds)
 
 
@@ -419,30 +419,15 @@ def _first_choice(assignment) -> str:
     return min(stops, default=(0, "none"))[1]
 
 
-def _refuse_all(kind, node) -> bool:
-    """Charger gate of an EV the comms drop excluded: it may use no charger."""
-    return False
-
-
-def _refuse_med(kind, node) -> bool:
-    """Charger gate of SCS mode: the mobile chargers take no bookings."""
-    return kind != "med"
-
-
-def mode_gate(mode: str):
-    """The charger gate of an EV in ``mode`` that the comms drop did not exclude:
-    none in mode "SCS_MED", :func:`_refuse_med` in mode "SCS"."""
-    return None if mode == "SCS_MED" else _refuse_med
-
-
 def run(scenario: Scenario, keep_assignments: bool = True) -> RunMetrics:
     """Simulate one scenario and collect metrics.
 
     EVs are routed in arrival order against live ledgers; stranded EVs are
     recorded with the penalty travel time rather than aborting the run. An
-    EV's charger gate is :func:`_refuse_all` if the comms drop excluded it,
-    else the mode's, :func:`mode_gate`. The graph and its path cache come from
-    :func:`network_for`, so a run on an equal network reuses the last one.
+    EV routes against the mode's chargers (:func:`build_infrastructure`), or
+    against none if the comms drop excluded it. The graph and its path cache
+    come from :func:`network_for`, so a run on an equal network reuses the
+    last one.
     """
     network = network_for(scenario)
     g, caches = network.graph, network.caches
@@ -450,15 +435,14 @@ def run(scenario: Scenario, keep_assignments: bool = True) -> RunMetrics:
     # each record gets its outcome in place, in arrival order
     metrics = RunMetrics(scenario.mode, scenario.level, scenario.ev_count, scenario.seed,
                          rows=generate_population(scenario, g, caches), infrastructure=infra)
-    open_gate = mode_gate(scenario.mode)
+    no_chargers = Infrastructure()
 
     for rec in metrics.rows:
         request = EvRequest(rec.ev, rec.source, rec.dest,
                             scenario.vehicle.capacity_kwh, rec.energy_kwh)
         try:
-            a = find_shortest_path(g, request, infra, now=rec.t_arrival_s,
-                                   gate=_refuse_all if rec.excluded else open_gate,
-                                   caches=caches)
+            a = find_shortest_path(g, request, no_chargers if rec.excluded else infra,
+                                   now=rec.t_arrival_s, caches=caches)
         except Stranded:
             a = None
             rec.travel_s, rec.stranded = scenario.stranded_penalty_s, True

@@ -337,7 +337,7 @@ def ref_attach_run(unit, start_idx, eps, capacity):
     return prefixes
 
 
-def ref_best_energy_point(g, caches, request, at, energy_kwh, now, infra, gate=None):
+def ref_best_energy_point(g, caches, request, at, energy_kwh, now, infra):
     """``routing.find_best_energy_point``: every scored point a candidate, then ``min``.
 
     Each candidate is kept with its score, which the router's candidate does
@@ -357,8 +357,6 @@ def ref_best_energy_point(g, caches, request, at, energy_kwh, now, infra, gate=N
     points += [("med", unit, idx, point) for unit in infra.med_units
                for idx, point in enumerate(unit.points)]
     for kind, unit, idx, node in points:
-        if gate is not None and not gate(kind, node):
-            continue
         try:
             path = caches.path(at, node, "time")
         except NoPath:

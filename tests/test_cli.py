@@ -295,7 +295,7 @@ class TestRouteAndOracle:
         assert doc["assignment"]["legs"][-1] == 9
 
     def test_route_takes_the_mode_gate(self, scenario_path, tmp_path):
-        # the charger gate of sim.run: SCS mode books no mobile charger
+        # the mode picks the chargers, as in sim.run: SCS mode books no mobile charger
         stops = {}
         for mode in sim.MODES:
             out = tmp_path / f"{mode}.json"
@@ -473,6 +473,74 @@ class TestInvalidFiles:
         assert rc == 2
         assert "broken.json is not valid JSON" in err and err.count("\n") == 1
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario"],
+        ["route", "--source", "0", "--dest", "9", "--energy", "5", "--scenario"],
+        ["sweep", "--out", "sweep.csv", "--scenario"],
+        ["oracle", "--instance"],
+    ], ids=["run", "route", "sweep", "oracle"])
+    @pytest.mark.parametrize("name,message", [
+        ("folder", "cannot read folder: Is a directory"),
+        ("absent.json", "cannot read absent.json: No such file or directory"),
+        ("binary.json", "cannot read binary.json: 'utf-8' codec can't decode byte 0xff"),
+        ("deep.json", "deep.json nests its JSON too deeply to read"),
+    ], ids=["directory", "missing", "not-utf-8", "nested-too-deeply"])
+    def test_unreadable_file(self, tmp_path, capsys, monkeypatch, argv, name, message):
+        # a directory, bytes that are not UTF-8 and a list nested 100,000
+        # deep once exited 1 with a traceback
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "folder").mkdir()
+        (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
+        (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+        rc = main([*argv, name])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run"],
+        ["route", "--source", "0", "--dest", "9", "--energy", "5"],
+        ["sweep", "--out", "sweep.csv"],
+    ], ids=["run", "route", "sweep"])
+    @pytest.mark.parametrize("graph,message", [
+        ("folder", "scenario: cannot read folder: Is a directory"),
+        ("broken.json", "scenario: broken.json is not valid JSON"),
+    ], ids=["graph-a-directory", "graph-not-json"])
+    def test_unreadable_graph_path(self, tmp_path, capsys, monkeypatch, argv, graph, message):
+        # a graph path naming a directory once exited 1 with a traceback
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "folder").mkdir()
+        (tmp_path / "broken.json").write_text('{"nodes": ')
+        doc = default_scenario(ev_count=12).to_json()
+        doc["graph"] = graph
+        (tmp_path / "scenario.json").write_text(json.dumps(doc))
+        rc = main([argv[0], "--scenario", "scenario.json", *argv[1:]])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("graph,message", [
+        ("folder", "cannot read folder: Is a directory"),
+        ("broken.json", "broken.json is not valid JSON"),
+    ], ids=["graph-a-directory", "graph-not-json"])
+    def test_oracle_unreadable_graph_path(self, tmp_path, capsys, monkeypatch, graph, message):
+        # both once exited 1 with a traceback
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "folder").mkdir()
+        (tmp_path / "broken.json").write_text('{"nodes": ')
+        instance = {
+            "graph": graph,
+            "request": {"source": 0, "dest": 2, "capacity_kwh": 10.0, "energy_kwh": 4.0},
+        }
+        (tmp_path / "inst.json").write_text(json.dumps(instance))
+        rc = main(["oracle", "--instance", "inst.json", "--out", "out.json"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["run"],

@@ -23,7 +23,7 @@ from medsim.road_graph import ArcAttr, build_graph
 from medsim.routing import (EvRequest, PathCache, RouteAssignment, ScsVisit, Stranded,
                             _arrival_level, _plan_findings, _plan_med_span,
                             find_best_energy_point, find_shortest_path)
-from medsim.sim import _refuse_all, _refuse_med, default_scenario
+from medsim.sim import default_scenario
 from tests.conftest import (TEST_INDUCTION, line_graph, random_oracle_instance,
                             ref_attach_run, ref_best_energy_point, ref_pass_shares,
                             ref_plan_findings, ref_plan_med_span, ref_waiting, route_level)
@@ -107,7 +107,8 @@ class TestWaiting:
 @st.composite
 def scoring_cases(draw):
     """A random one-way digraph with a station and a charger cycle, live
-    ledgers on both, and one EV asking where to charge.
+    ledgers on the units there, and one EV asking which of the units it may
+    book to charge at.
 
     A one-way tour through every node keeps each node reachable; the
     charger's cycle and up to ``2n`` random one-way arcs come on top.
@@ -127,42 +128,51 @@ def scoring_cases(draw):
     g = build_graph(nodes, arcs, scs_list=[station], med_cycle=cycle,
                     visit_limit=draw(st.integers(1, 3)))
 
-    infra = Infrastructure()
     scs = ScsState(station, draw(st.sampled_from((19.2, 50.0))))
     booked_until = draw(st.sampled_from((0.0, 5.0, 30.0, 300.0)))
     if booked_until:
         scs.bookings.append(Booking("other", 0.0, booked_until))
-    infra.scs_units.append(scs)
+    stations = [scs]
     if draw(st.booleans()):
         # a twin station scores the same; the first one scored must win
-        infra.scs_units.append(ScsState(station, scs.rate_kw))
-        infra.scs_units[-1].bookings.extend(scs.bookings)
-    med = MedState(g, InductionParams(0.75, draw(st.sampled_from((400.0, 4000.0, 20000.0)))),
-                   battery_kwh=draw(st.sampled_from((200.0, 1.0, 5.0))),
-                   start_s=draw(st.sampled_from((0.0, 3.0, 50.0))))
-    u = len(med.segments)
-    for key in draw(st.lists(st.tuples(st.integers(0, u - 1), st.integers(-2, 6)),
-                             max_size=12)):
-        med.segment_bookings[key] = "other"
-    infra.med_units.append(med)
+        stations.append(ScsState(station, scs.rate_kw))
+        stations[-1].bookings.extend(scs.bookings)
+    meds = []
+    for _ in range(draw(st.integers(1, 2))):  # two chargers share the cycle
+        p_ind_kw = draw(st.sampled_from((400.0, 4000.0, 20000.0)))
+        med = MedState(g, InductionParams(0.75, p_ind_kw),
+                       battery_kwh=draw(st.sampled_from((200.0, 1.0, 5.0))),
+                       start_s=draw(st.sampled_from((0.0, 3.0, 50.0))))
+        u = len(med.segments)
+        for key in draw(st.lists(st.tuples(st.integers(0, u - 1), st.integers(-2, 6)),
+                                 max_size=12)):
+            med.segment_bookings[key] = "other"
+        meds.append(med)
+    # the chargers the EV may book, as sim.build_infrastructure and sim.run
+    # pick them: all, stations only, mobile chargers only, none, or a drawn
+    # sub-list of either kind, so one of two twins can be left out
+    offered = draw(st.sampled_from(("all", "all", "all", "scs", "med", "none", "some")))
+    if offered == "some":
+        stations = [unit for unit in stations if draw(st.booleans())]
+        meds = [unit for unit in meds if draw(st.booleans())]
+    infra = Infrastructure(stations if offered in ("all", "scs", "some") else [],
+                           meds if offered in ("all", "med", "some") else [])
 
     source, dest = draw(st.permutations(nodes))[:2]
     capacity = draw(st.sampled_from((2.0, 5.0, 10.0)))
     energy = draw(st.floats(0.0, capacity))
     request = EvRequest("ev", source, dest, capacity, energy)
     now = draw(st.sampled_from((0.0, 2.0, 40.0, 1000.0)))
-    gate = draw(st.sampled_from((None, None, None, _refuse_med, _refuse_all,
-                                 lambda kind, node: node % 2 == 0)))
-    return g, request, infra, now, gate
+    return g, request, infra, now
 
 
 class TestChosenCandidate:
     @settings(max_examples=200, deadline=None)
     @given(case=scoring_cases())
     def test_matches_the_reference(self, case):
-        g, request, infra, now, gate = case
+        g, request, infra, now = case
         caches = PathCache(g)
-        args = (g, caches, request, request.source, request.energy_kwh, now, infra, gate)
+        args = (g, caches, request, request.source, request.energy_kwh, now, infra)
         try:
             ref = ref_best_energy_point(*args)
         except Stranded:

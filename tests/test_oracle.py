@@ -228,7 +228,7 @@ class TestVerify:
         inst = build()
         bad = copy.deepcopy(solve_exact(inst).best)
         corrupt(bad)
-        assert verify(inst, bad, check_waits=False) == want
+        assert verify(inst, bad) == want
         assert check_assignment(inst.graph, bad)
 
     @pytest.mark.parametrize("laps,want", [(2, "ok"), (3, "violated(11)")])
@@ -292,7 +292,7 @@ class TestAgainstRouter:
             except Stranded:
                 stranded += 1
                 continue
-            assert verify(inst, a, check_waits=True) == "ok", f"seed {seed}"
+            assert verify(inst, a) == "ok", f"seed {seed}"
             assert sol.feasible, f"seed {seed}: router found a plan the oracle missed"
             assert a.total_time_s >= sol.objective_s - 1e-9, f"seed {seed}"
             if abs(a.total_time_s - sol.objective_s) <= 1e-9:

@@ -175,12 +175,11 @@ class TestFindBestEnergyPoint:
         assert plan.charge_s == pytest.approx((3.0 - 0.2) / 19.2 * 3600.0)
 
     def test_no_candidates_is_stranded(self):
+        # the chargers of an EV the comms drop excluded: none
         g = line_graph()
-        infra = Infrastructure(scs_units=[ScsState(3, 19.2)])
         req = EvRequest("e", 0, 5, 10.0, 2.0)
         with pytest.raises(Stranded):
-            find_best_energy_point(g, PathCache(g), req, 0, 2.0, 0.0, infra,
-                                   gate=lambda kind, node: False)
+            find_best_energy_point(g, PathCache(g), req, 0, 2.0, 0.0, Infrastructure())
 
 
 class TestFindShortestPath:

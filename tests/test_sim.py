@@ -126,9 +126,28 @@ class TestRun:
         m = run(default_scenario(ev_count=50, seed=6, level="L3", block_prob=1.0))
         assert all(r.choice == "none" for r in m.rows)
 
-    def test_the_mode_gate(self):
-        assert sim.mode_gate("SCS_MED") is None
-        assert sim.mode_gate("SCS") is sim._refuse_med
+    def test_scs_mode_builds_no_mobile_charger(self):
+        # the mode picks the chargers where they are built: the router
+        # scores every charger it is handed
+        for mode, n_meds in (("SCS", 0), ("SCS_MED", 1)):
+            scenario = default_scenario(mode=mode)
+            infra = sim.build_infrastructure(scenario, load_network(scenario).graph)
+            assert len(infra.scs_units) == 1 and len(infra.med_units) == n_meds
+
+    def test_routing_by_hand_in_scs_mode_books_no_mobile_charger(self):
+        # the README's by-hand routing: ev000 of the default L3 run, 5 -> 42
+        # with 1.295 kWh, rides the mobile charger in mode SCS_MED; with the
+        # scenario in mode SCS it once still attached, as the router was
+        # handed every charger and only sim.run told it which to refuse
+        for mode, attaches in (("SCS_MED", 1), ("SCS", 0)):
+            scenario = default_scenario(mode=mode, level="L3", ev_count=100, seed=0)
+            g = load_network(scenario).graph
+            rec = generate_population(scenario, g)[0]
+            request = EvRequest(rec.ev, rec.source, rec.dest,
+                                scenario.vehicle.capacity_kwh, rec.energy_kwh)
+            plan = routing.find_shortest_path(g, request, sim.build_infrastructure(scenario, g))
+            assert (rec.ev, rec.source, rec.dest) == ("ev000", 5, 42)
+            assert len(plan.q_points) == attaches, mode
 
     def test_scs_mode_never_uses_the_mobile_charger(self):
         m = run(default_scenario(ev_count=50, seed=6, level="L3", mode="SCS"))
@@ -181,7 +200,7 @@ class TestRun:
                 scs_rates=dict(sc.scs),
                 med_waits={p.meet_node: p.wait_s for p in a.q_points},
                 induction=sc.induction)
-            assert verify(inst, a, check_waits=False) == "ok", row.ev
+            assert verify(inst, a) == "ok", row.ev
             checked += 1
         assert checked > 0
 
