@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
+from operator import attrgetter
 
 from .energy import VehicleParams, segment_energy
 
@@ -41,6 +42,11 @@ class ArcAttr:
 
 # the ArcAttr field each routing weight reads
 _COST_FIELDS = {"time": "drive_time_s", "energy": "energy_kwh"}
+
+
+class CostTable(tuple):
+    """The rows of a cost table (see :meth:`RoadGraph.cost_table`), carrying ``uniform``,
+    the one cost all its arcs share, or None."""
 
 
 class RoadGraph:
@@ -92,6 +98,18 @@ class RoadGraph:
         then shared. No row is sorted: a forward row maps the node's
         adjacency, which is in id order and so in position order, and the
         reverse rows fill in order as the tails are walked in position order.
+
+        The table is a :class:`CostTable`, whose ``uniform`` is the one cost
+        all its arcs share, or None when their costs differ (or it has no
+        arcs). On such a table a node ``h`` arcs from the source is exactly
+        ``S(h)`` away, where ``S(0) = 0.0`` and ``S(h) = S(h-1) + c`` in
+        floats: every ``h``-arc path adds ``c`` to ``0.0`` the same ``h``
+        times in the same order, and as ``c`` is nonnegative and a float sum
+        ``x + c`` never falls as ``x`` grows, ``S`` never falls as ``h``
+        grows, so the fewest arcs win. A breadth-first search by arc count
+        then gives the shortest-path distances bit for bit
+        (``routing._dijkstra_dist``). ``0.0`` and ``-0.0`` count as one
+        cost: from a start of ``0.0`` they add alike.
         """
         key = (weight, reverse)
         table = self._tables.get(key)
@@ -105,11 +123,13 @@ class RoadGraph:
                 for k, tail in enumerate(self.order):
                     for head, attr in adj[tail]:
                         rows[index[head]].append((k, getattr(attr, field_name), attr))
-                table = tuple(map(tuple, rows))
+                table = CostTable(map(tuple, rows))
             else:
-                table = tuple(tuple((index[head], getattr(attr, field_name), attr)
-                                    for head, attr in adj[tail])
-                              for tail in self.order)
+                table = CostTable(tuple((index[head], getattr(attr, field_name), attr)
+                                        for head, attr in adj[tail])
+                                  for tail in self.order)
+            costs = list(map(attrgetter(field_name), self.arcs.values()))
+            table.uniform = costs[0] if costs and costs.count(costs[0]) == len(costs) else None
             self._tables[key] = table
         return table
 

@@ -35,9 +35,34 @@ def _dijkstra_dist(adj, source):
 
     An ``array('d')`` (8 bytes per node) indexed by position, :data:`INFINITE`
     where a node is unreachable; the search itself runs on a list.
+
+    A table whose arcs all cost ``adj.uniform`` is searched breadth first:
+    each level of nodes one arc further out gets the running sum plus the
+    cost once more, which is the heap search's distance bit for bit (see
+    ``RoadGraph.cost_table``). The search stops at the level whose sum
+    reaches :data:`INFINITE`, where the heap search's ``nd < dist[nbr]``
+    leaves nodes at :data:`INFINITE` too; so every distance it assigns is
+    finite, and :data:`INFINITE` marks a node not yet reached. Any other
+    table takes the heap search.
     """
     dist = [INFINITE] * len(adj)
     dist[source] = 0.0
+    cost = adj.uniform
+    if cost is not None:
+        d = 0.0
+        level = [source]
+        while level:
+            d += cost
+            if d == INFINITE:
+                break
+            reached = []
+            for node in level:
+                for nbr, _, _ in adj[node]:
+                    if dist[nbr] == INFINITE:
+                        dist[nbr] = d
+                        reached.append(nbr)
+            level = reached
+        return array("d", dist)
     heap = [(0.0, source)]
     while heap:
         d, node = heappop(heap)

@@ -3,6 +3,8 @@
 import gc
 import os
 import random
+from array import array
+from heapq import heappop, heappush
 
 import pytest
 from hypothesis import settings
@@ -62,6 +64,24 @@ def route_energy(g, path) -> float:
     for i, j in zip(path, path[1:]):
         e += g.arc(i, j).energy_kwh
     return e
+
+
+def ref_dijkstra_dist(adj, source):
+    """``routing._dijkstra_dist`` as a heap search on every table, uniform or not: the
+    distances by position from ``source`` over the cost table ``adj``, as an ``array('d')``."""
+    dist = [INFINITE] * len(adj)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, node = heappop(heap)
+        if d > dist[node]:
+            continue
+        for nbr, cost, _ in adj[node]:
+            nd = d + cost
+            if nd < dist[nbr]:
+                dist[nbr] = nd
+                heappush(heap, (nd, nbr))
+    return array("d", dist)
 
 
 def ref_plan_findings(g, a, tol: float):

@@ -2,21 +2,20 @@ import math
 from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from medsim.charging import BookResult, Infrastructure, MedState, ScsState
-from medsim import routing
+from medsim import routing, sim
 from medsim.energy import InductionParams
 from medsim.oracle import FrozenMed, FrozenScs
-from medsim.road_graph import ArcAttr, build_graph
+from medsim.road_graph import ArcAttr, build_graph, grid_doc, load_graph
 from medsim.routing import (EvRequest, NoPath, Stranded, check_assignment,
                             find_best_energy_point, find_shortest_path, PathCache,
                             _arrival_level, _drive)
-from tests.conftest import (dijkstra, line_graph, objective_time, relabelled,
-                            ring_with_spurs, route_energy, route_feasible, route_level,
-                            route_time,
-                            sparse_id)
+from tests.conftest import (TEST_VEHICLE, dijkstra, line_graph, objective_time,
+                            ref_dijkstra_dist, relabelled, ring_with_spurs, route_energy,
+                            route_feasible, route_level, route_time, sparse_id)
 
 
 class TestDijkstra:
@@ -377,6 +376,13 @@ def random_digraphs(draw):
     return build_graph(range(n), arcs)
 
 
+# a cycle, a node reached by two paths of different lengths, and one reached by none
+_EXAMPLE_DIGRAPH = build_graph(range(6), {
+    (0, 1): ArcAttr(2.0, 0.5, 10.0), (1, 2): ArcAttr(1.0, 0.0, 10.0),
+    (2, 0): ArcAttr(3.0, 1.0, 10.0), (0, 3): ArcAttr(1.0, 0.0, 10.0),
+    (3, 4): ArcAttr(1.0, 2.0, 10.0), (2, 4): ArcAttr(5.0, 0.5, 10.0)})
+
+
 def _cost(attr, weight):
     return attr.drive_time_s if weight == "time" else attr.energy_kwh
 
@@ -428,6 +434,62 @@ class TestCostTablesAndKernel:
                         assert g.arc(*arc) is attr and cost == _cost(attr, weight)
                         listed.append(arc)
                 assert sorted(listed) == sorted(g.arcs)
+                costs = {_cost(attr, weight) for attr in g.arcs.values()}
+                if len(costs) == 1:
+                    assert table.uniform in costs
+                else:
+                    assert table.uniform is None
+
+    def test_grid_tables_are_uniform(self):
+        # every grid the simulations run on prices each arc alike, so all of
+        # their distance maps take the breadth-first search
+        grid = load_graph(grid_doc(4, 5), TEST_VEHICLE)
+        for g in (sim.load_network(sim.default_scenario()).graph, grid):
+            for weight in ("time", "energy"):
+                for reverse in (False, True):
+                    assert g.cost_table(weight, reverse).uniform == \
+                        _cost(next(iter(g.arcs.values())), weight)
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=random_digraphs(), drive_s=st.floats(0.0, 1e308, exclude_min=True),
+           energies=st.one_of(st.floats(0.0, 1e308).map(lambda e: (e,)),
+                              st.sampled_from([(0.0, -0.0), (-0.0, 0.0)])),
+           nudge=st.integers(0, 100))
+    @example(g=_EXAMPLE_DIGRAPH, drive_s=1.0, energies=(0.0,), nudge=0)
+    @example(g=_EXAMPLE_DIGRAPH, drive_s=1.0, energies=(0.0, -0.0), nudge=1)
+    @example(g=_EXAMPLE_DIGRAPH, drive_s=1.0, energies=(-0.0, 0.0), nudge=2)
+    @example(g=_EXAMPLE_DIGRAPH, drive_s=1e-300, energies=(1e-300,), nudge=3)
+    @example(g=_EXAMPLE_DIGRAPH, drive_s=0.1, energies=(0.30000000000000004,), nudge=4)
+    @example(g=_EXAMPLE_DIGRAPH, drive_s=1e308, energies=(1.0,), nudge=5)
+    def test_kernel_matches_the_heap_search_bit_for_bit(self, g, drive_s, energies, nudge):
+        # bytes, not ==, so a -0.0 for a 0.0 shows; every drawn table but the
+        # nudged ones is uniform under one weight, and a drive time of 1e308
+        # overflows to inf two arcs out
+        arcs = sorted(g.arcs)
+
+        def copy(attr_of):
+            return build_graph(g.order, {a: attr_of(k, g.arc(*a)) for k, a in enumerate(arcs)})
+
+        timed = copy(lambda k, attr: ArcAttr(drive_s, attr.energy_kwh, attr.length_m))
+        priced = copy(lambda k, attr: ArcAttr(attr.drive_time_s, energies[k % len(energies)],
+                                              attr.length_m))
+        bumped = nudge % max(len(arcs), 1)
+        nudged = copy(lambda k, attr: ArcAttr(
+            math.nextafter(drive_s, math.inf) if k == bumped else drive_s,
+            math.nextafter(energies[0], math.inf) if k == bumped else energies[0],
+            attr.length_m))
+        if arcs:
+            assert timed.cost_table("time").uniform == drive_s
+            assert priced.cost_table("energy", True).uniform == energies[0]
+        for weight in ("time", "energy"):
+            if len(arcs) > 1:  # one arc off by an ulp: the heap search
+                assert nudged.cost_table(weight).uniform is None
+            for graph in (g, timed, priced, nudged):
+                for reverse in (False, True):
+                    adj = graph.cost_table(weight, reverse)
+                    for source in range(len(adj)):
+                        assert routing._dijkstra_dist(adj, source).tobytes() == \
+                            ref_dijkstra_dist(adj, source).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(g=random_digraphs())
