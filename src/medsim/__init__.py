@@ -13,7 +13,7 @@ from .road_graph import ArcAttr, GraphError, RoadGraph, build_graph, grid_doc, \
 from .routing import (EvRequest, MedAttach, NoPath, PathCache, RouteAssignment,
                       ScsVisit, Stranded, check_assignment, find_best_energy_point,
                       find_shortest_path)
-from .sim import (CalibrationError, EvRecord, LevelSampler, RunMetrics,
-                  Scenario, default_scenario, generate_population, load_network, run)
+from .sim import (CalibrationError, EvRecord, RunMetrics, Scenario, default_scenario,
+                  generate_population, load_network, run)
 
 __version__ = "0.1.0"

@@ -195,8 +195,8 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         print(f"sweep: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
-    # the modes innermost: the cells of a mode pair run back to back, and
-    # the second reuses the first's population (sim.generate_population)
+    # the modes innermost: the cells of a mode pair run back to back, and the second
+    # reuses the population the network remembers (sim.generate_population)
     cells = [dict(mode=m, level=l, ev_count=n, seed=s)
              for l in levels for n in ev_counts for s in seeds for m in modes]
     # the first cell's overrides make a scenario that validates, whatever mode,

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from .charging import (STATION_RATE_KW, BookResult, Infrastructure, MedState, ScsState,
                        scs_charge_time)
 from .energy import InductionParams, VehicleParams
-from .road_graph import (AS_IS, INTEGER, NODE_ID, NUMBER, OBJECT, OBJECTS, RoadGraph, load_graph,
-                         read_block, read_entries, read_params)
+from .road_graph import (AS_IS, INTEGER, NODE_ID, NUMBER, OBJECT, OBJECTS, VISIT_LIMIT_DEFAULT,
+                         RoadGraph, load_graph, read_block, read_entries, read_params)
 from .routing import (_EPS_TOL, INFINITE, EvRequest, MedAttach, PathCache, RouteAssignment,
                       ScsVisit, _plan_findings)
 
@@ -377,7 +377,8 @@ def instance_from_json(doc) -> OracleInstance:
         med, "med", _MED_KEYS, ("p_ind_kw",) if "c_ind" in med else (), OracleError, build=_med)
     vehicle = read_params(doc["vehicle"], "vehicle", VehicleParams, OracleError) \
         if "vehicle" in doc else None
-    g = load_graph(doc["graph"], vehicle=vehicle, visit_limit=doc.get("visit_limit", 2))
+    g = load_graph(doc["graph"], vehicle=vehicle,
+                   visit_limit=doc.get("visit_limit", VISIT_LIMIT_DEFAULT))
     return OracleInstance(g, request, {s["node"]: s.get("wait_s", 0.0) for s in scs},
                           {s["node"]: s.get("rate_kw", STATION_RATE_KW) for s in scs},
                           med_waits, induction, battery_kwh)

@@ -143,6 +143,9 @@ class RoadGraph:
         return list(zip(pts, pts[1:] + pts[:1]))
 
 
+# by default a walk may reach each charger twice, so an EV can come back once and a ride wrap
+# once round the cycle, while the oracle, counting each charger this often, stays small
+VISIT_LIMIT_DEFAULT = 2
 # MedState.ride slices max_passes * len(segments) segments off the cycle and may walk them
 # all: far below islice's limit of sys.maxsize, and few enough for a ride to end
 VISIT_LIMIT_MAX = 1000
@@ -200,7 +203,7 @@ def _checked_ids(nodes, arcs, scs, med_cycle, entries):
     return nodes, scs, med_cycle, entries
 
 
-def build_graph(nodes, arcs, scs_list=(), med_cycle=(), visit_limit: int = 2,
+def build_graph(nodes, arcs, scs_list=(), med_cycle=(), visit_limit: int = VISIT_LIMIT_DEFAULT,
                 entries=None) -> RoadGraph:
     """Assemble an immutable :class:`RoadGraph` from the declared nodes and arcs.
 
@@ -433,7 +436,8 @@ def parse_graph(doc) -> GraphSpec:
                          doc.get("entries")))
 
 
-def load_graph(doc, vehicle: VehicleParams | None = None, visit_limit: int = 2) -> RoadGraph:
+def load_graph(doc, vehicle: VehicleParams | None = None,
+               visit_limit: int = VISIT_LIMIT_DEFAULT) -> RoadGraph:
     """A graph from a :class:`GraphSpec`, a JSON document or a path; ``vehicle`` prices arcs."""
     spec = doc if isinstance(doc, GraphSpec) else parse_graph(doc)
     attrs = spec.priced(vehicle)

@@ -191,6 +191,18 @@ def _arrival_level(path: CachedPath, eps: float):
     return eps if not eps < -_EPS_TOL or not path.attrs else None
 
 
+def trip_energy(caches: PathCache, source, target) -> float:
+    """What a trip needs: the energy of its time-shortest path, infinite without one.
+
+    An anxious EV holds less (``sim.sample_trips``); a charger's detach point
+    must cover it for the rest of the trip (:func:`find_best_energy_point`).
+    """
+    try:
+        return caches.path(source, target, "time").energy_kwh
+    except NoPath:
+        return INFINITE
+
+
 # -- requests and realized routes --------------------------------------------
 
 
@@ -499,11 +511,7 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
     best_key = best = None
 
     def need_to_finish(node):
-        # energy along the time-shortest tail the EV would actually drive
-        try:
-            return caches.path(node, request.dest, "time").energy_kwh
-        except NoPath:
-            return INFINITE
+        return trip_energy(caches, node, request.dest)
 
     # stations first, then each charger's cycle points; a station has no
     # cycle index
@@ -551,15 +559,16 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
     return _Candidate(*best)
 
 
-def _drive(legs, trace, path, eps, drive_s, capacity):
+def _drive(legs, trace, path, eps, drive_s):
     """Append a path's nodes past its start, with the battery level at each.
 
     Returns the level at the path's end and ``drive_s`` plus the path's arc
-    drive times, added one arc at a time in walk order.
+    drive times, added one arc at a time in walk order. No level exceeds capacity: each
+    start is within it (``EvRequest``, a station's fill, ``MedState.ride``'s cap), and
+    arc energies are finite and nonnegative, so driving never raises the level.
     """
     for node, attr in zip(path[1:], path.attrs):
-        level = eps - attr.energy_kwh
-        eps = capacity if capacity < level else level
+        eps -= attr.energy_kwh
         drive_s += attr.drive_time_s
         legs.append(node)
         trace.append(eps)
@@ -603,7 +612,7 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
         stops += 1
         plan = find_best_energy_point(g, caches, request, legs[-1], eps, now + elapsed, infra)
         arrival = now + elapsed + plan.path.drive_s
-        eps, drive_s = _drive(legs, trace, plan.path, eps, drive_s, Q)
+        eps, drive_s = _drive(legs, trace, plan.path, eps, drive_s)
         elapsed += plan.path.drive_s
         if plan.kind == "scs":
             booked = plan.unit.book(request.ev, arrival, plan.charge_s)
@@ -632,7 +641,7 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
         except NoPath:
             tail = None
 
-    _, drive_s = _drive(legs, trace, tail, eps, drive_s, Q)
+    _, drive_s = _drive(legs, trace, tail, eps, drive_s)
     a = RouteAssignment(
         ev=request.ev, source=request.source, dest=request.dest,
         capacity_kwh=Q, energy_start_kwh=request.energy_kwh,

@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 from .charging import STATION_RATE_KW, Infrastructure, MedState, ScsState
 from .energy import InductionParams, VehicleParams
 from .road_graph import (AS_IS, INTEGER, NODE_ID, NODE_IDS, NUMBER, OBJECT, OBJECTS, STRING,
-                         GraphError, GraphSpec, RoadGraph, check_visit_limit, grid_doc, load_graph,
-                         or_null, parse_graph, read_block, read_entries, read_params)
-from .routing import (INFINITE, EvRequest, NoPath, PathCache, Stranded, check_assignment,
-                      find_shortest_path)
+                         VISIT_LIMIT_DEFAULT, GraphError, GraphSpec, RoadGraph, check_visit_limit,
+                         grid_doc, load_graph, or_null, parse_graph, read_block, read_entries,
+                         read_params)
+from .routing import (INFINITE, EvRequest, PathCache, Stranded, check_assignment,
+                      find_shortest_path, trip_energy)
 
 LEVEL_TARGETS = {"L1": 0.20, "L2": 0.60, "L3": 0.95}
 MODES = ("SCS", "SCS_MED")
@@ -102,7 +103,7 @@ class Scenario:
     block_prob: float = 0.05
     scs: list = field(default_factory=list)      # (node, rate_kw) pairs
     meds: list = field(default_factory=list)     # MedSpec per mobile charger
-    visit_limit: int = 2
+    visit_limit: int = VISIT_LIMIT_DEFAULT
     entries: list | None = None
 
     def __post_init__(self):
@@ -206,98 +207,79 @@ class EvRecord:
     stranded: bool = False
 
 
-class LevelSampler:
-    """Draws (source, dest, energy) triples hitting an anxiety-level target.
+# the draws a trip may take before the level target is given up on
+DRAW_ATTEMPTS = 400
 
-    The anxious count is pinned exactly (rounded share of the population);
-    each draw then picks a destination far or near enough and an energy level
-    conditioned on the wanted flag, so the realized fraction cannot drift.
+
+def sample_trips(caches: PathCache, level: str, rng: random.Random, entries, n: int) -> list:
+    """``n`` (source, dest, energy, anxious) trips hitting an anxiety-level target.
+
+    The anxious count is pinned exactly (rounded share of ``n``); each trip
+    then draws a source from ``entries`` (the graph's if None), a destination
+    far or near enough and an energy level conditioned on the wanted flag, so
+    the realized fraction cannot drift. A trip is anxious when its battery
+    holds less than :func:`~medsim.routing.trip_energy`.
     """
-
-    def __init__(self, g: RoadGraph, level: str, rng: random.Random,
-                 entries=None, caches: PathCache | None = None):
-        self.g = g
-        self.target = LEVEL_TARGETS[level]
-        self.rng = rng
-        self.caches = caches or PathCache(g)
-        self.entries = list(entries) if entries is not None else list(g.entries)
-        self.dests = g.order  # sorted, so a seed always draws the same trips
-        if not self.entries or len(self.dests) < 2:
-            raise CalibrationError("graph too small to spawn trips")
-
-    def route_energy(self, s, d) -> float:
-        """Energy of the time-shortest route from ``s`` to ``d``, infinite without one.
-
-        This is the one definition of an anxious trip: its battery holds
-        less than this. :meth:`draw` conditions every energy level on it.
-        """
-        try:
-            return self.caches.path(s, d, "time").energy_kwh
-        except NoPath:
-            return INFINITE
-
-    def draw(self, want_anxious: bool, attempts: int = 400):
-        for _ in range(attempts):
-            s = self.rng.choice(self.entries)
-            d = self.rng.choice(self.dests)
+    g = caches.g
+    entries = list(g.entries if entries is None else entries)
+    dests = g.order  # sorted, so a seed always draws the same trips
+    if not entries or len(dests) < 2:
+        raise CalibrationError("graph too small to spawn trips")
+    n_anxious = round(LEVEL_TARGETS[level] * n)
+    flags = [True] * n_anxious + [False] * (n - n_anxious)
+    rng.shuffle(flags)
+    trips = []
+    for want_anxious in flags:
+        for _ in range(DRAW_ATTEMPTS):
+            s = rng.choice(entries)
+            d = rng.choice(dests)
             if d == s:
                 continue
-            need = self.route_energy(s, d)
+            need = trip_energy(caches, s, d)
             if want_anxious:
                 if not ENERGY_MIN_KWH < need:
                     continue
                 hi = min(ENERGY_MAX_KWH, need)
-                eps = ENERGY_MIN_KWH + self.rng.random() * (hi - ENERGY_MIN_KWH)
+                eps = ENERGY_MIN_KWH + rng.random() * (hi - ENERGY_MIN_KWH)
             else:
                 if not need < ENERGY_MAX_KWH:
                     continue
                 lo = max(ENERGY_MIN_KWH, need)
-                eps = lo + self.rng.random() * (ENERGY_MAX_KWH - lo)
-            return s, d, eps
-        raise CalibrationError(
-            f"could not draw an {'anxious' if want_anxious else 'relaxed'} trip; "
-            f"the graph's route energies cannot realize the level target")
-
-    def sample(self, n: int):
-        n_anxious = round(self.target * n)
-        flags = [True] * n_anxious + [False] * (n - n_anxious)
-        self.rng.shuffle(flags)
-        return [(*self.draw(f), f) for f in flags]
+                eps = lo + rng.random() * (ENERGY_MAX_KWH - lo)
+            trips.append((s, d, eps, want_anxious))
+            break
+        else:
+            raise CalibrationError(
+                f"could not draw an {'anxious' if want_anxious else 'relaxed'} trip; "
+                f"the graph's route energies cannot realize the level target")
+    return trips
 
 
-# the key and draws of generate_population's last draw; the key holds the
-# graph itself, so no other graph can take its id while it is remembered
-_last_population: tuple | None = None
-
-
-def generate_population(scenario: Scenario, g: RoadGraph,
-                        caches: PathCache | None = None):
+def generate_population(scenario: Scenario, network: Network):
     """Deterministic spawn list, as records not yet routed; independent of the mode.
 
     The same seed yields the same population for both modes, which is what
-    makes paired mode comparisons meaningful. The last draw is remembered
-    with everything it reads: the graph, the seed, the EV count, the level,
-    the horizon, the drop rate and the entries. A call with an equal key
-    reuses it, so the second mode of a pair draws nothing. Each call returns
-    new records, as :func:`run` writes outcomes into them.
+    makes paired mode comparisons meaningful. The network remembers its last
+    draw with everything else the draw reads: the seed, the EV count, the
+    level, the horizon, the drop rate and the entries. A call with an equal
+    key reuses it, so the second mode of a pair draws nothing. Each call
+    returns new records, as :func:`run` writes outcomes into them.
     """
-    global _last_population
     entries = None if scenario.entries is None else \
         tuple((type(node), node) for node in scenario.entries)  # 1 and 1.0 print apart
-    key = (g, scenario.seed, scenario.ev_count, scenario.level, scenario.horizon_s,
+    key = (scenario.seed, scenario.ev_count, scenario.level, scenario.horizon_s,
            scenario.block_prob, entries)
     n = scenario.ev_count
-    if _last_population is None or _last_population[0] != key:
+    if network.population is None or network.population[0] != key:
         rng = random.Random(scenario.seed)
         arrivals = sorted(rng.uniform(0.0, scenario.horizon_s) for _ in range(n))
-        sampler = LevelSampler(g, scenario.level, rng, scenario.entries, caches)
-        draws = sampler.sample(n)
+        trips = sample_trips(network.caches, scenario.level, rng, scenario.entries, n)
         excluded = [rng.random() < scenario.block_prob for _ in range(n)]
-        _last_population = key, arrivals, draws, excluded
-    _, arrivals, draws, excluded = _last_population
+        network.population = key, arrivals, trips, excluded
+    _, arrivals, trips, excluded = network.population
     width = max(3, len(str(max(n - 1, 0))))
     return [EvRecord(f"ev{k:0{width}d}", arrivals[k], s, d, eps, anx, excl)
-            for k, ((s, d, eps, anx), excl) in enumerate(zip(draws, excluded))]
+            for k, ((s, d, eps, anx), excl) in enumerate(zip(trips, excluded))]
 
 
 # -- metrics ---------------------------------------------------------------------
@@ -358,18 +340,21 @@ class RunMetrics:
 # -- the run itself ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Network:
-    """A loaded road graph and its path cache, keyed on what they were built from.
+    """A loaded road graph, its path cache and its last population draw.
 
-    One network serves every run whose scenario has an equal ``key``: the
-    graph value and its id types (the outputs print 1 and 1.0 apart), the
-    vehicle and the visit limit. Ledgers and the population stay per run.
+    One network serves every run whose scenario has an equal ``key``, what
+    the graph and its cache were built from: the graph value and its id
+    types (the outputs print 1 and 1.0 apart), the vehicle and the visit
+    limit. ``population`` is the key and draws of the last
+    :func:`generate_population` on it; ledgers and records stay per run.
     """
 
     graph: RoadGraph
     caches: PathCache
     key: tuple
+    population: tuple | None = field(default=None, init=False)
 
 
 def _network_key(scenario: Scenario) -> tuple:
@@ -427,14 +412,14 @@ def run(scenario: Scenario, keep_assignments: bool = True) -> RunMetrics:
     EV routes against the mode's chargers (:func:`build_infrastructure`), or
     against none if the comms drop excluded it. The graph and its path cache
     come from :func:`network_for`, so a run on an equal network reuses the
-    last one.
+    last one, and its population draw with it.
     """
     network = network_for(scenario)
     g, caches = network.graph, network.caches
     infra = build_infrastructure(scenario, g)
     # each record gets its outcome in place, in arrival order
     metrics = RunMetrics(scenario.mode, scenario.level, scenario.ev_count, scenario.seed,
-                         rows=generate_population(scenario, g, caches), infrastructure=infra)
+                         rows=generate_population(scenario, network), infrastructure=infra)
     no_chargers = Infrastructure()
 
     for rec in metrics.rows:

@@ -163,11 +163,10 @@ class TestSweep:
         assert len(loads) == 1
 
     def test_the_second_mode_of_each_pair_draws_no_population(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sim, "_last_population", None)
-        calls, draws = [], []  # LevelSampler.draw calls; (mode, draw calls) per run
-        draw, population = sim.LevelSampler.draw, sim.generate_population
-        monkeypatch.setattr(sim.LevelSampler, "draw",
-                            lambda *args, **kw: calls.append(1) or draw(*args, **kw))
+        monkeypatch.setattr(sim, "_last_network", None)
+        calls, draws = [], []  # the sampler's trip_energy calls; (mode, calls) per run
+        need, population = sim.trip_energy, sim.generate_population
+        monkeypatch.setattr(sim, "trip_energy", lambda *args: calls.append(1) or need(*args))
 
         def counting(scenario, *args, **kw):
             start = len(calls)

@@ -255,6 +255,26 @@ class TestFindShortestPath:
         with pytest.raises(Stranded):
             find_shortest_path(g, req, infra)
 
+    @staticmethod
+    def station_line(n):
+        # 1 kWh per arc and room for 1.5: each stop reaches only the next
+        # station, so 0 -> n-1 stops at every one of 1 .. n-2
+        g = line_graph(n, energy=1.0, scs=range(1, n - 1))
+        infra = Infrastructure(scs_units=[ScsState(node, 19.2) for node in range(1, n - 1)])
+        return g, infra, EvRequest("e", 0, n - 1, 1.5, 1.0)
+
+    def test_a_route_may_take_leg_limit_stops(self):
+        g, infra, req = self.station_line(6)
+        a = find_shortest_path(g, req, infra)
+        assert [v.node for v in a.z_visits] == [1, 2, 3, 4]
+        assert check_assignment(g, a) == []
+
+    def test_a_route_needing_one_stop_more_strands(self):
+        g, infra, req = self.station_line(7)
+        assert routing.LEG_LIMIT == 4
+        with pytest.raises(Stranded, match="still infeasible after 4 charging stops"):
+            find_shortest_path(g, req, infra)
+
     def test_rejected_booking_raises_not_stranded(self):
         # the ledger refusing a slot the router priced is a fault, not a
         # stranded EV, and the router does not retry it
@@ -349,12 +369,12 @@ def test_cached_path_costs_match_the_per_arc_walk(g, start):
             # back, folding drive time as it appends; a per-arc walk of the
             # finished route must give the same floats
             legs, trace = [s], [start]
-            end, drive_s = _drive(legs, trace, path, start, 0.0, 20.0)
+            end, drive_s = _drive(legs, trace, path, start, 0.0)
             back = caches.path(t, s, "time")
-            end, drive_s = _drive(legs, trace, back, end, drive_s, 20.0)
+            end, drive_s = _drive(legs, trace, back, end, drive_s)
             eps, reference = start, []
             for i, j in zip(legs, legs[1:]):
-                eps = min(eps - g.arc(i, j).energy_kwh, 20.0)
+                eps -= g.arc(i, j).energy_kwh
                 reference.append(eps)
             assert legs == list(path) + list(back[1:])
             assert trace[1:] == reference and end == eps

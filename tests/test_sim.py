@@ -13,17 +13,17 @@ import pytest
 from medsim import routing, sim
 from medsim.oracle import OracleInstance, verify
 from medsim.road_graph import ArcAttr, GraphError, build_graph, grid_doc, parse_graph
-from medsim.routing import EvRequest
-from medsim.sim import (DEFAULT_VEHICLE, LEVEL_TARGETS, MODES, CalibrationError,
-                        LevelSampler, Scenario, default_scenario,
-                        generate_population, load_network, run)
+from medsim.routing import EvRequest, PathCache, trip_energy
+from medsim.sim import (DEFAULT_VEHICLE, LEVEL_TARGETS, MODES, CalibrationError, Scenario,
+                        default_scenario, generate_population, load_network, run,
+                        sample_trips)
 from tests.conftest import dijkstra, fresh_run, line_graph, sparse_id
 from tests.test_acceptance import random_scenario
 
 
 def anxious(g, s, d, energy_kwh):
-    """The sampler's one rule: the battery holds less than the route needs."""
-    return energy_kwh < LevelSampler(g, "L1", random.Random(0)).route_energy(s, d)
+    """The sampler's one rule: the battery holds less than the trip needs."""
+    return energy_kwh < trip_energy(PathCache(g), s, d)
 
 
 class TestClassifyAnxious:
@@ -39,12 +39,10 @@ class TestClassifyAnxious:
 
 class TestCalibrateLevel:
     def measured_fraction(self, level, n=60, seed=11):
-        sc = default_scenario()
-        g = load_network(sc).graph
-        sampler = LevelSampler(g, level, random.Random(seed))
+        caches = load_network(default_scenario()).caches
         hits = 0
-        for s, d, eps, _flag in sampler.sample(n):
-            hits += eps < sampler.route_energy(s, d)
+        for s, d, eps, _flag in sample_trips(caches, level, random.Random(seed), None, n):
+            hits += eps < trip_energy(caches, s, d)
         return hits / n
 
     def test_level_one_lands_near_twenty_percent(self):
@@ -56,35 +54,33 @@ class TestCalibrateLevel:
     def test_degenerate_graph_fails_calibration(self):
         arcs = {(0, 1): ArcAttr(1.0, 1e-6, 1.0), (1, 0): ArcAttr(1.0, 1e-6, 1.0)}
         g = build_graph([0, 1], arcs)
-        sampler = LevelSampler(g, "L3", random.Random(0))
-        with pytest.raises(CalibrationError):
-            sampler.sample(10)  # no trip can need more than 1 kWh
+        with pytest.raises(CalibrationError):  # no trip can need more than 1 kWh
+            sample_trips(PathCache(g), "L3", random.Random(0), None, 10)
 
     def test_single_node_graph_cannot_spawn(self):
         g = build_graph([7], {})
-        with pytest.raises(CalibrationError):
-            LevelSampler(g, "L1", random.Random(0))
+        with pytest.raises(CalibrationError):  # even with no trip to draw
+            sample_trips(PathCache(g), "L1", random.Random(0), None, 0)
 
 
 class TestPopulation:
     def test_mode_does_not_change_the_population(self):
         a_sc = default_scenario(ev_count=30, seed=9, mode="SCS")
         b_sc = default_scenario(ev_count=30, seed=9, mode="SCS_MED")
-        g = load_network(a_sc).graph
-        assert generate_population(a_sc, g) == generate_population(b_sc, g)
+        # a network each, so the second draws too
+        assert generate_population(a_sc, load_network(a_sc)) == \
+            generate_population(b_sc, load_network(b_sc))
 
     def test_arrivals_sorted_within_horizon(self):
         sc = default_scenario(ev_count=25, seed=4)
-        g = load_network(sc).graph
-        pop = generate_population(sc, g)
+        pop = generate_population(sc, load_network(sc))
         times = [p.t_arrival_s for p in pop]
         assert times == sorted(times)
         assert all(0.0 <= t <= sc.horizon_s for t in times)
 
     def test_energy_band(self):
         sc = default_scenario(ev_count=40, seed=2, level="L2")
-        g = load_network(sc).graph
-        assert all(1.0 <= p.energy_kwh <= 6.0 for p in generate_population(sc, g))
+        assert all(1.0 <= p.energy_kwh <= 6.0 for p in generate_population(sc, load_network(sc)))
 
 
 class TestRun:
@@ -141,11 +137,13 @@ class TestRun:
         # handed every charger and only sim.run told it which to refuse
         for mode, attaches in (("SCS_MED", 1), ("SCS", 0)):
             scenario = default_scenario(mode=mode, level="L3", ev_count=100, seed=0)
-            g = load_network(scenario).graph
-            rec = generate_population(scenario, g)[0]
+            network = load_network(scenario)
+            g = network.graph
+            rec = generate_population(scenario, network)[0]
             request = EvRequest(rec.ev, rec.source, rec.dest,
                                 scenario.vehicle.capacity_kwh, rec.energy_kwh)
-            plan = routing.find_shortest_path(g, request, sim.build_infrastructure(scenario, g))
+            plan = routing.find_shortest_path(g, request, sim.build_infrastructure(scenario, g),
+                                              caches=network.caches)
             assert (rec.ev, rec.source, rec.dest) == ("ev000", 5, 42)
             assert len(plan.q_points) == attaches, mode
 
@@ -451,19 +449,17 @@ class TestRememberedNetwork:
 
 
 class TestRememberedPopulation:
-    """A run reuses the last population draw when everything the draw reads is equal."""
+    """A run reuses its network's last draw when everything else the draw reads is equal."""
 
     @pytest.fixture(autouse=True)
     def forget(self, monkeypatch):
         monkeypatch.setattr(sim, "_last_network", None)
-        monkeypatch.setattr(sim, "_last_population", None)
 
     @pytest.fixture
     def draws(self, monkeypatch):
-        calls = []
-        draw = LevelSampler.draw
-        monkeypatch.setattr(LevelSampler, "draw",
-                            lambda *args, **kw: calls.append(1) or draw(*args, **kw))
+        calls = []  # the sampler's trip_energy calls: at least one per trip drawn
+        need = sim.trip_energy
+        monkeypatch.setattr(sim, "trip_energy", lambda *args: calls.append(1) or need(*args))
         return calls
 
     def test_the_second_mode_of_a_pair_draws_nothing(self, draws):
@@ -478,6 +474,15 @@ class TestRememberedPopulation:
         assert not {id(r) for r in first.rows} & {id(r) for r in second.rows}
         for sc, metrics in ((scs, first), (med, second)):
             assert metrics.to_csv() == fresh_run(sc).to_csv()
+
+    def test_a_new_network_draws_again(self, draws):
+        # the draw lives on the network: forgetting the network forgets the draw
+        scenario = default_scenario(level="L3", ev_count=100, seed=5)
+        first = run(scenario)
+        draws.clear()
+        again = fresh_run(scenario)
+        assert draws
+        assert again.to_csv() == first.to_csv()
 
     @pytest.mark.parametrize("change", [
         {"seed": 6}, {"ev_count": 99}, {"level": "L2"}, {"horizon_s": 1800.0},
