@@ -44,9 +44,11 @@ class ArcAttr:
 _COST_FIELDS = {"time": "drive_time_s", "energy": "energy_kwh"}
 
 
-class CostTable(tuple):
-    """The rows of a cost table (see :meth:`RoadGraph.cost_table`), carrying ``uniform``,
-    the one cost all its arcs share, or None."""
+def _cost_field(weight: str) -> str:
+    field_name = _COST_FIELDS.get(weight)
+    if field_name is None:
+        raise GraphError(f"unknown weight {weight!r}")
+    return field_name
 
 
 class RoadGraph:
@@ -56,9 +58,11 @@ class RoadGraph:
     and ``index[node]`` is a node's position in it. Position order is id
     order, so a tie broken by the smaller position is broken by the smaller
     id. Shortest-path search works on positions: besides the arcs the graph
-    keeps one cost table per (weight, direction), built on first use by
-    :meth:`cost_table`. Every path cache on the graph reads the same tables,
-    so a graph shared across runs builds each at most once.
+    keeps one cost table per (weight, direction) (:meth:`cost_table`), one
+    table of head positions per direction (:meth:`head_table`) and one
+    uniform cost per weight (:meth:`uniform_cost`), each built on first use.
+    Every path cache on the graph reads the same tables, so a graph shared
+    across runs builds each at most once.
     """
 
     def __init__(self, nodes, arcs, scs_nodes, med_points, visit_limit, entries):
@@ -76,7 +80,9 @@ class RoadGraph:
         self._adj = {n: tuple(sorted(out, key=lambda e: e[0])) for n, out in adj.items()}
         self.order = tuple(sorted(self.nodes))
         self.index = {n: k for k, n in enumerate(self.order)}
-        self._tables = {}
+        self._tables = {}  # (weight, reverse) -> cost table
+        self._heads = {}  # reverse -> head table
+        self._uniform = {}  # weight -> uniform cost
 
     # -- queries ------------------------------------------------------------
 
@@ -87,7 +93,25 @@ class RoadGraph:
         """Outgoing (node, ArcAttr) pairs sorted by node id."""
         return self._adj[i]
 
-    def cost_table(self, weight: str, reverse: bool = False):
+    def _rows(self, reverse: bool, entry) -> tuple:
+        """A tuple indexed by position whose row ``k`` holds ``entry(nbr_pos, attr)`` for the
+        arcs out of node ``order[k]``, or into it when ``reverse``, by ``nbr_pos``.
+
+        No row is sorted: a forward row maps the node's adjacency, which is
+        in id order and so in position order, and the reverse rows fill in
+        order as the tails are walked in position order.
+        """
+        index, adj = self.index, self._adj
+        if reverse:
+            rows = [[] for _ in self.order]
+            for k, tail in enumerate(self.order):
+                for head, attr in adj[tail]:
+                    rows[index[head]].append(entry(k, attr))
+            return tuple(map(tuple, rows))
+        return tuple(tuple(entry(index[head], attr) for head, attr in adj[tail])
+                     for tail in self.order)
+
+    def cost_table(self, weight: str, reverse: bool = False) -> tuple:
         """Arc costs by node position, for shortest-path search under ``weight``.
 
         A tuple indexed by position (see ``index``). Row ``k`` holds
@@ -95,43 +119,45 @@ class RoadGraph:
         or into it when ``reverse``, sorted by ``nbr_pos`` and so by
         neighbour id. The cost is the arc's drive time for ``"time"`` and
         its energy for ``"energy"``. Built once per (weight, direction) and
-        then shared. No row is sorted: a forward row maps the node's
-        adjacency, which is in id order and so in position order, and the
-        reverse rows fill in order as the tails are walked in position order.
-
-        The table is a :class:`CostTable`, whose ``uniform`` is the one cost
-        all its arcs share, or None when their costs differ (or it has no
-        arcs). On such a table a node ``h`` arcs from the source is exactly
-        ``S(h)`` away, where ``S(0) = 0.0`` and ``S(h) = S(h-1) + c`` in
-        floats: every ``h``-arc path adds ``c`` to ``0.0`` the same ``h``
-        times in the same order, and as ``c`` is nonnegative and a float sum
-        ``x + c`` never falls as ``x`` grows, ``S`` never falls as ``h``
-        grows, so the fewest arcs win. A breadth-first search by arc count
-        then gives the shortest-path distances bit for bit
-        (``routing._dijkstra_dist``). ``0.0`` and ``-0.0`` count as one
-        cost: from a start of ``0.0`` they add alike.
+        then shared.
         """
         key = (weight, reverse)
         table = self._tables.get(key)
         if table is None:
-            field_name = _COST_FIELDS.get(weight)
-            if field_name is None:
-                raise GraphError(f"unknown weight {weight!r}")
-            index, adj = self.index, self._adj
-            if reverse:
-                rows = [[] for _ in self.order]
-                for k, tail in enumerate(self.order):
-                    for head, attr in adj[tail]:
-                        rows[index[head]].append((k, getattr(attr, field_name), attr))
-                table = CostTable(map(tuple, rows))
-            else:
-                table = CostTable(tuple((index[head], getattr(attr, field_name), attr)
-                                        for head, attr in adj[tail])
-                                  for tail in self.order)
-            costs = list(map(attrgetter(field_name), self.arcs.values()))
-            table.uniform = costs[0] if costs and costs.count(costs[0]) == len(costs) else None
-            self._tables[key] = table
+            field_name = _cost_field(weight)
+            table = self._tables[key] = self._rows(
+                reverse, lambda pos, attr: (pos, getattr(attr, field_name), attr))
         return table
+
+    def head_table(self, reverse: bool = False) -> tuple:
+        """The first column of both weights' cost tables in that direction: row ``k`` holds
+        the ``nbr_pos`` of each arc out of node ``order[k]``, or into it when ``reverse``,
+        in :meth:`cost_table`'s order. An arc's head does not depend on its cost, so one
+        table per direction serves both weights. Built once per direction."""
+        table = self._heads.get(reverse)
+        if table is None:
+            table = self._heads[reverse] = self._rows(reverse, lambda pos, attr: pos)
+        return table
+
+    def uniform_cost(self, weight: str):
+        """The one cost all arcs share under ``weight``, or None when their costs differ
+        (or the graph has no arcs). Computed once per weight.
+
+        On such a graph a node ``h`` arcs from the source is exactly ``S(h)``
+        away, where ``S(0) = 0.0`` and ``S(h) = S(h-1) + c`` in floats: every
+        ``h``-arc path adds ``c`` to ``0.0`` the same ``h`` times in the same
+        order, and as ``c`` is nonnegative and a float sum ``x + c`` never
+        falls as ``x`` grows, ``S`` never falls as ``h`` grows, so the fewest
+        arcs win. A breadth-first search by arc count over :meth:`head_table`
+        then gives the shortest-path distances bit for bit
+        (``routing._dijkstra_dist``). ``0.0`` and ``-0.0`` count as one cost:
+        from a start of ``0.0`` they add alike.
+        """
+        if weight not in self._uniform:
+            costs = list(map(attrgetter(_cost_field(weight)), self.arcs.values()))
+            self._uniform[weight] = \
+                costs[0] if costs and costs.count(costs[0]) == len(costs) else None
+        return self._uniform[weight]
 
     def visit_cap(self, node) -> int:
         """How often a walk may visit ``node``: ``visit_limit`` at a charger, else 1."""

@@ -30,25 +30,27 @@ class Stranded(Exception):
     """The EV cannot complete its trip with any reachable energy point."""
 
 
-def _dijkstra_dist(adj, source):
-    """Distances from position ``source`` over a cost table (see ``RoadGraph.cost_table``).
+def _dijkstra_dist(g: RoadGraph, source, weight: str, reverse: bool):
+    """Distances under ``weight`` from position ``source``, over ``g``'s arcs reversed when
+    ``reverse`` (so distances to ``source``).
 
     An ``array('d')`` (8 bytes per node) indexed by position, :data:`INFINITE`
     where a node is unreachable; the search itself runs on a list.
 
-    A table whose arcs all cost ``adj.uniform`` is searched breadth first:
-    each level of nodes one arc further out gets the running sum plus the
-    cost once more, which is the heap search's distance bit for bit (see
-    ``RoadGraph.cost_table``). The search stops at the level whose sum
-    reaches :data:`INFINITE`, where the heap search's ``nd < dist[nbr]``
-    leaves nodes at :data:`INFINITE` too; so every distance it assigns is
-    finite, and :data:`INFINITE` marks a node not yet reached. Any other
-    table takes the heap search.
+    When every arc costs ``g.uniform_cost(weight)``, the search runs breadth
+    first over ``g.head_table(reverse)``: each level of nodes one arc further
+    out gets the running sum plus the cost once more, which is the heap
+    search's distance bit for bit (see ``RoadGraph.uniform_cost``). It stops
+    at the level whose sum reaches :data:`INFINITE`, where the heap search's
+    ``nd < dist[nbr]`` leaves nodes at :data:`INFINITE` too; so every
+    distance it assigns is finite, and :data:`INFINITE` marks a node not yet
+    reached. Otherwise a heap search runs over ``g.cost_table(weight, reverse)``.
     """
-    dist = [INFINITE] * len(adj)
+    dist = [INFINITE] * len(g.order)
     dist[source] = 0.0
-    cost = adj.uniform
+    cost = g.uniform_cost(weight)
     if cost is not None:
+        heads = g.head_table(reverse)
         d = 0.0
         level = [source]
         while level:
@@ -57,12 +59,13 @@ def _dijkstra_dist(adj, source):
                 break
             reached = []
             for node in level:
-                for nbr, _, _ in adj[node]:
+                for nbr in heads[node]:
                     if dist[nbr] == INFINITE:
                         dist[nbr] = d
                         reached.append(nbr)
             level = reached
         return array("d", dist)
+    adj = g.cost_table(weight, reverse)
     heap = [(0.0, source)]
     while heap:
         d, node = heappop(heap)
@@ -113,15 +116,14 @@ class PathCache:
         """Distances from ``source`` to every node, by position."""
         key = (source, weight)
         if key not in self._fwd:
-            self._fwd[key] = _dijkstra_dist(self.g.cost_table(weight), self.g.index[source])
+            self._fwd[key] = _dijkstra_dist(self.g, self.g.index[source], weight, False)
         return self._fwd[key]
 
     def rev(self, target, weight: str = "time"):
         """Distances from every node to ``target`` by position (Dijkstra on reversed arcs)."""
         key = (target, weight)
         if key not in self._rev:
-            self._rev[key] = _dijkstra_dist(self.g.cost_table(weight, reverse=True),
-                                            self.g.index[target])
+            self._rev[key] = _dijkstra_dist(self.g, self.g.index[target], weight, True)
         return self._rev[key]
 
     def path(self, source, target, weight: str = "time") -> CachedPath:
@@ -575,8 +577,8 @@ def _drive(legs, trace, path, eps, drive_s):
     return eps, drive_s
 
 
-def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0,
-                       caches: PathCache | None = None) -> RouteAssignment:
+def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0, *,
+                       caches: PathCache) -> RouteAssignment:
     """Feasible route for one EV, charging along the way only when needed.
 
     A feasible direct path is returned untouched. Otherwise charging stops
@@ -589,8 +591,8 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
     walk is composed in one pass, folding levels and drive time arc by arc
     in walk order, and each stop is recorded from the level chain it was
     priced on: a station's arrival level, or the ride the scorer priced.
+    Paths and distance maps come from ``caches``, the graph's shared :class:`PathCache`.
     """
-    caches = caches or PathCache(g)
     Q = request.capacity_kwh
     try:
         tail = caches.path(request.source, request.dest, "time")

@@ -218,7 +218,8 @@ def sample_trips(caches: PathCache, level: str, rng: random.Random, entries, n: 
     then draws a source from ``entries`` (the graph's if None), a destination
     far or near enough and an energy level conditioned on the wanted flag, so
     the realized fraction cannot drift. A trip is anxious when its battery
-    holds less than :func:`~medsim.routing.trip_energy`.
+    holds less than :func:`~medsim.routing.trip_energy`. No trip is drawn
+    between nodes with no path: its need is infinite, so no level covers it.
     """
     g = caches.g
     entries = list(g.entries if entries is None else entries)
@@ -237,7 +238,7 @@ def sample_trips(caches: PathCache, level: str, rng: random.Random, entries, n: 
                 continue
             need = trip_energy(caches, s, d)
             if want_anxious:
-                if not ENERGY_MIN_KWH < need:
+                if not ENERGY_MIN_KWH < need < INFINITE:
                     continue
                 hi = min(ENERGY_MAX_KWH, need)
                 eps = ENERGY_MIN_KWH + rng.random() * (hi - ENERGY_MIN_KWH)

@@ -295,7 +295,8 @@ def routed_plans():
             plans.append((inst.graph, best, True))
         try:
             plans.append((inst.graph, find_shortest_path(
-                inst.graph, inst.request, inst.frozen_infrastructure()), True))
+                inst.graph, inst.request, inst.frozen_infrastructure(),
+                caches=PathCache(inst.graph)), True))
         except Stranded:
             pass
     flat = line_graph(4, energy=0.0, scs=(2,))

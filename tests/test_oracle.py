@@ -10,7 +10,7 @@ from medsim.charging import scs_charge_time
 from medsim.energy import InductionParams
 from medsim.oracle import OracleError, OracleInstance, solve_exact, verify
 from medsim.road_graph import ArcAttr, build_graph
-from medsim.routing import (EvRequest, MedAttach, Stranded, check_assignment,
+from medsim.routing import (EvRequest, MedAttach, PathCache, Stranded, check_assignment,
                             find_shortest_path)
 from tests.conftest import (line_graph, objective_time, random_oracle_instance,
                             relabelled_instance, ring_with_spurs, sparse_id)
@@ -258,9 +258,9 @@ class TestVerify:
         runs = []
         kernel = routing._dijkstra_dist
 
-        def counting(adj, source):
+        def counting(g, source, weight, reverse):
             runs.append(source)
-            return kernel(adj, source)
+            return kernel(g, source, weight, reverse)
         monkeypatch.setattr(routing, "_dijkstra_dist", counting)
         checked = 0
         for seed in range(30):
@@ -269,7 +269,8 @@ class TestVerify:
             plans = [sol.best] if sol.feasible else []
             try:
                 plans.append(find_shortest_path(inst.graph, inst.request,
-                                                inst.frozen_infrastructure()))
+                                                inst.frozen_infrastructure(),
+                                                caches=PathCache(inst.graph)))
             except Stranded:
                 pass
             for a in plans:
@@ -288,7 +289,7 @@ class TestAgainstRouter:
             sol = solve_exact(inst)
             try:
                 a = find_shortest_path(inst.graph, inst.request,
-                                       inst.frozen_infrastructure())
+                                       inst.frozen_infrastructure(), caches=PathCache(inst.graph))
             except Stranded:
                 stranded += 1
                 continue
@@ -318,12 +319,15 @@ class TestAgainstRouter:
                 assert got.best.legs == [sparse_id(n) for n in want.best.legs]
                 assert verify(twin, got.best) == "ok"
             try:
-                a = find_shortest_path(inst.graph, r, inst.frozen_infrastructure())
+                a = find_shortest_path(inst.graph, r, inst.frozen_infrastructure(),
+                                       caches=PathCache(inst.graph))
             except Stranded:
                 with pytest.raises(Stranded):
-                    find_shortest_path(twin.graph, twin.request, twin.frozen_infrastructure())
+                    find_shortest_path(twin.graph, twin.request, twin.frozen_infrastructure(),
+                                       caches=PathCache(twin.graph))
                 continue
-            b = find_shortest_path(twin.graph, twin.request, twin.frozen_infrastructure())
+            b = find_shortest_path(twin.graph, twin.request, twin.frozen_infrastructure(),
+                                   caches=PathCache(twin.graph))
             assert b.legs == [sparse_id(n) for n in a.legs]
             assert b.total_time_s == a.total_time_s
             assert verify(twin, b) == "ok", f"seed {seed}"

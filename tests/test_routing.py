@@ -186,7 +186,7 @@ class TestFindShortestPath:
         g = line_graph()
         infra = Infrastructure(scs_units=[ScsState(3, 19.2)])
         req = EvRequest("e", 0, 5, 50.0, 50.0)
-        a = find_shortest_path(g, req, infra)
+        a = find_shortest_path(g, req, infra, caches=PathCache(g))
         assert a.legs == [0, 1, 2, 3, 4, 5]
         assert not a.z_visits and not a.q_points
         assert a.total_time_s == pytest.approx(500.0)
@@ -196,7 +196,7 @@ class TestFindShortestPath:
         g = line_graph()  # station at 3, arcs 100 s / 1 kWh
         infra = Infrastructure(scs_units=[ScsState(3, 19.2)])
         req = EvRequest("e", 0, 5, 10.0, 4.0)  # needs 5 kWh
-        a = find_shortest_path(g, req, infra)
+        a = find_shortest_path(g, req, infra, caches=PathCache(g))
         assert [v.node for v in a.z_visits] == [3]
         assert a.energy_trace[a.z_visits[0].leg_index] == 10.0  # full after the stop
         # 500 s drive + 0 wait + (10-1)/19.2 h charge
@@ -207,7 +207,7 @@ class TestFindShortestPath:
         g = ring_with_spurs()
         infra = Infrastructure(med_units=[MedState(g, InductionParams(0.75, 40.0))])
         req = EvRequest("e", 4, 5, 10.0, 0.9)
-        a = find_shortest_path(g, req, infra)
+        a = find_shortest_path(g, req, infra, caches=PathCache(g))
         assert a.y_arcs == [(0, 1), (1, 2)]
         assert [(p.meet_node, p.detach_node) for p in a.q_points] == [(0, 2)]
         # 600 s of driving plus the 700 s wait for the charger to come around
@@ -221,7 +221,7 @@ class TestFindShortestPath:
         # segments, so the booked span wraps the cycle start into the next pass
         infra = Infrastructure(med_units=[MedState(g, InductionParams(0.75, 18.0))])
         req = EvRequest("e", 4, 5, 10.0, 0.9)
-        a = find_shortest_path(g, req, infra)
+        a = find_shortest_path(g, req, infra, caches=PathCache(g))
         att = a.q_points[0]
         assert len(att.segments) == 5
         assert len({p for _, p in att.booking_keys}) == 2
@@ -231,7 +231,7 @@ class TestFindShortestPath:
         g = line_graph(6, dt=100.0, energy=1.0, scs=(0,))
         infra = Infrastructure(scs_units=[ScsState(0, 19.2)])
         req = EvRequest("e", 1, 5, 10.0, 1.5)
-        a = find_shortest_path(g, req, infra)
+        a = find_shortest_path(g, req, infra, caches=PathCache(g))
         assert a.legs == [1, 0, 1, 2, 3, 4, 5]
         assert check_assignment(g, a) == []
 
@@ -239,21 +239,22 @@ class TestFindShortestPath:
         g = line_graph()
         infra = Infrastructure(scs_units=[ScsState(3, 19.2)])
         req = EvRequest("e", 0, 5, 10.0, 4.0)
-        a = find_shortest_path(g, req, infra)
+        a = find_shortest_path(g, req, infra, caches=PathCache(g))
         assert a.total_time_s == objective_time(g, a)
 
     def test_unreachable_destination_is_stranded(self):
         arcs = {(0, 1): ArcAttr(10.0, 0.1, 10.0)}
         g = build_graph([0, 1, 2], arcs)
         with pytest.raises(Stranded):
-            find_shortest_path(g, EvRequest("e", 0, 2, 5.0, 5.0), Infrastructure())
+            find_shortest_path(g, EvRequest("e", 0, 2, 5.0, 5.0), Infrastructure(),
+                               caches=PathCache(g))
 
     def test_out_of_reach_everywhere_is_stranded(self):
         g = line_graph()  # station at 3
         infra = Infrastructure(scs_units=[ScsState(3, 19.2)])
         req = EvRequest("e", 0, 5, 10.0, 0.5)  # cannot even reach node 1
         with pytest.raises(Stranded):
-            find_shortest_path(g, req, infra)
+            find_shortest_path(g, req, infra, caches=PathCache(g))
 
     @staticmethod
     def station_line(n):
@@ -265,7 +266,7 @@ class TestFindShortestPath:
 
     def test_a_route_may_take_leg_limit_stops(self):
         g, infra, req = self.station_line(6)
-        a = find_shortest_path(g, req, infra)
+        a = find_shortest_path(g, req, infra, caches=PathCache(g))
         assert [v.node for v in a.z_visits] == [1, 2, 3, 4]
         assert check_assignment(g, a) == []
 
@@ -273,7 +274,7 @@ class TestFindShortestPath:
         g, infra, req = self.station_line(7)
         assert routing.LEG_LIMIT == 4
         with pytest.raises(Stranded, match="still infeasible after 4 charging stops"):
-            find_shortest_path(g, req, infra)
+            find_shortest_path(g, req, infra, caches=PathCache(g))
 
     def test_rejected_booking_raises_not_stranded(self):
         # the ledger refusing a slot the router priced is a fault, not a
@@ -285,9 +286,10 @@ class TestFindShortestPath:
                 calls.append(ev)
                 return BookResult(False)
 
+        g = line_graph()
         infra = Infrastructure(scs_units=[RefusingScs(3, 19.2, 0.0)])
         with pytest.raises(RuntimeError, match="rejected the slot") as caught:
-            find_shortest_path(line_graph(), EvRequest("e", 0, 5, 10.0, 4.0), infra)
+            find_shortest_path(g, EvRequest("e", 0, 5, 10.0, 4.0), infra, caches=PathCache(g))
         assert not isinstance(caught.value, Stranded)
         assert calls == ["e"]
 
@@ -301,7 +303,7 @@ class TestMedPassBudget:
         g = ring_with_spurs(visit_limit=visit_limit)
         med = MedState(g, InductionParams(0.75, 18.0), battery_kwh=battery_kwh)
         a = find_shortest_path(g, EvRequest("e", 4, 5, 10.0, 0.9),
-                               Infrastructure(med_units=[med]))
+                               Infrastructure(med_units=[med]), caches=PathCache(g))
         return g, a
 
     @pytest.mark.parametrize("visit_limit", [1, 2, 3])
@@ -454,11 +456,31 @@ class TestCostTablesAndKernel:
                         assert g.arc(*arc) is attr and cost == _cost(attr, weight)
                         listed.append(arc)
                 assert sorted(listed) == sorted(g.arcs)
-                costs = {_cost(attr, weight) for attr in g.arcs.values()}
-                if len(costs) == 1:
-                    assert table.uniform in costs
-                else:
-                    assert table.uniform is None
+            costs = {_cost(attr, weight) for attr in g.arcs.values()}
+            if len(costs) == 1:
+                assert g.uniform_cost(weight) in costs
+            else:
+                assert g.uniform_cost(weight) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=random_digraphs())
+    def test_head_rows_are_the_first_column_of_both_weights_tables(self, g):
+        for reverse in (False, True):
+            heads = g.head_table(reverse)
+            for weight in ("time", "energy"):
+                table = g.cost_table(weight, reverse)
+                assert heads == tuple(tuple(nbr for nbr, _, _ in row) for row in table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=random_digraphs())
+    def test_every_table_and_row_is_a_plain_tuple(self, g):
+        # a tuple subclass slows every subscript, so none may come back
+        tables = [g.head_table(reverse) for reverse in (False, True)]
+        tables += [g.cost_table(weight, reverse)
+                   for weight in ("time", "energy") for reverse in (False, True)]
+        for table in tables:
+            assert type(table) is tuple
+            assert all(type(row) is tuple for row in table)
 
     def test_grid_tables_are_uniform(self):
         # every grid the simulations run on prices each arc alike, so all of
@@ -466,9 +488,7 @@ class TestCostTablesAndKernel:
         grid = load_graph(grid_doc(4, 5), TEST_VEHICLE)
         for g in (sim.load_network(sim.default_scenario()).graph, grid):
             for weight in ("time", "energy"):
-                for reverse in (False, True):
-                    assert g.cost_table(weight, reverse).uniform == \
-                        _cost(next(iter(g.arcs.values())), weight)
+                assert g.uniform_cost(weight) == _cost(next(iter(g.arcs.values())), weight)
 
     @settings(max_examples=60, deadline=None)
     @given(g=random_digraphs(), drive_s=st.floats(0.0, 1e308, exclude_min=True),
@@ -499,17 +519,17 @@ class TestCostTablesAndKernel:
             math.nextafter(energies[0], math.inf) if k == bumped else energies[0],
             attr.length_m))
         if arcs:
-            assert timed.cost_table("time").uniform == drive_s
-            assert priced.cost_table("energy", True).uniform == energies[0]
+            assert timed.uniform_cost("time") == drive_s
+            assert priced.uniform_cost("energy") == energies[0]
         for weight in ("time", "energy"):
             if len(arcs) > 1:  # one arc off by an ulp: the heap search
-                assert nudged.cost_table(weight).uniform is None
+                assert nudged.uniform_cost(weight) is None
             for graph in (g, timed, priced, nudged):
                 for reverse in (False, True):
                     adj = graph.cost_table(weight, reverse)
                     for source in range(len(adj)):
-                        assert routing._dijkstra_dist(adj, source).tobytes() == \
-                            ref_dijkstra_dist(adj, source).tobytes()
+                        assert routing._dijkstra_dist(graph, source, weight, reverse).tobytes() \
+                            == ref_dijkstra_dist(adj, source).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(g=random_digraphs())
@@ -551,21 +571,23 @@ class TestCostTablesAndKernel:
                     assert abs(cost - dist) <= len(path) * math.ulp(dist)
 
     def test_path_caches_on_one_graph_share_its_tables(self, monkeypatch):
-        seen = []
+        seen = []  # (graph, source position, weight, reverse) per distance map
         kernel = routing._dijkstra_dist
 
-        def recording(adj, source):
-            seen.append((adj, source))
-            return kernel(adj, source)
+        def recording(*args):
+            seen.append(args)
+            return kernel(*args)
         monkeypatch.setattr(routing, "_dijkstra_dist", recording)
         g = relabelled(line_graph())
-        first, second = PathCache(g), PathCache(g)
-        for caches in (first, second):
+        built = []  # the graph's head tables after each cache's maps
+        for caches in (PathCache(g), PathCache(g)):
             caches.fwd(g.order[0], "energy")
             caches.rev(g.order[5], "energy")
-        assert seen[0][0] is seen[2][0] is g.cost_table("energy")
-        assert seen[1][0] is seen[3][0] is g.cost_table("energy", reverse=True)
-        assert [source for _, source in seen] == [0, 5, 0, 5]
+            built.append([g.head_table(reverse) for reverse in (False, True)])
+        assert all(a is b for a, b in zip(*built))  # the second cache built none
+        assert not g._tables  # a uniform graph's maps read no cost table
+        assert [args[0] for args in seen] == [g] * 4
+        assert [args[1:] for args in seen] == [(0, "energy", False), (5, "energy", True)] * 2
 
 
 @settings(max_examples=60, deadline=None)

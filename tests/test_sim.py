@@ -62,6 +62,22 @@ class TestCalibrateLevel:
         with pytest.raises(CalibrationError):  # even with no trip to draw
             sample_trips(PathCache(g), "L1", random.Random(0), None, 0)
 
+    @staticmethod
+    def one_way_line():
+        """0 -> 1 -> ... -> 5 at 2 kWh an arc: no node reaches a smaller one."""
+        return build_graph(range(6), {(k, k + 1): ArcAttr(100.0, 2.0, 1000.0) for k in range(5)})
+
+    def test_no_anxious_trip_gets_an_unreachable_destination(self):
+        caches = PathCache(self.one_way_line())
+        trips = sample_trips(caches, "L3", random.Random(3), None, 40)
+        assert sum(flag for *_, flag in trips) == 38
+        assert all(trip_energy(caches, s, d) < routing.INFINITE for s, d, _, _ in trips)
+
+    def test_entries_that_reach_no_destination_fail_calibration(self):
+        caches = PathCache(self.one_way_line())
+        with pytest.raises(CalibrationError):  # both trips anxious, and node 5 reaches none
+            sample_trips(caches, "L3", random.Random(0), [5], 2)
+
 
 class TestPopulation:
     def test_mode_does_not_change_the_population(self):
@@ -279,12 +295,12 @@ class TestRememberedNetwork:
 
     @pytest.mark.parametrize("level", sorted(LEVEL_TARGETS))
     def test_paired_modes_build_no_map_twice(self, monkeypatch, level):
-        built = []  # (cost table, source position) per distance map
+        built = []  # (graph, source position, weight, reverse) per distance map
         kernel = routing._dijkstra_dist
 
-        def recording(adj, source):
-            built.append((adj, source))
-            return kernel(adj, source)
+        def recording(*args):
+            built.append(args)
+            return kernel(*args)
         sampled = []  # maps built while sampling the population, per run
         population = sim.generate_population
 
@@ -302,12 +318,21 @@ class TestRememberedNetwork:
         second = run(med)
         g = sim._last_network.graph
         dests = {g.index[r.dest] for r in second.rows}
-        to_dest = g.cost_table("time", reverse=True)
+        to_dest = [(g, pos, "time", True) for pos in dests]
         assert sampled[0] > 0 and sampled[1] == 0
-        assert any(adj is to_dest and pos in dests for adj, pos in built[:mark])
-        assert not [pos for adj, pos in built[mark:] if adj is to_dest and pos in dests]
+        assert any(key in to_dest for key in built[:mark])
+        assert not [key for key in built[mark:] if key in to_dest]
         for sc, metrics in ((scs, first), (med, second)):
             assert metrics.to_csv() == fresh_run(sc).to_csv()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_default_run_builds_no_reverse_cost_table(self, mode):
+        # every arc of the grid costs the same, so each distance map reads head
+        # rows, and only the path reconstruction reads a cost table: the forward one
+        run(default_scenario(mode=mode))
+        g = sim._last_network.graph
+        assert list(g._tables) == [("time", False)]
+        assert list(g._heads) == [True]
 
     def test_a_scenario_keeps_its_graph_when_the_document_is_edited(self):
         doc = default_scenario(level="L3", ev_count=100, seed=2).to_json()
