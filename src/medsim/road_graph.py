@@ -60,7 +60,8 @@ class RoadGraph:
     id. Shortest-path search works on positions: besides the arcs the graph
     keeps one cost table per (weight, direction) (:meth:`cost_table`), one
     table of head positions per direction (:meth:`head_table`) and one
-    uniform cost per weight (:meth:`uniform_cost`), each built on first use.
+    uniform cost per weight (:meth:`uniform_cost`), each built on first use,
+    and ``shared_attr``, the one ``ArcAttr`` object all arcs carry, if they do.
     Every path cache on the graph reads the same tables, so a graph shared
     across runs builds each at most once.
     """
@@ -83,6 +84,11 @@ class RoadGraph:
         self._tables = {}  # (weight, reverse) -> cost table
         self._heads = {}  # reverse -> head table
         self._uniform = {}  # weight -> uniform cost
+        # the one ArcAttr object every arc carries, as load_graph gives the arcs of one spec,
+        # else None: equal objects are not enough, as == takes -0.0 for 0.0 and 1 for 1.0,
+        # which a battery level folded from them tells apart
+        first = next(iter(self.arcs.values()), None)
+        self.shared_attr = first if all(attr is first for attr in self.arcs.values()) else None
 
     # -- queries ------------------------------------------------------------
 

@@ -81,7 +81,10 @@ def _dijkstra_dist(g: RoadGraph, source, weight: str, reverse: bool):
 
 class CachedPath(tuple):
     """A path's node tuple, carrying its arcs ``attrs`` (``ArcAttr``) in path order and
-    ``drive_s`` and ``energy_kwh``, left folds over them bit-identical to a per-arc walk."""
+    ``drive_s`` and ``energy_kwh``, left folds over them bit-identical to a per-arc walk.
+
+    A leg (:meth:`PathCache.leg`) is one too, with its nodes left out where
+    they are not built."""
 
 
 def _cached_path(nodes, attrs):
@@ -97,13 +100,17 @@ def _cached_path(nodes, attrs):
 
 
 class PathCache:
-    """Memoized single-source distance maps and path reconstructions.
+    """Memoized single-source distance maps, path reconstructions and legs.
 
     One per network, shared by every run on it (see ``sim.network_for``):
     routing asks again and again for distances from EV positions and to
     chargers and destinations. It holds only graph-derived data. Queries
     take node ids; a distance map is an ``array('d')`` indexed by node
     position (``g.index``), :data:`INFINITE` where no path exists.
+
+    A path (:meth:`path`) is the nodes a route drives, walked node by node;
+    a leg (:meth:`leg`) is only what the time-shortest path costs. Routing
+    prices with legs and builds the paths it drives.
     """
 
     def __init__(self, g: RoadGraph):
@@ -111,6 +118,12 @@ class PathCache:
         self._fwd = {}
         self._rev = {}
         self._paths = {}
+        self._legs = {}
+        # on a graph whose arcs share one ArcAttr: S(h) -> h for h = 1, 2, ... up to the last
+        # sum, S(h); and h -> the h-arc leg, for each h a leg has needed
+        self._levels = {}
+        self._sum = 0.0
+        self._level_legs = {}
 
     def fwd(self, source, weight: str = "time"):
         """Distances from ``source`` to every node, by position."""
@@ -139,6 +152,43 @@ class PathCache:
                 _cached_path((source,), ()) if source == target else
                 _lex_path(g.cost_table(weight), g.order, g.index[source], g.index[target],
                           self.rev(target, weight)))
+        return found
+
+    def leg(self, source, target) -> CachedPath:
+        """What the time-shortest path from ``source`` to ``target`` costs: its ``drive_s``,
+        ``energy_kwh`` and ``attrs``, bit for bit :meth:`path`'s; :class:`NoPath` without one.
+
+        Where the graph's arcs all carry one ``ArcAttr`` (``g.shared_attr``),
+        every time-shortest path has ``h`` arcs carrying it, where ``h`` is
+        the source's level in the breadth-first map to ``target``, whose
+        distance there is ``S(h)`` (``RoadGraph.uniform_cost``). ``h`` is
+        found by looking ``S(h)`` up in a table of the sums, never by a
+        division, and the leg is then the ``h``-arc one with no nodes, built
+        once per ``h``: its sums are :func:`_cached_path`'s left folds over
+        the same arcs as the path's. The drive time is positive, so each
+        sum exceeds the last until some 2**52 levels, far more than a graph
+        has nodes, and no two levels share one. On any other graph, and from
+        a node to itself, the leg is the path.
+        """
+        key = (source, target)
+        found = self._legs.get(key)
+        if found is None:
+            attr = self.g.shared_attr
+            if attr is None or source == target:
+                found = self.path(source, target)
+            else:
+                d = self.rev(target)[self.g.index[source]]
+                if d == INFINITE:
+                    raise NoPath(f"no path from {source} to {target}")
+                levels = self._levels
+                while d not in levels:
+                    self._sum += attr.drive_time_s
+                    levels[self._sum] = len(levels) + 1
+                h = levels[d]
+                found = self._level_legs.get(h)
+                if found is None:
+                    found = self._level_legs[h] = _cached_path((), (attr,) * h)
+            self._legs[key] = found
         return found
 
 
@@ -180,27 +230,31 @@ def _lex_path(adj, order, source, target, rev_dist):
     raise NoPath(f"path reconstruction from {order[source]} to {order[target]} failed")
 
 
-def _arrival_level(path: CachedPath, eps: float):
-    """The battery level at the path's end, folded arc by arc; None if it runs below zero.
+def _arrival_level(leg: CachedPath, eps: float):
+    """The battery level at the end of a leg or path, folded arc by arc; None if it runs
+    below zero.
 
-    The fold is :func:`_drive`'s, so the level is the walk's, bit for bit.
-    One comparison at the end is exact: arc energies are finite and
-    nonnegative (``ArcAttr``), so the lowest level is the last. A path with
-    no arcs checks no level: it is feasible from any start.
+    The fold is :func:`_drive`'s over the path's arcs, so the level is the
+    walk's, bit for bit, for the path and its leg alike. One comparison at
+    the end is exact: arc energies are finite and nonnegative (``ArcAttr``),
+    so the lowest level is the last. A leg with no arcs checks no level: it
+    is feasible from any start.
     """
-    for attr in path.attrs:
+    for attr in leg.attrs:
         eps -= attr.energy_kwh
-    return eps if not eps < -_EPS_TOL or not path.attrs else None
+    return eps if not eps < -_EPS_TOL or not leg.attrs else None
 
 
 def trip_energy(caches: PathCache, source, target) -> float:
     """What a trip needs: the energy of its time-shortest path, infinite without one.
 
-    An anxious EV holds less (``sim.sample_trips``); a charger's detach point
-    must cover it for the rest of the trip (:func:`find_best_energy_point`).
+    Read from the trip's leg (:meth:`PathCache.leg`), bit for bit the
+    path's, so no path is walked. An anxious EV holds less
+    (``sim.sample_trips``); a charger's detach point must cover it for the
+    rest of the trip (:func:`find_best_energy_point`).
     """
     try:
-        return caches.path(source, target, "time").energy_kwh
+        return caches.leg(source, target).energy_kwh
     except NoPath:
         return INFINITE
 
@@ -499,13 +553,15 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
     book, is scored: drive there on the time-shortest path, which must be
     energy-feasible, plus queue wait and charge time at a station, or
     meeting wait and attached drive at a mobile charger, plus the drive time
-    on from the exit point. Each stop is priced from the level :func:`_arrival_level` folds,
-    the one the walk records there, and a charger's stop from the ride
-    :func:`_plan_med_span` plans and the wait and pass its ``waiting``
+    on from the exit point. Each point is priced from its reach leg
+    (:meth:`PathCache.leg`), whose drive time and arrival level are the
+    path's bit for bit: the stop from the level :func:`_arrival_level`
+    folds, the one the walk records there, and a charger's stop from the
+    ride :func:`_plan_med_span` plans and the wait and pass its ``waiting``
     finds. The winner has the smallest ``(score, kind != "scs", point)``:
     ties prefer stations, then smaller ids, then the first scored, as each
     point is compared with a strict ``<`` as soon as it is scored. Only the
-    winner becomes a :class:`_Candidate`.
+    winner becomes a :class:`_Candidate`, and only its reach path is built.
     """
     Q = request.capacity_kwh
     rev_time = caches.rev(request.dest, "time")
@@ -521,15 +577,15 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
     points += [("med", unit, idx, point) for unit in infra.med_units
                for idx, point in enumerate(unit.points)]
     for kind, unit, idx, node in points:
-        # the reach step both kinds share: path, feasibility, arrival level
+        # the reach step both kinds share: leg, feasibility, arrival level
         try:
-            path = caches.path(at, node, "time")
+            leg = caches.leg(at, node)
         except NoPath:
             continue
-        arrive = _arrival_level(path, energy_kwh)
+        arrive = _arrival_level(leg, energy_kwh)
         if arrive is None:
             continue
-        drive = path.drive_s
+        drive = leg.drive_s
         if kind == "scs":
             if arrive >= Q - 1e-12:
                 continue  # nothing to gain here
@@ -540,7 +596,7 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
             charge = unit.charge_s(arrive, Q)
             key = (drive + wait + charge + finish, False, node)
             if best_key is None or key < best_key:
-                best_key, best = key, ("scs", unit, node, path, wait, charge)
+                best_key, best = key, ("scs", unit, node, wait, charge)
             continue
         if arrive >= need_to_finish(node) - _EPS_TOL:
             continue  # no deficit at this point, it is not an energy stop
@@ -554,11 +610,12 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
         wait, pass_no = unit.waiting(idx, now + drive, len(ride))
         key = (drive + wait + attach_s + finish, True, node)
         if best_key is None or key < best_key:
-            best_key, best = key, ("med", unit, node, path, wait, 0.0, ride, idx, pass_no)
+            best_key, best = key, ("med", unit, node, wait, 0.0, ride, idx, pass_no)
 
     if best_key is None:
         raise Stranded(f"EV {request.ev}: no feasible energy point from node {at}")
-    return _Candidate(*best)
+    kind, unit, node, *stop = best
+    return _Candidate(kind, unit, node, caches.path(at, node), *stop)
 
 
 def _drive(legs, trace, path, eps, drive_s):
@@ -591,11 +648,13 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
     walk is composed in one pass, folding levels and drive time arc by arc
     in walk order, and each stop is recorded from the level chain it was
     priced on: a station's arrival level, or the ride the scorer priced.
-    Paths and distance maps come from ``caches``, the graph's shared :class:`PathCache`.
+    Paths, legs and distance maps come from ``caches``, the graph's shared
+    :class:`PathCache`: the direct trip and each tail are tested on their
+    legs, and only the tail the EV drives is built as a path.
     """
     Q = request.capacity_kwh
     try:
-        tail = caches.path(request.source, request.dest, "time")
+        tail = caches.leg(request.source, request.dest)
     except NoPath:
         raise Stranded(f"EV {request.ev}: destination not reachable in the graph")
 
@@ -606,7 +665,7 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
     drive_s = 0.0
     elapsed = 0.0
     stops = 0
-    # tail: the time-shortest path on to the destination, None if there is none
+    # tail: the leg of the time-shortest path on to the destination, None if there is none
     while tail is None or _arrival_level(tail, eps) is None:
         if stops == LEG_LIMIT:
             raise Stranded(f"EV {request.ev}: still infeasible after "
@@ -639,11 +698,11 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
             raise RuntimeError(f"EV {request.ev}: the {plan.kind} ledger at node "
                                f"{plan.point} rejected the slot the router priced")
         try:
-            tail = caches.path(legs[-1], request.dest, "time")
+            tail = caches.leg(legs[-1], request.dest)
         except NoPath:
             tail = None
 
-    _, drive_s = _drive(legs, trace, tail, eps, drive_s)
+    _, drive_s = _drive(legs, trace, caches.path(legs[-1], request.dest), eps, drive_s)
     a = RouteAssignment(
         ev=request.ev, source=request.source, dest=request.dest,
         capacity_kwh=Q, energy_start_kwh=request.energy_kwh,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import settings
 
 from medsim import sim
-from medsim.energy import InductionParams, VehicleParams
+from medsim.energy import InductionParams, VehicleParams, air_force, rolling_force
 from medsim.oracle import OracleInstance
 from medsim.road_graph import ArcAttr, build_graph, grid_doc, load_graph
 from medsim.routing import (_EPS_TOL, INFINITE, EvRequest, NoPath, PathCache, Stranded,
@@ -548,3 +548,46 @@ def random_oracle_instance(seed: int) -> OracleInstance:
     request = EvRequest(f"r{seed}", source, dest, capacity, energy_start)
     return OracleInstance(g, request, scs_waits, scs_rates, med_waits, induction,
                           med_battery_kwh=rng.choice([float("inf"), 200.0, 60.0]))
+
+
+def heterogeneous_scenario(seed: int, one_way: bool) -> sim.Scenario:
+    """A criterion-1-style scenario on a random road network that is not a grid.
+
+    12-60 points uniform in the unit square, each linked both ways to its 3
+    nearest neighbours; with ``one_way`` each of those arcs is then dropped
+    with probability 0.25, so some pairs of nodes are not connected. A
+    4-point charger cycle on random nodes is closed with added arcs, and one
+    station sits off it. Each arc has its own speed, uniform in 8-20 m/s,
+    and its Euclidean length, scaled so that about sqrt(n) arcs cost 1.8-3.9
+    kWh, as criterion 1 scales its grids. No two arcs share an ``ArcAttr``,
+    so the router walks every path it prices. Mode, level and drop rate are
+    drawn as in criterion 1, with 10-100 EVs.
+    """
+    rng = random.Random(f"heterogeneous:{int(one_way)}:{seed}")
+    n = rng.randint(12, 60)
+    pts = [(rng.random(), rng.random()) for _ in range(n)]
+
+    def dist(i, j):
+        return ((pts[i][0] - pts[j][0]) ** 2 + (pts[i][1] - pts[j][1]) ** 2) ** 0.5
+
+    pairs = set()
+    for i in range(n):
+        for j in sorted((j for j in range(n) if j != i), key=lambda j: (dist(i, j), j))[:3]:
+            pairs |= {(i, j), (j, i)}
+    if one_way:
+        pairs = {p for p in sorted(pairs) if rng.random() >= 0.25}
+    cycle = rng.sample(range(n), 4)
+    pairs |= set(zip(cycle, cycle[1:] + cycle[:1]))
+    station = rng.choice([k for k in range(n) if k not in cycle])
+
+    mean_len = sum(dist(i, j) for i, j in pairs) / len(pairs)
+    vp = sim.DEFAULT_VEHICLE
+    per_m = vp.efficiency * (rolling_force(vp) + air_force(vp, 14.0)) / 3.6e6
+    scale = rng.uniform(1.2, 2.6) * 1.5 / (per_m * mean_len * n ** 0.5)
+    arcs = [{"i": i, "j": j, "length_m": scale * dist(i, j), "speed_mps": rng.uniform(8.0, 20.0)}
+            for i, j in sorted(pairs)]
+    return sim.Scenario(
+        graph={"nodes": list(range(n)), "arcs": arcs, "scs": [station], "med_cycle": cycle},
+        mode=rng.choice(sim.MODES), ev_count=rng.randint(10, 100),
+        level=rng.choice(sorted(sim.LEVEL_TARGETS)), seed=seed,
+        block_prob=rng.choice([0.0, 0.05, 0.1]), scs=[(station, 19.2)], meds=[sim.MedSpec()])

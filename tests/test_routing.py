@@ -1,4 +1,6 @@
 import math
+import random
+import tracemalloc
 from array import array
 
 import pytest
@@ -610,3 +612,125 @@ def test_sparse_ids_route_like_their_dense_twin(g):
                     continue
                 assert dijkstra(twin, sparse_id(n), sparse_id(t), weight) == \
                     ([sparse_id(k) for k in path], cost)
+
+
+class TestLegs:
+    """``PathCache.leg``: a path's costs, bit for bit, without walking it where the arcs
+    share one ``ArcAttr``."""
+
+    STARTS = (0.0, -0.0, 50.0)  # start levels besides those at the feasibility edge
+
+    def assert_leg_is_the_paths(self, caches, s, t, check_levels=True):
+        leg, path = caches.leg(s, t), caches.path(s, t)
+        # reprs, so a -0.0 for a 0.0 shows
+        assert repr((leg.drive_s, leg.energy_kwh)) == repr((path.drive_s, path.energy_kwh))
+        assert len(leg.attrs) == len(path.attrs)
+        assert all(a is b for a, b in zip(leg.attrs, path.attrs))
+        if check_levels:
+            need = path.energy_kwh
+            for eps in self.STARTS + (need, need - 1e-9, math.nextafter(need - 1e-9, -1.0)):
+                assert repr(_arrival_level(leg, eps)) == repr(_arrival_level(path, eps))
+
+    def test_grid_legs_are_their_paths_costs(self):
+        # every shape from 2x2 to 10x10 up to transposition, every ordered pair;
+        # the start levels on the square grids
+        for rows in range(2, 11):
+            for cols in range(rows, 11):
+                g = load_graph(grid_doc(rows, cols), TEST_VEHICLE)
+                assert g.shared_attr is not None
+                caches = PathCache(g)
+                for s in g.order:
+                    for t in g.order:
+                        self.assert_leg_is_the_paths(caches, s, t, rows == cols)
+
+    def test_big_grid_legs_are_their_paths_costs(self):
+        g = load_graph(grid_doc(40, 40), TEST_VEHICLE)
+        caches = PathCache(g)
+        rng = random.Random(0)
+        for t in rng.sample(g.order, 40):
+            for s in rng.sample(g.order, 50):
+                self.assert_leg_is_the_paths(caches, s, t)
+
+    def test_a_leg_without_a_path_raises_no_path(self):
+        # one spec, one-way arcs 0 -> 1 -> 2, and node 3 with no arc at all
+        doc = {"nodes": [0, 1, 2, 3], "arcs": [
+            {"i": i, "j": i + 1, "length_m": 2500.0, "speed_mps": 15.0} for i in (0, 1)]}
+        caches = PathCache(load_graph(doc, TEST_VEHICLE))
+        assert caches.g.shared_attr is not None
+        for s in range(4):
+            for t in range(4):
+                if s == t or s < t < 3:
+                    self.assert_leg_is_the_paths(caches, s, t)
+                    continue
+                for query in (caches.leg, caches.path):
+                    with pytest.raises(NoPath):
+                        query(s, t)
+
+    def test_a_long_leg_takes_linear_space(self):
+        # one leg builds the one tuple of its arcs; a tuple for every level up
+        # to it would hold n * n / 2 references, 36 MB over these 3,000 levels
+        n = 3000
+        doc = {"nodes": list(range(n)), "arcs": [
+            {"i": i, "j": i + 1, "length_m": 100.0, "speed_mps": 10.0} for i in range(n - 1)]}
+        caches = PathCache(load_graph(doc, TEST_VEHICLE))
+        caches.rev(n - 1)
+        tracemalloc.start()
+        try:
+            caches.leg(0, n - 1)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(caches._levels) == n - 1 and held < 2e6
+        self.assert_leg_is_the_paths(caches, 0, n - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=random_digraphs())
+    def test_a_mixed_cost_graphs_leg_is_its_path(self, g):
+        caches = PathCache(g)
+        shared = g.shared_attr is not None
+        for s in g.order:
+            for t in g.order:
+                try:
+                    path = caches.path(s, t)
+                except NoPath:
+                    with pytest.raises(NoPath):
+                        caches.leg(s, t)
+                    continue
+                if shared:
+                    self.assert_leg_is_the_paths(caches, s, t)
+                else:
+                    assert caches.leg(s, t) is path
+
+    def test_only_one_arc_object_is_a_shared_attr(self):
+        def line(*attrs):
+            return build_graph(range(len(attrs) + 1),
+                               {(k, k + 1): attr for k, attr in enumerate(attrs)})
+        one = ArcAttr(60.0, 0.5, 900.0)
+        assert line(one, one, one).shared_attr is one
+        assert line(one).shared_attr is one
+        # an equal object is not the one: == takes 60 for 60.0 and -0.0 for 0.0
+        for other in (ArcAttr(60.0, 0.5, 900.0), ArcAttr(60, 0.5, 900.0),
+                      ArcAttr(60.0, math.nextafter(0.5, 1.0), 900.0)):
+            assert line(one, other, one).shared_attr is None
+        assert build_graph([0], {}).shared_attr is None
+        g = load_graph(grid_doc(3, 4), TEST_VEHICLE)
+        assert g.shared_attr is next(iter(g.arcs.values()))
+
+    def test_arcs_of_zero_and_minus_zero_energy_are_walked(self):
+        # == takes -0.0 for 0.0, but a level folds them apart: from -0.0 the
+        # arcs 0.0 then -0.0 leave 0.0, where 0.0 twice would leave -0.0
+        zero, minus = ArcAttr(60.0, 0.0, 900.0), ArcAttr(60.0, -0.0, 900.0)
+        arcs = {}
+        for k in range(5):
+            arcs[(k, k + 1)] = arcs[(k + 1, k)] = zero if k % 2 == 0 else minus
+        g = build_graph(range(6), arcs)
+        assert zero == minus and g.shared_attr is None
+        caches = PathCache(g)
+        for s in g.order:
+            for t in g.order:
+                assert caches.leg(s, t) is caches.path(s, t)
+        assert repr(_arrival_level(caches.leg(0, 2), -0.0)) == "0.0"
+        assert repr(_arrival_level(caches.leg(0, 1), -0.0)) == "-0.0"
+        a = find_shortest_path(g, EvRequest("ev", 0, 2, 50.0, -0.0), Infrastructure(),
+                               caches=caches)
+        assert repr(a.energy_trace) == "[-0.0, -0.0, 0.0]"

@@ -17,7 +17,7 @@ from medsim.routing import EvRequest, PathCache, trip_energy
 from medsim.sim import (DEFAULT_VEHICLE, LEVEL_TARGETS, MODES, CalibrationError, Scenario,
                         default_scenario, generate_population, load_network, run,
                         sample_trips)
-from tests.conftest import dijkstra, fresh_run, line_graph, sparse_id
+from tests.conftest import dijkstra, fresh_run, heterogeneous_scenario, line_graph, sparse_id
 from tests.test_acceptance import random_scenario
 
 
@@ -678,3 +678,96 @@ class TestArcCaps:
                 over += [(seed, a.ev, (i, j), n) for (i, j), n in Counter(a.x_arcs).items()
                          if n > cap(i) * cap(j)]
         assert over == []
+
+
+class TestLegsInRuns:
+    """Runs price with legs (``PathCache.leg``) and walk only the paths an EV drives."""
+
+    @pytest.fixture(autouse=True)
+    def forget(self, monkeypatch):
+        monkeypatch.setattr(sim, "_last_network", None)
+
+    # path walks of the default 100-EV run at L3, seed 0, on a fresh network:
+    # at most one per path an EV drives, none for a leg
+    WALKS = {"SCS": 65, "SCS_MED": 128}
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_default_run_walks_only_the_paths_its_evs_drive(self, monkeypatch, mode):
+        walks = []
+        walk = routing._lex_path
+
+        def counting(*args):
+            walks.append(args[2:4])
+            return walk(*args)
+        monkeypatch.setattr(routing, "_lex_path", counting)
+        metrics = run(default_scenario(mode=mode, level="L3", ev_count=100))
+        assert len(walks) == self.WALKS[mode]
+        driven = sum(1 + len(a.z_visits) + len(a.q_points)
+                     for a in filter(None, metrics.assignments))
+        assert len(walks) <= driven
+
+    @staticmethod
+    def _runs():
+        """CSV and plans, floats by repr, of the default 100-EV runs at L3 in both modes."""
+        out = []
+        for mode in MODES:
+            metrics = fresh_run(default_scenario(mode=mode, level="L3", ev_count=100))
+            out.append((metrics.to_csv(), repr(metrics.assignments)))
+        return out
+
+    def test_runs_priced_with_legs_match_runs_priced_with_walks(self, monkeypatch):
+        legs = self._runs()
+        assert sim._last_network.caches._levels  # the grid's legs took the shortcut
+        monkeypatch.setattr(routing.PathCache, "leg", lambda caches, s, t: caches.path(s, t))
+        assert self._runs() == legs
+        assert not sim._last_network.caches._levels
+
+    def test_equal_but_distinct_arc_attrs_are_walked(self, monkeypatch):
+        # build_graph keeps each arc's own ArcAttr: equal fields, distinct objects
+        legs = self._runs()
+        load = sim.load_graph
+
+        def distinct(*args, **kw):
+            g = load(*args, **kw)
+            return build_graph(g.order, {arc: dataclasses.replace(attr)
+                                         for arc, attr in g.arcs.items()},
+                               g.scs_nodes, g.med_points, g.visit_limit, g.entries)
+        monkeypatch.setattr(sim, "load_graph", distinct)
+        assert self._runs() == legs
+        network = sim._last_network
+        assert network.graph.shared_attr is None and not network.caches._levels
+
+
+class TestHeterogeneousNetworks:
+    """Fleet runs on random networks that are not grids (``heterogeneous_scenario``).
+
+    No two arcs share an ``ArcAttr``, so every leg is a walked path. A graph
+    of 3-nearest-neighbour links can fall apart, and the one-way family
+    drops arcs too, so both families have pairs of nodes with no path.
+    """
+
+    SEEDS = range(100)
+
+    @pytest.mark.parametrize("one_way", [False, True])
+    def test_runs_hold_every_invariant(self, one_way):
+        unreachable = 0  # (entry, node) pairs with no path, over the family
+        for seed in self.SEEDS:
+            scenario = heterogeneous_scenario(seed, one_way)
+            metrics = run(scenario)
+            g = sim.network_for(scenario).graph
+            assert g.shared_attr is None
+            assert metrics.violations == [], (seed, metrics.violations[:3])
+            reach = {}
+            for source in g.entries:
+                seen, todo = {source}, [source]
+                while todo:
+                    node = todo.pop()
+                    for nbr, _ in g.neighbors(node):
+                        if nbr not in seen:
+                            seen.add(nbr)
+                            todo.append(nbr)
+                reach[source] = seen
+                unreachable += len(g.nodes) - len(seen)
+            # no anxious EV is drawn for a pair with no path between them
+            assert all(r.dest in reach[r.source] for r in metrics.rows if r.anxious), seed
+        assert unreachable > 0
