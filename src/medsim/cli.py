@@ -208,7 +208,9 @@ def cmd_sweep(args) -> int:
         if args.jobs > 1:
             # imported here: only a parallel sweep needs the pool's modules
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            # a fork pool starts all its workers up front, so no more than there are pairs
+            workers = min(args.jobs, len(cells) // len(modes))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_sweep_cell, [first] * len(cells), cells,
                                      chunksize=len(modes)))  # a pair stays in one worker
         else:

@@ -167,6 +167,7 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
     min_e_dest = caches.rev(dest, "energy")
     charger_maps = [(c, caches.rev(c, "time"), lb_time[index[c]], caches.rev(c, "energy"))
                     for c in sorted(left)]
+    order, times = g.order, g.cost_table("time")
     rows = {}
     for n in g.nodes:
         k = index[n]
@@ -178,9 +179,9 @@ def solve_exact(inst: OracleInstance, search_budget: int = 2_000_000) -> OracleS
                            if t_to_c[k] + t_on < INFINITE))
         # best-first: arcs by drive time plus the head's time to the
         # destination, so a good incumbent is found early; the sort is
-        # stable, so ties keep neighbour order
-        out = tuple(sorted(((nbr, *arc_row(n, nbr), attr.energy_kwh, attr.drive_time_s)
-                            for nbr, attr in g.neighbors(n)),
+        # stable, so ties keep the row's order, neighbour order
+        out = tuple(sorted(((order[pos], *arc_row(n, order[pos]), attr.energy_kwh, drive_s)
+                            for pos, drive_s, attr in times[k]),
                            key=lambda arc: arc[4] + lb_time[index[arc[0]]]))
         station = (inst.scs_waits.get(n, 0.0), inst.rate_of(n)) if n in scs_set else None
         meet = (med.points.index(n), inst.med_waits.get(n, 0.0)) if n in med_set else None

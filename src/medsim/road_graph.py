@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
-from operator import attrgetter
 
 from .energy import VehicleParams, segment_energy
 
@@ -58,12 +57,12 @@ class RoadGraph:
     and ``index[node]`` is a node's position in it. Position order is id
     order, so a tie broken by the smaller position is broken by the smaller
     id. Shortest-path search works on positions: besides the arcs the graph
-    keeps one cost table per (weight, direction) (:meth:`cost_table`), one
-    table of head positions per direction (:meth:`head_table`) and one
-    uniform cost per weight (:meth:`uniform_cost`), each built on first use,
-    and ``shared_attr``, the one ``ArcAttr`` object all arcs carry, if they do.
-    Every path cache on the graph reads the same tables, so a graph shared
-    across runs builds each at most once.
+    keeps one cost table per (weight, direction) (:meth:`cost_table`) and
+    one table of head positions per direction (:meth:`head_table`), each
+    built on first use, and ``shared_attr``, the one ``ArcAttr`` object all
+    arcs carry, if they do, whose costs are the uniform ones
+    (:meth:`uniform_cost`). Every path cache on the graph reads the same
+    tables, so a graph shared across runs builds each at most once.
     """
 
     def __init__(self, nodes, arcs, scs_nodes, med_points, visit_limit, entries):
@@ -75,15 +74,10 @@ class RoadGraph:
         self.visit_limit = visit_limit
         self.entries = tuple(entries)
         self._chargers = frozenset(self.scs_nodes) | frozenset(self.med_points)
-        adj = {n: [] for n in self.nodes}
-        for (i, j), attr in self.arcs.items():
-            adj[i].append((j, attr))
-        self._adj = {n: tuple(sorted(out, key=lambda e: e[0])) for n, out in adj.items()}
         self.order = tuple(sorted(self.nodes))
         self.index = {n: k for k, n in enumerate(self.order)}
         self._tables = {}  # (weight, reverse) -> cost table
         self._heads = {}  # reverse -> head table
-        self._uniform = {}  # weight -> uniform cost
         # the one ArcAttr object every arc carries, as load_graph gives the arcs of one spec,
         # else None: equal objects are not enough, as == takes -0.0 for 0.0 and 1 for 1.0,
         # which a battery level folded from them tells apart
@@ -95,27 +89,23 @@ class RoadGraph:
     def arc(self, i, j):
         return self.arcs.get((i, j))
 
-    def neighbors(self, i):
-        """Outgoing (node, ArcAttr) pairs sorted by node id."""
-        return self._adj[i]
-
     def _rows(self, reverse: bool, entry) -> tuple:
         """A tuple indexed by position whose row ``k`` holds ``entry(nbr_pos, attr)`` for the
         arcs out of node ``order[k]``, or into it when ``reverse``, by ``nbr_pos``.
 
-        No row is sorted: a forward row maps the node's adjacency, which is
-        in id order and so in position order, and the reverse rows fill in
-        order as the tails are walked in position order.
+        The arcs are walked once, sorted by their (tail, head) positions, so
+        every forward row fills in head order and every reverse row in tail
+        order, and no row is sorted.
         """
-        index, adj = self.index, self._adj
-        if reverse:
-            rows = [[] for _ in self.order]
-            for k, tail in enumerate(self.order):
-                for head, attr in adj[tail]:
-                    rows[index[head]].append(entry(k, attr))
-            return tuple(map(tuple, rows))
-        return tuple(tuple(entry(index[head], attr) for head, attr in adj[tail])
-                     for tail in self.order)
+        index = self.index
+        rows = [[] for _ in self.order]
+        for tail, head, attr in sorted((index[i], index[j], attr)
+                                       for (i, j), attr in self.arcs.items()):
+            if reverse:
+                rows[head].append(entry(tail, attr))
+            else:
+                rows[tail].append(entry(head, attr))
+        return tuple(map(tuple, rows))
 
     def cost_table(self, weight: str, reverse: bool = False) -> tuple:
         """Arc costs by node position, for shortest-path search under ``weight``.
@@ -146,8 +136,8 @@ class RoadGraph:
         return table
 
     def uniform_cost(self, weight: str):
-        """The one cost all arcs share under ``weight``, or None when their costs differ
-        (or the graph has no arcs). Computed once per weight.
+        """``shared_attr``'s cost under ``weight``, the one cost every arc has, or None
+        without a ``shared_attr``.
 
         On such a graph a node ``h`` arcs from the source is exactly ``S(h)``
         away, where ``S(0) = 0.0`` and ``S(h) = S(h-1) + c`` in floats: every
@@ -156,14 +146,11 @@ class RoadGraph:
         falls as ``x`` grows, ``S`` never falls as ``h`` grows, so the fewest
         arcs win. A breadth-first search by arc count over :meth:`head_table`
         then gives the shortest-path distances bit for bit
-        (``routing._dijkstra_dist``). ``0.0`` and ``-0.0`` count as one cost:
-        from a start of ``0.0`` they add alike.
+        (``routing._dijkstra_dist``). Arcs of equal but distinct objects get
+        None and the heap search, which is exact too.
         """
-        if weight not in self._uniform:
-            costs = list(map(attrgetter(_cost_field(weight)), self.arcs.values()))
-            self._uniform[weight] = \
-                costs[0] if costs and costs.count(costs[0]) == len(costs) else None
-        return self._uniform[weight]
+        field_name = _cost_field(weight)
+        return None if self.shared_attr is None else getattr(self.shared_attr, field_name)
 
     def visit_cap(self, node) -> int:
         """How often a walk may visit ``node``: ``visit_limit`` at a charger, else 1."""

@@ -37,14 +37,16 @@ def _dijkstra_dist(g: RoadGraph, source, weight: str, reverse: bool):
     An ``array('d')`` (8 bytes per node) indexed by position, :data:`INFINITE`
     where a node is unreachable; the search itself runs on a list.
 
-    When every arc costs ``g.uniform_cost(weight)``, the search runs breadth
-    first over ``g.head_table(reverse)``: each level of nodes one arc further
-    out gets the running sum plus the cost once more, which is the heap
-    search's distance bit for bit (see ``RoadGraph.uniform_cost``). It stops
-    at the level whose sum reaches :data:`INFINITE`, where the heap search's
+    Where the arcs all carry one ``ArcAttr`` (``g.shared_attr``), each costs
+    ``g.uniform_cost(weight)``, and the search runs breadth first over
+    ``g.head_table(reverse)``: each level of nodes one arc further out gets
+    the running sum plus the cost once more, which is the heap search's
+    distance bit for bit (see ``RoadGraph.uniform_cost``). It stops at the
+    level whose sum reaches :data:`INFINITE`, where the heap search's
     ``nd < dist[nbr]`` leaves nodes at :data:`INFINITE` too; so every
     distance it assigns is finite, and :data:`INFINITE` marks a node not yet
-    reached. Otherwise a heap search runs over ``g.cost_table(weight, reverse)``.
+    reached. On any other graph, one of equal but distinct ``ArcAttr``
+    objects included, a heap search runs over ``g.cost_table(weight, reverse)``.
     """
     dist = [INFINITE] * len(g.order)
     dist[source] = 0.0

@@ -115,6 +115,36 @@ class TestSweep:
         assert main(args + ["--out", str(parallel), "--jobs", "2"]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    @pytest.mark.parametrize("jobs, evs, workers", [("5000", "10", 1), ("2", "10,20,30", 2)])
+    def test_the_pool_starts_no_more_workers_than_mode_pairs(
+            self, scenario_path, tmp_path, monkeypatch, jobs, evs, workers):
+        # a fork pool starts all its max_workers processes up front; this stand-in
+        # records how many the sweep asks for, runs the cells in process and starts none
+        import concurrent.futures
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        args = ["sweep", "--scenario", scenario_path, "--modes", "SCS,SCS_MED",
+                "--levels", "L1", "--evs", evs, "--seeds", "0"]
+        serial, pooled = tmp_path / "s.csv", tmp_path / "p.csv"
+        assert main(args + ["--out", str(serial)]) == 0
+        assert main(args + ["--out", str(pooled), "--jobs", jobs]) == 0
+        assert asked == [workers]
+        assert pooled.read_bytes() == serial.read_bytes()
+
     def test_importing_the_cli_loads_no_process_pool(self):
         # only a sweep with --jobs > 1 imports the pool, inside that branch
         src = str(Path(__file__).resolve().parents[1] / "src")

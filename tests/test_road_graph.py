@@ -67,7 +67,8 @@ class TestQueries:
     def test_missing_arc_is_absent(self):
         g = triangle()
         assert g.arc(2, 0) is None
-        assert [nbr for nbr, _ in g.neighbors(2)] == []
+        assert g.head_table()[g.index[2]] == ()
+        assert all(g.cost_table(weight)[g.index[2]] == () for weight in ("time", "energy"))
 
     def test_self_arc_rejected(self):
         with pytest.raises(GraphError):
@@ -76,7 +77,9 @@ class TestQueries:
     def test_queries_are_stable(self):
         g = triangle(visit_limit=2, scs=[1])
         assert g.arc(0, 1) == g.arc(0, 1)
-        assert g.neighbors(0) == g.neighbors(0)
+        for reverse in (False, True):
+            assert g.head_table(reverse) is g.head_table(reverse)
+            assert g.cost_table("time", reverse) is g.cost_table("time", reverse)
 
 
 @settings(max_examples=40, deadline=None)
@@ -100,7 +103,9 @@ def test_build_keeps_the_declared_graph_random_graphs(seed, visit_limit):
     assert g.nodes == set(range(n))
     assert g.arcs == arcs
     for k in range(n):
-        assert [nbr for nbr, _ in g.neighbors(k)] == sorted(j for i, j in arcs if i == k)
+        out, into = (g.head_table(reverse)[g.index[k]] for reverse in (False, True))
+        assert [g.order[pos] for pos in out] == sorted(j for i, j in arcs if i == k)
+        assert [g.order[pos] for pos in into] == sorted(i for i, j in arcs if j == k)
         expect = visit_limit if k == station or k in cycle else 1
         assert g.visit_cap(k) == expect
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -107,8 +108,8 @@ def test_dijkstra_matches_exhaustive_enumeration():
                 if node == t:
                     yield path
                     continue
-                for nbr, _ in g.neighbors(node):
-                    if nbr not in path:
+                for tail, nbr in g.arcs:
+                    if tail == node and nbr not in path:
                         stack.append((nbr, path + [nbr]))
 
         s, t = rng.sample(range(n), 2)
@@ -458,11 +459,11 @@ class TestCostTablesAndKernel:
                         assert g.arc(*arc) is attr and cost == _cost(attr, weight)
                         listed.append(arc)
                 assert sorted(listed) == sorted(g.arcs)
-            costs = {_cost(attr, weight) for attr in g.arcs.values()}
-            if len(costs) == 1:
-                assert g.uniform_cost(weight) in costs
-            else:
+            # the uniform cost is the shared ArcAttr's, whatever values the arcs hold
+            if g.shared_attr is None:
                 assert g.uniform_cost(weight) is None
+            else:
+                assert g.uniform_cost(weight) is _cost(g.shared_attr, weight)
 
     @settings(max_examples=60, deadline=None)
     @given(g=random_digraphs())
@@ -504,14 +505,20 @@ class TestCostTablesAndKernel:
     @example(g=_EXAMPLE_DIGRAPH, drive_s=0.1, energies=(0.30000000000000004,), nudge=4)
     @example(g=_EXAMPLE_DIGRAPH, drive_s=1e308, energies=(1.0,), nudge=5)
     def test_kernel_matches_the_heap_search_bit_for_bit(self, g, drive_s, energies, nudge):
-        # bytes, not ==, so a -0.0 for a 0.0 shows; every drawn table but the
-        # nudged ones is uniform under one weight, and a drive time of 1e308
+        # bytes, not ==, so a -0.0 for a 0.0 shows. Every arc of `shared` carries
+        # the one ArcAttr `one`, so its maps take the breadth-first search; `equal`
+        # carries equal but distinct copies of it, `timed` and `priced` share one
+        # value under one weight, and `nudged` has one arc off by an ulp, so with
+        # two arcs or more theirs take the heap search. A drive time of 1e308
         # overflows to inf two arcs out
         arcs = sorted(g.arcs)
 
         def copy(attr_of):
             return build_graph(g.order, {a: attr_of(k, g.arc(*a)) for k, a in enumerate(arcs)})
 
+        one = ArcAttr(drive_s, energies[0], 10.0)
+        shared = copy(lambda k, attr: one)
+        equal = copy(lambda k, attr: dataclasses.replace(one))
         timed = copy(lambda k, attr: ArcAttr(drive_s, attr.energy_kwh, attr.length_m))
         priced = copy(lambda k, attr: ArcAttr(attr.drive_time_s, energies[k % len(energies)],
                                               attr.length_m))
@@ -521,17 +528,24 @@ class TestCostTablesAndKernel:
             math.nextafter(energies[0], math.inf) if k == bumped else energies[0],
             attr.length_m))
         if arcs:
-            assert timed.uniform_cost("time") == drive_s
-            assert priced.uniform_cost("energy") == energies[0]
+            assert shared.shared_attr is one
+            assert repr((shared.uniform_cost("time"), shared.uniform_cost("energy"))) \
+                == repr((drive_s, energies[0]))
         for weight in ("time", "energy"):
-            if len(arcs) > 1:  # one arc off by an ulp: the heap search
-                assert nudged.uniform_cost(weight) is None
-            for graph in (g, timed, priced, nudged):
-                for reverse in (False, True):
-                    adj = graph.cost_table(weight, reverse)
-                    for source in range(len(adj)):
-                        assert routing._dijkstra_dist(graph, source, weight, reverse).tobytes() \
-                            == ref_dijkstra_dist(adj, source).tobytes()
+            if len(arcs) > 1:  # equal values are not one object: the heap search
+                for graph in (equal, timed, priced, nudged):
+                    assert graph.uniform_cost(weight) is None
+            for reverse in (False, True):
+                for source in range(len(g.order)):
+                    maps = {}
+                    for name, graph in (("g", g), ("shared", shared), ("equal", equal),
+                                        ("timed", timed), ("priced", priced),
+                                        ("nudged", nudged)):
+                        got = routing._dijkstra_dist(graph, source, weight, reverse).tobytes()
+                        adj = graph.cost_table(weight, reverse)
+                        assert got == ref_dijkstra_dist(adj, source).tobytes(), name
+                        maps[name] = got
+                    assert maps["equal"] == maps["shared"]
 
     @settings(max_examples=60, deadline=None)
     @given(g=random_digraphs())
@@ -580,7 +594,9 @@ class TestCostTablesAndKernel:
             seen.append(args)
             return kernel(*args)
         monkeypatch.setattr(routing, "_dijkstra_dist", recording)
-        g = relabelled(line_graph())
+        line = line_graph()  # equal but distinct ArcAttrs: give every arc the first one
+        g = relabelled(build_graph(line.order, dict.fromkeys(line.arcs, line.arc(0, 1))))
+        assert g.shared_attr is line.arc(0, 1)
         built = []  # the graph's head tables after each cache's maps
         for caches in (PathCache(g), PathCache(g)):
             caches.fwd(g.order[0], "energy")

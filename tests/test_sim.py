@@ -5,8 +5,11 @@ import json
 import os
 import pickle
 import random
+import subprocess
+import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -757,12 +760,14 @@ class TestHeterogeneousNetworks:
             g = sim.network_for(scenario).graph
             assert g.shared_attr is None
             assert metrics.violations == [], (seed, metrics.violations[:3])
-            reach = {}
+            reach, succ = {}, {node: [] for node in g.nodes}
+            for tail, head in g.arcs:
+                succ[tail].append(head)
             for source in g.entries:
                 seen, todo = {source}, [source]
                 while todo:
                     node = todo.pop()
-                    for nbr, _ in g.neighbors(node):
+                    for nbr in succ[node]:
                         if nbr not in seen:
                             seen.add(nbr)
                             todo.append(nbr)
@@ -771,3 +776,43 @@ class TestHeterogeneousNetworks:
             # no anxious EV is drawn for a pair with no path between them
             assert all(r.dest in reach[r.source] for r in metrics.rows if r.anxious), seed
         assert unreachable > 0
+
+    # runs on string node ids, one line per run with the digest of its CSV and plans: each
+    # family's, and the default grid's in both modes, whose tied paths follow the order of
+    # table rows
+    STRING_ID_RUNS = """
+import dataclasses, hashlib, sys
+from medsim import sim
+from tests.conftest import heterogeneous_scenario
+
+def name(k):
+    return f"n{k}"  # string order puts n10 before n2, unlike the int ids
+
+scenarios = [heterogeneous_scenario(seed, one_way)
+             for one_way in (False, True) for seed in range(int(sys.argv[1]))]
+scenarios += [sim.default_scenario(mode=mode, level="L3", ev_count=100) for mode in sim.MODES]
+for k, scenario in enumerate(scenarios):
+    doc = scenario.graph.to_json()
+    graph = {"nodes": [name(n["id"]) for n in doc["nodes"]],
+             "arcs": [{**a, "i": name(a["i"]), "j": name(a["j"])} for a in doc["arcs"]],
+             **{key: list(map(name, doc[key])) for key in ("scs", "med_cycle", "entries")}}
+    scenario = dataclasses.replace(scenario, graph=graph,
+                                   scs=[(name(n), rate) for n, rate in scenario.scs])
+    metrics = sim.run(scenario)
+    assert all(isinstance(n, str) for n in sim.network_for(scenario).graph.nodes)
+    print(k, hashlib.sha256((metrics.to_csv() + repr(metrics.assignments)).encode()).hexdigest())
+"""
+
+    def test_runs_on_string_ids_do_not_depend_on_the_hash_seed(self):
+        # a string's hash, and so the order of a set of string ids, changes with
+        # PYTHONHASHSEED; no table row, draw or output may follow that order
+        root = Path(__file__).resolve().parents[1]
+        outs = []
+        for hash_seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+            outs.append(subprocess.run(
+                [sys.executable, "-c", self.STRING_ID_RUNS, str(len(self.SEEDS))], cwd=root,
+                env=env, capture_output=True, text=True, check=True).stdout)
+        assert len(outs[0].splitlines()) == 2 * len(self.SEEDS) + len(MODES)
+        assert outs[0] == outs[1]
