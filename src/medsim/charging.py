@@ -236,12 +236,13 @@ class MedState:
                     start_s: float, end_s: float) -> BookResult:
         """Reserve the :meth:`span` of ``n_segments`` from ``start_idx``, ridden from ``pass_no``.
 
-        Accepts only when the span is free on that pass (:meth:`_free`); the
-        segment ledger and the energy booked per pass then update together.
+        The span is one :meth:`waiting` found free on that pass (:meth:`_free`);
+        one that is not raises ``ValueError`` and books nothing. The segment
+        ledger and the energy booked per pass update together.
         """
         keys, shares = self.span(start_idx, n_segments)
         if not self._free(keys, shares, pass_no):
-            return BookResult(False)
+            raise ValueError(f"the span is not free on pass {pass_no}")
         segment_keys = self.segment_keys(start_idx, pass_no, n_segments)
         self.segment_bookings.update(dict.fromkeys(segment_keys, ev))
         spent = self.pass_dispensed

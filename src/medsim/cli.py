@@ -124,17 +124,26 @@ def _scenario(doc: dict | sim.Scenario, **overrides) -> sim.Scenario:
         raise InputError(f"scenario: {exc}") from None
 
 
+def _endpoint(g, text: str):
+    """The node whose id prints as ``text``, as the CSVs print it."""
+    for node in g.nodes:
+        if str(node) == text:
+            return node
+    raise GraphError(f"route endpoint {text} is not a graph node")
+
+
 def cmd_route(args) -> int:
     scenario = _load_scenario(args)
     network = sim.load_network(scenario)
     g = network.graph
     infra = sim.build_infrastructure(scenario, g)
-    for end in (args.source, args.dest):
-        if end not in g.nodes:
-            raise GraphError(f"route endpoint {end} is not a graph node")
+    source, dest = _endpoint(g, args.source), _endpoint(g, args.dest)
     capacity = args.capacity if args.capacity is not None else scenario.vehicle.capacity_kwh
     try:
-        request = EvRequest("cli", args.source, args.dest, capacity, args.energy)
+        # a run's arrival times lie in [0, HORIZON_MAX_S]; chained, so NaN fails too
+        if not 0.0 <= args.now <= sim.HORIZON_MAX_S:
+            raise ValueError(f"--now must lie in [0, {sim.HORIZON_MAX_S:g}], got {args.now}")
+        request = EvRequest("cli", source, dest, capacity, args.energy)
     except ValueError as exc:
         print(f"route: {exc}", file=sys.stderr)
         return 2
@@ -245,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("route", help="route one EV against a fresh ledger snapshot")
     r.add_argument("--scenario", required=True)
-    r.add_argument("--source", type=int, required=True)
-    r.add_argument("--dest", type=int, required=True)
+    r.add_argument("--source", required=True, help="node id, as the CSVs print it")
+    r.add_argument("--dest", required=True, help="node id, as the CSVs print it")
     r.add_argument("--energy", type=float, required=True)
     r.add_argument("--capacity", type=float)
     r.add_argument("--mode")

@@ -18,8 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .charging import (STATION_RATE_KW, BookResult, Infrastructure, MedState, ScsState,
-                       scs_charge_time)
+from .charging import STATION_RATE_KW, Infrastructure, MedState, ScsState, scs_charge_time
 from .energy import InductionParams, VehicleParams
 from .road_graph import (AS_IS, INTEGER, NODE_ID, NUMBER, OBJECT, OBJECTS, VISIT_LIMIT_DEFAULT,
                          RoadGraph, load_graph, read_block, read_entries, read_params)
@@ -47,7 +46,7 @@ class FrozenScs(ScsState):
         return self.fixed_wait_s
 
     def book(self, ev, arrival_s, charge_s):
-        return BookResult(True)
+        pass
 
 
 class FrozenMed(MedState):
@@ -62,7 +61,7 @@ class FrozenMed(MedState):
         return self.waits.get(self.points[start_idx], 0.0), 0
 
     def book_attach(self, ev, start_idx, pass_no, n_segments, start_s, end_s):
-        return BookResult(True)
+        pass
 
 
 @dataclass

@@ -121,10 +121,8 @@ class PathCache:
         self._rev = {}
         self._paths = {}
         self._legs = {}
-        # on a graph whose arcs share one ArcAttr: S(h) -> h for h = 1, 2, ... up to the last
-        # sum, S(h); and h -> the h-arc leg, for each h a leg has needed
-        self._levels = {}
-        self._sum = 0.0
+        # on a graph whose arcs share one ArcAttr: a level's distance S(h) -> the h-arc leg,
+        # for each level a leg has needed
         self._level_legs = {}
 
     def fwd(self, source, weight: str = "time"):
@@ -163,14 +161,14 @@ class PathCache:
         Where the graph's arcs all carry one ``ArcAttr`` (``g.shared_attr``),
         every time-shortest path has ``h`` arcs carrying it, where ``h`` is
         the source's level in the breadth-first map to ``target``, whose
-        distance there is ``S(h)`` (``RoadGraph.uniform_cost``). ``h`` is
-        found by looking ``S(h)`` up in a table of the sums, never by a
-        division, and the leg is then the ``h``-arc one with no nodes, built
-        once per ``h``: its sums are :func:`_cached_path`'s left folds over
-        the same arcs as the path's. The drive time is positive, so each
-        sum exceeds the last until some 2**52 levels, far more than a graph
-        has nodes, and no two levels share one. On any other graph, and from
-        a node to itself, the leg is the path.
+        distance there is ``S(h)`` (``RoadGraph.uniform_cost``). The leg is
+        the ``h``-arc one with no nodes, built once per distance: its sums
+        are :func:`_cached_path`'s left folds over the same arcs as the
+        path's. ``h`` is counted by the search's own fold, adding the drive
+        time to ``0.0`` while the sum is below ``S(h)``, never by a division;
+        it is positive, so each sum exceeds the last until some 2**52 levels,
+        far more than a graph has nodes. On any other graph, and from a node
+        to itself, the leg is the path.
         """
         key = (source, target)
         found = self._legs.get(key)
@@ -182,14 +180,13 @@ class PathCache:
                 d = self.rev(target)[self.g.index[source]]
                 if d == INFINITE:
                     raise NoPath(f"no path from {source} to {target}")
-                levels = self._levels
-                while d not in levels:
-                    self._sum += attr.drive_time_s
-                    levels[self._sum] = len(levels) + 1
-                h = levels[d]
-                found = self._level_legs.get(h)
+                found = self._level_legs.get(d)
                 if found is None:
-                    found = self._level_legs[h] = _cached_path((), (attr,) * h)
+                    h, s = 0, 0.0
+                    while s < d:
+                        s += attr.drive_time_s
+                        h += 1
+                    found = self._level_legs[d] = _cached_path((), (attr,) * h)
             self._legs[key] = found
         return found
 
@@ -275,6 +272,8 @@ class EvRequest:
     def __post_init__(self):
         if self.source == self.dest:
             raise ValueError("source and destination must differ")
+        if not 0.0 < self.capacity_kwh < INFINITE:  # the vehicle's rule; NaN fails too
+            raise ValueError(f"capacity must be positive and finite, got {self.capacity_kwh}")
         if not 0.0 <= self.energy_kwh <= self.capacity_kwh:
             raise ValueError("initial energy must lie in [0, capacity]")
 
@@ -564,6 +563,9 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
     ties prefer stations, then smaller ids, then the first scored, as each
     point is compared with a strict ``<`` as soon as it is scored. Only the
     winner becomes a :class:`_Candidate`, and only its reach path is built.
+    The winner's exit point, a station or a ride's last detach point, has a
+    path on to the destination: a station is scored only where ``rev_time``
+    is finite, and no level covers ``need_to_finish`` where it is infinite.
     """
     Q = request.capacity_kwh
     rev_time = caches.rev(request.dest, "time")
@@ -607,8 +609,6 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
             continue
         last, _, attach_s = ride[-1]
         finish = rev_time[index[last.j]]
-        if finish == INFINITE:
-            continue
         wait, pass_no = unit.waiting(idx, now + drive, len(ride))
         key = (drive + wait + attach_s + finish, True, node)
         if best_key is None or key < best_key:
@@ -645,9 +645,10 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
     chargers ``infra`` holds, the ones the EV may book, each booked against
     their live ledgers, until the path on from the last stop is
     feasible; :class:`Stranded` when no plan exists within :data:`LEG_LIMIT`
-    stops. A ledger that rejects the slot the router priced raises
-    ``RuntimeError``, as nothing changes between pricing and booking. The
-    walk is composed in one pass, folding levels and drive time arc by arc
+    stops. Each stop's exit point has a path on to the destination
+    (:func:`find_best_energy_point`), and its ledger grants the slot it was
+    priced on, as nothing changes between pricing and booking. The walk is
+    composed in one pass, folding levels and drive time arc by arc
     in walk order, and each stop is recorded from the level chain it was
     priced on: a station's arrival level, or the ride the scorer priced.
     Paths, legs and distance maps come from ``caches``, the graph's shared
@@ -667,8 +668,8 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
     drive_s = 0.0
     elapsed = 0.0
     stops = 0
-    # tail: the leg of the time-shortest path on to the destination, None if there is none
-    while tail is None or _arrival_level(tail, eps) is None:
+    # tail: the leg of the time-shortest path on to the destination
+    while _arrival_level(tail, eps) is None:
         if stops == LEG_LIMIT:
             raise Stranded(f"EV {request.ev}: still infeasible after "
                            f"{LEG_LIMIT} charging stops")
@@ -678,7 +679,7 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
         eps, drive_s = _drive(legs, trace, plan.path, eps, drive_s)
         elapsed += plan.path.drive_s
         if plan.kind == "scs":
-            booked = plan.unit.book(request.ev, arrival, plan.charge_s)
+            plan.unit.book(request.ev, arrival, plan.charge_s)
             z_visits.append(ScsVisit(plan.point, len(legs) - 1, plan.wait_s,
                                      plan.charge_s, eps))
             eps = Q
@@ -691,18 +692,12 @@ def find_shortest_path(g: RoadGraph, request: EvRequest, infra, now: float = 0.0
                 legs.append(seg.j)
                 trace.append(eps)
             start = arrival + plan.wait_s
-            booked = plan.unit.book_attach(request.ev, plan.start_idx, plan.pass_no, n,
-                                           start, start + attach_s)
+            plan.unit.book_attach(request.ev, plan.start_idx, plan.pass_no, n,
+                                  start, start + attach_s)
             q_points.append(MedAttach.build(plan.unit, plan.start_idx, plan.pass_no, n,
                                             meet_leg, plan.wait_s, attach_s))
             elapsed += plan.wait_s + attach_s
-        if not booked.accepted:
-            raise RuntimeError(f"EV {request.ev}: the {plan.kind} ledger at node "
-                               f"{plan.point} rejected the slot the router priced")
-        try:
-            tail = caches.leg(legs[-1], request.dest)
-        except NoPath:
-            tail = None
+        tail = caches.leg(legs[-1], request.dest)
 
     _, drive_s = _drive(legs, trace, caches.path(legs[-1], request.dest), eps, drive_s)
     a = RouteAssignment(

@@ -225,11 +225,19 @@ class TestMedBooking:
         return MedState(g, InductionParams(0.75, 40.0), battery_kwh=battery_kwh,
                         start_s=start_s)
 
+    @staticmethod
+    def refused(med, *args):
+        # a span that is not free raises and books nothing
+        before = dict(med.segment_bookings), dict(med.pass_dispensed), list(med.bookings)
+        with pytest.raises(ValueError, match="is not free"):
+            med.book_attach(*args)
+        assert (med.segment_bookings, med.pass_dispensed, med.bookings) == before
+
     def test_each_pass_has_its_own_budget(self):
         med = self.med(12.0)
         assert med.book_attach("a", 0, 0, 2, 0.0, 1200.0).accepted
         # a third segment would take pass 0 to 15 kWh
-        assert not med.book_attach("b", 2, 0, 1, 1200.0, 1800.0).accepted
+        self.refused(med, "b", 2, 0, 1, 1200.0, 1800.0)
         for k in range(1, 5):
             assert med.book_attach(f"c{k}", 2, k, 1, 2400.0 * k, 2400.0 * k + 600.0).accepted
         assert med.pass_dispensed == {0: 10.0, 1: 5.0, 2: 5.0, 3: 5.0, 4: 5.0}
@@ -239,7 +247,7 @@ class TestMedBooking:
         g = ring_graph([100, 100, 100, 100])
         med = MedState(g, InductionParams(0.75, 40.0))
         assert med.book_attach("a", 1, 0, 2, 0.0, 200.0).accepted
-        assert not med.book_attach("b", 2, 0, 1, 0.0, 100.0).accepted
+        self.refused(med, "b", 2, 0, 1, 0.0, 100.0)
         assert med.book_attach("b", 2, 1, 1, 400.0, 500.0).accepted
 
     def test_a_span_across_the_cycle_start_is_charged_to_both_passes(self):
@@ -247,9 +255,9 @@ class TestMedBooking:
         assert med.book_attach("a", 3, 0, 3, 1800.0, 3600.0).accepted
         assert med.bookings[-1].segment_keys == ((3, 0), (0, 1), (1, 1))
         assert med.pass_dispensed == {0: 5.0, 1: 10.0}
-        assert not med.book_attach("b", 2, 1, 1, 3600.0, 4200.0).accepted
+        self.refused(med, "b", 2, 1, 1, 3600.0, 4200.0)
         # pass 0 holds 5 kWh of the span, so 10 more would pass 12
-        assert not med.book_attach("b", 1, 0, 2, 600.0, 1800.0).accepted
+        self.refused(med, "b", 1, 0, 2, 600.0, 1800.0)
         assert med.book_attach("b", 1, 0, 1, 600.0, 1200.0).accepted
         assert med.pass_dispensed == {0: 10.0, 1: 10.0}
 

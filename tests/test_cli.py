@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -334,6 +335,16 @@ class TestRouteAndOracle:
             stops[mode] = len(plan["z_visits"]), len(plan["q_points"])
         assert stops == {"SCS": (1, 0), "SCS_MED": (0, 1)}
 
+    def test_route_on_string_ids(self, tmp_path):
+        # an endpoint is the node whose id prints as the argument, as the CSVs print it
+        arcs = [{**arc, "i": "abc"[arc["i"]], "j": "abc"[arc["j"]]} for arc in _line_arcs(3)]
+        scenario = tmp_path / "strings.json"
+        scenario.write_text(json.dumps({"graph": {"nodes": ["a", "b", "c"], "arcs": arcs}}))
+        out = tmp_path / "route.json"
+        assert main(["route", "--scenario", str(scenario), "--source", "a", "--dest", "c",
+                     "--energy", "5", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["assignment"]["legs"] == ["a", "b", "c"]
+
     def test_route_stranded_reported(self, scenario_path, tmp_path):
         out = tmp_path / "route.json"
         rc = main(["route", "--scenario", scenario_path, "--source", "0",
@@ -404,25 +415,36 @@ class TestInvalidRequests:
         p.write_text(json.dumps({"graph": {"nodes": [0, 1, 2], "arcs": _line_arcs(3)}}))
         return str(p)
 
-    @pytest.mark.parametrize("source,dest,energy,message", [
-        ("0", "7", "5", "endpoint 7 is not a graph node"),
-        ("9", "2", "5", "endpoint 9 is not a graph node"),
-        ("0", "0", "5", "route: source and destination must differ"),
-        ("0", "2", "500", "route: initial energy must lie in [0, capacity]"),
-    ], ids=["unknown-dest", "unknown-source", "same-endpoints", "energy-over-capacity"])
-    def test_route(self, three_nodes, tmp_path, capsys, source, dest, energy, message):
+    @pytest.mark.parametrize("source,dest,energy,extra,message", [
+        ("0", "7", "5", [], "endpoint 7 is not a graph node"),
+        ("9", "2", "5", [], "endpoint 9 is not a graph node"),
+        ("0", "0", "5", [], "route: source and destination must differ"),
+        ("0", "2", "500", [], "route: initial energy must lie in [0, capacity]"),
+        ("a", "2", "5", [], "endpoint a is not a graph node"),
+        ("0", "2", "5", ["--now", "inf"], "route: --now must lie in [0, 1e+09], got inf"),
+        ("0", "2", "5", ["--now", "1e300"], "route: --now must lie in [0, 1e+09], got 1e+300"),
+        ("0", "2", "5", ["--now", "nan"], "route: --now must lie in [0, 1e+09], got nan"),
+        ("0", "2", "5", ["--now", "-1"], "route: --now must lie in [0, 1e+09], got -1.0"),
+        ("0", "2", "5", ["--capacity", "inf"], "route: capacity must be positive and finite"),
+        ("0", "2", "5", ["--capacity", "1e400"], "route: capacity must be positive and finite"),
+        ("0", "2", "0", ["--capacity", "0"], "route: capacity must be positive and finite"),
+    ], ids=["unknown-dest", "unknown-source", "same-endpoints", "energy-over-capacity",
+            "non-numeric-source", "now-inf", "now-1e300", "now-nan", "now-negative",
+            "capacity-inf", "capacity-1e400", "capacity-zero"])
+    def test_route(self, three_nodes, tmp_path, capsys, source, dest, energy, extra, message):
         out = tmp_path / "route.json"
         rc = main(["route", "--scenario", three_nodes, "--source", source,
-                   "--dest", dest, "--energy", energy, "--out", str(out)])
+                   "--dest", dest, "--energy", energy, *extra, "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2
         assert message in err and err.count("\n") == 1
         assert not out.exists()
 
-    def oracle(self, tmp_path, capsys, dest):
+    def oracle(self, tmp_path, capsys, dest, capacity_kwh=10.0):
         instance = {
             "graph": {"nodes": [0, 1, 2], "arcs": _line_arcs(3)},
-            "request": {"source": 0, "dest": dest, "capacity_kwh": 10.0, "energy_kwh": 4.0},
+            "request": {"source": 0, "dest": dest, "capacity_kwh": capacity_kwh,
+                        "energy_kwh": 4.0},
         }
         inst_path = tmp_path / "inst.json"
         inst_path.write_text(json.dumps(instance))
@@ -437,6 +459,10 @@ class TestInvalidRequests:
     def test_oracle_same_endpoints(self, tmp_path, capsys):
         err = self.oracle(tmp_path, capsys, 0)
         assert "request: source and destination must differ" in err
+
+    def test_oracle_infinite_capacity(self, tmp_path, capsys):
+        err = self.oracle(tmp_path, capsys, 2, math.inf)
+        assert "request: capacity must be positive and finite, got inf" in err
 
 
 class TestInvalidFiles:

@@ -105,13 +105,14 @@ class TestWaiting:
 
 
 @st.composite
-def scoring_cases(draw):
+def scoring_cases(draw, connected=True):
     """A random one-way digraph with a station and a charger cycle, live
     ledgers on the units there, and one EV asking which of the units it may
     book to charge at.
 
-    A one-way tour through every node keeps each node reachable; the
-    charger's cycle and up to ``2n`` random one-way arcs come on top.
+    When ``connected``, a one-way tour through every node keeps each node
+    reachable; the charger's cycle and up to ``2n`` random one-way arcs come
+    on top.
     """
     n = draw(st.integers(5, 10))
     nodes = list(range(n))
@@ -119,7 +120,8 @@ def scoring_cases(draw):
     cycle = draw(st.permutations(nodes))[:draw(st.integers(2, 4))]
     station = draw(st.sampled_from([v for v in nodes if v not in cycle]))
     ring_arcs = {(cycle[k], cycle[(k + 1) % len(cycle)]) for k in range(len(cycle))}
-    pairs = {(tour[k], tour[(k + 1) % n]) for k in range(n)} | ring_arcs
+    pairs = {(tour[k], tour[(k + 1) % n]) for k in range(n)} if connected else set()
+    pairs |= ring_arcs
     pairs |= set(draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
                                .filter(lambda p: p[0] != p[1]), max_size=2 * n)))
     # cheap cycle arcs, so riding the charger can pay off
@@ -170,8 +172,25 @@ class TestChosenCandidate:
     @settings(max_examples=200, deadline=None)
     @given(case=scoring_cases())
     def test_matches_the_reference(self, case):
-        g, request, infra, now = case
+        self.chosen(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=scoring_cases(connected=False))
+    def test_the_exit_point_reaches_the_destination(self, case):
+        # without the tour some points have no path on to the destination;
+        # the winner's exit point, its station or its ride's last detach
+        # point, always has one, so its tail exists (find_shortest_path)
+        g, request, *_ = case
         caches = PathCache(g)
+        got = self.chosen(*case, caches=caches)
+        if got is not None:
+            exit_node = got.point if got.kind == "scs" else got.ride[-1][0].j
+            assert caches.rev(request.dest)[g.index[exit_node]] < math.inf
+
+    @staticmethod
+    def chosen(g, request, infra, now, caches=None):
+        """The router's candidate, None when stranded, checked against the reference's."""
+        caches = caches or PathCache(g)
         args = (g, caches, request, request.source, request.energy_kwh, now, infra)
         try:
             ref = ref_best_energy_point(*args)
@@ -183,10 +202,11 @@ class TestChosenCandidate:
             got = None
         if ref is None or got is None:
             assert ref is got
-            return
+            return got
         assert got.unit is ref.unit and got.path is ref.path
         assert {k: repr(v) for k, v in vars(got).items()} == \
             {k: repr(v) for k, v in vars(ref).items()}
+        return got
 
 
 class TestPathFeasible:

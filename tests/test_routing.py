@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from medsim.charging import BookResult, Infrastructure, MedState, ScsState
+from medsim.charging import Infrastructure, MedState, ScsState
 from medsim import routing, sim
 from medsim.energy import InductionParams
 from medsim.oracle import FrozenMed, FrozenScs
@@ -280,18 +280,18 @@ class TestFindShortestPath:
             find_shortest_path(g, req, infra, caches=PathCache(g))
 
     def test_rejected_booking_raises_not_stranded(self):
-        # the ledger refusing a slot the router priced is a fault, not a
-        # stranded EV, and the router does not retry it
+        # a ledger failing to grant a slot the router priced is a fault, not
+        # a stranded EV, and the router does not retry it
         calls = []
 
-        class RefusingScs(FrozenScs):
+        class FailingScs(FrozenScs):
             def book(self, ev, arrival_s, charge_s):
                 calls.append(ev)
-                return BookResult(False)
+                raise ValueError("slot taken")
 
         g = line_graph()
-        infra = Infrastructure(scs_units=[RefusingScs(3, 19.2, 0.0)])
-        with pytest.raises(RuntimeError, match="rejected the slot") as caught:
+        infra = Infrastructure(scs_units=[FailingScs(3, 19.2, 0.0)])
+        with pytest.raises(ValueError, match="slot taken") as caught:
             find_shortest_path(g, EvRequest("e", 0, 5, 10.0, 4.0), infra, caches=PathCache(g))
         assert not isinstance(caught.value, Stranded)
         assert calls == ["e"]
@@ -696,7 +696,7 @@ class TestLegs:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert len(caches._levels) == n - 1 and held < 2e6
+        assert len(caches._level_legs) == 1 and held < 2e6
         self.assert_leg_is_the_paths(caches, 0, n - 1)
 
     @settings(max_examples=60, deadline=None)

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import math
 import os
 import pickle
 import random
@@ -720,10 +721,10 @@ class TestLegsInRuns:
 
     def test_runs_priced_with_legs_match_runs_priced_with_walks(self, monkeypatch):
         legs = self._runs()
-        assert sim._last_network.caches._levels  # the grid's legs took the shortcut
+        assert sim._last_network.caches._level_legs  # the grid's legs took the shortcut
         monkeypatch.setattr(routing.PathCache, "leg", lambda caches, s, t: caches.path(s, t))
         assert self._runs() == legs
-        assert not sim._last_network.caches._levels
+        assert not sim._last_network.caches._level_legs
 
     def test_equal_but_distinct_arc_attrs_are_walked(self, monkeypatch):
         # build_graph keeps each arc's own ArcAttr: equal fields, distinct objects
@@ -738,7 +739,7 @@ class TestLegsInRuns:
         monkeypatch.setattr(sim, "load_graph", distinct)
         assert self._runs() == legs
         network = sim._last_network
-        assert network.graph.shared_attr is None and not network.caches._levels
+        assert network.graph.shared_attr is None and not network.caches._level_legs
 
 
 class TestHeterogeneousNetworks:
@@ -776,6 +777,22 @@ class TestHeterogeneousNetworks:
             # no anxious EV is drawn for a pair with no path between them
             assert all(r.dest in reach[r.source] for r in metrics.rows if r.anxious), seed
         assert unreachable > 0
+
+    def test_every_chosen_stop_reaches_the_destination(self, monkeypatch):
+        # the one-way family has points with no path on to a destination; the
+        # scorer picks none of them, so the tail after each stop exists
+        finish = []
+        pick = routing.find_best_energy_point
+
+        def checked(g, caches, request, *args):
+            got = pick(g, caches, request, *args)
+            exit_node = got.point if got.kind == "scs" else got.ride[-1][0].j
+            finish.append(caches.rev(request.dest)[g.index[exit_node]])
+            return got
+        monkeypatch.setattr(routing, "find_best_energy_point", checked)
+        for seed in self.SEEDS:
+            run(heterogeneous_scenario(seed, True))
+        assert finish and max(finish) < math.inf
 
     # runs on string node ids, one line per run with the digest of its CSV and plans: each
     # family's, and the default grid's in both modes, whose tied paths follow the order of

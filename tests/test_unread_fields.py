@@ -20,6 +20,7 @@ MODULES = sorted((ROOT / "src" / "medsim").glob("*.py"))
 
 # fields only code outside the package reads, each with its reader
 READ_OUTSIDE = [
+    ("BookResult", "accepted"),  # perfbench's tracer, _after_booking (ROADMAP item 19)
     ("RunMetrics", "infrastructure"),  # the final ledgers, read by the audit tests
 ]
 
