@@ -59,7 +59,8 @@ class RoadGraph:
     id. Shortest-path search works on positions: besides the arcs the graph
     keeps one cost table per (weight, direction) (:meth:`cost_table`) and
     one table of head positions per direction (:meth:`head_table`), each
-    built on first use, and ``shared_attr``, the one ``ArcAttr`` object all
+    built on first use from one sorted list of the arcs, and
+    ``shared_attr``, the one ``ArcAttr`` object all
     arcs carry, if they do, whose costs are the uniform ones
     (:meth:`uniform_cost`). Every path cache on the graph reads the same
     tables, so a graph shared across runs builds each at most once.
@@ -89,18 +90,23 @@ class RoadGraph:
     def arc(self, i, j):
         return self.arcs.get((i, j))
 
+    @cached_property
+    def _sorted_arcs(self) -> list:
+        """Every arc as ``(tail_pos, head_pos, attr)``, sorted by its positions: sorted once,
+        on the first table built, and kept for the graph's other tables."""
+        index = self.index
+        return sorted((index[i], index[j], attr) for (i, j), attr in self.arcs.items())
+
     def _rows(self, reverse: bool, entry) -> tuple:
         """A tuple indexed by position whose row ``k`` holds ``entry(nbr_pos, attr)`` for the
         arcs out of node ``order[k]``, or into it when ``reverse``, by ``nbr_pos``.
 
-        The arcs are walked once, sorted by their (tail, head) positions, so
-        every forward row fills in head order and every reverse row in tail
-        order, and no row is sorted.
+        The arcs are walked in :attr:`_sorted_arcs`' order, so every forward
+        row fills in head order and every reverse row in tail order, and no
+        row is sorted.
         """
-        index = self.index
         rows = [[] for _ in self.order]
-        for tail, head, attr in sorted((index[i], index[j], attr)
-                                       for (i, j), attr in self.arcs.items()):
+        for tail, head, attr in self._sorted_arcs:
             if reverse:
                 rows[head].append(entry(tail, attr))
             else:

@@ -30,7 +30,7 @@ class Stranded(Exception):
     """The EV cannot complete its trip with any reachable energy point."""
 
 
-def _dijkstra_dist(g: RoadGraph, source, weight: str, reverse: bool):
+def _dijkstra_dist(g: RoadGraph, source, weight: str, reverse: bool, parents=None):
     """Distances under ``weight`` from position ``source``, over ``g``'s arcs reversed when
     ``reverse`` (so distances to ``source``).
 
@@ -45,14 +45,19 @@ def _dijkstra_dist(g: RoadGraph, source, weight: str, reverse: bool):
     level whose sum reaches :data:`INFINITE`, where the heap search's
     ``nd < dist[nbr]`` leaves nodes at :data:`INFINITE` too; so every
     distance it assigns is finite, and :data:`INFINITE` marks a node not yet
-    reached. On any other graph, one of equal but distinct ``ArcAttr``
-    objects included, a heap search runs over ``g.cost_table(weight, reverse)``.
+    reached. Given ``parents``, a list as long as ``g.order``, it sets
+    ``parents[k]`` for each node ``k`` it reaches to the position of the
+    node that reached it first. On any other graph, one of equal but
+    distinct ``ArcAttr`` objects included, a heap search runs over
+    ``g.cost_table(weight, reverse)`` and sets no parent.
     """
     dist = [INFINITE] * len(g.order)
     dist[source] = 0.0
     cost = g.uniform_cost(weight)
     if cost is not None:
         heads = g.head_table(reverse)
+        if parents is None:
+            parents = [None] * len(dist)
         d = 0.0
         level = [source]
         while level:
@@ -64,6 +69,7 @@ def _dijkstra_dist(g: RoadGraph, source, weight: str, reverse: bool):
                 for nbr in heads[node]:
                     if dist[nbr] == INFINITE:
                         dist[nbr] = d
+                        parents[nbr] = node
                         reached.append(nbr)
             level = reached
         return array("d", dist)
@@ -105,20 +111,26 @@ class PathCache:
     """Memoized single-source distance maps, path reconstructions and legs.
 
     One per network, shared by every run on it (see ``sim.network_for``):
-    routing asks again and again for distances from EV positions and to
-    chargers and destinations. It holds only graph-derived data. Queries
-    take node ids; a distance map is an ``array('d')`` indexed by node
-    position (``g.index``), :data:`INFINITE` where no path exists.
+    routing asks again and again for distances from EV positions and
+    charger exits to chargers and destinations. It holds only graph-derived
+    data. Queries take node ids; a distance map is an ``array('d')`` indexed
+    by node position (``g.index``), :data:`INFINITE` where no path exists.
 
     A path (:meth:`path`) is the nodes a route drives, walked node by node;
     a leg (:meth:`leg`) is only what the time-shortest path costs. Routing
-    prices with legs and builds the paths it drives.
+    prices with legs and builds the paths it drives. Where the graph's arcs
+    all carry one ``ArcAttr`` (``g.shared_attr``), every time query is
+    answered from its source's map (:meth:`fwd`), elsewhere from its
+    target's (:meth:`rev`).
     """
 
     def __init__(self, g: RoadGraph):
         self.g = g
         self._fwd = {}
         self._rev = {}
+        # on a graph whose arcs share one ArcAttr: a source -> the first discoverer of each
+        # node, by position, in the breadth-first search of its time map
+        self._parents = {}
         self._paths = {}
         self._legs = {}
         # on a graph whose arcs share one ArcAttr: a level's distance S(h) -> the h-arc leg,
@@ -126,10 +138,16 @@ class PathCache:
         self._level_legs = {}
 
     def fwd(self, source, weight: str = "time"):
-        """Distances from ``source`` to every node, by position."""
+        """Distances from ``source`` to every node, by position; on a graph whose arcs share
+        one ``ArcAttr``, a time map keeps its search's parents for :meth:`path`."""
         key = (source, weight)
         if key not in self._fwd:
-            self._fwd[key] = _dijkstra_dist(self.g, self.g.index[source], weight, False)
+            g = self.g
+            if weight == "time" and g.shared_attr is not None:
+                parents = self._parents[source] = [None] * len(g.order)
+                self._fwd[key] = _dijkstra_dist(g, g.index[source], weight, False, parents)
+            else:
+                self._fwd[key] = _dijkstra_dist(g, g.index[source], weight, False)
         return self._fwd[key]
 
     def rev(self, target, weight: str = "time"):
@@ -139,19 +157,53 @@ class PathCache:
             self._rev[key] = _dijkstra_dist(self.g, self.g.index[target], weight, True)
         return self._rev[key]
 
+    def distance(self, source, target) -> float:
+        """The time-shortest distance from ``source`` to ``target``, :data:`INFINITE` without a
+        path: read from the source's map where the graph's arcs share one ``ArcAttr``, and
+        from the target's elsewhere.
+
+        On such a graph both maps hold ``S(h)`` for a target ``h`` arcs away
+        (``RoadGraph.uniform_cost``), so the two reads agree bit for bit.
+        Elsewhere the target's map is the one :meth:`path` walks.
+        """
+        index = self.g.index
+        if self.g.shared_attr is not None:
+            return self.fwd(source)[index[target]]
+        return self.rev(target)[index[source]]
+
     def path(self, source, target, weight: str = "time") -> CachedPath:
         """Minimum-cost path with its arc costs, ties broken lexicographically.
 
-        From a node to itself it is the one-node path with no arcs.
+        From a node to itself it is the one-node path with no arcs. Where
+        the graph's arcs share one ``ArcAttr``, a time path is the parent
+        chain of the source's breadth-first search (:meth:`fwd`), walked back
+        from ``target``; elsewhere, and for energy, :func:`_lex_path` walks
+        the target's map. The two agree node for node: a search that takes
+        each level in discovery order and each head row in position order
+        first reaches a node from the predecessor whose smallest fewest-arc
+        path is smallest, so by induction the parent chain is the
+        lexicographically smallest fewest-arc path, and as every arc costs
+        one positive drive time that is the smallest time-shortest one.
         """
         key = (source, target, weight)
         found = self._paths.get(key)
         if found is None:
             g = self.g
-            found = self._paths[key] = (
-                _cached_path((source,), ()) if source == target else
-                _lex_path(g.cost_table(weight), g.order, g.index[source], g.index[target],
-                          self.rev(target, weight)))
+            if source == target:
+                found = _cached_path((source,), ())
+            elif weight == "time" and g.shared_attr is not None:
+                s, t = g.index[source], g.index[target]
+                if self.fwd(source)[t] == INFINITE:
+                    raise NoPath(f"no path from {source} to {target}")
+                parents, back = self._parents[source], [t]
+                while back[-1] != s:
+                    back.append(parents[back[-1]])
+                found = _cached_path([g.order[k] for k in reversed(back)],
+                                     (g.shared_attr,) * (len(back) - 1))
+            else:
+                found = _lex_path(g.cost_table(weight), g.order, g.index[source],
+                                  g.index[target], self.rev(target, weight))
+            self._paths[key] = found
         return found
 
     def leg(self, source, target) -> CachedPath:
@@ -160,7 +212,7 @@ class PathCache:
 
         Where the graph's arcs all carry one ``ArcAttr`` (``g.shared_attr``),
         every time-shortest path has ``h`` arcs carrying it, where ``h`` is
-        the source's level in the breadth-first map to ``target``, whose
+        the target's level in the source's breadth-first map, whose
         distance there is ``S(h)`` (``RoadGraph.uniform_cost``). The leg is
         the ``h``-arc one with no nodes, built once per distance: its sums
         are :func:`_cached_path`'s left folds over the same arcs as the
@@ -177,7 +229,7 @@ class PathCache:
             if attr is None or source == target:
                 found = self.path(source, target)
             else:
-                d = self.rev(target)[self.g.index[source]]
+                d = self.distance(source, target)
                 if d == INFINITE:
                     raise NoPath(f"no path from {source} to {target}")
                 found = self._level_legs.get(d)
@@ -559,17 +611,17 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
     path's bit for bit: the stop from the level :func:`_arrival_level`
     folds, the one the walk records there, and a charger's stop from the
     ride :func:`_plan_med_span` plans and the wait and pass its ``waiting``
-    finds. The winner has the smallest ``(score, kind != "scs", point)``:
+    finds; the drive time on is :meth:`PathCache.distance` from the exit
+    point. The winner has the smallest ``(score, kind != "scs", point)``:
     ties prefer stations, then smaller ids, then the first scored, as each
     point is compared with a strict ``<`` as soon as it is scored. Only the
     winner becomes a :class:`_Candidate`, and only its reach path is built.
     The winner's exit point, a station or a ride's last detach point, has a
-    path on to the destination: a station is scored only where ``rev_time``
-    is finite, and no level covers ``need_to_finish`` where it is infinite.
+    path on to the destination: a station is scored only where that
+    distance is finite, and no level covers ``need_to_finish`` where it is
+    infinite.
     """
     Q = request.capacity_kwh
-    rev_time = caches.rev(request.dest, "time")
-    index = g.index
     best_key = best = None
 
     def need_to_finish(node):
@@ -593,7 +645,7 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
         if kind == "scs":
             if arrive >= Q - 1e-12:
                 continue  # nothing to gain here
-            finish = rev_time[index[node]]
+            finish = caches.distance(node, request.dest)
             if finish == INFINITE:
                 continue
             wait = unit.wait_s(now, drive)
@@ -608,7 +660,7 @@ def find_best_energy_point(g: RoadGraph, caches: PathCache, request: EvRequest,
         if ride is None:
             continue
         last, _, attach_s = ride[-1]
-        finish = rev_time[index[last.j]]
+        finish = caches.distance(last.j, request.dest)
         wait, pass_no = unit.waiting(idx, now + drive, len(ride))
         key = (drive + wait + attach_s + finish, True, node)
         if best_key is None or key < best_key:

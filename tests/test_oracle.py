@@ -258,9 +258,9 @@ class TestVerify:
         runs = []
         kernel = routing._dijkstra_dist
 
-        def counting(g, source, weight, reverse):
+        def counting(g, source, *args):
             runs.append(source)
-            return kernel(g, source, weight, reverse)
+            return kernel(g, source, *args)
         monkeypatch.setattr(routing, "_dijkstra_dist", counting)
         checked = 0
         for seed in range(30):

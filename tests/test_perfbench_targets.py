@@ -27,8 +27,9 @@ def test_every_trace_target_exists(monkeypatch):
     assert missing == []
 
 
-# paired-sweep books at stations and mobile chargers; oracle-small solves and verifies
-@pytest.mark.parametrize("workload", ["paired-sweep", "oracle-small"])
+# paired-sweep books at stations and mobile chargers; big-grid maps long grid paths from
+# their sources; oracle-small solves and verifies
+@pytest.mark.parametrize("workload", ["paired-sweep", "big-grid", "oracle-small"])
 def test_a_tiny_traced_pass_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload, "--seed", "0",

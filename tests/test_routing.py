@@ -689,7 +689,7 @@ class TestLegs:
         doc = {"nodes": list(range(n)), "arcs": [
             {"i": i, "j": i + 1, "length_m": 100.0, "speed_mps": 10.0} for i in range(n - 1)]}
         caches = PathCache(load_graph(doc, TEST_VEHICLE))
-        caches.rev(n - 1)
+        caches.fwd(0)  # the map the leg reads
         tracemalloc.start()
         try:
             caches.leg(0, n - 1)
@@ -750,3 +750,57 @@ class TestLegs:
         a = find_shortest_path(g, EvRequest("ev", 0, 2, 50.0, -0.0), Infrastructure(),
                                caches=caches)
         assert repr(a.energy_trace) == "[-0.0, -0.0, 0.0]"
+
+
+class TestSourceTrees:
+    """Where the arcs share one ``ArcAttr``, a time query reads its source's breadth-first
+    map, and a time path is that search's parent chain (``PathCache.path``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=random_digraphs(), drive_s=st.floats(0.0, 1e308, exclude_min=True),
+           energy=st.floats(0.0, 1e308))
+    @example(g=_EXAMPLE_DIGRAPH, drive_s=1e308, energy=1.0)
+    @example(g=_EXAMPLE_DIGRAPH, drive_s=60.0, energy=0.0)
+    def test_a_tree_path_is_the_lex_path_of_the_targets_map(self, g, drive_s, energy):
+        # random_digraphs has one-way arcs and pairs with no path; a drive time of
+        # 1e308 overflows to inf two arcs out, so such pairs have none either
+        one = ArcAttr(drive_s, energy, 10.0)
+        g = build_graph(g.order, dict.fromkeys(g.arcs, one))
+        assert g.shared_attr is (one if g.arcs else None)
+        caches, reference = PathCache(g), PathCache(g)
+        for s in g.order:
+            for t in g.order:
+                if s == t:
+                    continue
+                dist = reference.rev(t)[g.index[s]]
+                assert repr(caches.distance(s, t)) == repr(dist)
+                if g.arcs:
+                    assert repr(caches.fwd(s)[g.index[t]]) == repr(dist)
+                if dist == math.inf:
+                    for query in (caches.path, caches.leg):
+                        with pytest.raises(NoPath):
+                            query(s, t)
+                    continue
+                want = routing._lex_path(g.cost_table("time"), g.order, g.index[s],
+                                         g.index[t], reference.rev(t))
+                got = caches.path(s, t)
+                assert list(got) == list(want)
+                assert repr((got.drive_s, got.energy_kwh)) == \
+                    repr((want.drive_s, want.energy_kwh))
+                # energy paths still walk the target's map, as with zero-energy arcs
+                # every level sums to 0.0 and the fewest arcs need not win
+                if reference.rev(t, "energy")[g.index[s]] < math.inf:
+                    assert list(caches.path(s, t, "energy")) == list(routing._lex_path(
+                        g.cost_table("energy"), g.order, g.index[s], g.index[t],
+                        reference.rev(t, "energy")))
+        if g.arcs:  # no time query read a target's map
+            assert all(weight == "energy" for _, weight in caches._rev)
+
+    def test_zero_energy_paths_are_not_the_fewest_arcs(self):
+        # every arc is tight at 0.0 kWh, so the energy walk takes the smaller
+        # neighbour first, 0 -> 1 -> 2, where the fewest-arc time path is 0 -> 2
+        one = ArcAttr(60.0, 0.0, 900.0)
+        g = build_graph(range(3), dict.fromkeys([(0, 1), (1, 2), (0, 2)], one))
+        caches = PathCache(g)
+        assert list(caches.path(0, 2, "energy")) == [0, 1, 2]
+        assert list(caches.path(0, 2)) == [0, 2]

@@ -303,7 +303,7 @@ class TestRememberedNetwork:
         kernel = routing._dijkstra_dist
 
         def recording(*args):
-            built.append(args)
+            built.append(args[:4])
             return kernel(*args)
         sampled = []  # maps built while sampling the population, per run
         population = sim.generate_population
@@ -321,22 +321,29 @@ class TestRememberedNetwork:
         mark = len(built)
         second = run(med)
         g = sim._last_network.graph
-        dests = {g.index[r.dest] for r in second.rows}
-        to_dest = [(g, pos, "time", True) for pos in dests]
+        # every arc of the grid carries one ArcAttr, so each time query reads the map
+        # from its source: a trip's entry or a charger's exit
+        sources = {g.index[r.source] for r in second.rows} | set(map(g.index.get, g.scs_nodes))
+        from_sources = [(g, pos, "time", False) for pos in sources]
         assert sampled[0] > 0 and sampled[1] == 0
-        assert any(key in to_dest for key in built[:mark])
-        assert not [key for key in built[mark:] if key in to_dest]
+        assert any(key in from_sources for key in built[:mark])
+        assert not [key for key in built[mark:] if key in from_sources]
+        # the second mode maps only from the mobile charger's points, which the
+        # first never scores, and no map is built twice
+        assert {key[1] for key in built[mark:]} <= set(map(g.index.get, g.med_points))
+        assert len(set(built)) == len(built)
         for sc, metrics in ((scs, first), (med, second)):
             assert metrics.to_csv() == fresh_run(sc).to_csv()
 
     @pytest.mark.parametrize("mode", MODES)
     def test_a_default_run_builds_no_reverse_cost_table(self, mode):
-        # every arc of the grid costs the same, so each distance map reads head
-        # rows, and only the path reconstruction reads a cost table: the forward one
+        # every arc of the grid costs the same, so each distance map is a breadth-first
+        # search from its source over the forward head rows, and each path a walk up
+        # its parents: no cost table at all
         run(default_scenario(mode=mode))
         g = sim._last_network.graph
-        assert list(g._tables) == [("time", False)]
-        assert list(g._heads) == [True]
+        assert not g._tables
+        assert list(g._heads) == [False]
 
     def test_a_scenario_keeps_its_graph_when_the_document_is_edited(self):
         doc = default_scenario(level="L3", ev_count=100, seed=2).to_json()
@@ -691,24 +698,19 @@ class TestLegsInRuns:
     def forget(self, monkeypatch):
         monkeypatch.setattr(sim, "_last_network", None)
 
-    # path walks of the default 100-EV run at L3, seed 0, on a fresh network:
-    # at most one per path an EV drives, none for a leg
-    WALKS = {"SCS": 65, "SCS_MED": 128}
+    # paths built by the default 100-EV run at L3, seed 0, on a fresh network, a ride
+    # ending at the destination's one-node path included: at most one per path an EV
+    # drives, none for a leg
+    BUILDS = {"SCS": 65, "SCS_MED": 129}
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_a_default_run_walks_only_the_paths_its_evs_drive(self, monkeypatch, mode):
-        walks = []
-        walk = routing._lex_path
-
-        def counting(*args):
-            walks.append(args[2:4])
-            return walk(*args)
-        monkeypatch.setattr(routing, "_lex_path", counting)
+    def test_a_default_run_walks_only_the_paths_its_evs_drive(self, mode):
         metrics = run(default_scenario(mode=mode, level="L3", ev_count=100))
-        assert len(walks) == self.WALKS[mode]
+        built = len(sim._last_network.caches._paths)  # each path is built once, then kept
+        assert built == self.BUILDS[mode]
         driven = sum(1 + len(a.z_visits) + len(a.q_points)
                      for a in filter(None, metrics.assignments))
-        assert len(walks) <= driven
+        assert built <= driven
 
     @staticmethod
     def _runs():

@@ -26,7 +26,6 @@ READ_OUTSIDE = [
 
 # definitions only code outside the package uses, each with its user
 USED_OUTSIDE = [
-    ("PathCache", "fwd"),  # perfbench's tracer wraps it (ROADMAP item 9)
     ("Scenario", "to_json"),  # the library's scenario writer, in the README; the tests use it
     (None, "build_graph"),  # the tests build their graphs with it
     (None, "default_scenario"),  # the README; acceptance criteria 3, 4 and 7
